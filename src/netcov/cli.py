@@ -31,18 +31,19 @@ import numpy as np
 
 from . import __version__
 from .baselines import cpm_fit, cpm_predict, write_cpm_edges
-from .data import (build_design, load_dataset, read_manifest, save_dataset,
-                   write_manifest)
-from .groups import write_groups_csv
+# build_design is unused here but stays importable as netcov.cli.build_design,
+# a name the benchmark's traced run (benchmarks/spans.py) wraps
+from .data import (build_design, load_dataset, read_manifest,  # noqa: F401
+                   save_dataset, write_manifest)
+from .groups import split_communities, write_groups_csv
 from .metrics import (prediction_metrics, roc_along_path, support_metrics,
                       write_metrics_csv, write_roc_csv)
-from .pipeline import make_groups
-from .preprocess import apply_nuisance, NuisanceModel
-from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS,
-                       default_communities, draw_response, gen_design_synthetic,
-                       gen_semisynthetic, groups_for, load_truth_csv, make_beta,
-                       scenario_difficulty, with_response, write_scenario_csv,
-                       write_truth_csv)
+from .pipeline import FittedModel, make_groups, nuisance_corrected
+from .preprocess import NuisanceModel
+from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, draw_response,
+                       gen_design_synthetic, gen_semisynthetic, groups_for,
+                       load_truth_csv, make_beta, scenario_difficulty,
+                       write_scenario_csv, write_truth_csv)
 from .solver import ConvergenceError, write_path_csv
 from .tuning import cross_validate, select_and_refit, write_cv_csv
 
@@ -222,9 +223,7 @@ def _simulate_cell(cfg, cell, cell_dir):
         dataset = gen_design_synthetic(exp)
         communities = dataset.communities
         if split is not None:
-            from .groups import split_communities as _split
-
-            communities = _split(communities, split, (seed, 97))
+            communities = split_communities(communities, split, (seed, 97))
         spec = groups_for(exp, communities)
         truth = make_beta(spec, active, cell.alpha)
         y = draw_response(dataset, truth, cell.family, seed, tag=1)
@@ -244,9 +243,6 @@ def _simulate_cell(cfg, cell, cell_dir):
     if os.path.exists(cell_dir):
         shutil.rmtree(cell_dir)
     os.replace(tmp, cell_dir)
-    return {"scheme": cell.scheme, "family": cell.family,
-            "n_active": cell.n_active, "alpha": cell.alpha,
-            "difficulty_metric": metric, "difficulty": value}
 
 
 def cmd_simulate(args):
@@ -282,17 +278,13 @@ def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
     cv = cross_validate(dataset, spec, folds=folds, seed=seed,
                         grid_size=grid_size, min_ratio=min_ratio)
     fit, prep = select_and_refit(dataset, spec, cv)
+    model = fit.model
 
     os.makedirs(out_dir, exist_ok=True)
     write_groups_csv(spec, os.path.join(out_dir, "groups.csv"))
     write_cv_csv(cv, os.path.join(out_dir, "cv.csv"))
     write_path_csv(fit.path, out_dir)
-    idx = dataset.index
-    with open(os.path.join(out_dir, "coefficients.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index", "beta"])
-        for j in range(idx.p):
-            writer.writerow([j, repr(float(fit.beta[j]))])
+    _write_model(model, out_dir)
     entry = fit.path.entries[fit.index_hat]
     with open(os.path.join(out_dir, "active_groups.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -301,26 +293,17 @@ def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
             norm = float(np.linalg.norm(entry.beta_tilde[s0:s1]))
             if norm > 0:
                 writer.writerow([name, repr(norm)])
-    with open(os.path.join(out_dir, "standardization.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index", "mean", "sd"])
-        for j in range(idx.p):
-            writer.writerow([j, repr(float(fit.column_means[j])),
-                             repr(float(fit.column_sds[j]))])
-    if fit.nuisance_model is not None:
-        _write_nuisance_model(fit.nuisance_model,
-                              os.path.join(out_dir, "nuisance_model.csv"))
+    idx = dataset.index
     info = {
-        "family": dataset.family,
+        "family": model.family,
         "scheme": scheme,
         "method": _method_name(scheme),
         "n": idx.n, "d": idx.d, "p": idx.p,
-        "intercept": repr(float(fit.mu)),
+        "intercept": repr(float(model.mu)),
         "lambda_hat": repr(float(fit.lambda_hat)),
         "lambda_index": fit.index_hat,
-        "y_mean": "NA" if fit.y_mean is None else repr(float(fit.y_mean)),
-        "y_sd": "NA" if fit.y_sd is None else repr(float(fit.y_sd)),
+        "y_mean": "NA" if model.y_mean is None else repr(float(model.y_mean)),
+        "y_sd": "NA" if model.y_sd is None else repr(float(model.y_sd)),
         "deviance": repr(float(fit.deviance)),
         "kkt_residual": repr(float(fit.kkt_residual)),
         "seed": seed, "folds": folds, "grid_size": grid_size,
@@ -331,6 +314,59 @@ def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
     }
     write_manifest(os.path.join(out_dir, "fit_info"), info)
     return fit
+
+
+def _write_feature_csv(path, header, *columns):
+    """One row per feature: its index, then one value from each column."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["feature_index"] + header)
+        for j, values in enumerate(zip(*columns)):
+            writer.writerow([j] + [repr(float(v)) for v in values])
+
+
+def _read_feature_csv(path, p, defaults):
+    """Columns of a :func:`_write_feature_csv` file as length-p arrays."""
+    columns = [np.full(p, value) for value in defaults]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            j = int(row[0])
+            for column, value in zip(columns, row[1:]):
+                column[j] = float(value)
+    return columns
+
+
+def _write_model(model, out_dir):
+    """Write a FittedModel's arrays; its scalars go to ``fit_info``."""
+    _write_feature_csv(os.path.join(out_dir, "coefficients.csv"), ["beta"],
+                       model.beta)
+    _write_feature_csv(os.path.join(out_dir, "standardization.csv"),
+                       ["mean", "sd"], model.column_means, model.column_sds)
+    if model.nuisance_model is not None:
+        _write_nuisance_model(model.nuisance_model,
+                              os.path.join(out_dir, "nuisance_model.csv"))
+
+
+def _read_model(fit_dir, info, p):
+    """The FittedModel that :func:`run_fit` wrote to ``fit_dir``."""
+    if int(info["p"]) != p:
+        raise ValueError(
+            f"fit was trained with p={info['p']} but dataset has p={p}")
+    beta, = _read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p,
+                              (0.0,))
+    means, sds = _read_feature_csv(
+        os.path.join(fit_dir, "standardization.csv"), p, (0.0, 1.0))
+    nm_path = os.path.join(fit_dir, "nuisance_model.csv")
+    return FittedModel(
+        family=info["family"], mu=float(info["intercept"]), beta=beta,
+        column_means=means, column_sds=sds,
+        y_mean=None if info["y_mean"] == "NA" else float(info["y_mean"]),
+        y_sd=None if info["y_sd"] == "NA" else float(info["y_sd"]),
+        nuisance_model=(_read_nuisance_model(nm_path)
+                        if os.path.exists(nm_path) else None),
+    )
 
 
 def _write_nuisance_model(model, path):
@@ -388,16 +424,10 @@ def run_cpm(data_dir, out_dir, alpha=0.01):
     dataset = load_dataset(data_dir)
     if dataset.family != "gaussian":
         raise ValueError("CPM supports continuous responses only")
-    rows_tr = dataset.train_rows
+    rows_tr = dataset.training_rows()
     rows_te = dataset.test_rows
-    if rows_tr is None:
-        rows_tr = np.arange(dataset.N)
-    Z = build_design(dataset).Z
-    y = dataset.y
-    if dataset.nuisance is not None:
-        from .preprocess import residualize_nuisance
-
-        Z, y, _ = residualize_nuisance(Z, y, dataset.nuisance, rows_tr)
+    design, y, _ = nuisance_corrected(dataset, rows_tr)
+    Z = design.Z
     idx = dataset.index
     model = cpm_fit(Z[rows_tr], y[rows_tr], idx, alpha=alpha)
     os.makedirs(out_dir, exist_ok=True)
@@ -446,39 +476,11 @@ def _read_scenario(data_dir):
     }
 
 
-def _load_fit_for_prediction(fit_dir, p):
-    info = read_manifest(os.path.join(fit_dir, "fit_info"))
-    if int(info["p"]) != p:
-        raise ValueError(
-            f"fit was trained with p={info['p']} but dataset has p={p}")
-    beta = np.zeros(p)
-    with open(os.path.join(fit_dir, "coefficients.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            beta[int(row[0])] = float(row[1])
-    means = np.zeros(p)
-    sds = np.ones(p)
-    with open(os.path.join(fit_dir, "standardization.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            j = int(row[0])
-            means[j] = float(row[1])
-            sds[j] = float(row[2])
-    nuisance_model = None
-    nm_path = os.path.join(fit_dir, "nuisance_model.csv")
-    if os.path.exists(nm_path):
-        nuisance_model = _read_nuisance_model(nm_path)
-    return info, beta, means, sds, nuisance_model
-
-
 def run_evaluate(fit_dir, data_dir, out_dir):
     dataset = load_dataset(data_dir)
     idx = dataset.index
-    info, beta, means, sds, nuisance_model = _load_fit_for_prediction(
-        fit_dir, idx.p)
-    family = info["family"]
+    info = read_manifest(os.path.join(fit_dir, "fit_info"))
+    model = _read_model(fit_dir, info, idx.p)
     os.makedirs(out_dir, exist_ok=True)
 
     row = {"method": info.get("method", info.get("scheme"))}
@@ -488,28 +490,17 @@ def run_evaluate(fit_dir, data_dir, out_dir):
     truth = None
     if os.path.exists(truth_path):
         truth = load_truth_csv(truth_path, idx.p)
-        report = support_metrics(beta, truth)
+        report = support_metrics(model.beta, truth)
         row["recall"] = report.recall
         row["precision"] = report.precision
 
     rows_te = dataset.test_rows
     if rows_te is not None and rows_te.size >= 2:
-        Z = build_design(dataset).Z
-        y = dataset.y
-        if nuisance_model is not None:
-            Z, y = apply_nuisance(nuisance_model, Z, dataset.nuisance, y)
-        eta = float(info["intercept"]) + ((Z[rows_te] - means) / sds) @ beta
-        if family == "gaussian":
-            if info["y_mean"] != "NA":
-                yhat = float(info["y_mean"]) + float(info["y_sd"]) * eta
-            else:
-                yhat = eta
-            pred = prediction_metrics(yhat, y[rows_te], "gaussian")
+        yhat, y = model.predict(dataset, rows_te)
+        pred = prediction_metrics(yhat, y, model.family)
+        if model.family == "gaussian":
             row["correlation"] = pred.correlation
         else:
-            from scipy.special import expit
-
-            pred = prediction_metrics(expit(eta), y[rows_te], "binomial")
             row["accuracy"] = pred.accuracy
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
@@ -566,21 +557,20 @@ def _sweep_cell_job(payload):
                 continue
             out = os.path.join(cell_dir, "fit_cpm")
             run_cpm(cell_dir, out, alpha=0.01)
-            with open(os.path.join(out, "metrics.csv"), newline="") as fh:
-                rows.extend(list(csv.DictReader(fh)))
-            continue
-        fit_dir = os.path.join(cell_dir, f"fit_{scheme}")
-        run_fit(cell_dir, scheme, fit_dir,
-                folds=_cfg_int(cfg, "solver.folds"),
-                grid_size=_cfg_int(cfg, "solver.grid_size"),
-                min_ratio=_cfg_float(cfg, "solver.min_ratio"),
-                seed=seed,
-                split_communities=(_cfg_int(cfg, "data.split_communities")
-                                   if cfg["data.split_communities"] else None))
-        eval_dir = os.path.join(cell_dir, f"eval_{scheme}")
-        run_evaluate(fit_dir, cell_dir, eval_dir)
-        with open(os.path.join(eval_dir, "metrics.csv"), newline="") as fh:
-            rows.extend(list(csv.DictReader(fh)))
+        else:
+            fit_dir = os.path.join(cell_dir, f"fit_{scheme}")
+            run_fit(cell_dir, scheme, fit_dir,
+                    folds=_cfg_int(cfg, "solver.folds"),
+                    grid_size=_cfg_int(cfg, "solver.grid_size"),
+                    min_ratio=_cfg_float(cfg, "solver.min_ratio"),
+                    seed=seed,
+                    split_communities=(
+                        _cfg_int(cfg, "data.split_communities")
+                        if cfg["data.split_communities"] else None))
+            out = os.path.join(cell_dir, f"eval_{scheme}")
+            run_evaluate(fit_dir, cell_dir, out)
+        with open(os.path.join(out, "metrics.csv"), newline="") as fh:
+            rows.extend(csv.DictReader(fh))
     return rows
 
 
@@ -596,27 +586,15 @@ def cmd_sweep(args):
             results = list(pool.map(_sweep_cell_job, payloads))
     else:
         results = [_sweep_cell_job(p) for p in payloads]
-    all_rows = [row for rows in results for row in rows]
 
-    def _to_float(row, key):
-        v = row.get(key)
-        if v in (None, "", "NA"):
-            return None
-        return float(v)
+    def _to_float(value):
+        return None if value in (None, "", "NA") else float(value)
 
-    table = []
-    for row in all_rows:
-        table.append({
-            "scheme": row.get("scheme"), "family": row.get("family"),
-            "n_active": row.get("n_active"), "alpha": _to_float(row, "alpha"),
-            "difficulty_metric": row.get("difficulty_metric"),
-            "difficulty": _to_float(row, "difficulty"),
-            "method": row.get("method"),
-            "recall": _to_float(row, "recall"),
-            "precision": _to_float(row, "precision"),
-            "correlation": _to_float(row, "correlation"),
-            "accuracy": _to_float(row, "accuracy"),
-        })
+    # the per-cell rows come back as strings; numbers are rewritten as floats
+    numbers = ("alpha", "difficulty", "recall", "precision", "correlation",
+               "accuracy")
+    table = [{**row, **{key: _to_float(row.get(key)) for key in numbers}}
+             for rows in results for row in rows]
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), table)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "sweep", cfg,

@@ -37,8 +37,7 @@ A dataset directory contains headerless, comma-separated CSVs:
 """
 
 import os
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,11 +199,6 @@ class FeatureIndex:
             raise ValueError("node or covariate index out of range")
         return self.n_edges + node * self.d + j
 
-    def node_cov_coords(self, node):
-        """All node-covariate coordinates of one node."""
-        start = self.n_edges + node * self.d
-        return np.arange(start, start + self.d)
-
 
 @dataclass(frozen=True)
 class DesignMatrix:
@@ -243,6 +237,8 @@ class Dataset:
     ``edges`` holds the edge-weight block (N x n(n-1)/2, canonical
     order), ``node_covs`` the node-covariate block (N x n*d, node-major).
     ``train_rows``/``test_rows`` are optional 0-based row index arrays.
+    Construction rejects non-finite values, a repeated row within either
+    split, and a row in both splits.
     """
 
     edges: np.ndarray
@@ -279,20 +275,30 @@ class Dataset:
             raise ValueError(f"y has {y.size} entries for N={N} observations")
         if self.family not in ("gaussian", "binomial"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "binomial" and not np.all(np.isin(y, (0.0, 1.0))):
-            raise ValueError("binomial responses must be coded 0/1")
+        arrays = {"edges": edges, "node_covs": covs, "y": y}
         if self.nuisance is not None:
             nu = np.atleast_2d(np.asarray(self.nuisance, dtype=np.float64))
             if nu.shape[0] != N:
                 raise ValueError("nuisance must have one row per observation")
             object.__setattr__(self, "nuisance", nu)
+            arrays["nuisance"] = nu
+        for name, values in arrays.items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} contains NaN or infinite values")
+        if self.family == "binomial" and not np.all(np.isin(y, (0.0, 1.0))):
+            raise ValueError("binomial responses must be coded 0/1")
         for name in ("train_rows", "test_rows"):
             rows = getattr(self, name)
             if rows is not None:
                 rows = np.asarray(rows, dtype=np.int64)
                 if rows.size and (rows.min() < 0 or rows.max() >= N):
                     raise ValueError(f"{name} out of range for N={N}")
+                if np.unique(rows).size != rows.size:
+                    raise ValueError(f"{name} lists a row more than once")
                 object.__setattr__(self, name, rows)
+        if (self.train_rows is not None and self.test_rows is not None
+                and np.intersect1d(self.train_rows, self.test_rows).size):
+            raise ValueError("train_rows and test_rows overlap")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "node_covs", covs)
         object.__setattr__(self, "y", y)
@@ -306,8 +312,13 @@ class Dataset:
         n = self.communities.n
         return FeatureIndex(n=n, d=self.node_covs.shape[1] // n)
 
-    def with_rows(self, train_rows=None, test_rows=None):
-        return replace(self, train_rows=train_rows, test_rows=test_rows)
+    def training_rows(self, rows=None):
+        """``rows`` if given, else ``train_rows``, else every row."""
+        if rows is None:
+            rows = self.train_rows
+        if rows is None:
+            rows = np.arange(self.N)
+        return np.asarray(rows, dtype=np.int64)
 
     @staticmethod
     def from_observations(observations, communities, family, nuisance=None,
@@ -476,11 +487,7 @@ def load_dataset(directory):
     assignments = comm[order, 1].astype(np.int64)
 
     edges = _load_matrix(os.path.join(directory, "A.csv"), N, idx.n_edges)
-    x_path = os.path.join(directory, "X.csv")
-    if d > 0:
-        covs = _load_matrix(x_path, N, n * d)
-    else:
-        covs = np.zeros((N, 0))
+    covs = _load_matrix(os.path.join(directory, "X.csv"), N, n * d)
     y = np.loadtxt(os.path.join(directory, "y.csv"), delimiter=",").reshape(-1)
     if y.size != N:
         raise ValueError(f"y.csv: expected {N} rows, got {y.size}")
@@ -489,8 +496,6 @@ def load_dataset(directory):
     if q > 0 or os.path.exists(nu_path):
         nuisance = _load_matrix(nu_path, N, q) if q > 0 else np.loadtxt(
             nu_path, delimiter=",", ndmin=2)
-        if nuisance.shape[0] != N:
-            raise ValueError("nuisance.csv must have one row per observation")
 
     train_rows = test_rows = None
     if "train_rows" in manifest:

@@ -35,6 +35,8 @@ __all__ = [
     "nbg_groups",
     "ebg_groups",
     "singleton_groups",
+    "SCHEMES",
+    "scheme_groups",
     "expand",
     "fold_back",
     "split_communities",
@@ -230,6 +232,21 @@ def singleton_groups(idx):
     names = tuple(f"f{j}" for j in range(idx.p))
     members = tuple(np.array([j], dtype=np.int64) for j in range(idx.p))
     return GroupSpec(names=names, members=members, scheme="SINGLETON", p=idx.p)
+
+
+SCHEMES = ("nbg", "ebg", "lasso")
+
+
+def scheme_groups(scheme, cm, idx):
+    """GroupSpec of a scheme named ``nbg``, ``ebg`` or ``lasso`` (any case)."""
+    name = str(scheme).lower()
+    if name == "nbg":
+        return nbg_groups(cm, idx)
+    if name == "ebg":
+        return ebg_groups(cm, idx)
+    if name == "lasso":
+        return singleton_groups(idx)
+    raise ValueError(f"scheme must be one of {SCHEMES}, got {name!r}")
 
 
 def expand(spec):

@@ -91,7 +91,8 @@ def standardize(design, y=None, train_rows=None, family="gaussian"):
 
 
 def apply_standardization(design, Z_new):
-    """Transform new raw rows with a design's stored training statistics."""
+    """Transform new raw rows with the training statistics of ``design``
+    (a standardized DesignMatrix, or a FittedModel)."""
     if design.column_means is None:
         raise ValueError("design carries no standardization statistics")
     return (Z_new - design.column_means) / design.column_sds
@@ -144,15 +145,12 @@ def residualize_nuisance(Z, y, nuisance, train_rows=None, residualize_y=True):
             "using the least-norm solution"
         )
     coefs, *_ = np.linalg.lstsq(M_train, Z[train_rows], rcond=None)
-    M_all = _design_with_intercept(nuisance)
-    Z_corr = Z - M_all @ coefs
-    y_corr = y
     y_coefs = None
     if residualize_y and y is not None:
-        y = np.asarray(y, dtype=np.float64)
-        y_coefs, *_ = np.linalg.lstsq(M_train, y[train_rows], rcond=None)
-        y_corr = y - M_all @ y_coefs
+        y_train = np.asarray(y, dtype=np.float64)[train_rows]
+        y_coefs, *_ = np.linalg.lstsq(M_train, y_train, rcond=None)
     model = NuisanceModel(feature_coefs=coefs, y_coefs=y_coefs, q=q)
+    Z_corr, y_corr = apply_nuisance(model, Z, nuisance, y)
     return Z_corr, y_corr, model
 
 

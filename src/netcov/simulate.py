@@ -25,8 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import CommunityMap, Dataset, build_design, load_dataset
-from .groups import ebg_groups, nbg_groups, normalize_group_name, split_communities
+from .data import (CommunityMap, Dataset, FeatureIndex, build_design,
+                   load_dataset)
+from .groups import scheme_groups, split_communities
 
 __all__ = [
     "ExperimentConfig",
@@ -120,15 +121,9 @@ def default_communities(K, nodes_per_community):
 
 
 def groups_for(config, communities):
-    if config.scheme == "NBG":
-        return nbg_groups(communities, _index_of(communities, config.d))
-    return ebg_groups(communities, _index_of(communities, config.d))
-
-
-def _index_of(communities, d):
-    from .data import FeatureIndex
-
-    return FeatureIndex(n=communities.n, d=d)
+    """The config's scheme groups over ``communities`` with ``config.d``."""
+    idx = FeatureIndex(n=communities.n, d=config.d)
+    return scheme_groups(config.scheme, communities, idx)
 
 
 def gen_design_synthetic(config):
@@ -181,11 +176,7 @@ def scenario_difficulty(dataset, truth, family, rows=None):
     gaussian: SNR = Var(Z beta) / sigma^2; binomial: Bayes error
     E[min(pi, 1 - pi)].  Exact at beta = 0: SNR 0 and BE 0.5.
     """
-    if rows is None:
-        rows = dataset.train_rows
-    if rows is None:
-        rows = np.arange(dataset.N)
-    Z = build_design(dataset).Z[np.asarray(rows, dtype=np.int64)]
+    Z = build_design(dataset).Z[dataset.training_rows(rows)]
     eta = truth.mu + Z @ truth.beta
     if family == "gaussian":
         return "snr", float(np.var(eta) / NOISE_SD**2)
@@ -207,35 +198,23 @@ def gen_semisynthetic(files_path, config, split_target=None):
     if ds.train_rows is None or ds.test_rows is None:
         raise ValueError("semi-synthetic source manifest must declare "
                          "train_rows and test_rows")
-    if np.intersect1d(ds.train_rows, ds.test_rows).size:
-        raise ValueError("train and test rows overlap")
     communities = ds.communities
     if split_target is not None:
         communities = split_communities(communities, split_target,
                                         (int(config.seed or 0), 97))
-    edge_means = ds.edges[ds.train_rows].mean(axis=0)
-    cov_means = (ds.node_covs[ds.train_rows].mean(axis=0)
-                 if ds.node_covs.size else ds.node_covs.sum(axis=0))
     centered = replace(
         ds,
-        edges=ds.edges - edge_means,
-        node_covs=ds.node_covs - cov_means if ds.node_covs.size else ds.node_covs,
+        edges=ds.edges - ds.edges[ds.train_rows].mean(axis=0),
+        node_covs=ds.node_covs - ds.node_covs[ds.train_rows].mean(axis=0),
         family=config.family,
         y=np.zeros(ds.N),
     )
-    idx = centered.index
-    if config.scheme == "NBG":
-        spec = nbg_groups(communities, idx)
-    else:
-        spec = ebg_groups(communities, idx)
+    # groups over the source's coordinates, whatever config.d says
+    spec = scheme_groups(config.scheme, communities, centered.index)
     truth = make_beta(spec, config.active_groups, config.alpha)
     y = draw_response(centered, truth, config.family, config.seed,
                       tag=config.replicate + 1)
-    if config.family == "binomial":
-        dataset = replace(centered, family="binomial", y=y)
-    else:
-        dataset = with_response(centered, y)
-    return dataset, truth, communities
+    return replace(centered, y=y), truth, communities
 
 
 def write_truth_csv(truth, path):

@@ -24,7 +24,7 @@ optimality condition; the same pass doubles as the exit KKT certificate.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -138,9 +138,6 @@ class PathFit:
         """(grid, p) matrix of folded-back coefficients."""
         return np.vstack([e.beta for e in self.entries])
 
-    def intercepts(self):
-        return np.array([e.mu for e in self.entries])
-
 
 def deviance(family, y, eta):
     """Training loss: half-RSS (gaussian) or -2 log-likelihood (binomial)."""
@@ -171,20 +168,29 @@ def _linear_predictor(problem, mu, beta_tilde):
     return np.full(problem.N, mu)
 
 
-def smooth_gradient(problem, mu, beta_tilde):
+def _fresh_state(problem, mu, beta):
+    eta = _linear_predictor(problem, mu, beta)
+    if problem.family == "gaussian":
+        return {"resid": problem.y - eta}
+    return {"eta": eta}
+
+
+def smooth_gradient(problem, mu, beta_tilde, state=None):
     """Gradient of (1/N)*deviance at (mu, beta_tilde).
 
-    Returns (d/dmu, d/dbeta_tilde).  The binomial gradient uses the exact
-    logistic mean, not the clipped deviance, so it is the analytic
-    derivative everywhere the clip is inactive.
+    Returns (d/dmu, d/dbeta_tilde).  ``state`` is the work vector of
+    :func:`_fresh_state` at the same point, when the caller holds one.
+    The binomial gradient uses the exact logistic mean, not the clipped
+    deviance, so it is the analytic derivative everywhere the clip is
+    inactive.
     """
+    if state is None:
+        state = _fresh_state(problem, mu, beta_tilde)
     N = problem.N
-    eta = _linear_predictor(problem, mu, beta_tilde)
     if problem.family == "gaussian":
-        resid = problem.y - eta
+        resid = state["resid"]
         return -float(resid.mean()), -(problem.U.T @ resid) / N
-    pi = expit(eta)
-    diff = pi - problem.y
+    diff = expit(state["eta"]) - problem.y
     return 2.0 * float(diff.mean()), 2.0 * (problem.U.T @ diff) / N
 
 
@@ -297,8 +303,7 @@ class _Workspace:
     def __init__(self, problem):
         self.UT = np.ascontiguousarray(problem.U.T)
         n_groups = len(problem.slices)
-        self.starts = np.fromiter((s0 for s0, _ in problem.slices),
-                                  dtype=np.int64, count=n_groups)
+        self.starts = _group_starts(problem.slices)
         self.ends = np.fromiter((s1 for _, s1 in problem.slices),
                                 dtype=np.int64, count=n_groups)
         self.multipliers = np.ascontiguousarray(
@@ -306,8 +311,8 @@ class _Workspace:
         self.all_groups = np.arange(n_groups, dtype=np.int64)
 
 
-def _sweep_groups_python(UT, resid, eta, track_eta, beta, starts, ends,
-                         multipliers, thresh_scale, order):
+def _sweep_groups(UT, resid, eta, track_eta, beta, starts, ends,
+                  multipliers, thresh_scale, order):
     max_delta = 0.0
     for gi in order:
         s0 = starts[gi]
@@ -356,85 +361,6 @@ def _sweep_groups_python(UT, resid, eta, track_eta, beta, starts, ends,
     return max_delta
 
 
-def _sweep_groups_loops(UT, resid, eta, track_eta, beta, starts, ends,
-                        multipliers, thresh_scale, order):
-    # explicit-loop twin of _sweep_groups_python, written for numba
-    N = resid.shape[0]
-    max_delta = 0.0
-    for oi in range(order.shape[0]):
-        gi = order[oi]
-        s0 = starts[gi]
-        s1 = ends[gi]
-        t = thresh_scale * multipliers[gi]
-        r = s1 - s0
-        if r == 1:
-            u = UT[s0]
-            z = beta[s0]
-            for i in range(N):
-                z += u[i] * resid[i]
-            if z > t:
-                b_new = z - t
-            elif z < -t:
-                b_new = z + t
-            else:
-                b_new = 0.0
-            delta = b_new - beta[s0]
-            if delta != 0.0:
-                for i in range(N):
-                    shift = u[i] * delta
-                    resid[i] -= shift
-                    if track_eta:
-                        eta[i] += shift
-                beta[s0] = b_new
-                step = abs(delta)
-                if step > max_delta:
-                    max_delta = step
-            continue
-        block = UT[s0:s1]
-        z = np.dot(block, resid)
-        nz2 = 0.0
-        for k in range(r):
-            z[k] += beta[s0 + k]
-            nz2 += z[k] * z[k]
-        if nz2 <= t * t:
-            scale = 0.0
-            stale = False
-            for k in range(r):
-                if beta[s0 + k] != 0.0:
-                    stale = True
-                    break
-            if not stale:
-                continue
-        else:
-            scale = 1.0 - t / np.sqrt(nz2)
-        step = 0.0
-        d = np.empty(r)
-        for k in range(r):
-            d[k] = scale * z[k] - beta[s0 + k]
-            ad = abs(d[k])
-            if ad > step:
-                step = ad
-        if step > 0.0:
-            shift = np.dot(d, block)
-            for i in range(N):
-                resid[i] -= shift[i]
-                if track_eta:
-                    eta[i] += shift[i]
-            for k in range(r):
-                beta[s0 + k] = scale * z[k]
-            if step > max_delta:
-                max_delta = step
-    return max_delta
-
-
-try:
-    from numba import njit as _njit
-
-    _sweep_groups_jit = _njit(cache=True)(_sweep_groups_loops)
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _sweep_groups_jit = None
-
-
 def _sweep(problem, ws, state, mu, beta, order):
     """One cyclic pass (intercept + the given groups); returns (mu, max change).
 
@@ -464,30 +390,13 @@ def _sweep(problem, ws, state, mu, beta, order):
         eta += dmu
     max_delta = abs(dmu)
 
-    kernel = _sweep_groups_jit or _sweep_groups_python
-    group_delta = kernel(ws.UT, resid, eta, not gaussian, beta, ws.starts,
-                         ws.ends, ws.multipliers, thresh_scale, order)
+    group_delta = _sweep_groups(ws.UT, resid, eta, not gaussian, beta,
+                                ws.starts, ws.ends, ws.multipliers,
+                                thresh_scale, order)
     return mu, max(max_delta, group_delta)
 
 
 _EMPTY = np.empty(0)
-
-
-def _fresh_state(problem, mu, beta):
-    eta = _linear_predictor(problem, mu, beta)
-    if problem.family == "gaussian":
-        return {"resid": problem.y - eta}
-    return {"eta": eta}
-
-
-def _gradient_from_state(problem, state):
-    N = problem.N
-    if problem.family == "gaussian":
-        resid = state["resid"]
-        return -float(resid.mean()), -(problem.U.T @ resid) / N
-    pi = expit(state["eta"])
-    diff = pi - problem.y
-    return 2.0 * float(diff.mean()), 2.0 * (problem.U.T @ diff) / N
 
 
 def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
@@ -527,7 +436,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
 
         # full gradient pass: screening + KKT certificate
         state = _fresh_state(problem, mu, beta)  # shed incremental drift
-        gmu, grad = _gradient_from_state(problem, state)
+        gmu, grad = smooth_gradient(problem, mu, beta, state)
         if problem.lam > 0:
             gnorms = _group_norms(grad, problem.slices)
             limit = problem.lam * problem.multipliers
@@ -537,18 +446,15 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
                 active = np.flatnonzero(in_active)
                 continue
             res = _kkt_from_gradient(problem, beta, grad)
-            if res <= kkt_tol and abs(gmu) <= max(kkt_tol, tol):
-                dev = deviance(problem.family, problem.y,
-                               _linear_predictor(problem, mu, beta))
-                return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
-                                kkt_residual=res, deviance=dev)
+            done = res <= kkt_tol and abs(gmu) <= max(kkt_tol, tol)
         else:
             res = max(_kkt_from_gradient(problem, beta, grad), abs(gmu))
-            if res <= ZERO_GRAD_TOL:
-                dev = deviance(problem.family, problem.y,
-                               _linear_predictor(problem, mu, beta))
-                return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
-                                kkt_residual=res, deviance=dev)
+            done = res <= ZERO_GRAD_TOL
+        if done:
+            dev = deviance(problem.family, problem.y,
+                           _linear_predictor(problem, mu, beta))
+            return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
+                            kkt_residual=res, deviance=dev)
 
         # not stationary yet: take a full pass over every group
         if sweeps < max_iter:
@@ -574,8 +480,8 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
     entry records the intercept, coefficients in both the orthonormal and
     the folded-back original space, active group names, training
     deviance, sweep count and KKT residual.  A non-converged point is
-    retried once with 10x the iteration budget before the error
-    propagates.
+    retried once, with a ``RuntimeWarning``, with 10x the iteration budget
+    before the error propagates.
     """
     if lambdas is None:
         lambdas = lambda_grid(lambda_max(problem), grid_size=grid_size,
@@ -588,13 +494,17 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
     mu0 = None
     beta0 = None
     ws = _Workspace(problem)
-    for lam in lambdas:
+    for i, lam in enumerate(lambdas):
         prob = replace(problem, lam=float(lam))
         try:
             sol = fit_at_lambda(prob, beta0=beta0, mu0=mu0,
                                 max_iter=max_iter, tol=tol, kkt_tol=kkt_tol,
                                 workspace=ws)
-        except ConvergenceError:
+        except ConvergenceError as exc:
+            warnings.warn(
+                f"lambda index {i}: no convergence after {exc.sweeps} sweeps "
+                f"(KKT residual {exc.kkt_residual:.3e}); retrying with "
+                f"{10 * max_iter} sweeps", RuntimeWarning, stacklevel=2)
             sol = fit_at_lambda(prob, beta0=beta0, mu0=mu0,
                                 max_iter=10 * max_iter, tol=tol,
                                 kkt_tol=kkt_tol, workspace=ws)

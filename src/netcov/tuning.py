@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import (holdout_deviance, predict_eta, predict_response,
-                       prepare)
+from .pipeline import FittedModel, holdout_deviance, prepare
 from .solver import fit_path, lambda_grid, lambda_max
 
 __all__ = ["CVResult", "FitResult", "cross_validate", "select_and_refit",
@@ -49,10 +48,9 @@ class CVResult:
 
 @dataclass
 class FitResult:
-    """A tuned fit: refit coefficients plus the whole path and CV summary."""
+    """A tuned fit: the refit model plus the whole path and CV summary."""
 
-    mu: float
-    beta: np.ndarray
+    model: FittedModel  # at the one-SE point
     active_groups: tuple
     lambda_hat: float
     index_hat: int
@@ -60,12 +58,14 @@ class FitResult:
     cv: CVResult
     deviance: float
     kkt_residual: float
-    family: str
-    column_means: np.ndarray
-    column_sds: np.ndarray
-    y_mean: float
-    y_sd: float
-    nuisance_model: object
+
+    @property
+    def mu(self):
+        return self.model.mu
+
+    @property
+    def beta(self):
+        return self.model.beta
 
 
 def one_se_select(mean_deviance, se):
@@ -113,11 +113,7 @@ def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
     assignment leaving some fold's training part with constant response
     is redrawn once from a derived seed; a second failure is an error.
     """
-    if rows is None:
-        rows = dataset.train_rows
-    if rows is None:
-        rows = np.arange(dataset.N)
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = dataset.training_rows(rows)
     if rows.size < folds:
         raise ValueError(f"{rows.size} training rows cannot fill {folds} folds")
 
@@ -165,24 +161,20 @@ def select_and_refit(dataset, spec, cv, rows=None):
     returned object also carries every grid entry for path reports and
     ROC curves; the headline coefficients are those at the one-SE point.
     """
-    if rows is None:
-        rows = dataset.train_rows
-    if rows is None:
-        rows = np.arange(dataset.N)
-    rows = np.asarray(rows, dtype=np.int64)
-
+    rows = dataset.training_rows(rows)
     prep = prepare(dataset, spec, rows)
     pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=cv.lambdas)
     entry = pf.entries[cv.index_one_se]
+    std = prep.design_std
     return FitResult(
-        mu=entry.mu, beta=entry.beta, active_groups=entry.active_groups,
-        lambda_hat=entry.lam, index_hat=cv.index_one_se, path=pf, cv=cv,
-        deviance=entry.deviance, kkt_residual=entry.kkt_residual,
-        family=dataset.family,
-        column_means=prep.design_std.column_means,
-        column_sds=prep.design_std.column_sds,
-        y_mean=prep.design_std.y_mean, y_sd=prep.design_std.y_sd,
-        nuisance_model=prep.nuisance_model,
+        model=FittedModel(
+            family=dataset.family, mu=entry.mu, beta=entry.beta,
+            column_means=std.column_means, column_sds=std.column_sds,
+            y_mean=std.y_mean, y_sd=std.y_sd,
+            nuisance_model=prep.nuisance_model),
+        active_groups=entry.active_groups, lambda_hat=entry.lam,
+        index_hat=cv.index_one_se, path=pf, cv=cv, deviance=entry.deviance,
+        kkt_residual=entry.kkt_residual,
     ), prep
 
 

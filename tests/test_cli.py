@@ -1,5 +1,6 @@
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,106 @@ class TestEvaluate:
         code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
                          str(other), "--out", str(tmp_path / "eval")])
         assert code == 3
+
+
+class TestNuisanceEvaluate:
+    def test_evaluate_matches_in_process_prediction(self, tmp_path):
+        # fit writes nuisance_model.csv; evaluate must predict exactly as
+        # the in-process pipeline does from the same fit
+        from conftest import make_dataset
+        from netcov import build_design, load_dataset, save_dataset
+        from netcov.metrics import prediction_metrics
+        from netcov.pipeline import make_groups, predict_response
+        from netcov.preprocess import apply_nuisance
+        from netcov.tuning import cross_validate, select_and_refit
+
+        rng = np.random.default_rng(4)
+        beta = np.zeros(21)
+        beta[[0, 1, 2, 15]] = 1.0
+        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2], d=1, N=80, beta=beta,
+                          nuisance_q=2)
+        ds = replace(ds, y=ds.y + 2.0 * ds.nuisance[:, 0],
+                     train_rows=np.arange(60), test_rows=np.arange(60, 80))
+        data_dir = tmp_path / "data"
+        save_dataset(ds, str(data_dir))
+        fit_dir, eval_dir = tmp_path / "fit", tmp_path / "eval"
+        assert cli.main(["fit", "--data", str(data_dir), "--scheme", "ebg",
+                         "--out", str(fit_dir), "--folds", "3",
+                         "--grid-size", "8", "--seed", "3"]) == 0
+        assert (fit_dir / "nuisance_model.csv").exists()
+        assert cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                         str(data_dir), "--out", str(eval_dir)]) == 0
+        row = read_rows(eval_dir / "metrics.csv")[0]
+
+        ds = load_dataset(str(data_dir))
+        spec, _ = make_groups(ds, "ebg", seed=(3, 11))
+        cv = cross_validate(ds, spec, folds=3, seed=3, grid_size=8,
+                            min_ratio=0.05)
+        fit, prep = select_and_refit(ds, spec, cv)
+        assert np.any(fit.beta != 0.0)
+        rows = ds.test_rows
+        yhat = predict_response(prep, fit.mu, fit.beta, rows, ds.family)
+        _, y = apply_nuisance(prep.nuisance_model, build_design(ds).Z,
+                              ds.nuisance, ds.y)
+        expected = prediction_metrics(yhat, y[rows], ds.family).correlation
+        assert float(row["correlation"]) == expected
+
+
+def _corrupt_first_value(path, text):
+    lines = path.read_text().splitlines()
+    fields = lines[0].split(",")
+    lines[0] = ",".join([text] + fields[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_manifest(path, key, value):
+    lines = [f"{key} = {value}" if line.startswith(key) else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestBadInputRejected:
+    """Bad data is refused when the dataset loads, with exit code 3."""
+
+    CASES = {
+        "nan_edge": (lambda d: _corrupt_first_value(d / "A.csv", "nan"),
+                     "edges contains NaN or infinite values"),
+        "inf_node_cov": (lambda d: _corrupt_first_value(d / "X.csv", "inf"),
+                         "node_covs contains NaN or infinite values"),
+        "nan_response": (lambda d: _corrupt_first_value(d / "y.csv", "nan"),
+                         "y contains NaN or infinite values"),
+        "nan_nuisance": (lambda d: _corrupt_first_value(d / "nuisance.csv",
+                                                        "nan"),
+                         "nuisance contains NaN or infinite values"),
+        "duplicate_train_row": (
+            lambda d: _edit_manifest(d / "manifest", "train_rows", "1-10,5"),
+            "train_rows lists a row more than once"),
+        "duplicate_test_row": (
+            lambda d: _edit_manifest(d / "manifest", "test_rows", "11-14,12"),
+            "test_rows lists a row more than once"),
+        "overlapping_rows": (
+            lambda d: _edit_manifest(d / "manifest", "test_rows", "10-14"),
+            "train_rows and test_rows overlap"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fit_exits_3_naming_the_problem(self, tmp_path, capsys, case):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(6), [1, 1, 2, 2], d=1,
+                          N=14, nuisance_q=1)
+        ds = replace(ds, train_rows=np.arange(10),
+                     test_rows=np.arange(10, 14))
+        data_dir = tmp_path / "data"
+        save_dataset(ds, str(data_dir))
+        corrupt, message = self.CASES[case]
+        corrupt(data_dir)
+        code = cli.main(["fit", "--data", str(data_dir), "--scheme", "ebg",
+                         "--out", str(tmp_path / "fit"), "--folds", "3",
+                         "--grid-size", "4", "--seed", "1"])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
 
 class TestCpm:

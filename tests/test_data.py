@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,8 @@ class TestDiskLayout:
         from conftest import make_dataset
 
         ds = make_dataset(rng, [1, 1, 2, 2, 3], d=2, N=12, nuisance_q=2)
-        ds = ds.with_rows(train_rows=np.arange(9),
-                          test_rows=np.arange(9, 12))
+        ds = replace(ds, train_rows=np.arange(9),
+                     test_rows=np.arange(9, 12))
         save_dataset(ds, str(tmp_path / "d"))
         back = load_dataset(str(tmp_path / "d"))
         np.testing.assert_array_equal(back.edges, ds.edges)

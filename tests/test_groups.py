@@ -331,3 +331,34 @@ class TestGroupsCsv:
         for name, j in rows:
             got.setdefault(name, []).append(int(j))
         assert got == {"1": [0, 1, 2, 3, 4], "2": [1, 2, 5]}
+
+
+def assert_same_spec(a, b):
+    assert (a.names, a.scheme, a.p) == (b.names, b.scheme, b.p)
+    assert len(a.members) == len(b.members)
+    for ga, gb in zip(a.members, b.members):
+        np.testing.assert_array_equal(ga, gb)
+
+
+class TestSchemeDispatch:
+    def test_make_groups_and_groups_for_agree(self, rng):
+        from conftest import make_dataset
+        from netcov.pipeline import make_groups
+        from netcov.simulate import ExperimentConfig, groups_for
+
+        ds = make_dataset(rng, [1, 1, 2, 2, 3], d=2, N=6)
+        upper, _ = make_groups(ds, "EBG")
+        lower, cm = make_groups(ds, "ebg")
+        cfg = ExperimentConfig(scheme="EBG", active_groups=("(1,1)",),
+                               alpha=0.2, family="gaussian", d=2)
+        assert_same_spec(upper, lower)
+        assert_same_spec(lower, groups_for(cfg, cm))
+        assert lower.n_groups == 6
+
+    def test_unknown_scheme_rejected(self, rng):
+        from conftest import make_dataset
+        from netcov.pipeline import make_groups
+
+        ds = make_dataset(rng, [1, 2], d=1, N=4)
+        with pytest.raises(ValueError, match="scheme must be one of"):
+            make_groups(ds, "banana")

@@ -222,6 +222,19 @@ class TestSemiSynthetic:
         _, _, communities = gen_semisynthetic(src, cfg, split_target=5)
         assert communities.K > 2
 
+    def test_groups_follow_source_index(self, tmp_path, rng):
+        # the source has d=2 while the config says d=1: groups and truth
+        # must be built over the source's coordinates
+        src = self.make_source(tmp_path, rng, d=2)
+        cfg = small_config(d=1)
+        ds, truth, communities = gen_semisynthetic(src, cfg)
+        idx = FeatureIndex(n=8, d=2)
+        assert ds.index == idx
+        assert truth.beta.size == idx.p
+        spec = ebg_groups(communities, idx)
+        np.testing.assert_array_equal(truth.active_features,
+                                      spec.members[spec.lookup("(1,1)")])
+
     def test_overlapping_split_rejected(self, tmp_path, rng):
         src = self.make_source(tmp_path, rng)
         manifest = tmp_path / "source" / "manifest"

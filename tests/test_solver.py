@@ -229,31 +229,6 @@ class TestFitAtLambda:
                 assert q <= prev + 1e-12
                 prev = q
 
-    def test_python_and_jit_kernels_agree(self, rng):
-        from netcov.solver import (_sweep_groups_jit, _sweep_groups_python,
-                                   _Workspace)
-
-        if _sweep_groups_jit is None:
-            pytest.skip("numba not available")
-        problem, *_ = build_problem(rng, N=40, p=10, kind="overlap")
-        prob = replace(problem, lam=0.3 * lambda_max(problem))
-        ws = _Workspace(prob)
-        beta_a = np.zeros(prob.U.shape[1])
-        beta_b = np.zeros(prob.U.shape[1])
-        resid_a = prob.y.copy()
-        resid_b = prob.y.copy()
-        for _ in range(30):
-            da = _sweep_groups_python(ws.UT, resid_a, np.empty(0), False,
-                                      beta_a, ws.starts, ws.ends,
-                                      ws.multipliers, prob.N * prob.lam,
-                                      ws.all_groups)
-            db = _sweep_groups_jit(ws.UT, resid_b, np.empty(0), False,
-                                   beta_b, ws.starts, ws.ends,
-                                   ws.multipliers, prob.N * prob.lam,
-                                   ws.all_groups)
-            np.testing.assert_allclose(beta_a, beta_b, atol=1e-12)
-            assert abs(da - db) < 1e-12
-
     def test_penalty_scale_invariance(self, rng):
         problem, *_ = build_problem(rng)
         lam = 0.3 * lambda_max(problem)
@@ -351,6 +326,20 @@ class TestPath:
             pairs = list(zip(sizes, sizes[1:]))
             fractions.append(np.mean([b >= a for a, b in pairs]))
         print(f"monotone-tendency fraction: {np.mean(fractions):.3f}")
+
+    def test_retry_is_announced(self):
+        # with a 5-sweep budget the last point of this path needs the 10x
+        # retry; the retry must warn and still certify the point
+        problem, basis, emap, _ = build_problem(np.random.default_rng(0))
+        with pytest.warns(RuntimeWarning) as record:
+            pf = fit_path(problem, basis, emap, grid_size=3, max_iter=5)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert message.startswith("lambda index 2: no convergence after "
+                                  "5 sweeps")
+        assert message.endswith("retrying with 50 sweeps")
+        assert pf.entries[2].n_sweeps > 5
+        assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
 
     def test_increasing_grid_rejected(self, rng):
         problem, basis, emap, _ = build_problem(rng)
