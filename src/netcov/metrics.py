@@ -31,6 +31,11 @@ __all__ = [
 SELECTION_TOL = 1e-12
 
 
+def _is_constant(v):
+    """True when ``v`` varies by no more than float dust of its own scale."""
+    return np.ptp(v) <= 1e-12 * max(1.0, float(np.abs(v).max()))
+
+
 @dataclass(frozen=True)
 class SupportReport:
     tp: int
@@ -115,7 +120,7 @@ def prediction_metrics(y_hat, y_test, family):
     if y_hat.size != y_test.size or y_hat.size < 2:
         raise ValueError("need two aligned vectors of length >= 2")
     if family == "gaussian":
-        if y_hat.std() == 0.0 or y_test.std() == 0.0:
+        if _is_constant(y_hat) or _is_constant(y_test):
             return PredictionReport(correlation=float("nan"))
         r = float(np.corrcoef(y_hat, y_test)[0, 1])
         return PredictionReport(correlation=r)

@@ -88,6 +88,18 @@ class TestPredictionMetrics:
         rep = prediction_metrics(np.zeros(10), y, "gaussian")
         assert np.isnan(rep.correlation)
 
+    def test_constant_prediction_with_float_dust_is_na(self, rng):
+        # a fully sparse fit predicts y_mean + y_sd * mu; rounding can leave
+        # one-ulp differences between rows, so the std is dust, not 0
+        c = 2.3 + 1.7 * 0.1
+        y_hat = np.full(11, c)
+        y_hat[::3] = np.nextafter(c, np.inf)
+        assert y_hat.std() > 0.0
+        rep = prediction_metrics(y_hat, rng.standard_normal(11), "gaussian")
+        assert np.isnan(rep.correlation)
+        rep = prediction_metrics(rng.standard_normal(11), y_hat, "gaussian")
+        assert np.isnan(rep.correlation)
+
     def test_binary_accuracy(self):
         rep = prediction_metrics(np.array([0.9, 0.2]), np.array([1.0, 0.0]),
                                  "binomial")

@@ -3,8 +3,10 @@ import pytest
 from dataclasses import replace
 from scipy.special import expit
 
-from netcov import CommunityMap, FeatureIndex
+from conftest import make_dataset
+from netcov import CommunityMap, FeatureIndex, ebg_groups, make_beta
 from netcov.groups import ExpansionMap
+from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
 from netcov.solver import (ConvergenceError, PenalizedProblem, deviance,
                            fit_at_lambda, fit_path, group_update,
@@ -340,8 +342,166 @@ class TestPath:
         assert message.endswith("retrying with 50 sweeps")
         assert pf.entries[2].n_sweeps > 5
         assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
+        # the entry counts the failed attempt's sweeps plus the retry's.
+        # Entry 0 (lambda_max) is empty, so no predicted start: the retry
+        # warm-starts from entry 1, as the failed attempt did
+        assert pf.entries[0].active_groups == ()
+        warm = pf.entries[1]
+        retry = fit_at_lambda(replace(problem, lam=float(pf.lambdas[2])),
+                              beta0=warm.beta_tilde, mu0=warm.mu, max_iter=50)
+        assert pf.entries[2].n_sweeps == 5 + retry.n_sweeps
 
     def test_increasing_grid_rejected(self, rng):
         problem, basis, emap, _ = build_problem(rng)
         with pytest.raises(ValueError, match="decreasing"):
             fit_path(problem, basis, emap, lambdas=np.array([0.1, 0.2]))
+
+
+def scheme_problem(scheme, family, seed=3, N=60):
+    """Small real NBG / EBG / LASSO problem with one signal group."""
+    rng = np.random.default_rng(seed)
+    communities = [1, 1, 2, 2, 3, 3, 4, 4]
+    cm = CommunityMap(assignments=communities)
+    idx = FeatureIndex(n=cm.n, d=1)
+    truth = make_beta(ebg_groups(cm, idx), ("(1,1)",), 0.6)
+    ds = make_dataset(rng, communities, d=1, N=N, family=family,
+                      beta=truth.beta)
+    spec, _ = make_groups(ds, scheme)
+    return prepare(ds, spec)
+
+
+class TestAcceleration:
+    """Anderson steps and the path predictor change the route, never the
+    certified answer."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_objective_never_increases_across_iterates(self, rng, family,
+                                                       monkeypatch):
+        # objective before and after every sweep: the gap between one
+        # sweep's end and the next sweep's start is where an Anderson step
+        # or a screening pass sits
+        import netcov.solver as solver
+
+        problem, *_ = build_problem(rng, N=80, p=24, family=family)
+        prob = replace(problem, lam=0.05 * lambda_max(problem))
+        values = []
+        sweep = solver._sweep
+
+        def recorded(problem, ws, state, mu, beta, order):
+            values.append(objective(problem, mu, beta))
+            mu, delta = sweep(problem, ws, state, mu, beta, order)
+            values.append(objective(problem, mu, beta))
+            return mu, delta
+
+        monkeypatch.setattr(solver, "_sweep", recorded)
+        sol = fit_at_lambda(prob)
+        assert sol.n_extrapolated > 0
+        for prev, q in zip(values, values[1:]):
+            assert q <= prev + 1e-12 * max(1.0, abs(prev))
+        # every accepted step shows as a strict drop between two sweeps
+        drops = sum(b < a for a, b in zip(values[1::2], values[2::2]))
+        assert drops >= sol.n_extrapolated
+
+    @pytest.mark.parametrize("scheme,family", [
+        ("nbg", "gaussian"), ("ebg", "gaussian"), ("lasso", "gaussian"),
+        ("nbg", "binomial")])
+    def test_path_entries_match_oracle(self, scheme, family, monkeypatch):
+        # every entry of a path that uses the predictor, against the
+        # independent ISTA solution
+        import netcov.solver as solver
+
+        solve = solver.fit_at_lambda
+        anderson, starts = [], []
+
+        def counted(problem, beta0=None, mu0=None, **kwargs):
+            starts.append((problem, mu0, beta0))
+            sol = solve(problem, beta0=beta0, mu0=mu0, **kwargs)
+            anderson.append(sol.n_extrapolated)
+            return sol
+
+        monkeypatch.setattr(solver, "fit_at_lambda", counted)
+        prep = scheme_problem(scheme, family)
+        prob = prep.problem
+        pf = fit_path(prob, prep.basis, prep.emap, grid_size=10,
+                      min_ratio=0.3)
+        predicted = sum(e.n_extrapolated - a
+                        for e, a in zip(pf.entries, anderson))
+        assert predicted > 0
+        # a predicted start is taken only when it beats the plain one
+        for last, (at, mu0, beta0) in zip(pf.entries, starts[1:]):
+            if not np.array_equal(beta0, last.beta_tilde):
+                assert (objective(at, mu0, beta0)
+                        < objective(at, last.mu, last.beta_tilde))
+        for entry in pf.entries:
+            mu_o, beta_o = ista_solve(prob.U, prob.y, family, prob.slices,
+                                      prob.multipliers, entry.lam)
+            q_fit = objective(replace(prob, lam=entry.lam), entry.mu,
+                              entry.beta_tilde)
+            q_o = ista_objective(prob.U, prob.y, family, prob.slices,
+                                 prob.multipliers, entry.lam, mu_o, beta_o)
+            assert abs(q_fit - q_o) <= 1e-6 * max(1.0, abs(q_o))
+            pred = entry.mu + prob.U @ entry.beta_tilde
+            pred_o = mu_o + prob.U @ beta_o
+            assert np.max(np.abs(pred - pred_o)) < 1e-5
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_worse_extrapolation_is_rejected(self, rng, family):
+        # a history whose affine combinations all lie far from the iterate
+        # cannot lower the objective: the step is refused, nothing moves
+        from netcov.solver import ANDERSON_K, _anderson, _fresh_state
+
+        problem, *_ = build_problem(rng, family=family)
+        prob = replace(problem, lam=0.2 * lambda_max(problem))
+        sol = fit_at_lambda(prob)
+        coords = np.arange(prob.U.shape[1])
+        state = _fresh_state(prob, sol.mu, sol.beta_tilde)
+        point = np.concatenate(([sol.mu], sol.beta_tilde[coords]))
+        history = [point + 50.0 * rng.standard_normal(point.size)
+                   for _ in range(ANDERSON_K + 1)]
+        beta = sol.beta_tilde.copy()
+        kept = {key: vec.copy() for key, vec in state.items()}
+        assert _anderson(prob, state, beta, coords, history) is None
+        np.testing.assert_array_equal(beta, sol.beta_tilde)
+        for key, vec in state.items():
+            np.testing.assert_array_equal(vec, kept[key])
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_zero_groups_are_exact_zeros(self, family):
+        # a cold solve with accepted Anderson steps: its zero groups are
+        # exactly 0.0, and they are the groups the ISTA oracle zeroes
+        prep = scheme_problem("ebg", family)
+        prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
+        sol = fit_at_lambda(prob)
+        assert sol.n_extrapolated > 0
+        _, beta_o = ista_solve(prob.U, prob.y, family, prob.slices,
+                               prob.multipliers, prob.lam)
+        zero = [not sol.beta_tilde[s0:s1].any() for s0, s1 in prob.slices]
+        zero_o = [not beta_o[s0:s1].any() for s0, s1 in prob.slices]
+        assert zero == zero_o
+        assert any(zero) and not all(zero)
+        for (s0, s1), z in zip(prob.slices, zero):
+            if z:
+                assert np.all(sol.beta_tilde[s0:s1] == 0.0)
+
+    def test_reruns_are_bit_identical(self):
+        prep = scheme_problem("nbg", "binomial")
+        runs = [fit_path(prep.problem, prep.basis, prep.emap, grid_size=30)
+                for _ in range(2)]
+        for a, b in zip(*(pf.entries for pf in runs)):
+            assert a.mu == b.mu
+            np.testing.assert_array_equal(a.beta_tilde, b.beta_tilde)
+            assert a.n_sweeps == b.n_sweeps
+            assert a.n_extrapolated == b.n_extrapolated
+
+    @pytest.mark.parametrize("family,measured", [("gaussian", 401),
+                                                 ("binomial", 965)])
+    def test_path_sweep_count_guard(self, family, measured):
+        # total sweeps of the default 100-point path; without the Anderson
+        # steps and the predictor this path took 508 (gaussian) and 2,837
+        # (binomial) sweeps.  10% headroom over the measured count
+        problem, basis, emap, _ = build_problem(np.random.default_rng(0),
+                                                family=family)
+        pf = fit_path(problem, basis, emap)
+        total = sum(e.n_sweeps for e in pf.entries)
+        assert total <= 1.1 * measured
+        assert sum(e.n_extrapolated for e in pf.entries) > 0
