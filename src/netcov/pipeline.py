@@ -37,6 +37,7 @@ class Prepared:
     y_std: np.ndarray    # response aligned with design rows (standardized if gaussian)
     nuisance_model: object
     train_rows: np.ndarray
+    dataset: object      # the Dataset prepared from
 
 
 def make_groups(dataset, scheme, split_target=None, seed=None):
@@ -72,12 +73,13 @@ def prepare(dataset, spec, train_rows=None):
     train_rows = dataset.training_rows(train_rows)
     design, y, nuisance_model = nuisance_corrected(dataset, train_rows)
     design_std, y_std = standardize(design, y, train_rows, dataset.family)
+    del design  # a full copy of the corrected design, not needed past here
     if y_std is None:
         y_std = np.asarray(y, dtype=np.float64)
 
     emap = expand(spec)
-    Z_star = emap.expand_design(design_std.Z[train_rows])
-    U, basis, multipliers = orthonormalize(Z_star, emap, spec.names)
+    U, basis, multipliers = orthonormalize(design_std.Z[train_rows], emap,
+                                           spec.names)
     kept_names = tuple(spec.names[gi] for gi in basis.kept)
     problem = PenalizedProblem(
         U=U, y=y_std[train_rows], family=dataset.family,
@@ -85,7 +87,8 @@ def prepare(dataset, spec, train_rows=None):
     )
     return Prepared(problem=problem, basis=basis, emap=emap, spec=spec,
                     design_std=design_std, y_std=y_std,
-                    nuisance_model=nuisance_model, train_rows=train_rows)
+                    nuisance_model=nuisance_model, train_rows=train_rows,
+                    dataset=dataset)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,18 @@ Columns are standardized to mean 0 and variance 1 under the 1/N
 (population) convention.  A continuous response is standardized the same
 way; binary responses are left untouched.
 
-Groupwise orthonormalization replaces each group's column block of the
-expanded design by an orthonormal basis of its column space (thin SVD
-truncated at numerical rank), which turns the group penalty into a
-penalty on each group's contribution to the linear predictor and makes
-the per-group solver update a closed-form shrinkage.  Rank-deficient
-groups get their penalty multiplier scaled by sqrt(rank) instead of
-sqrt(size).  :func:`back_transform` inverts both the orthonormalization
-and the variable duplication; the linear predictor is preserved exactly.
+Groupwise orthonormalization replaces each group's column block by an
+orthonormal basis of its column space, which turns the group penalty
+into a penalty on each group's contribution to the linear predictor and
+makes the per-group solver update a closed-form shrinkage.  Each block
+is gathered from the standardized design through the overlap expansion
+map, so the expanded design is never built.  A block with no more
+columns than rows whose Gram matrix is well conditioned is factored by
+an eigendecomposition of that Gram matrix; every other block by a thin
+SVD truncated at numerical rank.  Rank-deficient groups get their
+penalty multiplier scaled by sqrt(rank) instead of sqrt(size).
+:func:`back_transform` inverts both the orthonormalization and the
+variable duplication; the linear predictor is preserved exactly.
 """
 
 import warnings
@@ -37,6 +41,10 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10  # singular value kept iff > RANK_TOL * s_max of its group
+# A block takes the Gram route iff every Gram eigenvalue exceeds
+# GRAM_TOL * lambda_max: then every singular-value ratio exceeds 1e-4, far
+# above RANK_TOL, so the SVD would keep every column too.
+GRAM_TOL = 1e-8
 
 
 def standardize(design, y=None, train_rows=None, family="gaussian"):
@@ -67,14 +75,20 @@ def standardize(design, y=None, train_rows=None, family="gaussian"):
     train_rows = np.asarray(train_rows, dtype=np.int64)
     if train_rows.size < 2:
         raise ValueError("standardization needs at least 2 training rows")
-    T = Z[train_rows]
+    T = Z[train_rows].astype(np.float64, copy=False)
     means = T.mean(axis=0)
-    sds = T.std(axis=0)  # 1/N convention
+    # the 1/N standard deviation, as T.std(axis=0) computes it, in place
+    T -= means
+    T *= T
+    sds = np.sqrt(T.sum(axis=0) / train_rows.size)
+    del T
     # numerically constant columns: the tolerance absorbs the float dust a
     # constant column picks up from mean subtraction
     constant = sds <= 1e-10 * np.maximum(1.0, np.abs(means))
     safe = np.where(constant, 1.0, sds)
-    Z_std = np.where(constant, 0.0, (Z - means) / safe)
+    Z_std = Z - means
+    Z_std /= safe
+    Z_std[:, constant] = 0.0
 
     y_std = y
     y_mean = y_sd = None
@@ -165,13 +179,14 @@ def apply_nuisance(model, Z_new, nuisance_new, y_new=None):
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Per-group thin SVD factors of the expanded design's column blocks.
+    """Per-group factors of the design's column blocks.
 
-    For kept group G: ``Z_star_G = U_G diag(s_G) V_G^T`` with the
-    decomposition truncated at numerical rank r_G.  ``kept`` indexes into
-    the expansion map's groups; groups of rank zero are dropped.
-    ``u_slices`` locates each group's columns in the orthonormalized
-    design.
+    For kept group G with block ``B_G = Z[:, cols_G]`` (its columns of the
+    standardized design, duplicated coordinates included):
+    ``B_G = U_G diag(s_G) V_G^T``, truncated at numerical rank r_G.
+    ``kept`` indexes into the expansion map's groups; groups of rank zero
+    are dropped.  ``u_slices`` locates each group's columns in the
+    orthonormalized design.
     """
 
     kept: tuple
@@ -185,44 +200,71 @@ class OrthoBasis:
         return np.array([s.size for s in self.sigmas])
 
 
-def orthonormalize(Z_star, emap, group_names=None):
-    """Orthonormalize each group's column block of the expanded design.
+def _factor_block(B, out):
+    """Orthonormal basis of B's column space, written as rows of ``out``.
+
+    Returns (rank, V, s) with ``B V = U diag(s)`` and ``U^T`` in
+    ``out[:rank]``.  A block with no more columns than rows goes through
+    ``eigh(B^T B)`` when every eigenvalue exceeds ``GRAM_TOL`` times the
+    largest; any other block (wide, rank-deficient or ill-conditioned) is
+    factored by a thin SVD truncated at ``RANK_TOL``.
+    """
+    N, m = B.shape
+    if 0 < m <= N:
+        lam, V = np.linalg.eigh(B.T @ B)
+        if lam[0] > GRAM_TOL * lam[-1]:  # false for an all-zero block
+            s = np.sqrt(lam[::-1])
+            V = np.ascontiguousarray(V[:, ::-1])
+            np.dot(V.T, B.T, out=out[:m])
+            out[:m] /= s[:, None]
+            return m, V, s
+    U, s, Vt = np.linalg.svd(B, full_matrices=False)
+    r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    out[:r] = U[:, :r].T
+    return r, Vt[:r].T.copy(), s[:r].copy()
+
+
+def orthonormalize(Z, emap, group_names=None):
+    """Orthonormalize each group's column block of the standardized design.
+
+    ``Z`` holds the training rows with their original ``emap.p`` columns;
+    each group's block is gathered from it through
+    ``emap.expanded_to_original``, so overlapping groups share no copy.
 
     Returns
     -------
     (U, OrthoBasis, multipliers)
-        ``U`` is the stacked orthonormalized design ``[U_G : G]``;
+        ``U`` is the stacked orthonormalized design ``[U_G : G]``, the
+        transpose of a C-ordered array, so ``U.T`` is contiguous;
         ``multipliers[i] = sqrt(r_G)`` is the rank-scaled penalty weight
         of the i-th kept group.  Groups whose block has numerical rank 0
         are dropped with a warning.
     """
-    if Z_star.shape[1] != emap.p_star:
+    if Z.shape[1] != emap.p:
         raise ValueError(
-            f"expanded design has {Z_star.shape[1]} columns, expected {emap.p_star}"
+            f"design has {Z.shape[1]} columns, expected {emap.p}"
         )
-    kept, vs, sigmas, u_parts, slices = [], [], [], [], []
+    UT = np.empty((emap.p_star, Z.shape[0]))
+    kept, vs, sigmas, slices = [], [], [], []
     start = 0
     for gi, (s0, s1) in enumerate(emap.slices):
-        block = Z_star[:, s0:s1]
-        U, s, Vt = np.linalg.svd(block, full_matrices=False)
-        r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+        block = Z[:, emap.expanded_to_original[s0:s1]]
+        r, V, s = _factor_block(block, UT[start:])
         if r == 0:
             name = group_names[gi] if group_names is not None else str(gi)
             warnings.warn(f"dropping group {name!r}: column block has rank 0")
             continue
         kept.append(gi)
-        u_parts.append(U[:, :r])
-        vs.append(Vt[:r].T.copy())
-        sigmas.append(s[:r].copy())
+        vs.append(V)
+        sigmas.append(s)
         slices.append((start, start + r))
         start += r
     if not kept:
         raise ValueError("all groups have rank 0; nothing to fit")
-    U = np.hstack(u_parts)
     basis = OrthoBasis(kept=tuple(kept), vs=tuple(vs), sigmas=tuple(sigmas),
                        u_slices=tuple(slices), p_star=emap.p_star)
     multipliers = np.sqrt(basis.ranks.astype(np.float64))
-    return U, basis, multipliers
+    return UT[:start].T, basis, multipliers
 
 
 def back_transform(beta_tilde, basis, emap):

@@ -31,7 +31,10 @@ consecutive solutions share their active set, the next point starts from
 their linear extrapolation if that beats the plain warm start.  Either
 way descent continues from the kept point, and the returned iterate
 always comes from a sweep, so zero groups are exact zeros and the KKT
-certificate is unchanged.
+certificate is unchanged.  A trial point is priced from the state in
+hand plus a product over the columns it moves, and a path point that
+starts where its predecessor stopped reuses the state of that point's
+final KKT pass, so neither costs a pass over all of U.
 """
 
 import warnings
@@ -321,9 +324,11 @@ def lambda_grid(lam_max, grid_size=100, min_ratio=0.05):
 
 class _Workspace:
     """Per-problem scratch shared across a path: transposed design (rows
-    contiguous per column of U) and the group layout as flat arrays."""
+    contiguous per column of U; a view when U comes from
+    :func:`~netcov.preprocess.orthonormalize`), the group layout as flat
+    arrays, and the state held at the last point a fit stopped at."""
 
-    __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups")
+    __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups", "held")
 
     def __init__(self, problem):
         self.UT = np.ascontiguousarray(problem.U.T)
@@ -334,6 +339,20 @@ class _Workspace:
         self.multipliers = np.ascontiguousarray(
             np.asarray(problem.multipliers, dtype=np.float64))
         self.all_groups = np.arange(n_groups, dtype=np.int64)
+        self.held = None
+
+    def hold(self, mu, beta, state):
+        """Keep the state at (mu, beta) for a fit that starts there; the
+        state depends on U and y only, not on lambda."""
+        self.held = (mu, beta.copy(), state)
+
+    def start_state(self, problem, mu, beta):
+        """The held state if it is at (mu, beta), else a fresh pass over U.
+        Either way nothing stays held, since the caller mutates the state."""
+        held, self.held = self.held, None
+        if held is not None and held[0] == mu and np.array_equal(held[1], beta):
+            return held[2]
+        return _fresh_state(problem, mu, beta)
 
 
 def _sweep_groups(UT, resid, eta, track_eta, beta, starts, ends,
@@ -424,13 +443,37 @@ def _sweep(problem, ws, state, mu, beta, order):
 _EMPTY = np.empty(0)
 
 
+def _shifted_state(problem, state, dmu, coords, delta):
+    """The state after moving mu by ``dmu`` and ``beta[coords]`` by
+    ``delta``: ``state`` plus a product over those columns of U only.
+    ``state`` itself is left as it is.
+
+    Gathering the moving columns reads and writes them before the product
+    reads them again, so once a third of U's columns move, one product
+    over all of U (zeros elsewhere) moves fewer bytes and is taken instead.
+    """
+    m = problem.U.shape[1]
+    if 3 * coords.size < m:
+        shift = delta @ problem.U.T[coords]
+    else:
+        full = np.zeros(m)
+        full[coords] = delta
+        shift = problem.U @ full
+    shift += dmu
+    if problem.family == "gaussian":
+        return {"resid": state["resid"] - shift}
+    return {"eta": state["eta"] + shift}
+
+
 def _anderson(problem, state, beta, coords, history):
     """Anderson extrapolation of the (mu, beta[coords]) iterates in history.
 
     Solves the K x K system on the iterate differences for the affine
-    weights, then evaluates the extrapolated point with one pass over U.
-    Returns ``(mu, state)`` there, with ``beta`` updated in place, when it
-    lowers the objective; otherwise None and ``beta`` is left as it is.
+    weights, then evaluates the extrapolated point from the current state
+    over the active columns of U only; the intercept moves from the last
+    history entry, which is the current point.  Returns ``(mu, state)``
+    there, with ``beta`` updated in place, when it lowers the objective;
+    otherwise None and ``beta`` is left as it is.
     """
     X = np.array(history)
     D = np.diff(X, axis=0)
@@ -444,7 +487,8 @@ def _anderson(problem, state, beta, coords, history):
     x = (z / total) @ X[1:]
     trial = beta.copy()
     trial[coords] = x[1:]
-    trial_state = _fresh_state(problem, x[0], trial)
+    trial_state = _shifted_state(problem, state, x[0] - X[-1, 0], coords,
+                                 x[1:] - beta[coords])
     q_now = _penalized(problem, _state_deviance(problem, state), beta)
     q_new = _penalized(problem, _state_deviance(problem, trial_state), trial)
     if not q_new < q_now:
@@ -476,7 +520,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     mu = _intercept_start(problem) if mu0 is None else float(mu0)
     ws = _Workspace(problem) if workspace is None else workspace
 
-    state = _fresh_state(problem, mu, beta)
+    state = ws.start_state(problem, mu, beta)
     norms = _group_norms(beta, problem.slices)
     in_active = norms > 0
     active = np.flatnonzero(in_active)
@@ -519,6 +563,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
             res = max(_kkt_from_gradient(problem, beta, grad), abs(gmu))
             done = res <= ZERO_GRAD_TOL
         if done:
+            ws.hold(mu, beta, state)
             return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
                             kkt_residual=res,
                             deviance=_state_deviance(problem, state),
@@ -574,8 +619,16 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
             mu_p = 2.0 * last.mu - prev.mu
             beta_p = 2.0 * last.beta_tilde - prev.beta_tilde
             q_plain = _penalized(prob, last.deviance, last.beta_tilde)
-            if objective(prob, mu_p, beta_p) < q_plain:
+            # the last fit held its state at (last.mu, last.beta_tilde)
+            _, _, state = ws.held
+            delta = beta_p - last.beta_tilde
+            coords = np.flatnonzero(delta)
+            trial_state = _shifted_state(prob, state, mu_p - last.mu,
+                                         coords, delta[coords])
+            dev_p = _state_deviance(prob, trial_state)
+            if _penalized(prob, dev_p, beta_p) < q_plain:
                 mu0, beta0, predicted = mu_p, beta_p, True
+                ws.hold(mu_p, beta_p, trial_state)
         retry_sweeps = 0
         try:
             sol = fit_at_lambda(prob, beta0=beta0, mu0=mu0,

@@ -7,11 +7,12 @@ training part, so held-out rows never influence the transformations
 they are evaluated under.  Out-of-fold deviances are averaged per
 observation; the selected penalty is the largest grid value whose mean
 deviance is within one standard error of the minimum, and the model is
-then refit on the full training set at that value.
+then refit on the full training set at that value, reusing the
+preparation that gave the grid.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +25,11 @@ __all__ = ["CVResult", "FitResult", "cross_validate", "select_and_refit",
 
 @dataclass(frozen=True)
 class CVResult:
-    """Per-lambda out-of-fold deviance summary and the selected grid points."""
+    """Per-lambda out-of-fold deviance summary and the selected grid points.
+
+    ``prepared`` is the preparation of the full training rows that gave the
+    grid; :func:`select_and_refit` fits on it instead of preparing again.
+    """
 
     lambdas: np.ndarray
     mean_deviance: np.ndarray
@@ -36,6 +41,7 @@ class CVResult:
     seed: object
     folds: int
     redrawn: bool
+    prepared: object = field(default=None, compare=False, repr=False)
 
     @property
     def lambda_min(self):
@@ -151,6 +157,7 @@ def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
         lambdas=grid, mean_deviance=mean_dev, se=se, fold_deviance=fold_dev,
         fold_assignment=assignment, index_min=idx_min,
         index_one_se=idx_one_se, seed=seed, folds=folds, redrawn=redrawn,
+        prepared=prep_full,
     )
 
 
@@ -160,9 +167,15 @@ def select_and_refit(dataset, spec, cv, rows=None):
     Fits the whole path (warm-started from lambda_max) so that the
     returned object also carries every grid entry for path reports and
     ROC curves; the headline coefficients are those at the one-SE point.
+    The preparation ``cv`` carries is reused when it was made from the same
+    dataset and spec objects on the same rows.  The returned FitResult's
+    ``cv`` drops it, so that keeping the summary does not keep the design.
     """
     rows = dataset.training_rows(rows)
-    prep = prepare(dataset, spec, rows)
+    prep = cv.prepared
+    if (prep is None or prep.dataset is not dataset or prep.spec is not spec
+            or not np.array_equal(prep.train_rows, rows)):
+        prep = prepare(dataset, spec, rows)
     pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=cv.lambdas)
     entry = pf.entries[cv.index_one_se]
     std = prep.design_std
@@ -173,8 +186,8 @@ def select_and_refit(dataset, spec, cv, rows=None):
             y_mean=std.y_mean, y_sd=std.y_sd,
             nuisance_model=prep.nuisance_model),
         active_groups=entry.active_groups, lambda_hat=entry.lam,
-        index_hat=cv.index_one_se, path=pf, cv=cv, deviance=entry.deviance,
-        kkt_residual=entry.kkt_residual,
+        index_hat=cv.index_one_se, path=pf, cv=replace(cv, prepared=None),
+        deviance=entry.deviance, kkt_residual=entry.kkt_residual,
     ), prep
 
 

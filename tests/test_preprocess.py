@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from netcov import (CommunityMap, DesignMatrix, FeatureIndex, ebg_groups,
                     expand, fold_back)
-from netcov.preprocess import (apply_nuisance, apply_standardization,
-                               back_transform, orthonormalize,
-                               residualize_nuisance, standardize)
+from netcov.groups import ExpansionMap
+from netcov.preprocess import (RANK_TOL, apply_nuisance,
+                               apply_standardization, back_transform,
+                               orthonormalize, residualize_nuisance,
+                               standardize)
 
 
 def design_from(Z, n=None, d=0):
@@ -175,7 +180,7 @@ def toy_expansion(rng, N=30, rank_deficient=False):
 class TestOrthonormalize:
     def test_orthonormal_blocks(self, rng):
         design, spec, emap = toy_expansion(rng)
-        U, basis, mult = orthonormalize(emap.expand_design(design.Z), emap)
+        U, basis, mult = orthonormalize(design.Z, emap)
         for s0, s1 in basis.u_slices:
             block = U[:, s0:s1]
             np.testing.assert_allclose(block.T @ block,
@@ -184,7 +189,7 @@ class TestOrthonormalize:
     def test_reconstruction(self, rng):
         design, spec, emap = toy_expansion(rng)
         Z_star = emap.expand_design(design.Z)
-        U, basis, _ = orthonormalize(Z_star, emap)
+        U, basis, _ = orthonormalize(design.Z, emap)
         for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
                                       basis.u_slices):
             s0, s1 = emap.slices[gi]
@@ -231,7 +236,7 @@ class TestOrthonormalize:
 class TestBackTransform:
     def test_zero_maps_to_zero(self, rng):
         design, spec, emap = toy_expansion(rng)
-        U, basis, _ = orthonormalize(emap.expand_design(design.Z), emap)
+        U, basis, _ = orthonormalize(design.Z, emap)
         beta = back_transform(np.zeros(U.shape[1]), basis, emap)
         np.testing.assert_array_equal(beta, np.zeros(emap.p))
 
@@ -252,8 +257,7 @@ class TestBackTransform:
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_prediction_invariance(self, rng, rank_deficient):
         design, spec, emap = toy_expansion(rng, rank_deficient=rank_deficient)
-        Z_star = emap.expand_design(design.Z)
-        U, basis, _ = orthonormalize(Z_star, emap)
+        U, basis, _ = orthonormalize(design.Z, emap)
         for _ in range(10):
             bt = rng.standard_normal(U.shape[1])
             beta = back_transform(bt, basis, emap)
@@ -264,6 +268,90 @@ class TestBackTransform:
 
     def test_length_check(self, rng):
         design, spec, emap = toy_expansion(rng)
-        U, basis, _ = orthonormalize(emap.expand_design(design.Z), emap)
+        U, basis, _ = orthonormalize(design.Z, emap)
         with pytest.raises(ValueError, match="length"):
             back_transform(np.zeros(U.shape[1] + 2), basis, emap)
+
+
+BLOCK_KINDS = ("narrow", "duplicated", "wide", "single", "zero", "graded")
+
+
+def property_block(kind, rng, N):
+    """One group's column block of the given shape, with N rows."""
+    if kind == "narrow":
+        return rng.standard_normal((N, int(rng.integers(2, N // 2 + 1))))
+    if kind == "duplicated":
+        base = rng.standard_normal((N, int(rng.integers(1, N // 2 + 1))))
+        return np.hstack([base, base[:, :1]])
+    if kind == "wide":
+        # centered and residualized on one nuisance column, like the wide
+        # atlas groups: rank N - 2 against N rows
+        B = rng.standard_normal((N, N + int(rng.integers(1, N + 1))))
+        B -= B.mean(axis=0)
+        nuisance = rng.standard_normal(N)
+        nuisance -= nuisance.mean()
+        B -= np.outer(nuisance, nuisance @ B) / (nuisance @ nuisance)
+        return B
+    if kind == "single":
+        return rng.standard_normal((N, 1))
+    if kind == "zero":
+        return np.zeros((N, int(rng.integers(1, 4))))
+    # graded: full rank, singular values down to 1e-6, too ill-conditioned
+    # for the Gram route
+    m = int(rng.integers(2, N // 2 + 1))
+    Q, _ = np.linalg.qr(rng.standard_normal((N, m)))
+    W, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (Q * np.logspace(0, -6, m)) @ W
+
+
+def svd_rank(B):
+    """Numerical rank by the thin-SVD rule, independent of orthonormalize."""
+    s = np.linalg.svd(B, compute_uv=False)
+    return int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+
+
+class TestOrthonormalizeProperties:
+    """Every block shape, whichever factorization it takes, gives an
+    orthonormal basis of its column space with the SVD's rank."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1,
+                          max_size=4),
+           N=st.integers(4, 30), seed=st.integers(0, 2**32 - 1))
+    def test_blocks(self, kinds, N, seed):
+        assume(any(kind != "zero" for kind in kinds))
+        rng = np.random.default_rng(seed)
+        blocks = [property_block(kind, rng, N) for kind in kinds]
+        Z = np.hstack(blocks)
+        groups, start = [], 0
+        for B in blocks:
+            groups.append(np.arange(start, start + B.shape[1]))
+            start += B.shape[1]
+        # one more group overlapping all others: the last column of each
+        groups.append(np.array([g[-1] for g in groups]))
+        slices, start = [], 0
+        for g in groups:
+            slices.append((start, start + g.size))
+            start += g.size
+        emap = ExpansionMap(expanded_to_original=np.concatenate(groups),
+                            slices=tuple(slices), p=Z.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rank-0 drops
+            U, basis, mult = orthonormalize(Z, emap)
+
+        ranks = [svd_rank(Z[:, g]) for g in groups]
+        assert basis.kept == tuple(i for i, r in enumerate(ranks) if r > 0)
+        assert basis.ranks.tolist() == [r for r in ranks if r > 0]
+        np.testing.assert_array_equal(mult, np.sqrt(basis.ranks))
+        for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
+                                      basis.u_slices):
+            Ug = U[:, u0:u1]
+            assert np.abs(Ug.T @ Ug - np.eye(u1 - u0)).max() <= 1e-10
+            B = Z[:, groups[gi]]
+            rel = np.linalg.norm((Ug * s) @ V.T - B) / np.linalg.norm(B)
+            assert rel < 1e-8
+        bt = rng.standard_normal(U.shape[1])
+        beta = back_transform(bt, basis, emap)
+        pred_u = U @ bt
+        scale = max(1.0, np.linalg.norm(pred_u))
+        assert np.max(np.abs(pred_u - Z @ beta)) / scale < 1e-8

@@ -42,7 +42,7 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
         y = (rng.random(N) < expit(eta)).astype(float)
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
-    U, basis, mult = orthonormalize(emap.expand_design(Zs), emap)
+    U, basis, mult = orthonormalize(Zs, emap)
     names = tuple(str(i) for i in range(len(basis.kept)))
     problem = PenalizedProblem(U=U, y=y, family=family,
                                slices=basis.u_slices, multipliers=mult,
@@ -505,3 +505,69 @@ class TestAcceleration:
         total = sum(e.n_sweeps for e in pf.entries)
         assert total <= 1.1 * measured
         assert sum(e.n_extrapolated for e in pf.entries) > 0
+
+
+class TestStateReuse:
+    """The solver's work vector is carried instead of recomputed; what it
+    carries must equal a fresh pass over U."""
+
+    def test_workspace_views_prepared_design(self):
+        prep = scheme_problem("ebg", "gaussian")
+        from netcov.solver import _Workspace
+
+        assert np.shares_memory(_Workspace(prep.problem).UT, prep.problem.U)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_shifted_state_matches_fresh(self, rng, family):
+        from netcov.solver import _fresh_state, _shifted_state
+
+        prob = scheme_problem("nbg", family).problem
+        m = prob.U.shape[1]
+        beta = rng.standard_normal(m)
+        state = _fresh_state(prob, 0.3, beta)
+        kept = {key: vec.copy() for key, vec in state.items()}
+        # a few columns, one, none, and half of them: past a third of the
+        # columns the shift is one product over all of U
+        for coords in (np.r_[0:3, 7, 9:14, m - 2:m], np.array([5]),
+                       np.array([], dtype=np.int64), np.arange(0, m, 2)):
+            delta = rng.standard_normal(coords.size)
+            moved = beta.copy()
+            moved[coords] += delta
+            shifted = _shifted_state(prob, state, -0.2, coords, delta)
+            fresh = _fresh_state(prob, 0.1, moved)
+            for key in fresh:
+                np.testing.assert_allclose(shifted[key], fresh[key],
+                                           rtol=0, atol=1e-12)
+        for key, vec in state.items():
+            np.testing.assert_array_equal(vec, kept[key])
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_plain_warm_starts_are_bit_identical(self, family, monkeypatch):
+        # a point that starts where the last one stopped reuses that
+        # point's state; solving it again from a fresh pass gives the
+        # same bits
+        import netcov.solver as solver
+
+        solve = solver.fit_at_lambda
+        calls = []
+
+        def recorded(problem, beta0=None, mu0=None, **kwargs):
+            sol = solve(problem, beta0=beta0, mu0=mu0, **kwargs)
+            calls.append((problem, mu0, beta0, sol))
+            return sol
+
+        monkeypatch.setattr(solver, "fit_at_lambda", recorded)
+        prep = scheme_problem("ebg", family)
+        fit_path(prep.problem, prep.basis, prep.emap, grid_size=20)
+        monkeypatch.undo()
+        plain = 0
+        for (_, _, _, last), (at, mu0, beta0, sol) in zip(calls, calls[1:]):
+            if mu0 != last.mu or not np.array_equal(beta0, last.beta_tilde):
+                continue
+            plain += 1
+            again = fit_at_lambda(at, beta0=beta0, mu0=mu0)
+            assert again.mu == sol.mu
+            np.testing.assert_array_equal(again.beta_tilde, sol.beta_tilde)
+            assert again.n_sweeps == sol.n_sweeps
+            assert again.deviance == sol.deviance
+        assert plain > 0

@@ -222,3 +222,34 @@ class TestSelectAndRefit:
         fit, _ = select_and_refit(ds, spec, cv)
         assert fit.lambda_hat == cv.lambdas[cv.index_one_se]
         assert fit.lambda_hat == cv.lambda_one_se
+
+
+class TestRefitReuse:
+    def test_refit_reuses_the_grid_preparation(self, monkeypatch):
+        import netcov.tuning as tuning
+
+        ds = noise_dataset(51)
+        spec, _ = _groups(ds)
+        calls = []
+        prep_fn = tuning.prepare
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prep_fn(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "prepare", counted)
+        cv = cross_validate(ds, spec, folds=3, seed=4, grid_size=8)
+        assert len(calls) == 4  # the grid's, then one per fold
+        fit, prep = select_and_refit(ds, spec, cv)
+        assert len(calls) == 4
+        assert prep is cv.prepared
+        assert fit.cv.prepared is None and fit.cv == cv
+        # the same refit from a fresh preparation
+        fresh, _ = select_and_refit(ds, spec, replace(cv, prepared=None))
+        assert len(calls) == 5
+        assert fresh.mu == fit.mu
+        np.testing.assert_array_equal(fresh.beta, fit.beta)
+        # another dataset object is prepared afresh, never matched to cv's
+        other = replace(ds)
+        select_and_refit(other, spec, cv)
+        assert len(calls) == 6 and calls[-1][0] is other
