@@ -12,7 +12,6 @@ import numpy as np
 from netcov import (CommunityMap, Dataset, FeatureIndex, cross_validate,
                     ebg_groups, make_beta, prediction_metrics,
                     select_and_refit, support_metrics)
-from netcov.pipeline import predict_response
 
 rng = np.random.default_rng(23)
 cm = CommunityMap(assignments=np.repeat([1, 2, 3, 4], 4))
@@ -34,13 +33,13 @@ print(f"minimizing lambda:  {cv.lambda_min:.4f} "
 print(f"one-SE lambda:      {cv.lambda_one_se:.4f} "
       f"(mean deviance {cv.mean_deviance[cv.index_one_se]:.4f})")
 
-fit, prep = select_and_refit(ds, spec, cv)
+fit = select_and_refit(cv)
 print(f"\nactive groups at the one-SE fit: {list(fit.active_groups)}")
 
 report = support_metrics(fit.beta, truth)
 print(f"support recovery: recall={report.recall:.2f} "
       f"precision={report.precision:.2f}")
 
-yhat = predict_response(prep, fit.mu, fit.beta, ds.test_rows, ds.family)
-pred = prediction_metrics(yhat, y[ds.test_rows], "gaussian")
+yhat, y_test = fit.model.predict(ds, ds.test_rows)
+pred = prediction_metrics(yhat, y_test, "gaussian")
 print(f"held-out correlation: {pred.correlation:.3f}")

@@ -26,7 +26,7 @@ from .preprocess import (NuisanceModel, OrthoBasis, back_transform,
                          orthonormalize, residualize_nuisance, standardize)
 from .simulate import (ExperimentConfig, GroundTruth, PRESET_ACTIVE_GROUPS,
                        draw_response, gen_design_synthetic, gen_semisynthetic,
-                       make_beta, scenario_difficulty, with_response)
+                       make_beta, scenario_difficulty)
 from .solver import (ConvergenceError, PathFit, PenalizedProblem, deviance,
                      fit_at_lambda, fit_path, group_update, kkt_residual,
                      lambda_grid, lambda_max, objective)
@@ -58,7 +58,7 @@ __all__ = [
     # simulation
     "ExperimentConfig", "GroundTruth", "PRESET_ACTIVE_GROUPS", "make_beta",
     "gen_design_synthetic", "gen_semisynthetic", "draw_response",
-    "with_response", "scenario_difficulty",
+    "scenario_difficulty",
     # metrics
     "SupportReport", "PredictionReport", "support_metrics",
     "prediction_metrics", "roc_along_path", "roc_dominance",

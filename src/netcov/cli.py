@@ -11,8 +11,8 @@ sweep      simulate + fit + evaluate over a whole grid
 Configs are flat ``key = value`` files with dotted keys; command-line
 flags override file values; every run writes a ``run_manifest`` with all
 defaults materialized, which can itself be passed back as ``--config``
-to reproduce the outputs byte-for-byte.  ``NETCOV_THREADS`` caps the
-worker pool used for independent grid cells.
+to reproduce the outputs byte-for-byte.  ``NETCOV_THREADS`` (a positive
+integer, default 1) caps the worker pool used for independent grid cells.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -38,7 +38,8 @@ from .data import (build_design, load_dataset, read_manifest,  # noqa: F401
 from .groups import split_communities, write_groups_csv
 from .metrics import (prediction_metrics, roc_along_path, support_metrics,
                       write_metrics_csv, write_roc_csv)
-from .pipeline import FittedModel, make_groups, nuisance_corrected
+from .pipeline import (FittedModel, corrected_rows, make_groups,
+                       nuisance_corrected)
 from .preprocess import NuisanceModel
 from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, draw_response,
                        gen_design_synthetic, gen_semisynthetic, groups_for,
@@ -277,7 +278,7 @@ def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
         dataset = dc_replace(dataset, communities=communities)
     cv = cross_validate(dataset, spec, folds=folds, seed=seed,
                         grid_size=grid_size, min_ratio=min_ratio)
-    fit, prep = select_and_refit(dataset, spec, cv)
+    fit = select_and_refit(cv)
     model = fit.model
 
     os.makedirs(out_dir, exist_ok=True)
@@ -333,6 +334,9 @@ def _read_feature_csv(path, p, defaults):
         next(reader)
         for row in reader:
             j = int(row[0])
+            if not 0 <= j < p:
+                raise ValueError(
+                    f"{path}: feature index {j} outside 0..{p - 1}")
             for column, value in zip(columns, row[1:]):
                 column[j] = float(value)
     return columns
@@ -424,21 +428,21 @@ def run_cpm(data_dir, out_dir, alpha=0.01):
     dataset = load_dataset(data_dir)
     if dataset.family != "gaussian":
         raise ValueError("CPM supports continuous responses only")
-    rows_tr = dataset.training_rows()
-    rows_te = dataset.test_rows
-    design, y, _ = nuisance_corrected(dataset, rows_tr)
-    Z = design.Z
+    design, y, nuisance_model = nuisance_corrected(dataset,
+                                                   dataset.training_rows())
     idx = dataset.index
-    model = cpm_fit(Z[rows_tr], y[rows_tr], idx, alpha=alpha)
+    model = cpm_fit(design.Z, y, idx, alpha=alpha)
     os.makedirs(out_dir, exist_ok=True)
     write_cpm_edges(model, idx, os.path.join(out_dir, "cpm_edges.csv"))
 
     row = {"method": "cpm"}
     scen = _read_scenario(data_dir)
     row.update(scen)
+    rows_te = dataset.test_rows
     if rows_te is not None and rows_te.size >= 2:
-        yhat = cpm_predict(model, Z[rows_te], idx)
-        pred = prediction_metrics(yhat, y[rows_te], "gaussian")
+        Z_te, y_te = corrected_rows(nuisance_model, dataset, rows_te)
+        yhat = cpm_predict(model, Z_te, idx)
+        pred = prediction_metrics(yhat, y_te, "gaussian")
         row["correlation"] = pred.correlation
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
     return model
@@ -574,15 +578,26 @@ def _sweep_cell_job(payload):
     return rows
 
 
+def _worker_count(cells):
+    """``NETCOV_THREADS`` (a positive integer, default 1), capped at the
+    number of cells: the fork start method launches every worker of a
+    pool at its first submit."""
+    value = os.environ.get("NETCOV_THREADS", "1")
+    if not value.isdigit() or int(value) < 1:
+        raise ConfigError(
+            f"NETCOV_THREADS must be a positive integer, got {value!r}")
+    return min(int(value), cells)
+
+
 def cmd_sweep(args):
     cfg = load_config(args.config, _flag_overrides(args))
     cells = enumerate_cells(cfg)
+    workers = _worker_count(len(cells))
     started = time.time()
     os.makedirs(args.out, exist_ok=True)
     payloads = [(cfg, cell, args.out) for cell in cells]
-    threads = int(os.environ.get("NETCOV_THREADS", "1"))
-    if threads > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell_job, payloads))
     else:
         results = [_sweep_cell_job(p) for p in payloads]

@@ -380,13 +380,15 @@ def devectorize(z, idx, y=0.0):
     return Observation(A=A, X=X, y=y)
 
 
-def build_design(dataset):
-    """Stack a dataset's vectorized rows into a DesignMatrix.
+def build_design(dataset, rows=None):
+    """Stack a dataset's vectorized rows (all, or ``rows`` in that order)
+    into a DesignMatrix.
 
     Standardization fields are left unset; they are filled by the
     preprocessing step from training rows only.
     """
-    Z = np.hstack([dataset.edges, dataset.node_covs])
+    rows = slice(None) if rows is None else rows
+    Z = np.hstack([dataset.edges[rows], dataset.node_covs[rows]])
     return DesignMatrix(Z=Z, index=dataset.index)
 
 

@@ -1,12 +1,12 @@
 """End-to-end preparation of a penalized problem from a dataset.
 
-The chain is always: optional nuisance residualization (coefficients
-from training rows), column/response standardization (training
-statistics), overlap expansion of the chosen feature groups, groupwise
-orthonormalization (training rows), then the solver-ready problem.
-Test rows are transformed with the training-fitted parameters only.
-A :class:`FittedModel` carries those parameters with the coefficients
-of one fit, so that predictions can be made away from the training data.
+The chain is always: optional nuisance residualization, column/response
+standardization, overlap expansion of the chosen feature groups, then
+groupwise orthonormalization into the solver-ready problem.  Only the
+training rows are built and transformed.  The transforms learned on them
+are kept as a :class:`FittedModel`, and :meth:`FittedModel.transform` is
+the one route by which any other rows (held-out folds, test rows, another
+dataset) reach a prediction.
 """
 
 from dataclasses import dataclass, replace
@@ -21,23 +21,52 @@ from .preprocess import (apply_nuisance, apply_standardization, orthonormalize,
 from .solver import PenalizedProblem, deviance
 
 __all__ = ["Prepared", "FittedModel", "make_groups", "nuisance_corrected",
-           "prepare", "inverse_link", "predict_eta",
-           "predict_response", "holdout_deviance"]
+           "corrected_rows", "prepare", "holdout_deviance"]
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """Everything needed to fit on the training rows and predict anywhere."""
+    """The solver-ready problem of one set of training rows, the maps back
+    to the original features, and the training transforms as a
+    :class:`FittedModel` that carries no coefficients yet."""
 
     problem: PenalizedProblem
     basis: object
     emap: object
-    spec: object
-    design_std: object   # DesignMatrix over all rows, training statistics
-    y_std: np.ndarray    # response aligned with design rows (standardized if gaussian)
-    nuisance_model: object
-    train_rows: np.ndarray
-    dataset: object      # the Dataset prepared from
+    model: "FittedModel"
+
+
+@dataclass(frozen=True)
+class FittedModel:
+    """What prediction needs from a fit: the transforms learned on the
+    training rows and, once a fit sets them, the coefficients in original
+    feature space."""
+
+    family: str
+    column_means: np.ndarray
+    column_sds: np.ndarray
+    y_mean: float = None  # response scale; None when y was not standardized
+    y_sd: float = None
+    nuisance_model: object = None
+    mu: float = None
+    beta: np.ndarray = None
+
+    def transform(self, dataset, rows):
+        """(standardized design, observed response) of ``dataset``'s rows.
+
+        Both are nuisance-corrected like the training rows; the response
+        stays on its original scale.
+        """
+        Z, y = corrected_rows(self.nuisance_model, dataset, rows)
+        return apply_standardization(self, Z), y
+
+    def predict(self, dataset, rows):
+        """(predictions, observed response) on the given dataset rows."""
+        Z, y = self.transform(dataset, rows)
+        eta = self.mu + Z @ self.beta
+        if self.family == "gaussian":
+            return self.y_mean + self.y_sd * eta, y
+        return expit(eta), y
 
 
 def make_groups(dataset, scheme, split_target=None, seed=None):
@@ -53,93 +82,63 @@ def make_groups(dataset, scheme, split_target=None, seed=None):
 
 
 def nuisance_corrected(dataset, train_rows):
-    """Raw design and response with the training-fitted nuisance correction.
+    """Raw design and response of the training rows, nuisance-corrected.
 
-    Returns (DesignMatrix, y, NuisanceModel or None).  The response stays
-    0/1 under the binomial family; only the features are corrected there.
+    Returns (DesignMatrix, y, NuisanceModel or None); the correction is
+    fitted on these rows.  The response stays 0/1 under the binomial
+    family; only the features are corrected there.
     """
-    design = build_design(dataset)
+    design = build_design(dataset, train_rows)
+    y = dataset.y[train_rows]
     if dataset.nuisance is None:
-        return design, dataset.y, None
+        return design, y, None
     Z, y, model = residualize_nuisance(
-        design.Z, dataset.y, dataset.nuisance, train_rows,
+        design.Z, y, dataset.nuisance[train_rows],
         residualize_y=(dataset.family == "gaussian"),
     )
     return replace(design, Z=Z), y, model
 
 
+def corrected_rows(nuisance_model, dataset, rows):
+    """Raw design and response of ``rows`` under a training-fitted nuisance
+    correction (None: the training rows had no nuisance columns)."""
+    q_fit = 0 if nuisance_model is None else nuisance_model.q
+    q_data = 0 if dataset.nuisance is None else dataset.nuisance.shape[1]
+    if q_fit != q_data:
+        raise ValueError(
+            f"dataset has {q_data} nuisance columns but the fit was trained "
+            f"with {q_fit}")
+    Z, y = build_design(dataset, rows).Z, dataset.y[rows]
+    if nuisance_model is None:
+        return Z, y
+    return apply_nuisance(nuisance_model, Z, dataset.nuisance[rows], y)
+
+
 def prepare(dataset, spec, train_rows=None):
-    """Residualize, standardize, expand and orthonormalize for one fit."""
+    """Residualize, standardize, expand and orthonormalize the training rows."""
     train_rows = dataset.training_rows(train_rows)
     design, y, nuisance_model = nuisance_corrected(dataset, train_rows)
-    design_std, y_std = standardize(design, y, train_rows, dataset.family)
-    del design  # a full copy of the corrected design, not needed past here
-    if y_std is None:
-        y_std = np.asarray(y, dtype=np.float64)
+    design, y_std = standardize(design, y, family=dataset.family)
 
     emap = expand(spec)
-    U, basis, multipliers = orthonormalize(design_std.Z[train_rows], emap,
-                                           spec.names)
+    U, basis, multipliers = orthonormalize(design.Z, emap, spec.names)
     kept_names = tuple(spec.names[gi] for gi in basis.kept)
     problem = PenalizedProblem(
-        U=U, y=y_std[train_rows], family=dataset.family,
+        U=U, y=y_std, family=dataset.family,
         slices=basis.u_slices, multipliers=multipliers, names=kept_names,
     )
-    return Prepared(problem=problem, basis=basis, emap=emap, spec=spec,
-                    design_std=design_std, y_std=y_std,
-                    nuisance_model=nuisance_model, train_rows=train_rows,
-                    dataset=dataset)
+    model = FittedModel(
+        family=dataset.family, column_means=design.column_means,
+        column_sds=design.column_sds, y_mean=design.y_mean, y_sd=design.y_sd,
+        nuisance_model=nuisance_model)
+    return Prepared(problem=problem, basis=basis, emap=emap, model=model)
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """What prediction needs from a fit: the coefficients in original
-    feature space and the transforms learned on the training rows."""
-
-    family: str
-    mu: float
-    beta: np.ndarray
-    column_means: np.ndarray
-    column_sds: np.ndarray
-    y_mean: float = None  # response scale; None when y was not standardized
-    y_sd: float = None
-    nuisance_model: object = None
-
-    def predict(self, dataset, rows):
-        """(predictions, observed response) on the given dataset rows.
-
-        The observed response is nuisance-corrected like the training
-        response, so the two are on the same scale.
-        """
-        Z, y = build_design(dataset).Z, dataset.y
-        if self.nuisance_model is not None:
-            Z, y = apply_nuisance(self.nuisance_model, Z, dataset.nuisance, y)
-        eta = self.mu + apply_standardization(self, Z[rows]) @ self.beta
-        return inverse_link(self.family, eta, self.y_mean, self.y_sd), y[rows]
-
-
-def inverse_link(family, eta, y_mean=None, y_sd=None):
-    """Response scale: de-standardized mean (gaussian) or probability."""
-    if family != "gaussian":
-        return expit(eta)
-    if y_mean is None:
-        return eta
-    return y_mean + y_sd * eta
-
-
-def predict_eta(prepared, mu, beta, rows):
-    """Linear predictor for the given rows from original-space coefficients."""
-    return mu + prepared.design_std.Z[rows] @ beta
-
-
-def predict_response(prepared, mu, beta, rows, family):
-    """Response-scale predictions: de-standardized mean or probability."""
-    eta = predict_eta(prepared, mu, beta, rows)
-    design = prepared.design_std
-    return inverse_link(family, eta, design.y_mean, design.y_sd)
-
-
-def holdout_deviance(prepared, mu, beta, rows, family):
-    """Per-observation deviance of a fit on held-out rows."""
-    eta = predict_eta(prepared, mu, beta, rows)
-    return deviance(family, prepared.y_std[rows], eta) / len(rows)
+def holdout_deviance(model, dataset, rows, entries):
+    """Per-observation deviance on held-out rows of each path entry, under
+    the training transforms of ``model``."""
+    Z, y = model.transform(dataset, rows)
+    if model.y_mean is not None:
+        y = (y - model.y_mean) / model.y_sd
+    return np.array([deviance(model.family, y, e.mu + Z @ e.beta) / len(rows)
+                     for e in entries])

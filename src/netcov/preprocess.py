@@ -42,9 +42,11 @@ __all__ = [
 
 RANK_TOL = 1e-10  # singular value kept iff > RANK_TOL * s_max of its group
 # A block takes the Gram route iff every Gram eigenvalue exceeds
-# GRAM_TOL * lambda_max: then every singular-value ratio exceeds 1e-4, far
-# above RANK_TOL, so the SVD would keep every column too.
-GRAM_TOL = 1e-8
+# GRAM_TOL * lambda_max.  The Gram basis misses orthonormality,
+# |U^T U - I|, by about eps / (lambda_min / lambda_max), so this bound
+# keeps that error near 1e-12; every singular-value ratio then exceeds
+# 1e-2, far above RANK_TOL, so the SVD would keep every column too.
+GRAM_TOL = 1e-4
 
 
 def standardize(design, y=None, train_rows=None, family="gaussian"):
@@ -143,25 +145,25 @@ def residualize_nuisance(Z, y, nuisance, train_rows=None, residualize_y=True):
     nuisance = np.atleast_2d(np.asarray(nuisance, dtype=np.float64))
     if nuisance.shape[0] != Z.shape[0]:
         raise ValueError("nuisance must have one row per observation")
-    if train_rows is None:
-        train_rows = np.arange(Z.shape[0])
-    train_rows = np.asarray(train_rows, dtype=np.int64)
+    # with every row a training row, Z itself is fitted: no copy of it
+    rows = slice(None) if train_rows is None else np.asarray(train_rows,
+                                                             dtype=np.int64)
+    M_train = _design_with_intercept(nuisance[rows])
     q = nuisance.shape[1]
-    if q >= train_rows.size:
+    if q >= M_train.shape[0]:
         raise ValueError(
-            f"{q} nuisance columns with only {train_rows.size} training rows"
+            f"{q} nuisance columns with only {M_train.shape[0]} training rows"
         )
-    M_train = _design_with_intercept(nuisance[train_rows])
     rank = np.linalg.matrix_rank(M_train)
     if rank < q + 1:
         warnings.warn(
             "nuisance matrix is rank-deficient on the training rows; "
             "using the least-norm solution"
         )
-    coefs, *_ = np.linalg.lstsq(M_train, Z[train_rows], rcond=None)
+    coefs, *_ = np.linalg.lstsq(M_train, Z[rows], rcond=None)
     y_coefs = None
     if residualize_y and y is not None:
-        y_train = np.asarray(y, dtype=np.float64)[train_rows]
+        y_train = np.asarray(y, dtype=np.float64)[rows]
         y_coefs, *_ = np.linalg.lstsq(M_train, y_train, rcond=None)
     model = NuisanceModel(feature_coefs=coefs, y_coefs=y_coefs, q=q)
     Z_corr, y_corr = apply_nuisance(model, Z, nuisance, y)

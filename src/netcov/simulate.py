@@ -37,7 +37,6 @@ __all__ = [
     "default_communities",
     "gen_design_synthetic",
     "draw_response",
-    "with_response",
     "scenario_difficulty",
     "gen_semisynthetic",
     "write_truth_csv",
@@ -166,17 +165,13 @@ def draw_response(dataset, truth, family, seed, tag=1):
     return (rng.random(eta.size) < expit(eta)).astype(np.float64)
 
 
-def with_response(dataset, y):
-    return replace(dataset, y=np.asarray(y, dtype=np.float64))
-
-
 def scenario_difficulty(dataset, truth, family, rows=None):
     """(metric_name, value) over the empirical training distribution.
 
     gaussian: SNR = Var(Z beta) / sigma^2; binomial: Bayes error
     E[min(pi, 1 - pi)].  Exact at beta = 0: SNR 0 and BE 0.5.
     """
-    Z = build_design(dataset).Z[dataset.training_rows(rows)]
+    Z = build_design(dataset, dataset.training_rows(rows)).Z
     eta = truth.mu + Z @ truth.beta
     if family == "gaussian":
         return "snr", float(np.var(eta) / NOISE_SD**2)
@@ -231,7 +226,11 @@ def load_truth_csv(path, p):
         reader = csv.reader(fh)
         header = next(reader)
         for row in reader:
-            beta[int(row[0])] = float(row[1])
+            j = int(row[0])
+            if not 0 <= j < p:
+                raise ValueError(
+                    f"{path}: feature index {j} outside 0..{p - 1}")
+            beta[j] = float(row[1])
     support = np.flatnonzero(beta)
     return GroundTruth(beta=beta, mu=0.0, active_features=support,
                        active_groups=())

@@ -142,13 +142,10 @@ def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
 
     fold_dev = np.empty((folds, grid.size))
     for f in range(folds):
-        tr = rows[assignment != f]
-        ho = rows[assignment == f]
-        prep = prepare(dataset, spec, tr)
+        prep = prepare(dataset, spec, rows[assignment != f])
         pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
-        for a, entry in enumerate(pf.entries):
-            fold_dev[f, a] = holdout_deviance(prep, entry.mu, entry.beta, ho,
-                                              dataset.family)
+        fold_dev[f] = holdout_deviance(prep.model, dataset,
+                                       rows[assignment == f], pf.entries)
 
     mean_dev = fold_dev.mean(axis=0)
     se = fold_dev.std(axis=0, ddof=1) / np.sqrt(folds)
@@ -161,34 +158,26 @@ def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
     )
 
 
-def select_and_refit(dataset, spec, cv, rows=None):
+def select_and_refit(cv):
     """Refit on the full training set at the one-SE lambda.
 
-    Fits the whole path (warm-started from lambda_max) so that the
-    returned object also carries every grid entry for path reports and
-    ROC curves; the headline coefficients are those at the one-SE point.
-    The preparation ``cv`` carries is reused when it was made from the same
-    dataset and spec objects on the same rows.  The returned FitResult's
-    ``cv`` drops it, so that keeping the summary does not keep the design.
+    Fits the whole path on the preparation that gave the grid, warm-started
+    from lambda_max, so that the returned object also carries every grid
+    entry for path reports and ROC curves; the headline coefficients are
+    those at the one-SE point.  The returned FitResult's ``cv`` drops the
+    preparation, so that keeping the summary does not keep the design.
     """
-    rows = dataset.training_rows(rows)
     prep = cv.prepared
-    if (prep is None or prep.dataset is not dataset or prep.spec is not spec
-            or not np.array_equal(prep.train_rows, rows)):
-        prep = prepare(dataset, spec, rows)
+    if prep is None:
+        raise ValueError("the CV result carries no preparation to refit on")
     pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=cv.lambdas)
     entry = pf.entries[cv.index_one_se]
-    std = prep.design_std
     return FitResult(
-        model=FittedModel(
-            family=dataset.family, mu=entry.mu, beta=entry.beta,
-            column_means=std.column_means, column_sds=std.column_sds,
-            y_mean=std.y_mean, y_sd=std.y_sd,
-            nuisance_model=prep.nuisance_model),
+        model=replace(prep.model, mu=entry.mu, beta=entry.beta),
         active_groups=entry.active_groups, lambda_hat=entry.lam,
         index_hat=cv.index_one_se, path=pf, cv=replace(cv, prepared=None),
         deviance=entry.deviance, kkt_residual=entry.kkt_residual,
-    ), prep
+    )
 
 
 def write_cv_csv(cv, path):

@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,15 @@ def sim_dir(tmp_path_factory):
     cells = sorted(os.listdir(out / "cells"))
     assert len(cells) == 1
     return str(out / "cells" / cells[0])
+
+
+@pytest.fixture(scope="module")
+def fit_dir(sim_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fit") / "ebg"
+    assert cli.main(["fit", "--data", sim_dir, "--scheme", "ebg", "--out",
+                     str(out), "--folds", "3", "--grid-size", "8",
+                     "--seed", "3"]) == 0
+    return out
 
 
 class TestSimulate:
@@ -232,16 +242,33 @@ class TestEvaluate:
                          str(other), "--out", str(tmp_path / "eval")])
         assert code == 3
 
+    @pytest.mark.parametrize("index", [21, 99, -1])
+    @pytest.mark.parametrize("target", ["coefficients.csv", "truth.csv"])
+    def test_feature_index_out_of_range(self, sim_dir, fit_dir, tmp_path,
+                                        capsys, target, index):
+        # p = 21 here; an index past it, or negative, is a data error
+        fit_copy, data_copy = tmp_path / "fit", tmp_path / "data"
+        shutil.copytree(fit_dir, fit_copy)
+        shutil.copytree(sim_dir, data_copy)
+        path = (fit_copy if target == "coefficients.csv" else data_copy) / target
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join([str(index)] + lines[1].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         str(data_copy), "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"feature index {index} outside 0..20"
+                in capsys.readouterr().err)
+
 
 class TestNuisanceEvaluate:
     def test_evaluate_matches_in_process_prediction(self, tmp_path):
         # fit writes nuisance_model.csv; evaluate must predict exactly as
         # the in-process pipeline does from the same fit
         from conftest import make_dataset
-        from netcov import build_design, load_dataset, save_dataset
+        from netcov import load_dataset, save_dataset
         from netcov.metrics import prediction_metrics
-        from netcov.pipeline import make_groups, predict_response
-        from netcov.preprocess import apply_nuisance
+        from netcov.pipeline import make_groups
         from netcov.tuning import cross_validate, select_and_refit
 
         rng = np.random.default_rng(4)
@@ -266,14 +293,33 @@ class TestNuisanceEvaluate:
         spec, _ = make_groups(ds, "ebg", seed=(3, 11))
         cv = cross_validate(ds, spec, folds=3, seed=3, grid_size=8,
                             min_ratio=0.05)
-        fit, prep = select_and_refit(ds, spec, cv)
+        fit = select_and_refit(cv)
         assert np.any(fit.beta != 0.0)
-        rows = ds.test_rows
-        yhat = predict_response(prep, fit.mu, fit.beta, rows, ds.family)
-        _, y = apply_nuisance(prep.nuisance_model, build_design(ds).Z,
-                              ds.nuisance, ds.y)
-        expected = prediction_metrics(yhat, y[rows], ds.family).correlation
+        yhat, y = fit.model.predict(ds, ds.test_rows)
+        expected = prediction_metrics(yhat, y, ds.family).correlation
         assert float(row["correlation"]) == expected
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_nuisance_mismatch_is_named(self, tmp_path, capsys, q):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        rng = np.random.default_rng(6)
+        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2], d=1, N=40, nuisance_q=2)
+        ds = replace(ds, train_rows=np.arange(30), test_rows=np.arange(30, 40))
+        save_dataset(ds, str(tmp_path / "data"))
+        save_dataset(replace(ds, nuisance=ds.nuisance[:, :q] if q else None),
+                     str(tmp_path / "other"))
+        fit_dir = tmp_path / "fit"
+        assert cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(fit_dir), "--folds", "3",
+                         "--grid-size", "6", "--seed", "3"]) == 0
+        code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                         str(tmp_path / "other"), "--out",
+                         str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"dataset has {q} nuisance columns but the fit was trained "
+                "with 2" in capsys.readouterr().err)
 
 
 def _corrupt_first_value(path, text):
@@ -372,6 +418,22 @@ class TestCpm:
                          "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_nuisance_mismatch_is_named(self):
+        # `netcov cpm` fits and scores one dataset, so the mismatch is built
+        # here on the row transform it scores test rows with
+        from conftest import make_dataset
+        from netcov.pipeline import corrected_rows, nuisance_corrected
+
+        rng = np.random.default_rng(3)
+        ds = make_dataset(rng, [1, 1, 2, 2], d=1, N=30, nuisance_q=2)
+        _, _, model = nuisance_corrected(ds, np.arange(20))
+        for q, other in ((1, replace(ds, nuisance=ds.nuisance[:, :1])),
+                         (0, replace(ds, nuisance=None))):
+            with pytest.raises(ValueError, match=(
+                    f"dataset has {q} nuisance columns but the fit was "
+                    "trained with 2")):
+                corrected_rows(model, other, np.arange(20, 30))
+
     def test_default_threshold(self):
         parser = cli.build_parser()
         args = parser.parse_args(["cpm", "--data", "x", "--out", "y"])
@@ -430,3 +492,38 @@ class TestSweep:
             del os.environ["NETCOV_THREADS"]
         assert ((out1 / "metrics.csv").read_bytes()
                 == (out2 / "metrics.csv").read_bytes())
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch,
+                                              capsys, value):
+        monkeypatch.setenv("NETCOV_THREADS", value)
+        cfg = sweep_config(tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "NETCOV_THREADS must be a positive integer" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # a recorder in place of the pool: no worker process is started
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setenv("NETCOV_THREADS", "5000")
+        cfg = sweep_config(tmp_path / "c.cfg")
+        assert cli.main(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert started == [2]

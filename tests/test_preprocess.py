@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from netcov import (CommunityMap, DesignMatrix, FeatureIndex, ebg_groups,
                     expand, fold_back)
@@ -318,6 +318,9 @@ class TestOrthonormalizeProperties:
     @given(kinds=st.lists(st.sampled_from(BLOCK_KINDS), min_size=1,
                           max_size=4),
            N=st.integers(4, 30), seed=st.integers(0, 2**32 - 1))
+    # the overlap group here is 4x4 with eigenvalue ratio 1.6e-7: its Gram
+    # basis misses orthonormality by 2.3e-10, so it must take the SVD
+    @example(kinds=["narrow", "narrow", "graded", "narrow"], N=4, seed=4)
     def test_blocks(self, kinds, N, seed):
         assume(any(kind != "zero" for kind in kinds))
         rng = np.random.default_rng(seed)

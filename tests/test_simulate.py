@@ -4,7 +4,7 @@ import pytest
 from netcov import (CommunityMap, FeatureIndex, build_design, ebg_groups,
                     gen_design_synthetic, gen_semisynthetic, make_beta,
                     nbg_groups, save_dataset, scenario_difficulty,
-                    draw_response, with_response)
+                    draw_response)
 from netcov.simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS,
                              default_communities, load_truth_csv,
                              write_truth_csv)

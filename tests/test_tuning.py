@@ -5,7 +5,7 @@ from dataclasses import replace
 from conftest import make_dataset
 from netcov import (CommunityMap, FeatureIndex, cross_validate, ebg_groups,
                     make_beta, one_se_select, select_and_refit)
-from netcov.pipeline import predict_response, prepare
+from netcov.pipeline import holdout_deviance, prepare
 from netcov.solver import deviance, fit_path
 from netcov.tuning import _constant_y_fold, _fold_assignment, _seeded_rng
 
@@ -160,10 +160,10 @@ class TestCrossValidate:
         )
         prep_a = prepare(ds, spec, train)
         prep_b = prepare(mutated, spec, train)
-        np.testing.assert_array_equal(prep_a.design_std.column_means,
-                                      prep_b.design_std.column_means)
-        np.testing.assert_array_equal(prep_a.design_std.column_sds,
-                                      prep_b.design_std.column_sds)
+        np.testing.assert_array_equal(prep_a.model.column_means,
+                                      prep_b.model.column_means)
+        np.testing.assert_array_equal(prep_a.model.column_sds,
+                                      prep_b.model.column_sds)
         np.testing.assert_array_equal(prep_a.problem.U, prep_b.problem.U)
         pf_a = fit_path(prep_a.problem, prep_a.basis, prep_a.emap,
                         grid_size=10)
@@ -191,7 +191,7 @@ class TestSelectAndRefit:
         for seed in range(10):
             ds, spec, truth = signal_dataset(seed, alpha=0.5)
             cv = cross_validate(ds, spec, folds=10, seed=seed, grid_size=50)
-            fit, _ = select_and_refit(ds, spec, cv)
+            fit = select_and_refit(cv)
             if set(truth.active_groups) <= set(fit.active_groups):
                 hits += 1
         assert hits >= 9
@@ -201,17 +201,16 @@ class TestSelectAndRefit:
         spec, _ = _groups(ds)
         cv = cross_validate(ds, spec, folds=5, seed=3, grid_size=15)
         rigged = replace(cv, index_one_se=0)
-        fit, prep = select_and_refit(ds, spec, rigged)
+        fit = select_and_refit(rigged)
         assert np.all(fit.beta == 0.0)
-        preds = predict_response(prep, fit.mu, fit.beta,
-                                 np.arange(ds.N), ds.family)
+        preds, _ = fit.model.predict(ds, np.arange(ds.N))
         assert np.allclose(preds, preds[0])
 
     def test_refit_deviance_beats_zero_model(self):
         ds, spec, _ = signal_dataset(31, alpha=0.6, N=150)
         cv = cross_validate(ds, spec, folds=5, seed=2, grid_size=30)
-        fit, prep = select_and_refit(ds, spec, cv)
-        y = prep.problem.y
+        y = cv.prepared.problem.y
+        fit = select_and_refit(cv)
         zero_dev = deviance(ds.family, y, np.full(y.size, y.mean()))
         assert fit.deviance <= zero_dev + 1e-12
 
@@ -219,7 +218,7 @@ class TestSelectAndRefit:
         ds = noise_dataset(41)
         spec, _ = _groups(ds)
         cv = cross_validate(ds, spec, folds=5, seed=5, grid_size=12)
-        fit, _ = select_and_refit(ds, spec, cv)
+        fit = select_and_refit(cv)
         assert fit.lambda_hat == cv.lambdas[cv.index_one_se]
         assert fit.lambda_hat == cv.lambda_one_se
 
@@ -240,16 +239,62 @@ class TestRefitReuse:
         monkeypatch.setattr(tuning, "prepare", counted)
         cv = cross_validate(ds, spec, folds=3, seed=4, grid_size=8)
         assert len(calls) == 4  # the grid's, then one per fold
-        fit, prep = select_and_refit(ds, spec, cv)
+        fit = select_and_refit(cv)
         assert len(calls) == 4
-        assert prep is cv.prepared
+        assert fit.model.column_means is cv.prepared.model.column_means
         assert fit.cv.prepared is None and fit.cv == cv
-        # the same refit from a fresh preparation
-        fresh, _ = select_and_refit(ds, spec, replace(cv, prepared=None))
-        assert len(calls) == 5
-        assert fresh.mu == fit.mu
-        np.testing.assert_array_equal(fresh.beta, fit.beta)
-        # another dataset object is prepared afresh, never matched to cv's
-        other = replace(ds)
-        select_and_refit(other, spec, cv)
-        assert len(calls) == 6 and calls[-1][0] is other
+
+
+class TestOnePredictionPath:
+    """The training transforms of a preparation reproduce the solver's
+    linear predictor and score held-out rows as a hand computation does."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_transform_matches_solver_and_hand_holdout(self, family):
+        rng = np.random.default_rng(8)
+        beta = np.zeros(21)
+        beta[[0, 1, 2, 15]] = 1.5
+        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2], d=1, N=90, family=family,
+                          beta=beta, nuisance_q=2)
+        spec = ebg_groups(ds.communities, ds.index)
+        cv = cross_validate(ds, spec, folds=3, seed=6, grid_size=10)
+        U = cv.prepared.problem.U
+        fit = select_and_refit(cv)
+        assert np.any(fit.beta != 0.0)
+
+        # training rows: mu + Z beta equals the solver's mu + U beta_tilde
+        entry = fit.path.entries[fit.index_hat]
+        Z, _ = fit.model.transform(ds, np.arange(ds.N))
+        eta_model = fit.mu + Z @ fit.beta
+        eta_solver = entry.mu + U @ entry.beta_tilde
+        scale = max(1.0, np.abs(eta_solver).max())
+        assert np.abs(eta_model - eta_solver).max() <= 1e-10 * scale
+
+        # fold 0 scored by hand from its own training statistics
+        tr = np.flatnonzero(cv.fold_assignment != 0)
+        ho = np.flatnonzero(cv.fold_assignment == 0)
+        prep = prepare(ds, spec, tr)
+        path = fit_path(prep.problem, prep.basis, prep.emap,
+                        lambdas=cv.lambdas)
+        got = holdout_deviance(prep.model, ds, ho, path.entries)
+        np.testing.assert_array_equal(got, cv.fold_deviance[0])
+
+        raw = np.hstack([ds.edges, ds.node_covs])
+        M = np.column_stack([np.ones(ds.N), ds.nuisance])
+        coefs = np.linalg.lstsq(M[tr], raw[tr], rcond=None)[0]
+        corrected = raw - M @ coefs
+        means = corrected[tr].mean(axis=0)
+        sds = corrected[tr].std(axis=0)
+        Z_ho = (corrected[ho] - means) / sds
+        y = ds.y
+        if family == "gaussian":
+            y = y - M @ np.linalg.lstsq(M[tr], y[tr], rcond=None)[0]
+            y = (y - y[tr].mean()) / y[tr].std()
+        y_ho = y[ho]
+        for dev, e in zip(got, path.entries):
+            eta = e.mu + Z_ho @ e.beta
+            if family == "gaussian":
+                expected = 0.5 * np.sum((y_ho - eta) ** 2)
+            else:
+                expected = -2.0 * np.sum(y_ho * eta - np.logaddexp(0.0, eta))
+            assert dev == pytest.approx(expected / ho.size, rel=1e-10)
