@@ -42,12 +42,12 @@ for _ in range(5):
                                     y=rng.standard_normal()))
 communities = CommunityMap(assignments=[1, 1, 2])
 ds = Dataset.from_observations(observations, communities, family="gaussian")
-design = build_design(ds)
-print("\ndesign matrix shape:", design.Z.shape)
+Z = build_design(ds)
+print("\ndesign matrix shape:", Z.shape)
 
 # --- the on-disk layout ------------------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:
     save_dataset(ds, tmp)
     again = load_dataset(tmp)
     print("disk round trip exact:",
-          np.array_equal(build_design(again).Z, design.Z))
+          np.array_equal(build_design(again), Z))

@@ -13,9 +13,9 @@ support-recovery metrics.
 __version__ = "0.1.0"
 
 from .baselines import CpmModel, cpm_fit, cpm_predict
-from .data import (CommunityMap, Dataset, DesignMatrix, FeatureIndex,
-                   Observation, build_design, devectorize, load_dataset,
-                   save_dataset, vectorize)
+from .data import (CommunityMap, Dataset, FeatureIndex, Observation,
+                   build_design, devectorize, load_dataset, save_dataset,
+                   vectorize)
 from .groups import (ExpansionMap, GroupSpec, blocks, cells, ebg_groups,
                      expand, fold_back, nbg_groups, singleton_groups,
                      split_communities)
@@ -36,7 +36,7 @@ from .tuning import (CVResult, FitResult, cross_validate, one_se_select,
 __all__ = [
     "__version__",
     # data
-    "CommunityMap", "Observation", "FeatureIndex", "DesignMatrix", "Dataset",
+    "CommunityMap", "Observation", "FeatureIndex", "Dataset",
     "vectorize", "devectorize", "build_design", "load_dataset", "save_dataset",
     # groups
     "GroupSpec", "ExpansionMap", "blocks", "cells", "nbg_groups", "ebg_groups",

@@ -326,12 +326,18 @@ def _write_feature_csv(path, header, *columns):
             writer.writerow([j] + [repr(float(v)) for v in values])
 
 
+def _require_finite(path, name, values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: {name} is not finite")
+
+
 def _read_feature_csv(path, p, defaults):
-    """Columns of a :func:`_write_feature_csv` file as length-p arrays."""
+    """Columns of a :func:`_write_feature_csv` file as length-p arrays; a
+    non-finite value is a data error."""
     columns = [np.full(p, value) for value in defaults]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader)
         for row in reader:
             j = int(row[0])
             if not 0 <= j < p:
@@ -339,6 +345,8 @@ def _read_feature_csv(path, p, defaults):
                     f"{path}: feature index {j} outside 0..{p - 1}")
             for column, value in zip(columns, row[1:]):
                 column[j] = float(value)
+    for name, column in zip(header[1:], columns):
+        _require_finite(path, name, column)
     return columns
 
 
@@ -354,20 +362,31 @@ def _write_model(model, out_dir):
 
 
 def _read_model(fit_dir, info, p):
-    """The FittedModel that :func:`run_fit` wrote to ``fit_dir``."""
+    """The FittedModel that :func:`run_fit` wrote to ``fit_dir``; a
+    non-finite number, a negative sd or a y_sd not above 0 is a data error
+    naming its file."""
     if int(info["p"]) != p:
         raise ValueError(
             f"fit was trained with p={info['p']} but dataset has p={p}")
     beta, = _read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p,
                               (0.0,))
-    means, sds = _read_feature_csv(
-        os.path.join(fit_dir, "standardization.csv"), p, (0.0, 1.0))
+    std_path = os.path.join(fit_dir, "standardization.csv")
+    means, sds = _read_feature_csv(std_path, p, (0.0, 1.0))
+    if np.any(sds < 0.0):
+        raise ValueError(f"{std_path}: sd is negative")
+    mu = float(info["intercept"])
+    y_mean, y_sd = (None if info[key] == "NA" else float(info[key])
+                    for key in ("y_mean", "y_sd"))
+    info_path = os.path.join(fit_dir, "fit_info")
+    for key, value in (("intercept", mu), ("y_mean", y_mean), ("y_sd", y_sd)):
+        if value is not None:
+            _require_finite(info_path, key, value)
+    if y_sd is not None and y_sd <= 0.0:
+        raise ValueError(f"{info_path}: y_sd is not positive")
     nm_path = os.path.join(fit_dir, "nuisance_model.csv")
     return FittedModel(
-        family=info["family"], mu=float(info["intercept"]), beta=beta,
-        column_means=means, column_sds=sds,
-        y_mean=None if info["y_mean"] == "NA" else float(info["y_mean"]),
-        y_sd=None if info["y_sd"] == "NA" else float(info["y_sd"]),
+        family=info["family"], mu=mu, beta=beta, column_means=means,
+        column_sds=sds, y_mean=y_mean, y_sd=y_sd,
         nuisance_model=(_read_nuisance_model(nm_path)
                         if os.path.exists(nm_path) else None),
     )
@@ -392,10 +411,12 @@ def _read_nuisance_model(path):
         feature_cols = []
         y_coefs = None
         for row in reader:
+            values = [float(v) for v in row[1:]]
+            _require_finite(path, f"row {row[0]}", values)
             if row[0] == "y":
-                y_coefs = np.array([float(v) for v in row[1:]])
+                y_coefs = np.array(values)
             else:
-                feature_cols.append([float(v) for v in row[1:]])
+                feature_cols.append(values)
     coefs = np.array(feature_cols).T
     return NuisanceModel(feature_coefs=coefs, y_coefs=y_coefs,
                          q=coefs.shape[0] - 1)
@@ -428,10 +449,10 @@ def run_cpm(data_dir, out_dir, alpha=0.01):
     dataset = load_dataset(data_dir)
     if dataset.family != "gaussian":
         raise ValueError("CPM supports continuous responses only")
-    design, y, nuisance_model = nuisance_corrected(dataset,
-                                                   dataset.training_rows())
+    Z, y, nuisance_model = nuisance_corrected(dataset,
+                                              dataset.training_rows())
     idx = dataset.index
-    model = cpm_fit(design.Z, y, idx, alpha=alpha)
+    model = cpm_fit(Z, y, idx, alpha=alpha)
     os.makedirs(out_dir, exist_ok=True)
     write_cpm_edges(model, idx, os.path.join(out_dir, "cpm_edges.csv"))
 
@@ -445,7 +466,7 @@ def run_cpm(data_dir, out_dir, alpha=0.01):
         pred = prediction_metrics(yhat, y_te, "gaussian")
         row["correlation"] = pred.correlation
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
-    return model
+    return row
 
 
 def cmd_cpm(args):
@@ -559,8 +580,8 @@ def _sweep_cell_job(payload):
         if scheme == "cpm":
             if cell.family != "gaussian":
                 continue
-            out = os.path.join(cell_dir, "fit_cpm")
-            run_cpm(cell_dir, out, alpha=0.01)
+            rows.append(run_cpm(cell_dir, os.path.join(cell_dir, "fit_cpm"),
+                                alpha=0.01))
         else:
             fit_dir = os.path.join(cell_dir, f"fit_{scheme}")
             run_fit(cell_dir, scheme, fit_dir,
@@ -571,10 +592,8 @@ def _sweep_cell_job(payload):
                     split_communities=(
                         _cfg_int(cfg, "data.split_communities")
                         if cfg["data.split_communities"] else None))
-            out = os.path.join(cell_dir, f"eval_{scheme}")
-            run_evaluate(fit_dir, cell_dir, out)
-        with open(os.path.join(out, "metrics.csv"), newline="") as fh:
-            rows.extend(csv.DictReader(fh))
+            rows.append(run_evaluate(fit_dir, cell_dir,
+                                     os.path.join(cell_dir, f"eval_{scheme}")))
     return rows
 
 
@@ -601,15 +620,7 @@ def cmd_sweep(args):
             results = list(pool.map(_sweep_cell_job, payloads))
     else:
         results = [_sweep_cell_job(p) for p in payloads]
-
-    def _to_float(value):
-        return None if value in (None, "", "NA") else float(value)
-
-    # the per-cell rows come back as strings; numbers are rewritten as floats
-    numbers = ("alpha", "difficulty", "recall", "precision", "correlation",
-               "accuracy")
-    table = [{**row, **{key: _to_float(row.get(key)) for key in numbers}}
-             for rows in results for row in rows]
+    table = [row for rows in results for row in rows]
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), table)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "sweep", cfg,

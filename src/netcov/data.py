@@ -45,7 +45,6 @@ __all__ = [
     "CommunityMap",
     "Observation",
     "FeatureIndex",
-    "DesignMatrix",
     "Dataset",
     "vectorize",
     "devectorize",
@@ -201,36 +200,6 @@ class FeatureIndex:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Stacked vectorized observations plus (optional) training statistics.
-
-    ``Z`` has one row per observation in canonical feature order.  The
-    standardization fields are unset until preprocessing runs and then
-    record statistics of the training split only.
-    """
-
-    Z: np.ndarray
-    index: FeatureIndex
-    column_means: np.ndarray = None
-    column_sds: np.ndarray = None
-    constant_columns: np.ndarray = None
-    y_mean: float = None
-    y_sd: float = None
-
-    def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=np.float64)
-        if Z.ndim != 2 or Z.shape[1] != self.index.p:
-            raise ValueError(
-                f"Z must be N x p with p={self.index.p}, got shape {Z.shape}"
-            )
-        object.__setattr__(self, "Z", Z)
-
-    @property
-    def N(self):
-        return self.Z.shape[0]
-
-
-@dataclass(frozen=True)
 class Dataset:
     """N observations stored in vectorized form, plus community map.
 
@@ -381,15 +350,10 @@ def devectorize(z, idx, y=0.0):
 
 
 def build_design(dataset, rows=None):
-    """Stack a dataset's vectorized rows (all, or ``rows`` in that order)
-    into a DesignMatrix.
-
-    Standardization fields are left unset; they are filled by the
-    preprocessing step from training rows only.
-    """
+    """A dataset's vectorized rows (all, or ``rows`` in that order) as one
+    N x p array in canonical feature order."""
     rows = slice(None) if rows is None else rows
-    Z = np.hstack([dataset.edges[rows], dataset.node_covs[rows]])
-    return DesignMatrix(Z=Z, index=dataset.index)
+    return np.hstack([dataset.edges[rows], dataset.node_covs[rows]])
 
 
 # ---------------------------------------------------------------------------

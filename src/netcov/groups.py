@@ -143,12 +143,6 @@ class ExpansionMap:
     def n_groups(self):
         return len(self.slices)
 
-    def expand_design(self, Z):
-        """Apply the duplication to a design matrix (columns are copied)."""
-        if Z.shape[1] != self.p:
-            raise ValueError(f"design has {Z.shape[1]} columns, expected {self.p}")
-        return Z[:, self.expanded_to_original]
-
 
 def blocks(cm, idx):
     """Node-covariate coordinate sets per community (K arrays, maybe empty)."""

@@ -9,7 +9,7 @@ the one route by which any other rows (held-out folds, test rows, another
 dataset) reach a prediction.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -40,7 +40,8 @@ class Prepared:
 class FittedModel:
     """What prediction needs from a fit: the transforms learned on the
     training rows and, once a fit sets them, the coefficients in original
-    feature space."""
+    feature space.  A column constant on the training rows has sd 0, so
+    it contributes 0 to every prediction."""
 
     family: str
     column_means: np.ndarray
@@ -58,7 +59,7 @@ class FittedModel:
         stays on its original scale.
         """
         Z, y = corrected_rows(self.nuisance_model, dataset, rows)
-        return apply_standardization(self, Z), y
+        return apply_standardization(self.column_means, self.column_sds, Z), y
 
     def predict(self, dataset, rows):
         """(predictions, observed response) on the given dataset rows."""
@@ -84,19 +85,17 @@ def make_groups(dataset, scheme, split_target=None, seed=None):
 def nuisance_corrected(dataset, train_rows):
     """Raw design and response of the training rows, nuisance-corrected.
 
-    Returns (DesignMatrix, y, NuisanceModel or None); the correction is
-    fitted on these rows.  The response stays 0/1 under the binomial
-    family; only the features are corrected there.
+    Returns (Z, y, NuisanceModel or None); the correction is fitted on
+    these rows.  The response stays 0/1 under the binomial family; only
+    the features are corrected there.
     """
-    design = build_design(dataset, train_rows)
-    y = dataset.y[train_rows]
+    Z, y = build_design(dataset, train_rows), dataset.y[train_rows]
     if dataset.nuisance is None:
-        return design, y, None
-    Z, y, model = residualize_nuisance(
-        design.Z, y, dataset.nuisance[train_rows],
+        return Z, y, None
+    return residualize_nuisance(
+        Z, y, dataset.nuisance[train_rows],
         residualize_y=(dataset.family == "gaussian"),
     )
-    return replace(design, Z=Z), y, model
 
 
 def corrected_rows(nuisance_model, dataset, rows):
@@ -108,7 +107,7 @@ def corrected_rows(nuisance_model, dataset, rows):
         raise ValueError(
             f"dataset has {q_data} nuisance columns but the fit was trained "
             f"with {q_fit}")
-    Z, y = build_design(dataset, rows).Z, dataset.y[rows]
+    Z, y = build_design(dataset, rows), dataset.y[rows]
     if nuisance_model is None:
         return Z, y
     return apply_nuisance(nuisance_model, Z, dataset.nuisance[rows], y)
@@ -117,20 +116,18 @@ def corrected_rows(nuisance_model, dataset, rows):
 def prepare(dataset, spec, train_rows=None):
     """Residualize, standardize, expand and orthonormalize the training rows."""
     train_rows = dataset.training_rows(train_rows)
-    design, y, nuisance_model = nuisance_corrected(dataset, train_rows)
-    design, y_std = standardize(design, y, family=dataset.family)
+    Z, y, nuisance_model = nuisance_corrected(dataset, train_rows)
+    Z, y, stats = standardize(Z, y, dataset.family)
 
     emap = expand(spec)
-    U, basis, multipliers = orthonormalize(design.Z, emap, spec.names)
+    U, basis, multipliers = orthonormalize(Z, emap, spec.names)
     kept_names = tuple(spec.names[gi] for gi in basis.kept)
     problem = PenalizedProblem(
-        U=U, y=y_std, family=dataset.family,
+        U=U, y=y, family=dataset.family,
         slices=basis.u_slices, multipliers=multipliers, names=kept_names,
     )
-    model = FittedModel(
-        family=dataset.family, column_means=design.column_means,
-        column_sds=design.column_sds, y_mean=design.y_mean, y_sd=design.y_sd,
-        nuisance_model=nuisance_model)
+    model = FittedModel(family=dataset.family, nuisance_model=nuisance_model,
+                        **stats)
     return Prepared(problem=problem, basis=basis, emap=emap, model=model)
 
 

@@ -1,12 +1,13 @@
 """Standardization, nuisance residualization, groupwise orthonormalization.
 
-Everything here learns its parameters from training rows only and then
-applies them to all rows, so held-out data never leaks into the fitted
-transformations.
+Everything here learns its parameters from the training rows it is given;
+the ``apply_*`` functions carry them unchanged to any other rows, so
+held-out data never leaks into the fitted transformations.
 
 Columns are standardized to mean 0 and variance 1 under the 1/N
-(population) convention.  A continuous response is standardized the same
-way; binary responses are left untouched.
+(population) convention; a column constant on the training rows is
+recorded with sd 0 and zeroed on every row.  A continuous response is
+standardized the same way; binary responses are left untouched.
 
 Groupwise orthonormalization replaces each group's column block by an
 orthonormal basis of its column space, which turns the group penalty
@@ -23,7 +24,7 @@ variable duplication; the linear predictor is preserved exactly.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,69 +50,60 @@ RANK_TOL = 1e-10  # singular value kept iff > RANK_TOL * s_max of its group
 GRAM_TOL = 1e-4
 
 
-def standardize(design, y=None, train_rows=None, family="gaussian"):
-    """Standardize columns (and a continuous response) with training stats.
+def standardize(Z, y, family):
+    """Standardize the training rows and learn their statistics.
 
     Parameters
     ----------
-    design : DesignMatrix
-        Raw design; all rows are transformed, statistics come from
-        ``train_rows`` only.
-    y : ndarray, optional
-        Response vector aligned with the design rows.
-    train_rows : ndarray, optional
-        0-based training row indices; defaults to all rows.
+    Z : ndarray
+        Raw training rows, N x p.
+    y : ndarray
+        Training response aligned with the rows of ``Z``.
     family : str
         ``gaussian`` standardizes y too; ``binomial`` leaves it alone.
 
     Returns
     -------
-    (DesignMatrix, ndarray or None)
-        A new design with transformed Z and recorded statistics, and the
-        transformed response.  Zero-variance training columns are flagged
-        in ``constant_columns`` and end up identically zero.
+    (ndarray, ndarray, dict)
+        ``apply_standardization`` of ``Z`` under the learned statistics,
+        the transformed response, and the statistics as the
+        :class:`~netcov.pipeline.FittedModel` fields ``column_means``,
+        ``column_sds``, ``y_mean`` and ``y_sd`` (the last two None unless
+        gaussian).  A column constant on these rows gets sd 0.
     """
-    Z = design.Z
-    if train_rows is None:
-        train_rows = np.arange(Z.shape[0])
-    train_rows = np.asarray(train_rows, dtype=np.int64)
-    if train_rows.size < 2:
+    N = Z.shape[0]
+    if N < 2:
         raise ValueError("standardization needs at least 2 training rows")
-    T = Z[train_rows].astype(np.float64, copy=False)
-    means = T.mean(axis=0)
-    # the 1/N standard deviation, as T.std(axis=0) computes it, in place
-    T -= means
+    means = Z.mean(axis=0)
+    # the 1/N standard deviation, as Z.std(axis=0) computes it, squaring
+    # one centered copy in place
+    T = Z - means
     T *= T
-    sds = np.sqrt(T.sum(axis=0) / train_rows.size)
+    sds = np.sqrt(T.sum(axis=0) / N)
     del T
     # numerically constant columns: the tolerance absorbs the float dust a
     # constant column picks up from mean subtraction
-    constant = sds <= 1e-10 * np.maximum(1.0, np.abs(means))
-    safe = np.where(constant, 1.0, sds)
-    Z_std = Z - means
-    Z_std /= safe
-    Z_std[:, constant] = 0.0
-
-    y_std = y
-    y_mean = y_sd = None
-    if y is not None and family == "gaussian":
+    sds[sds <= 1e-10 * np.maximum(1.0, np.abs(means))] = 0.0
+    stats = {"column_means": means, "column_sds": sds,
+             "y_mean": None, "y_sd": None}
+    if family == "gaussian":
         y = np.asarray(y, dtype=np.float64)
-        y_mean = float(y[train_rows].mean())
-        y_sd = float(y[train_rows].std())
-        if y_sd == 0.0:
+        stats["y_mean"] = float(y.mean())
+        stats["y_sd"] = float(y.std())
+        if stats["y_sd"] == 0.0:
             raise ValueError("response is constant on the training rows")
-        y_std = (y - y_mean) / y_sd
-    out = replace(design, Z=Z_std, column_means=means, column_sds=safe,
-                  constant_columns=constant, y_mean=y_mean, y_sd=y_sd)
-    return out, y_std
+        y = (y - stats["y_mean"]) / stats["y_sd"]
+    return apply_standardization(means, sds, Z), y, stats
 
 
-def apply_standardization(design, Z_new):
-    """Transform new raw rows with the training statistics of ``design``
-    (a standardized DesignMatrix, or a FittedModel)."""
-    if design.column_means is None:
-        raise ValueError("design carries no standardization statistics")
-    return (Z_new - design.column_means) / design.column_sds
+def apply_standardization(means, sds, Z):
+    """``(Z - means) / sds`` by column; a column with sd 0 (constant on the
+    training rows) becomes identically zero."""
+    constant = sds == 0.0
+    Z_std = Z - means
+    Z_std /= np.where(constant, 1.0, sds)
+    Z_std[:, constant] = 0.0
+    return Z_std
 
 
 @dataclass(frozen=True)
@@ -132,12 +124,12 @@ def _design_with_intercept(nuisance):
     return np.column_stack([np.ones(nuisance.shape[0]), nuisance])
 
 
-def residualize_nuisance(Z, y, nuisance, train_rows=None, residualize_y=True):
+def residualize_nuisance(Z, y, nuisance, residualize_y=True):
     """Remove nuisance-predicted values from features (and response).
 
-    An OLS model intercept + nuisance -> column is fitted on training
-    rows for every feature column (and the response when
-    ``residualize_y``); its predictions are subtracted from all rows.
+    An OLS model intercept + nuisance -> column is fitted on these
+    training rows for every feature column (and the response when
+    ``residualize_y``); its predictions are subtracted from them.
 
     Returns (Z_corrected, y_corrected, NuisanceModel).
     """
@@ -145,26 +137,23 @@ def residualize_nuisance(Z, y, nuisance, train_rows=None, residualize_y=True):
     nuisance = np.atleast_2d(np.asarray(nuisance, dtype=np.float64))
     if nuisance.shape[0] != Z.shape[0]:
         raise ValueError("nuisance must have one row per observation")
-    # with every row a training row, Z itself is fitted: no copy of it
-    rows = slice(None) if train_rows is None else np.asarray(train_rows,
-                                                             dtype=np.int64)
-    M_train = _design_with_intercept(nuisance[rows])
+    M = _design_with_intercept(nuisance)
     q = nuisance.shape[1]
-    if q >= M_train.shape[0]:
+    if q >= M.shape[0]:
         raise ValueError(
-            f"{q} nuisance columns with only {M_train.shape[0]} training rows"
+            f"{q} nuisance columns with only {M.shape[0]} training rows"
         )
-    rank = np.linalg.matrix_rank(M_train)
+    rank = np.linalg.matrix_rank(M)
     if rank < q + 1:
         warnings.warn(
             "nuisance matrix is rank-deficient on the training rows; "
             "using the least-norm solution"
         )
-    coefs, *_ = np.linalg.lstsq(M_train, Z[rows], rcond=None)
+    coefs, *_ = np.linalg.lstsq(M, Z, rcond=None)
     y_coefs = None
     if residualize_y and y is not None:
-        y_train = np.asarray(y, dtype=np.float64)[rows]
-        y_coefs, *_ = np.linalg.lstsq(M_train, y_train, rcond=None)
+        y_coefs, *_ = np.linalg.lstsq(M, np.asarray(y, dtype=np.float64),
+                                      rcond=None)
     model = NuisanceModel(feature_coefs=coefs, y_coefs=y_coefs, q=q)
     Z_corr, y_corr = apply_nuisance(model, Z, nuisance, y)
     return Z_corr, y_corr, model

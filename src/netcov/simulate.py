@@ -157,7 +157,7 @@ def draw_response(dataset, truth, family, seed, tag=1):
     binomial: independent Bernoulli with success probability
     logit^{-1}(mu + Z beta).
     """
-    Z = build_design(dataset).Z
+    Z = build_design(dataset)
     eta = truth.mu + Z @ truth.beta
     rng = _rng(seed, tag)
     if family == "gaussian":
@@ -171,7 +171,7 @@ def scenario_difficulty(dataset, truth, family, rows=None):
     gaussian: SNR = Var(Z beta) / sigma^2; binomial: Bayes error
     E[min(pi, 1 - pi)].  Exact at beta = 0: SNR 0 and BE 0.5.
     """
-    Z = build_design(dataset, dataset.training_rows(rows)).Z
+    Z = build_design(dataset, dataset.training_rows(rows))
     eta = truth.mu + Z @ truth.beta
     if family == "gaussian":
         return "snr", float(np.var(eta) / NOISE_SD**2)

@@ -3,7 +3,8 @@
 Nothing here shares code with the package's fitting path: the proximal
 gradient oracle iterates on the stacked [intercept | design] matrix with
 a global step size, the gradient oracle is plain central differences,
-and the stationarity checker recomputes everything from the raw inputs.
+the stationarity checker recomputes everything from the raw inputs, and
+the expanded design is built explicitly, which the package never does.
 """
 
 import numpy as np
@@ -126,3 +127,11 @@ def random_grouping(rng, p, kind):
         take = rng.integers(0, extra.size + 1)
         groups.append(np.unique(np.concatenate([g, extra[:take]])))
     return groups
+
+
+def expand_design(emap, Z):
+    """The expanded design ``Z_star``: column j is ``Z``'s column
+    ``emap.expanded_to_original[j]``, so shared coordinates are copied."""
+    if Z.shape[1] != emap.p:
+        raise ValueError(f"design has {Z.shape[1]} columns, expected {emap.p}")
+    return Z[:, emap.expanded_to_original]

@@ -322,6 +322,123 @@ class TestNuisanceEvaluate:
                 "with 2" in capsys.readouterr().err)
 
 
+@pytest.fixture(scope="module")
+def nuisance_fit(tmp_path_factory):
+    """(data dir, fit dir) of a gaussian EBG fit with one nuisance column."""
+    from conftest import make_dataset
+    from netcov import save_dataset
+
+    root = tmp_path_factory.mktemp("nuisance_fit")
+    ds = make_dataset(np.random.default_rng(8), [1, 1, 2, 2], d=1, N=40,
+                      nuisance_q=1)
+    ds = replace(ds, train_rows=np.arange(30), test_rows=np.arange(30, 40))
+    save_dataset(ds, str(root / "data"))
+    assert cli.main(["fit", "--data", str(root / "data"), "--scheme", "ebg",
+                     "--out", str(root / "fit"), "--folds", "3",
+                     "--grid-size", "6", "--seed", "3"]) == 0
+    return root / "data", root / "fit"
+
+
+def _set_field(path, row, column, text):
+    lines = path.read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[column] = text
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestFitFileNumbers:
+    """evaluate refuses a fit file holding a number no fit can write."""
+
+    CASES = {
+        "nan_coefficient": (lambda f: _set_field(f / "coefficients.csv",
+                                                 2, 1, "nan"),
+                            "coefficients.csv: beta is not finite"),
+        "inf_mean": (lambda f: _set_field(f / "standardization.csv",
+                                          1, 1, "inf"),
+                     "standardization.csv: mean is not finite"),
+        "nan_sd": (lambda f: _set_field(f / "standardization.csv",
+                                        3, 2, "nan"),
+                   "standardization.csv: sd is not finite"),
+        "negative_sd": (lambda f: _set_field(f / "standardization.csv",
+                                             3, 2, "-0.5"),
+                        "standardization.csv: sd is negative"),
+        "nan_intercept": (lambda f: _edit_manifest(f / "fit_info",
+                                                   "intercept", "nan"),
+                          "fit_info: intercept is not finite"),
+        "inf_y_mean": (lambda f: _edit_manifest(f / "fit_info",
+                                                "y_mean", "-inf"),
+                       "fit_info: y_mean is not finite"),
+        "nan_y_sd": (lambda f: _edit_manifest(f / "fit_info", "y_sd", "nan"),
+                     "fit_info: y_sd is not finite"),
+        "negative_y_sd": (lambda f: _edit_manifest(f / "fit_info", "y_sd",
+                                                   "-1.0"),
+                          "fit_info: y_sd is not positive"),
+        "nan_nuisance_coefficient": (
+            lambda f: _set_field(f / "nuisance_model.csv", 1, 2, "nan"),
+            "nuisance_model.csv: row f0 is not finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_evaluate_exits_3_naming_the_file(self, nuisance_fit, tmp_path,
+                                              capsys, case):
+        data_dir, fit_dir = nuisance_fit
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        corrupt, message = self.CASES[case]
+        corrupt(fit_copy)
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         str(data_dir), "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_zero_sd_is_legal(self, nuisance_fit, tmp_path):
+        # sd 0 marks a column constant on the training rows
+        data_dir, fit_dir = nuisance_fit
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        _set_field(fit_copy / "standardization.csv", 3, 2, "0.0")
+        assert cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         str(data_dir), "--out", str(tmp_path / "eval")]) == 0
+
+
+class TestTrainingConstantColumn:
+    # the LASSO drops that column's rank-0 group, so it never sees it
+    @pytest.mark.parametrize("scheme", ["ebg", "nbg"])
+    def test_test_row_values_never_reach_the_prediction(self, tmp_path,
+                                                        scheme):
+        # edge 5 is constant on the training rows: its sd is 0 and it
+        # contributes exactly 0 to every prediction, whatever its test rows
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        rng = np.random.default_rng(11)
+        beta = np.zeros(21)
+        beta[[0, 1, 2, 15]] = 1.0
+        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2], d=1, N=80, beta=beta)
+        edges = ds.edges.copy()
+        edges[:60, 5] = 2.5
+        ds = replace(ds, edges=edges, train_rows=np.arange(60),
+                     test_rows=np.arange(60, 80))
+        moved = edges.copy()
+        moved[60:, 5] = 1e3 * rng.standard_normal(20)
+        save_dataset(ds, str(tmp_path / "data"))
+        save_dataset(replace(ds, edges=moved), str(tmp_path / "moved"))
+        fit_dir = tmp_path / "fit"
+        assert cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         scheme, "--out", str(fit_dir), "--folds", "3",
+                         "--grid-size", "8", "--seed", "3"]) == 0
+        sds = read_rows(fit_dir / "standardization.csv")
+        assert float(sds[5]["sd"]) == 0.0
+        metrics = []
+        for data in ("data", "moved"):
+            out = tmp_path / f"eval_{data}"
+            assert cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                             str(tmp_path / data), "--out", str(out)]) == 0
+            metrics.append((out / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+
+
 def _corrupt_first_value(path, text):
     lines = path.read_text().splitlines()
     fields = lines[0].split(",")

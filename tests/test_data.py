@@ -73,9 +73,9 @@ class TestBuildDesign:
         ]
         ds = Dataset.from_observations(obs, CommunityMap(assignments=[1, 1, 2]),
                                        "gaussian")
-        design = build_design(ds)
-        assert design.Z.shape == (2, 6)
-        np.testing.assert_array_equal(design.Z[0], [1, 0, 0, 1, 1, 1])
+        Z = build_design(ds)
+        assert Z.shape == (2, 6)
+        np.testing.assert_array_equal(Z[0], [1, 0, 0, 1, 1, 1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -98,13 +98,15 @@ class TestBuildDesign:
         cfg = ExperimentConfig(scheme="EBG", active_groups=("(1,1)",),
                                alpha=0.1, family="gaussian", seed=0)
         ds = gen_design_synthetic(cfg)
-        design = build_design(ds)
-        assert design.Z[ds.train_rows].shape == (1000, 1275)
+        Z = build_design(ds)
+        assert Z[ds.train_rows].shape == (1000, 1275)
 
-    def test_standardization_fields_unset(self, rng):
+    def test_rows_in_requested_order(self, rng):
         ds = make_simple(rng)
-        design = build_design(ds)
-        assert design.column_means is None and design.y_mean is None
+        rows = np.array([5, 0, 3])
+        Z = build_design(ds, rows)
+        np.testing.assert_array_equal(Z, build_design(ds)[rows])
+        np.testing.assert_array_equal(Z[:, :ds.index.n_edges], ds.edges[rows])
 
 
 def make_simple(rng, N=8):

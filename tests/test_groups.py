@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netcov import (CommunityMap, FeatureIndex, blocks, cells, ebg_groups,
                     expand, fold_back, nbg_groups, singleton_groups,
                     split_communities)
-from netcov.groups import normalize_group_name, write_groups_csv
+from netcov.groups import (normalize_group_name, scheme_groups,
+                           write_groups_csv)
+from oracles import expand_design
 
 # 13-community, 236-node reference layout used by the acceptance checks
 ATLAS_SIZES = (30, 5, 14, 13, 58, 5, 31, 25, 18, 13, 9, 11, 4)
@@ -14,6 +17,15 @@ def atlas_map():
     labels = np.concatenate([np.full(c, k + 1)
                              for k, c in enumerate(ATLAS_SIZES)])
     return CommunityMap(assignments=labels)
+
+
+@st.composite
+def community_layouts(draw):
+    """Community labels of 2..8 nodes: every label in 1..K used, any order."""
+    K = draw(st.integers(1, 4))
+    n = draw(st.integers(max(2, K), 8))
+    extra = draw(st.lists(st.integers(1, K), min_size=n - K, max_size=n - K))
+    return draw(st.permutations(list(range(1, K + 1)) + extra))
 
 
 def toy():
@@ -228,18 +240,21 @@ class TestExpansion:
         with pytest.raises(ValueError, match="length"):
             fold_back(np.zeros(emap.p_star + 1), emap)
 
-    def test_expanded_design_identity(self, rng):
-        # Z_star @ beta_star == Z @ fold_back(beta_star) by direct multiplication
-        cm = CommunityMap(assignments=[1, 1, 2, 2, 3])
-        idx = FeatureIndex(n=5, d=1)
-        spec = ebg_groups(cm, idx)
-        emap = expand(spec)
-        for _ in range(5):
-            Z = rng.standard_normal((5, idx.p))
-            beta_star = rng.standard_normal(emap.p_star)
-            lhs = emap.expand_design(Z) @ beta_star
-            rhs = Z @ fold_back(beta_star, emap)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    @pytest.mark.filterwarnings("ignore:dropping empty group")
+    @settings(max_examples=60, deadline=None)
+    @given(layout=community_layouts(), d=st.sampled_from([0, 1, 2]),
+           scheme=st.sampled_from(["nbg", "ebg"]),
+           N=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_expanded_design_identity(self, layout, d, scheme, N, seed):
+        # Z_star @ b == Z @ fold_back(b) by direct multiplication
+        cm = CommunityMap(assignments=layout)
+        idx = FeatureIndex(n=cm.n, d=d)
+        emap = expand(scheme_groups(scheme, cm, idx))
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((N, idx.p))
+        b = rng.standard_normal(emap.p_star)
+        np.testing.assert_allclose(expand_design(emap, Z) @ b,
+                                   Z @ fold_back(b, emap), atol=1e-10)
 
     def test_fold_back_linearity(self, rng):
         cm, idx = toy()

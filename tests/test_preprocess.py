@@ -1,96 +1,109 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from netcov import (CommunityMap, DesignMatrix, FeatureIndex, ebg_groups,
-                    expand, fold_back)
+from conftest import make_dataset
+from netcov import (CommunityMap, FeatureIndex, ebg_groups, expand,
+                    fold_back)
 from netcov.groups import ExpansionMap
+from netcov.pipeline import nuisance_corrected, prepare
 from netcov.preprocess import (RANK_TOL, apply_nuisance,
                                apply_standardization, back_transform,
                                orthonormalize, residualize_nuisance,
                                standardize)
+from oracles import expand_design
 
 
-def design_from(Z, n=None, d=0):
-    # wrap an arbitrary matrix: n chosen so that p matches edge count only
-    if n is None:
-        p = Z.shape[1]
-        n = int(round((1 + np.sqrt(1 + 8 * p)) / 2))
-        idx = FeatureIndex(n=n, d=0)
-        assert idx.p == p
-    else:
-        idx = FeatureIndex(n=n, d=d)
-    return DesignMatrix(Z=Z, index=idx)
+def standardized(Z):
+    # the standardized rows alone; the binomial family leaves y untouched
+    Z_std, _, _ = standardize(Z, np.zeros(Z.shape[0]), "binomial")
+    return Z_std
 
 
 class TestStandardize:
     def test_hand_arithmetic(self):
         Z = np.array([[1.0], [2.0], [3.0]])
-        design = design_from(Z, n=2, d=0)
-        out, _ = standardize(design)
+        out, _, stats = standardize(Z, np.zeros(3), "binomial")
         expected = np.sqrt(1.5)
-        np.testing.assert_allclose(out.Z.ravel(),
+        np.testing.assert_allclose(out.ravel(),
                                    [-expected, 0.0, expected], atol=1e-12)
-        assert out.column_means[0] == pytest.approx(2.0)
-        assert out.column_sds[0] == pytest.approx(np.sqrt(2.0 / 3.0))
+        assert stats["column_means"][0] == pytest.approx(2.0)
+        assert stats["column_sds"][0] == pytest.approx(np.sqrt(2.0 / 3.0))
+        assert stats["y_mean"] is None and stats["y_sd"] is None
 
     def test_idempotent(self, rng):
         Z = rng.standard_normal((20, 3))
-        d1, _ = standardize(design_from(Z))
-        d2, _ = standardize(design_from(d1.Z))
-        np.testing.assert_allclose(d2.Z, d1.Z, atol=1e-12)
+        d1 = standardized(Z)
+        np.testing.assert_allclose(standardized(d1), d1, atol=1e-12)
 
     def test_test_row_at_train_mean_maps_to_zero(self, rng):
-        Z = rng.standard_normal((11, 3))
-        train = np.arange(10)
-        Z[10] = Z[:10].mean(axis=0)
-        out, _ = standardize(design_from(Z), train_rows=train)
-        np.testing.assert_allclose(out.Z[10], 0.0, atol=1e-12)
+        Z = rng.standard_normal((10, 3))
+        _, _, stats = standardize(Z, np.zeros(10), "binomial")
+        row = apply_standardization(stats["column_means"],
+                                    stats["column_sds"],
+                                    Z.mean(axis=0)[None, :])
+        np.testing.assert_allclose(row, 0.0, atol=1e-12)
 
     def test_population_variance_convention(self, rng):
         Z = rng.standard_normal((15, 3))
-        out, _ = standardize(design_from(Z))
-        np.testing.assert_allclose(out.Z.std(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(standardized(Z).std(axis=0), 1.0,
+                                   atol=1e-12)
 
     def test_constant_column_flagged_and_zeroed(self, rng):
         Z = rng.standard_normal((10, 3))
         Z[:, 1] = 4.2
-        out, _ = standardize(design_from(Z))
-        assert out.constant_columns.tolist() == [False, True, False]
-        np.testing.assert_array_equal(out.Z[:, 1], 0.0)
+        out, _, stats = standardize(Z, np.zeros(10), "binomial")
+        assert (stats["column_sds"] == 0.0).tolist() == [False, True, False]
+        np.testing.assert_array_equal(out[:, 1], 0.0)
+        # zeroed on rows where the column varies, too
+        new = rng.standard_normal((4, 3)) * 100.0
+        np.testing.assert_array_equal(
+            apply_standardization(stats["column_means"], stats["column_sds"],
+                                  new)[:, 1], 0.0)
 
     def test_needs_two_rows(self, rng):
-        Z = rng.standard_normal((5, 3))
+        Z = rng.standard_normal((1, 3))
         with pytest.raises(ValueError, match="2 training rows"):
-            standardize(design_from(Z), train_rows=[0])
+            standardize(Z, np.zeros(1), "gaussian")
 
     def test_response_standardized_gaussian_only(self, rng):
         Z = rng.standard_normal((12, 3))
         y = rng.standard_normal(12) * 3 + 5
-        _, y_std = standardize(design_from(Z), y=y, family="gaussian")
+        _, y_std, stats = standardize(Z, y, "gaussian")
         assert y_std.mean() == pytest.approx(0.0, abs=1e-12)
         assert y_std.std() == pytest.approx(1.0, abs=1e-12)
+        assert stats["y_mean"] == pytest.approx(y.mean())
+        assert stats["y_sd"] == pytest.approx(y.std())
         yb = (rng.random(12) < 0.5).astype(float)
-        _, yb_out = standardize(design_from(Z), y=yb, family="binomial")
+        _, yb_out, _ = standardize(Z, yb, "binomial")
         np.testing.assert_array_equal(yb_out, yb)
 
     def test_stats_from_training_rows_only(self, rng):
-        Z = rng.standard_normal((20, 3))
+        ds = make_dataset(rng, [1, 1, 2, 2], d=1, N=20)
         train = np.arange(12)
-        out1, _ = standardize(design_from(Z), train_rows=train)
-        Z2 = Z.copy()
-        Z2[12:] += 100.0  # mutate held-out rows only
-        out2, _ = standardize(design_from(Z2), train_rows=train)
-        np.testing.assert_array_equal(out1.column_means, out2.column_means)
-        np.testing.assert_array_equal(out1.column_sds, out2.column_sds)
-        np.testing.assert_array_equal(out1.Z[:12], out2.Z[:12])
+        spec = ebg_groups(ds.communities, ds.index)
+        prep1 = prepare(ds, spec, train)
+        moved = replace(ds, edges=ds.edges.copy())
+        moved.edges[12:] += 100.0  # mutate held-out rows only
+        prep2 = prepare(moved, spec, train)
+        np.testing.assert_array_equal(prep1.model.column_means,
+                                      prep2.model.column_means)
+        np.testing.assert_array_equal(prep1.model.column_sds,
+                                      prep2.model.column_sds)
+        np.testing.assert_array_equal(prep1.problem.U, prep2.problem.U)
 
     def test_apply_standardization_matches(self, rng):
-        Z = rng.standard_normal((10, 3))
-        out, _ = standardize(design_from(Z))
-        np.testing.assert_allclose(apply_standardization(out, Z), out.Z)
+        # one arithmetic: the returned training rows are, bit for bit,
+        # apply_standardization of the same raw rows
+        Z = rng.standard_normal((10, 4)) * 3.0 + 1.0
+        Z[:, 2] = -7.5
+        out, _, stats = standardize(Z, rng.standard_normal(10), "gaussian")
+        np.testing.assert_array_equal(
+            apply_standardization(stats["column_means"], stats["column_sds"],
+                                  Z), out)
 
 
 class TestResidualize:
@@ -119,14 +132,14 @@ class TestResidualize:
         assert abs(Zc.mean(axis=0)).max() < 1e-10
 
     def test_train_only_coefficients(self, rng):
-        nuisance = rng.standard_normal((20, 2))
-        Z = rng.standard_normal((20, 3))
+        ds = make_dataset(rng, [1, 1, 2, 2], d=1, N=20, nuisance_q=2)
         train = np.arange(14)
-        _, _, m1 = residualize_nuisance(Z, None, nuisance, train_rows=train)
-        Z2 = Z.copy()
-        Z2[14:] += 50.0
-        _, _, m2 = residualize_nuisance(Z2, None, nuisance, train_rows=train)
+        _, _, m1 = nuisance_corrected(ds, train)
+        moved = replace(ds, edges=ds.edges.copy())
+        moved.edges[14:] += 50.0  # mutate held-out rows only
+        _, _, m2 = nuisance_corrected(moved, train)
         np.testing.assert_array_equal(m1.feature_coefs, m2.feature_coefs)
+        np.testing.assert_array_equal(m1.y_coefs, m2.y_coefs)
 
     def test_too_many_nuisance_columns(self, rng):
         with pytest.raises(ValueError, match="nuisance columns"):
@@ -143,24 +156,33 @@ class TestResidualize:
         nuisance = rng.standard_normal((20, 2))
         Z = rng.standard_normal((20, 3))
         y = rng.standard_normal(20)
-        train = np.arange(15)
-        Zc, yc, model = residualize_nuisance(Z, y, nuisance, train_rows=train)
+        Zc, yc, model = residualize_nuisance(Z[:15], y[:15], nuisance[:15])
+        # the training rows are the model applied to themselves
+        Z_tr, y_tr = apply_nuisance(model, Z[:15], nuisance[:15], y[:15])
+        np.testing.assert_array_equal(Z_tr, Zc)
+        np.testing.assert_array_equal(y_tr, yc)
+        # new rows lose the training OLS prediction
+        M = np.column_stack([np.ones(15), nuisance[:15]])
+        M_new = np.column_stack([np.ones(5), nuisance[15:]])
+        coefs = np.linalg.solve(M.T @ M, M.T @ np.column_stack([Z[:15],
+                                                                y[:15]]))
         Z_new, y_new = apply_nuisance(model, Z[15:], nuisance[15:], y[15:])
-        np.testing.assert_allclose(Z_new, Zc[15:], atol=1e-12)
-        np.testing.assert_allclose(y_new, yc[15:], atol=1e-12)
+        np.testing.assert_allclose(Z_new, Z[15:] - M_new @ coefs[:, :3],
+                                   atol=1e-12)
+        np.testing.assert_allclose(y_new, y[15:] - M_new @ coefs[:, 3],
+                                   atol=1e-12)
 
     def test_commutes_with_standardization(self, rng):
         # standardize(residualize(Z)) == standardize(residualize(standardize(Z)))
         nuisance = rng.standard_normal((25, 2))
         Z = rng.standard_normal((25, 6)) * 3.0 + 1.0
         a, _, _ = residualize_nuisance(Z, None, nuisance)
-        da, _ = standardize(design_from(a, n=3, d=1))
+        da = standardized(a)
 
-        pre, _ = standardize(design_from(Z, n=3, d=1))
-        b, _, _ = residualize_nuisance(pre.Z, None, nuisance)
-        db, _ = standardize(design_from(b, n=3, d=1))
-        np.testing.assert_allclose(da.Z, db.Z, atol=1e-10)
-        for out in (da.Z, db.Z):
+        b, _, _ = residualize_nuisance(standardized(Z), None, nuisance)
+        db = standardized(b)
+        np.testing.assert_allclose(da, db, atol=1e-10)
+        for out in (da, db):
             np.testing.assert_allclose(nuisance.T @ out, 0.0, atol=1e-8)
             np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-10)
 
@@ -171,25 +193,24 @@ def toy_expansion(rng, N=30, rank_deficient=False):
     Z = rng.standard_normal((N, idx.p))
     if rank_deficient:
         Z[:, 3] = Z[:, 2]  # duplicate a column inside group (1,2)
-    design, _ = standardize(DesignMatrix(Z=Z, index=idx))
     spec = ebg_groups(cm, idx)
     emap = expand(spec)
-    return design, spec, emap
+    return standardized(Z), spec, emap
 
 
 class TestOrthonormalize:
     def test_orthonormal_blocks(self, rng):
-        design, spec, emap = toy_expansion(rng)
-        U, basis, mult = orthonormalize(design.Z, emap)
+        Z_std, spec, emap = toy_expansion(rng)
+        U, basis, mult = orthonormalize(Z_std, emap)
         for s0, s1 in basis.u_slices:
             block = U[:, s0:s1]
             np.testing.assert_allclose(block.T @ block,
                                        np.eye(s1 - s0), atol=1e-10)
 
     def test_reconstruction(self, rng):
-        design, spec, emap = toy_expansion(rng)
-        Z_star = emap.expand_design(design.Z)
-        U, basis, _ = orthonormalize(design.Z, emap)
+        Z_std, spec, emap = toy_expansion(rng)
+        Z_star = expand_design(emap, Z_std)
+        U, basis, _ = orthonormalize(Z_std, emap)
         for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
                                       basis.u_slices):
             s0, s1 = emap.slices[gi]
@@ -235,8 +256,8 @@ class TestOrthonormalize:
 
 class TestBackTransform:
     def test_zero_maps_to_zero(self, rng):
-        design, spec, emap = toy_expansion(rng)
-        U, basis, _ = orthonormalize(design.Z, emap)
+        Z_std, spec, emap = toy_expansion(rng)
+        U, basis, _ = orthonormalize(Z_std, emap)
         beta = back_transform(np.zeros(U.shape[1]), basis, emap)
         np.testing.assert_array_equal(beta, np.zeros(emap.p))
 
@@ -256,19 +277,19 @@ class TestBackTransform:
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_prediction_invariance(self, rng, rank_deficient):
-        design, spec, emap = toy_expansion(rng, rank_deficient=rank_deficient)
-        U, basis, _ = orthonormalize(design.Z, emap)
+        Z_std, spec, emap = toy_expansion(rng, rank_deficient=rank_deficient)
+        U, basis, _ = orthonormalize(Z_std, emap)
         for _ in range(10):
             bt = rng.standard_normal(U.shape[1])
             beta = back_transform(bt, basis, emap)
             pred_u = U @ bt
-            pred_z = design.Z @ beta
+            pred_z = Z_std @ beta
             scale = max(1.0, np.linalg.norm(pred_u))
             assert np.max(np.abs(pred_u - pred_z)) / scale < 1e-8
 
     def test_length_check(self, rng):
-        design, spec, emap = toy_expansion(rng)
-        U, basis, _ = orthonormalize(design.Z, emap)
+        Z_std, spec, emap = toy_expansion(rng)
+        U, basis, _ = orthonormalize(Z_std, emap)
         with pytest.raises(ValueError, match="length"):
             back_transform(np.zeros(U.shape[1] + 2), basis, emap)
 

@@ -97,7 +97,7 @@ class TestSyntheticDesign:
         cfg = ExperimentConfig(scheme="EBG", active_groups=("(1,1)",),
                                alpha=0.2, family="gaussian", seed=5)
         ds = gen_design_synthetic(cfg)
-        Z = build_design(ds).Z[ds.train_rows]
+        Z = build_design(ds)[ds.train_rows]
         assert np.max(np.abs(Z.mean(axis=0))) < 0.15  # 4 / sqrt(1000)
 
 
@@ -155,7 +155,7 @@ class TestDifficulty:
         ds = gen_design_synthetic(small_config(N=200))
         spec = ebg_groups(ds.communities, ds.index)
         truth = make_beta(spec, ("(1,1)",), 0.3)
-        Z = build_design(ds).Z[ds.train_rows]
+        Z = build_design(ds)[ds.train_rows]
         _, snr = scenario_difficulty(ds, truth, "gaussian")
         assert snr == pytest.approx(np.var(Z @ truth.beta), rel=1e-12)
 
@@ -196,7 +196,7 @@ class TestSemiSynthetic:
         src = self.make_source(tmp_path, rng)
         cfg = small_config(K=3, nodes_per_community=3)
         ds, truth, communities = gen_semisynthetic(src, cfg)
-        Z = build_design(ds).Z
+        Z = build_design(ds)
         assert np.max(np.abs(Z[ds.train_rows].mean(axis=0))) < 1e-12
         assert np.max(np.abs(Z[ds.test_rows].mean(axis=0))) > 1e-6
 
