@@ -212,7 +212,12 @@ def _factor_block(B, out):
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
     r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     out[:r] = U[:, :r].T
-    return r, Vt[:r].T.copy(), s[:r].copy()
+    V = Vt[:r].T.copy()
+    # an all-zero column (constant on the training rows) adds nothing to
+    # B V, but the SVD leaves rounding dust in its row of V, which
+    # back_transform would report as that column's coefficient
+    V[~B.any(axis=0)] = 0.0
+    return r, V, s[:r].copy()
 
 
 def orthonormalize(Z, emap, group_names=None):

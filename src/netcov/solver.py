@@ -31,10 +31,13 @@ consecutive solutions share their active set, the next point starts from
 their linear extrapolation if that beats the plain warm start.  Either
 way descent continues from the kept point, and the returned iterate
 always comes from a sweep, so zero groups are exact zeros and the KKT
-certificate is unchanged.  A trial point is priced from the state in
-hand plus a product over the columns it moves, and a path point that
-starts where its predecessor stopped reuses the state of that point's
-final KKT pass, so neither costs a pass over all of U.
+certificate is unchanged.  The solver's state (the gaussian residual
+y - mu - U b, or the binomial linear predictor mu + U b) is affine in
+(mu, b), and both extrapolations are affine combinations whose weights
+sum to 1.  So a trial point is priced from the same combination of the
+states stored at the points it combines, with no pass over U; and a
+path point that starts where its predecessor stopped reuses the state
+of that point's final KKT pass.
 """
 
 import warnings
@@ -127,6 +130,7 @@ class Solution:
     kkt_residual: float
     deviance: float
     n_extrapolated: int  # accepted Anderson steps
+    state: np.ndarray  # work vector at (mu, beta_tilde), as _fresh_state
 
 
 @dataclass
@@ -186,10 +190,12 @@ def _linear_predictor(problem, mu, beta_tilde):
 
 
 def _fresh_state(problem, mu, beta):
+    """The solver's work vector at (mu, beta): the residual y - eta for the
+    gaussian family, the linear predictor eta for the binomial family."""
     eta = _linear_predictor(problem, mu, beta)
     if problem.family == "gaussian":
-        return {"resid": problem.y - eta}
-    return {"eta": eta}
+        return problem.y - eta
+    return eta
 
 
 def smooth_gradient(problem, mu, beta_tilde, state=None):
@@ -205,9 +211,8 @@ def smooth_gradient(problem, mu, beta_tilde, state=None):
         state = _fresh_state(problem, mu, beta_tilde)
     N = problem.N
     if problem.family == "gaussian":
-        resid = state["resid"]
-        return -float(resid.mean()), -(problem.U.T @ resid) / N
-    diff = expit(state["eta"]) - problem.y
+        return -float(state.mean()), -(problem.U.T @ state) / N
+    diff = expit(state) - problem.y
     return 2.0 * float(diff.mean()), 2.0 * (problem.U.T @ diff) / N
 
 
@@ -219,9 +224,8 @@ def _penalized(problem, dev, beta_tilde):
 
 def _state_deviance(problem, state):
     if problem.family == "gaussian":
-        resid = state["resid"]
-        return 0.5 * float(resid @ resid)
-    return deviance("binomial", problem.y, state["eta"])
+        return 0.5 * float(state @ state)
+    return deviance("binomial", problem.y, state)
 
 
 def objective(problem, mu, beta_tilde):
@@ -326,7 +330,7 @@ class _Workspace:
     """Per-problem scratch shared across a path: transposed design (rows
     contiguous per column of U; a view when U comes from
     :func:`~netcov.preprocess.orthonormalize`), the group layout as flat
-    arrays, and the state held at the last point a fit stopped at."""
+    arrays, and the state held at the point the next fit starts from."""
 
     __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups", "held")
 
@@ -347,11 +351,11 @@ class _Workspace:
         self.held = (mu, beta.copy(), state)
 
     def start_state(self, problem, mu, beta):
-        """The held state if it is at (mu, beta), else a fresh pass over U.
-        Either way nothing stays held, since the caller mutates the state."""
-        held, self.held = self.held, None
+        """A copy of the held state if it is at (mu, beta), else a fresh
+        pass over U; the held state itself is never modified."""
+        held = self.held
         if held is not None and held[0] == mu and np.array_equal(held[1], beta):
-            return held[2]
+            return held[2].copy()
         return _fresh_state(problem, mu, beta)
 
 
@@ -408,9 +412,10 @@ def _sweep_groups(UT, resid, eta, track_eta, beta, starts, ends,
 def _sweep(problem, ws, state, mu, beta, order):
     """One cyclic pass (intercept + the given groups); returns (mu, max change).
 
-    ``state`` is the maintained length-N work vector: the residual
-    y - eta for the gaussian family, the surrogate residual 4*(y - pi)
-    for the binomial family (re-majorized here, at the top of each sweep).
+    ``state`` is the work vector of :func:`_fresh_state`, updated in
+    place: the residual y - eta for the gaussian family; eta for the
+    binomial family, whose surrogate residual 4*(y - pi) is re-majorized
+    from it here, at the top of each sweep.
     Exact coordinate minimization per block in both cases, so the
     objective (gaussian) / its majorizer (binomial) never increases.
     """
@@ -418,11 +423,11 @@ def _sweep(problem, ws, state, mu, beta, order):
     lam = problem.lam
     gaussian = problem.family == "gaussian"
     if gaussian:
-        resid = state["resid"]
+        resid = state
         eta = _EMPTY
         thresh_scale = N * lam
     else:
-        eta = state["eta"]
+        eta = state
         pi = expit(eta)
         resid = 4.0 * (problem.y - pi)
         thresh_scale = 2.0 * N * lam
@@ -443,37 +448,16 @@ def _sweep(problem, ws, state, mu, beta, order):
 _EMPTY = np.empty(0)
 
 
-def _shifted_state(problem, state, dmu, coords, delta):
-    """The state after moving mu by ``dmu`` and ``beta[coords]`` by
-    ``delta``: ``state`` plus a product over those columns of U only.
-    ``state`` itself is left as it is.
-
-    Gathering the moving columns reads and writes them before the product
-    reads them again, so once a third of U's columns move, one product
-    over all of U (zeros elsewhere) moves fewer bytes and is taken instead.
-    """
-    m = problem.U.shape[1]
-    if 3 * coords.size < m:
-        shift = delta @ problem.U.T[coords]
-    else:
-        full = np.zeros(m)
-        full[coords] = delta
-        shift = problem.U @ full
-    shift += dmu
-    if problem.family == "gaussian":
-        return {"resid": state["resid"] - shift}
-    return {"eta": state["eta"] + shift}
-
-
-def _anderson(problem, state, beta, coords, history):
+def _anderson(problem, beta, coords, history, states):
     """Anderson extrapolation of the (mu, beta[coords]) iterates in history.
 
     Solves the K x K system on the iterate differences for the affine
-    weights, then evaluates the extrapolated point from the current state
-    over the active columns of U only; the intercept moves from the last
-    history entry, which is the current point.  Returns ``(mu, state)``
-    there, with ``beta`` updated in place, when it lowers the objective;
-    otherwise None and ``beta`` is left as it is.
+    weights, which sum to 1.  The state is affine in (mu, beta), so the
+    extrapolated point's state is the same combination of ``states``, the
+    states stored at those iterates; the last entry of both lists is the
+    current point.  Returns ``(mu, state)`` at the extrapolated point,
+    with ``beta`` updated in place, when it lowers the objective;
+    otherwise None, and ``beta`` and ``states`` are left as they are.
     """
     X = np.array(history)
     D = np.diff(X, axis=0)
@@ -484,12 +468,12 @@ def _anderson(problem, state, beta, coords, history):
     total = z.sum()
     if not np.isfinite(total) or total == 0.0:
         return None
-    x = (z / total) @ X[1:]
+    w = z / total
+    x = w @ X[1:]
     trial = beta.copy()
     trial[coords] = x[1:]
-    trial_state = _shifted_state(problem, state, x[0] - X[-1, 0], coords,
-                                 x[1:] - beta[coords])
-    q_now = _penalized(problem, _state_deviance(problem, state), beta)
+    trial_state = w @ np.array(states[1:])
+    q_now = _penalized(problem, _state_deviance(problem, states[-1]), beta)
     q_new = _penalized(problem, _state_deviance(problem, trial_state), trial)
     if not q_new < q_now:
         return None
@@ -530,21 +514,22 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     while sweeps < max_iter:
         # converge on the current active set
         coords = np.flatnonzero(np.repeat(in_active, ws.ends - ws.starts))
-        history = []
+        history, states = [], []
         while sweeps < max_iter:
             mu, delta = _sweep(problem, ws, state, mu, beta, active)
             sweeps += 1
             if delta < tol:
                 break
             history.append(np.concatenate(([mu], beta[coords])))
+            states.append(state.copy())
             # extrapolate only where a sweep follows, so that the returned
             # iterate always comes from a sweep
             if len(history) > ANDERSON_K and sweeps < max_iter:
-                step = _anderson(problem, state, beta, coords, history)
+                step = _anderson(problem, beta, coords, history, states)
                 if step is not None:
                     mu, state = step
                     n_extrapolated += 1
-                history = []
+                history, states = [], []
 
         # full gradient pass: screening + KKT certificate
         state = _fresh_state(problem, mu, beta)  # shed incremental drift
@@ -567,7 +552,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
             return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
                             kkt_residual=res,
                             deviance=_state_deviance(problem, state),
-                            n_extrapolated=n_extrapolated)
+                            n_extrapolated=n_extrapolated, state=state)
 
         # not stationary yet: take a full pass over every group
         if sweeps < max_iter:
@@ -607,6 +592,7 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
         raise ValueError("lambda grid must be strictly decreasing")
 
     entries = []
+    finals = []  # the states of the last two solutions
     mu0 = None
     beta0 = None
     ws = _Workspace(problem)
@@ -618,17 +604,12 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
             last, prev = entries[-1], entries[-2]
             mu_p = 2.0 * last.mu - prev.mu
             beta_p = 2.0 * last.beta_tilde - prev.beta_tilde
+            state_p = 2.0 * finals[-1] - finals[-2]
             q_plain = _penalized(prob, last.deviance, last.beta_tilde)
-            # the last fit held its state at (last.mu, last.beta_tilde)
-            _, _, state = ws.held
-            delta = beta_p - last.beta_tilde
-            coords = np.flatnonzero(delta)
-            trial_state = _shifted_state(prob, state, mu_p - last.mu,
-                                         coords, delta[coords])
-            dev_p = _state_deviance(prob, trial_state)
+            dev_p = _state_deviance(prob, state_p)
             if _penalized(prob, dev_p, beta_p) < q_plain:
                 mu0, beta0, predicted = mu_p, beta_p, True
-                ws.hold(mu_p, beta_p, trial_state)
+                ws.hold(mu_p, beta_p, state_p)
         retry_sweeps = 0
         try:
             sol = fit_at_lambda(prob, beta0=beta0, mu0=mu0,
@@ -645,6 +626,7 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
                                 kkt_tol=kkt_tol, workspace=ws)
         mu0 = sol.mu
         beta0 = sol.beta_tilde
+        finals = finals[-1:] + [sol.state]
         norms = _group_norms(sol.beta_tilde, problem.slices)
         active = tuple(problem.names[gi]
                        for gi in range(problem.n_groups) if norms[gi] > 0)

@@ -119,6 +119,8 @@ def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
     assignment leaving some fold's training part with constant response
     is redrawn once from a derived seed; a second failure is an error.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
     rows = dataset.training_rows(rows)
     if rows.size < folds:
         raise ValueError(f"{rows.size} training rows cannot fill {folds} folds")

@@ -430,6 +430,13 @@ class TestTrainingConstantColumn:
                          "--grid-size", "8", "--seed", "3"]) == 0
         sds = read_rows(fit_dir / "standardization.csv")
         assert float(sds[5]["sd"]) == 0.0
+        # its coefficient is undetermined, and written as exactly 0
+        coefs = read_rows(fit_dir / "coefficients.csv")
+        assert float(coefs[5]["beta"]) == 0.0
+        path_files = sorted(fit_dir.glob("coef_*.csv"))
+        assert len(path_files) == 8
+        for name in path_files:
+            assert np.loadtxt(name, delimiter=",")[5] == 0.0
         metrics = []
         for data in ("data", "moved"):
             out = tmp_path / f"eval_{data}"
@@ -494,6 +501,20 @@ class TestBadInputRejected:
                          "--grid-size", "4", "--seed", "1"])
         assert code == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", [0, 1, -2])
+    def test_fewer_than_two_folds_exit_3(self, tmp_path, capsys, folds):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(6), [1, 1, 2, 2], d=1, N=14)
+        save_dataset(ds, str(tmp_path / "data"))
+        code = cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(tmp_path / "fit"), "--folds",
+                         str(folds), "--grid-size", "4", "--seed", "1"])
+        assert code == 3
+        assert (f"folds must be at least 2, got {folds}"
+                in capsys.readouterr().err)
 
 
 class TestCpm:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from conftest import make_dataset
 from netcov import CommunityMap, FeatureIndex, ebg_groups, make_beta
-from netcov.groups import ExpansionMap
+from netcov.groups import ExpansionMap, normalize_group_name
 from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
 from netcov.solver import (ConvergenceError, PenalizedProblem, deviance,
@@ -446,24 +447,25 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_worse_extrapolation_is_rejected(self, rng, family):
-        # a history whose affine combinations all lie far from the iterate
-        # cannot lower the objective: the step is refused, nothing moves
+        # the current iterate is the solution and the rest of the history
+        # lies far from it: their affine combinations cannot lower the
+        # objective, so the step is refused and nothing moves
         from netcov.solver import ANDERSON_K, _anderson, _fresh_state
 
         problem, *_ = build_problem(rng, family=family)
         prob = replace(problem, lam=0.2 * lambda_max(problem))
         sol = fit_at_lambda(prob)
         coords = np.arange(prob.U.shape[1])
-        state = _fresh_state(prob, sol.mu, sol.beta_tilde)
         point = np.concatenate(([sol.mu], sol.beta_tilde[coords]))
         history = [point + 50.0 * rng.standard_normal(point.size)
-                   for _ in range(ANDERSON_K + 1)]
+                   for _ in range(ANDERSON_K)] + [point]
+        states = [_fresh_state(prob, x[0], x[1:]) for x in history]
         beta = sol.beta_tilde.copy()
-        kept = {key: vec.copy() for key, vec in state.items()}
-        assert _anderson(prob, state, beta, coords, history) is None
+        kept = [state.copy() for state in states]
+        assert _anderson(prob, beta, coords, history, states) is None
         np.testing.assert_array_equal(beta, sol.beta_tilde)
-        for key, vec in state.items():
-            np.testing.assert_array_equal(vec, kept[key])
+        for state, was in zip(states, kept):
+            np.testing.assert_array_equal(state, was)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_zero_groups_are_exact_zeros(self, family):
@@ -518,28 +520,45 @@ class TestStateReuse:
         assert np.shares_memory(_Workspace(prep.problem).UT, prep.problem.U)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
-    def test_shifted_state_matches_fresh(self, rng, family):
-        from netcov.solver import _fresh_state, _shifted_state
+    def test_stored_state_pricing_matches_fresh(self, family, monkeypatch):
+        # the state an accepted Anderson step combines from the stored
+        # states, and the state 2*s_k - s_{k-1} a predicted start takes,
+        # each equal a fresh pass over U at that point
+        import netcov.solver as solver
+        from netcov.solver import _fresh_state
 
-        prob = scheme_problem("nbg", family).problem
-        m = prob.U.shape[1]
-        beta = rng.standard_normal(m)
-        state = _fresh_state(prob, 0.3, beta)
-        kept = {key: vec.copy() for key, vec in state.items()}
-        # a few columns, one, none, and half of them: past a third of the
-        # columns the shift is one product over all of U
-        for coords in (np.r_[0:3, 7, 9:14, m - 2:m], np.array([5]),
-                       np.array([], dtype=np.int64), np.arange(0, m, 2)):
-            delta = rng.standard_normal(coords.size)
-            moved = beta.copy()
-            moved[coords] += delta
-            shifted = _shifted_state(prob, state, -0.2, coords, delta)
-            fresh = _fresh_state(prob, 0.1, moved)
-            for key in fresh:
-                np.testing.assert_allclose(shifted[key], fresh[key],
-                                           rtol=0, atol=1e-12)
-        for key, vec in state.items():
-            np.testing.assert_array_equal(vec, kept[key])
+        anderson = solver._anderson
+        solve = solver.fit_at_lambda
+        priced, solutions = [], []
+
+        def accepted(problem, beta, coords, history, states):
+            step = anderson(problem, beta, coords, history, states)
+            if step is not None:
+                priced.append(("anderson", problem, step[0], beta.copy(),
+                               step[1].copy()))
+            return step
+
+        def started(problem, beta0=None, mu0=None, workspace=None, **kwargs):
+            if solutions and not np.array_equal(beta0,
+                                                solutions[-1].beta_tilde):
+                mu, beta, state = workspace.held
+                assert mu == mu0 and np.array_equal(beta, beta0)
+                priced.append(("predicted", problem, mu, beta, state.copy()))
+            solutions.append(solve(problem, beta0=beta0, mu0=mu0,
+                                   workspace=workspace, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(solver, "_anderson", accepted)
+        monkeypatch.setattr(solver, "fit_at_lambda", started)
+        prep = scheme_problem("ebg", family)
+        fit_path(prep.problem, prep.basis, prep.emap, grid_size=30)
+        monkeypatch.undo()
+        assert {kind for kind, *_ in priced} == {"anderson", "predicted"}
+        for _, problem, mu, beta, state in priced:
+            fresh = _fresh_state(problem, mu, beta)
+            scale = max(1.0, float(np.abs(fresh).max()))
+            np.testing.assert_allclose(state, fresh, rtol=0,
+                                       atol=1e-12 * scale)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_plain_warm_starts_are_bit_identical(self, family, monkeypatch):
@@ -571,3 +590,48 @@ class TestStateReuse:
             assert again.n_sweeps == sol.n_sweeps
             assert again.deviance == sol.deviance
         assert plain > 0
+
+
+class TestCommunityRelabelling:
+    """Community labels are names only: permuting them renames the groups
+    and leaves every fitted linear predictor where it was."""
+
+    COMMUNITIES = np.array([1, 1, 2, 2, 3, 3, 4, 4])
+
+    @staticmethod
+    def relabelled(name, perm):
+        labels = name.strip("()").split(",")
+        renamed = ",".join(str(perm[int(k) - 1]) for k in labels)
+        return normalize_group_name(f"({renamed})" if "," in name
+                                    else renamed)
+
+    @pytest.mark.parametrize("scheme,family", [
+        ("nbg", "gaussian"), ("ebg", "gaussian"), ("nbg", "binomial"),
+        ("ebg", "binomial")])
+    @settings(max_examples=4, deadline=None)
+    @given(perm=st.permutations([1, 2, 3, 4]))
+    def test_fit_does_not_depend_on_labels(self, scheme, family, perm):
+        cm = CommunityMap(assignments=self.COMMUNITIES)
+        idx = FeatureIndex(n=cm.n, d=1)
+        truth = make_beta(ebg_groups(cm, idx), ("(1,2)",), 0.6)
+        ds = make_dataset(np.random.default_rng(5), self.COMMUNITIES, d=1,
+                          N=60, family=family, beta=truth.beta)
+        moved = replace(ds, communities=CommunityMap(
+            assignments=np.asarray(perm)[self.COMMUNITIES - 1]))
+        (spec, _), (spec_m, _) = (make_groups(d, scheme) for d in (ds, moved))
+        renamed = {name: self.relabelled(name, perm) for name in spec.names}
+        members_m = dict(zip(spec_m.names, spec_m.members))
+        for name, members in zip(spec.names, spec.members):
+            np.testing.assert_array_equal(members, members_m[renamed[name]])
+
+        preps = [prepare(ds, spec), prepare(moved, spec_m)]
+        lambdas = lambda_grid(lambda_max(preps[0].problem), grid_size=12,
+                              min_ratio=0.1)
+        paths = [fit_path(p.problem, p.basis, p.emap, lambdas=lambdas)
+                 for p in preps]
+        for a, b in zip(*(pf.entries for pf in paths)):
+            eta_a = a.mu + preps[0].problem.U @ a.beta_tilde
+            eta_b = b.mu + preps[1].problem.U @ b.beta_tilde
+            assert np.max(np.abs(eta_a - eta_b)) < 1e-6
+            assert {renamed[g] for g in a.active_groups} == set(
+                b.active_groups)
