@@ -55,8 +55,10 @@ def cpm_fit(Z, y, idx, alpha=0.01):
     idx : FeatureIndex
         Locates the edge block.
     alpha : float
-        Two-sided p-value threshold for edge screening.
+        Two-sided p-value threshold for edge screening, in (0, 1].
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"CPM alpha must be a number in (0, 1], got {alpha!r}")
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     N = y.size

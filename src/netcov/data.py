@@ -349,11 +349,28 @@ def devectorize(z, idx, y=0.0):
     return Observation(A=A, X=X, y=y)
 
 
+_GATHER_ELEMENTS = 1 << 20  # elements build_design gathers per step (8 MB)
+
+
 def build_design(dataset, rows=None):
     """A dataset's vectorized rows (all, or ``rows`` in that order) as one
-    N x p array in canonical feature order."""
-    rows = slice(None) if rows is None else rows
-    return np.hstack([dataset.edges[rows], dataset.node_covs[rows]])
+    N x p array in canonical feature order.
+
+    Rows go straight into the output a few at a time, so a row subset is
+    never copied whole before it lands there.
+    """
+    blocks = (dataset.edges, dataset.node_covs)
+    n = blocks[0].shape[0] if rows is None else len(rows)
+    out = np.empty((n, sum(b.shape[1] for b in blocks)),
+                   dtype=np.result_type(*blocks))
+    step = max(1, _GATHER_ELEMENTS // max(1, out.shape[1]))
+    for lo in range(0, n, step):
+        take = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+        col = 0
+        for block in blocks:
+            out[lo:lo + step, col:col + block.shape[1]] = block[take]
+            col += block.shape[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

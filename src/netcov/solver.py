@@ -38,8 +38,31 @@ sum to 1.  So a trial point is priced from the same combination of the
 states stored at the points it combines, with no pass over U; and a
 path point that starts where its predecessor stopped reuses the state
 of that point's final KKT pass.
+
+The pass over the groups, the hot loop of every sweep, runs in C:
+``sweep_kernel.c`` beside this module.  It is compiled with the system C
+compiler (``gcc``) the first time a solver workspace is made, never at
+import, and loaded with :mod:`ctypes`; ctypes and a compiler need no
+package beyond the standard library, where cffi would be an undeclared
+dependency.  The library is cached under the user cache directory
+(``$XDG_CACHE_HOME/netcov``, by default ``~/.cache/netcov``).  A missing
+or failing compiler is an error naming the compiler and its output;
+there is no interpreted fallback.  The build uses ``-O3 -march=native
+-ffp-contract=off`` and never ``-ffast-math``: fast-math would let the
+compiler reassociate sums and fuse multiply-adds, so a result would
+depend on the vector width of the build.  The kernel instead spells out
+eight independent partial sums per dot product, which the compiler
+vectorizes without reordering any of them, so its arithmetic is the same
+whatever vector width the build picks.
 """
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 
@@ -73,6 +96,15 @@ DEFAULT_KKT_TOL = 1e-6
 ZERO_GRAD_TOL = 1e-10  # absolute gradient gate for the unpenalized case
 ANDERSON_K = 5  # iterate differences per Anderson step, taken every K+1 sweeps
 
+_CC = "gcc"
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "sweep_kernel.c")
+_CACHE_DIR = os.path.join(
+    os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+    "netcov")
+_kernel_fn = None  # the process's loaded library, set once by _load_kernel
+
 
 class ConvergenceError(RuntimeError):
     """Solver failed to converge; carries the last iterate and KKT residual."""
@@ -93,6 +125,10 @@ class PenalizedProblem:
     the rank-scaled penalty weights sqrt(r_G), and ``names`` the stable
     group names used in reports.  ``lam`` is the penalty level for
     :func:`fit_at_lambda`; path drivers swap it with ``dataclasses.replace``.
+    ``U`` is stored as float64 with contiguous columns, the layout
+    :func:`~netcov.preprocess.orthonormalize` writes (kept without a
+    copy); any other dtype or order is converted once here, so the path
+    does not depend on how U arrived.
     """
 
     U: np.ndarray
@@ -104,6 +140,11 @@ class PenalizedProblem:
     lam: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "U",
+                           np.asfortranarray(self.U, dtype=np.float64))
+        if self.U.ndim != 2 or self.U.shape[0] != np.size(self.y):
+            raise ValueError(f"U has shape {self.U.shape}, expected "
+                             f"{np.size(self.y)} rows")
         if self.family not in ("gaussian", "binomial"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.lam < 0:
@@ -326,16 +367,76 @@ def lambda_grid(lam_max, grid_size=100, min_ratio=0.05):
     return np.geomspace(lam_max, min_ratio * lam_max, grid_size)
 
 
-class _Workspace:
-    """Per-problem scratch shared across a path: transposed design (rows
-    contiguous per column of U; a view when U comes from
-    :func:`~netcov.preprocess.orthonormalize`), the group layout as flat
-    arrays, and the state held at the point the next fit starts from."""
+def _host_cpu():
+    """What ``-march=native`` resolves against: the first CPU's model name
+    and feature flags where the OS lists them, else the machine type."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            fields = {}
+            for line in fh:
+                key = line.split(":", 1)[0].strip()
+                if key in ("model name", "flags"):
+                    fields.setdefault(key, line)
+            return "".join(sorted(fields.values()))
+    except OSError:
+        return f"{platform.machine()} {platform.processor()}"
 
-    __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups", "held")
+
+def _load_kernel():
+    """The compiled sweep, built into the cache on first use.
+
+    The library's name hashes the C source, the compiler command and the
+    host CPU, so a cache in a shared home directory never hands a
+    ``-march=native`` build to another CPU.  A build goes to a private
+    temporary directory and is renamed into place, so processes that
+    build at once each load a whole library.
+    """
+    global _kernel_fn
+    if _kernel_fn is not None:
+        return _kernel_fn
+    command = (_CC, *_CFLAGS)
+    with open(_SOURCE, "rb") as fh:
+        key = hashlib.sha256(b"\0".join((
+            fh.read(), " ".join(command).encode(),
+            _host_cpu().encode()))).hexdigest()[:16]
+    path = os.path.join(_CACHE_DIR, f"sweep_kernel-{key}.so")
+    if not os.path.exists(path):
+        os.makedirs(_CACHE_DIR, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=_CACHE_DIR) as tmp:
+            built = os.path.join(tmp, "sweep_kernel.so")
+            try:
+                proc = subprocess.run([*command, _SOURCE, "-o", built, "-lm"],
+                                      capture_output=True, text=True)
+            except OSError as exc:
+                raise RuntimeError(
+                    f"cannot build the sweep kernel: C compiler {_CC!r} "
+                    f"did not run: {exc}") from exc
+            if proc.returncode != 0:
+                raise RuntimeError(
+                    f"cannot build the sweep kernel: C compiler {_CC!r} "
+                    f"exited {proc.returncode}:\n{proc.stderr}")
+            os.replace(built, path)
+    fn = ctypes.CDLL(path).netcov_sweep_groups
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn.argtypes = (ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, f64, ptr, i64)
+    fn.restype = f64
+    _kernel_fn = fn
+    return fn
+
+
+class _Workspace:
+    """Per-problem scratch shared across a path: the transposed design
+    (rows contiguous per column of U; a view of U, whose layout
+    :class:`PenalizedProblem` fixes), the group layout as flat arrays, the
+    kernel's work buffer, the compiled sweep bound to all of these, and
+    the state held at the point the next fit starts from."""
+
+    __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups", "work",
+                 "sweep_groups", "held")
 
     def __init__(self, problem):
-        self.UT = np.ascontiguousarray(problem.U.T)
+        kernel = _load_kernel()
+        self.UT = np.ascontiguousarray(problem.U.T, dtype=np.float64)
         n_groups = len(problem.slices)
         self.starts = _group_starts(problem.slices)
         self.ends = np.fromiter((s1 for _, s1 in problem.slices),
@@ -343,6 +444,19 @@ class _Workspace:
         self.multipliers = np.ascontiguousarray(
             np.asarray(problem.multipliers, dtype=np.float64))
         self.all_groups = np.arange(n_groups, dtype=np.int64)
+        widths = self.ends - self.starts
+        # the kernel reads these as raw memory: check the bounds once here
+        if (self.multipliers.shape != (n_groups,)
+                or np.any(self.starts < 0) or np.any(widths < 0)
+                or np.any(self.ends > self.UT.shape[0])):
+            raise ValueError("group slices or multipliers do not fit U's "
+                             f"{self.UT.shape[0]} columns")
+        # the block's residual shift (N), then the widest group's target
+        self.work = np.empty(problem.N + int(np.max(widths, initial=0)))
+        self.sweep_groups = functools.partial(
+            kernel, self.UT.ctypes.data, problem.N, self.starts.ctypes.data,
+            self.ends.ctypes.data, self.multipliers.ctypes.data,
+            self.work.ctypes.data)
         self.held = None
 
     def hold(self, mu, beta, state):
@@ -359,54 +473,12 @@ class _Workspace:
         return _fresh_state(problem, mu, beta)
 
 
-def _sweep_groups(UT, resid, eta, track_eta, beta, starts, ends,
-                  multipliers, thresh_scale, order):
-    max_delta = 0.0
-    for gi in order:
-        s0 = starts[gi]
-        s1 = ends[gi]
-        t = thresh_scale * multipliers[gi]
-        if s1 - s0 == 1:
-            u = UT[s0]
-            z = float(u @ resid) + beta[s0]
-            if z > t:
-                b_new = z - t
-            elif z < -t:
-                b_new = z + t
-            else:
-                b_new = 0.0
-            delta = b_new - beta[s0]
-            if delta != 0.0:
-                shift = u * delta
-                resid -= shift
-                if track_eta:
-                    eta += shift
-                beta[s0] = b_new
-                step = abs(delta)
-                if step > max_delta:
-                    max_delta = step
-            continue
-        b_old = beta[s0:s1]
-        z = UT[s0:s1] @ resid
-        z += b_old
-        nz = float(np.sqrt(z @ z))
-        if nz <= t:
-            if not b_old.any():
-                continue
-            b_new = np.zeros_like(z)
-        else:
-            b_new = (1.0 - t / nz) * z
-        delta = b_new - b_old
-        step = float(np.abs(delta).max())
-        if step > 0.0:
-            shift = delta @ UT[s0:s1]
-            resid -= shift
-            if track_eta:
-                eta += shift
-            beta[s0:s1] = b_new
-            if step > max_delta:
-                max_delta = step
-    return max_delta
+def _kernel_array(arr, dtype):
+    """The address of an array the kernel writes or reads as raw memory."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise TypeError(f"sweep kernel needs contiguous {np.dtype(dtype)}, "
+                        f"got {arr.dtype} (contiguous: {arr.flags.c_contiguous})")
+    return arr.ctypes.data
 
 
 def _sweep(problem, ws, state, mu, beta, order):
@@ -418,13 +490,13 @@ def _sweep(problem, ws, state, mu, beta, order):
     from it here, at the top of each sweep.
     Exact coordinate minimization per block in both cases, so the
     objective (gaussian) / its majorizer (binomial) never increases.
+    The pass over the groups runs in the compiled kernel.
     """
     N = problem.N
     lam = problem.lam
     gaussian = problem.family == "gaussian"
     if gaussian:
         resid = state
-        eta = _EMPTY
         thresh_scale = N * lam
     else:
         eta = state
@@ -439,13 +511,12 @@ def _sweep(problem, ws, state, mu, beta, order):
         eta += dmu
     max_delta = abs(dmu)
 
-    group_delta = _sweep_groups(ws.UT, resid, eta, not gaussian, beta,
-                                ws.starts, ws.ends, ws.multipliers,
-                                thresh_scale, order)
+    group_delta = ws.sweep_groups(
+        _kernel_array(resid, np.float64),
+        None if gaussian else _kernel_array(eta, np.float64),
+        _kernel_array(beta, np.float64), thresh_scale,
+        _kernel_array(order, np.int64), order.size)
     return mu, max(max_delta, group_delta)
-
-
-_EMPTY = np.empty(0)
 
 
 def _anderson(problem, beta, coords, history, states):

@@ -1,0 +1,136 @@
+/* One cyclic pass of group coordinate descent over the orthonormalized
+ * design; the compiled body of netcov.solver._sweep.
+ *
+ * UT holds the design transposed: column j of U is the contiguous row
+ * UT[j*N .. j*N+N).  Group g owns columns starts[g] .. ends[g]-1 and has
+ * threshold thresh_scale * multipliers[g].  The groups in `order` are
+ * visited in turn; each takes its exact block minimizer given the
+ * residual, which is updated in place, and eta with it unless eta is
+ * NULL.
+ * Returns the largest absolute coefficient change.
+ *
+ * A width-1 group takes the soft-threshold z -/+ t; a wider group the
+ * multiplicative shrinkage max(0, 1 - t/||z||) z, and exactly 0.0 when
+ * it is shrunk away.  `work` holds N doubles for the block's residual
+ * shift followed by the widest group's width for its target z.
+ *
+ * Built without -ffast-math and with -ffp-contract=off: no sum is
+ * reassociated and no multiply-add is fused.  A dot product keeps
+ * LANES independent partial sums, each one a plain left-to-right sum,
+ * so the compiler can vectorize across them without reordering any.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define LANES 8
+
+static double dot(const double *a, const double *b, int64_t n)
+{
+    double acc[LANES] = {0.0};
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int l = 0; l < LANES; l++)
+            acc[l] += a[i + l] * b[i + l];
+    double tail = 0.0;
+    for (; i < n; i++)
+        tail += a[i] * b[i];
+    return ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+         + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail;
+}
+
+/* resid -= shift, and eta += shift unless eta is NULL */
+static void apply_shift(const double *shift, double *resid, double *eta,
+                        int64_t N)
+{
+    for (int64_t i = 0; i < N; i++)
+        resid[i] -= shift[i];
+    if (eta)
+        for (int64_t i = 0; i < N; i++)
+            eta[i] += shift[i];
+}
+
+double netcov_sweep_groups(const double *UT, int64_t N,
+                           const int64_t *starts, const int64_t *ends,
+                           const double *multipliers, double *work,
+                           double *resid, double *eta, double *beta,
+                           double thresh_scale,
+                           const int64_t *order, int64_t n_order)
+{
+    double max_delta = 0.0;
+    double *shift = work;
+    double *z = work + N;
+    for (int64_t o = 0; o < n_order; o++) {
+        const int64_t g = order[o];
+        const int64_t s0 = starts[g];
+        const int64_t width = ends[g] - s0;
+        const double t = thresh_scale * multipliers[g];
+        const double *U = UT + s0 * N;
+        double *b = beta + s0;
+
+        if (width == 1) {
+            const double zs = dot(U, resid, N) + b[0];
+            double b_new = 0.0;
+            if (zs > t)
+                b_new = zs - t;
+            else if (zs < -t)
+                b_new = zs + t;
+            const double delta = b_new - b[0];
+            if (delta != 0.0) {
+                if (eta)
+                    for (int64_t i = 0; i < N; i++) {
+                        const double s = U[i] * delta;
+                        resid[i] -= s;
+                        eta[i] += s;
+                    }
+                else
+                    for (int64_t i = 0; i < N; i++)
+                        resid[i] -= U[i] * delta;
+                b[0] = b_new;
+                if (fabs(delta) > max_delta)
+                    max_delta = fabs(delta);
+            }
+            continue;
+        }
+
+        double nz2 = 0.0;
+        int any_old = 0;
+        for (int64_t k = 0; k < width; k++) {
+            z[k] = dot(U + k * N, resid, N) + b[k];
+            nz2 += z[k] * z[k];
+            any_old |= b[k] != 0.0;
+        }
+        const double nz = sqrt(nz2);
+        if (nz <= t) {
+            if (!any_old)
+                continue;
+            for (int64_t k = 0; k < width; k++)
+                z[k] = 0.0;
+        } else {
+            const double scale = 1.0 - t / nz;
+            for (int64_t k = 0; k < width; k++)
+                z[k] = scale * z[k];
+        }
+        /* z now holds the new block; the change is z - b */
+        double step = 0.0;
+        for (int64_t k = 0; k < width; k++)
+            if (fabs(z[k] - b[k]) > step)
+                step = fabs(z[k] - b[k]);
+        if (!(step > 0.0))
+            continue;
+        const double d0 = z[0] - b[0];
+        for (int64_t i = 0; i < N; i++)
+            shift[i] = d0 * U[i];
+        for (int64_t k = 1; k < width; k++) {
+            const double dk = z[k] - b[k];
+            const double *Uk = U + k * N;
+            for (int64_t i = 0; i < N; i++)
+                shift[i] += dk * Uk[i];
+        }
+        apply_shift(shift, resid, eta, N);
+        for (int64_t k = 0; k < width; k++)
+            b[k] = z[k];
+        if (step > max_delta)
+            max_delta = step;
+    }
+    return max_delta;
+}

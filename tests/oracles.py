@@ -3,8 +3,9 @@
 Nothing here shares code with the package's fitting path: the proximal
 gradient oracle iterates on the stacked [intercept | design] matrix with
 a global step size, the gradient oracle is plain central differences,
-the stationarity checker recomputes everything from the raw inputs, and
-the expanded design is built explicitly, which the package never does.
+the stationarity checker recomputes everything from the raw inputs, the
+expanded design is built explicitly, which the package never does, and
+the group sweep is the interpreted loop the compiled kernel replaced.
 """
 
 import numpy as np
@@ -135,3 +136,53 @@ def expand_design(emap, Z):
     if Z.shape[1] != emap.p:
         raise ValueError(f"design has {Z.shape[1]} columns, expected {emap.p}")
     return Z[:, emap.expanded_to_original]
+
+
+def sweep_groups(UT, resid, eta, track_eta, beta, starts, ends,
+                 multipliers, thresh_scale, order):
+    """One cyclic pass over the groups in ``order``, in numpy: the
+    reference for the compiled sweep kernel.  Updates ``resid``, ``eta``
+    (when ``track_eta``) and ``beta`` in place and returns the largest
+    absolute coefficient change."""
+    max_delta = 0.0
+    for gi in order:
+        s0 = starts[gi]
+        s1 = ends[gi]
+        t = thresh_scale * multipliers[gi]
+        if s1 - s0 == 1:
+            u = UT[s0]
+            z = float(u @ resid) + beta[s0]
+            if z > t:
+                b_new = z - t
+            elif z < -t:
+                b_new = z + t
+            else:
+                b_new = 0.0
+            delta = b_new - beta[s0]
+            if delta != 0.0:
+                shift = u * delta
+                resid -= shift
+                if track_eta:
+                    eta += shift
+                beta[s0] = b_new
+                max_delta = max(max_delta, abs(delta))
+            continue
+        b_old = beta[s0:s1]
+        z = UT[s0:s1] @ resid + b_old
+        nz = float(np.sqrt(z @ z))
+        if nz <= t:
+            if not b_old.any():
+                continue
+            b_new = np.zeros_like(z)
+        else:
+            b_new = (1.0 - t / nz) * z
+        delta = b_new - b_old
+        step = float(np.abs(delta).max())
+        if step > 0.0:
+            shift = delta @ UT[s0:s1]
+            resid -= shift
+            if track_eta:
+                eta += shift
+            beta[s0:s1] = b_new
+            max_delta = max(max_delta, step)
+    return max_delta

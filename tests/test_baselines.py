@@ -39,9 +39,18 @@ class TestCpmFit:
         inside = sum(2 <= c <= 30 for c in counts)
         assert inside >= 19
 
-    def test_alpha_zero_empty_model(self, rng):
+    @pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, 2.0, np.inf])
+    def test_alpha_outside_unit_interval_rejected(self, rng, alpha):
         Z, y, idx, *_ = planted_design(rng, N=50)
-        model = cpm_fit(Z, y, idx, alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            cpm_fit(Z, y, idx, alpha=alpha)
+
+    def test_nothing_screened_gives_intercept_model(self, rng):
+        # the smallest p-value here is about 2e-9; a threshold far below
+        # it screens every edge out
+        Z, y, idx, *_ = planted_design(rng, N=50)
+        model = cpm_fit(Z, y, idx, alpha=1e-300)
+        assert model.p_values.min() > 1e-300
         assert model.positive_edges.size == 0
         assert model.negative_edges.size == 0
         preds = cpm_predict(model, Z, idx)

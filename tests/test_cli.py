@@ -572,6 +572,21 @@ class TestCpm:
                     "trained with 2")):
                 corrected_rows(model, other, np.arange(20, 30))
 
+    @pytest.mark.parametrize("alpha", ["nan", "0", "2", "-1"])
+    def test_alpha_outside_unit_interval_rejected(self, tmp_path, capsys,
+                                                  alpha):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(4), [1, 1, 2, 2], d=1, N=30)
+        data_dir = tmp_path / "data"
+        save_dataset(ds, str(data_dir))
+        code = cli.main(["cpm", "--data", str(data_dir),
+                         "--out", str(tmp_path / "o"), "--alpha", alpha])
+        assert code == 3
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_default_threshold(self):
         parser = cli.build_parser()
         args = parser.parse_args(["cpm", "--data", "x", "--out", "y"])

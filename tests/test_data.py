@@ -108,6 +108,23 @@ class TestBuildDesign:
         np.testing.assert_array_equal(Z, build_design(ds)[rows])
         np.testing.assert_array_equal(Z[:, :ds.index.n_edges], ds.edges[rows])
 
+    @pytest.mark.parametrize("gather", [None, 7, 1])
+    def test_matches_hstack_of_gathered_rows(self, rng, monkeypatch, gather):
+        # the rows land in the output a step at a time; any step size
+        # gives the bytes of the plain hstack of fancy-indexed blocks
+        import netcov.data as data
+
+        if gather is not None:
+            monkeypatch.setattr(data, "_GATHER_ELEMENTS", gather)
+        ds = make_simple(rng, N=23)
+        for rows in (None, np.array([1, 4, 5, 9, 22]),
+                     rng.permutation(23)[:17]):
+            take = slice(None) if rows is None else rows
+            expected = np.hstack([ds.edges[take], ds.node_covs[take]])
+            Z = build_design(ds, rows)
+            assert Z.dtype == expected.dtype and Z.flags.c_contiguous
+            np.testing.assert_array_equal(Z, expected)
+
 
 def make_simple(rng, N=8):
     from conftest import make_dataset

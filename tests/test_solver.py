@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
@@ -14,7 +19,7 @@ from netcov.solver import (ConvergenceError, PenalizedProblem, deviance,
                            kkt_residual, lambda_grid, lambda_max, objective,
                            smooth_gradient)
 from oracles import (fd_gradient, ista_objective, ista_solve, random_grouping,
-                     stationarity_residual)
+                     stationarity_residual, sweep_groups)
 
 
 def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
@@ -509,6 +514,172 @@ class TestAcceleration:
         assert sum(e.n_extrapolated for e in pf.entries) > 0
 
 
+class TestSweepKernel:
+    """The compiled group pass against the interpreted reference loop in
+    ``oracles.sweep_groups``, and how the kernel is built and cached."""
+
+    LAYOUTS = {
+        "singleton": [1] * 9,
+        "block": [3, 2, 4, 2],
+        "mixed": [1, 3, 1, 1, 4, 2, 1],
+    }
+
+    @staticmethod
+    def problem(rng, widths, family, N=37):
+        # N not a multiple of the kernel's 8 partial sums, so the tail runs
+        m = sum(widths)
+        stops = np.cumsum(widths)
+        slices = tuple(zip((stops - widths).tolist(), stops.tolist()))
+        U = rng.standard_normal((N, m)) / np.sqrt(N)
+        y = (rng.standard_normal(N) if family == "gaussian"
+             else (rng.random(N) < 0.5).astype(float))
+        return PenalizedProblem(
+            U=U, y=y, family=family, slices=slices,
+            multipliers=np.sqrt(np.asarray(widths, dtype=float)),
+            names=tuple(map(str, range(len(widths)))))
+
+    @staticmethod
+    def reference_sweep(problem, state, mu, beta, order):
+        # _sweep's intercept step, then the interpreted group pass
+        starts, ends = (np.array(s) for s in zip(*problem.slices))
+        N, lam = problem.N, problem.lam
+        if problem.family == "gaussian":
+            resid, eta, scale = state, None, N * lam
+        else:
+            eta = state
+            resid = 4.0 * (problem.y - expit(eta))
+            scale = 2.0 * N * lam
+        dmu = float(resid.mean())
+        resid -= dmu
+        if eta is not None:
+            eta += dmu
+        delta = sweep_groups(problem.U.T, resid, eta, eta is not None, beta,
+                             starts, ends, problem.multipliers, scale, order)
+        return mu + dmu, max(abs(dmu), delta)
+
+    @staticmethod
+    def close(a, b):
+        return np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(
+            1.0, np.max(np.abs(b), initial=0.0))
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("layout", ["singleton", "block", "mixed"])
+    def test_one_sweep_matches_reference(self, rng, layout, family):
+        from netcov.solver import _fresh_state, _sweep, _Workspace
+
+        for trial in range(5):
+            problem = self.problem(rng, self.LAYOUTS[layout], family)
+            m = problem.U.shape[1]
+            beta = rng.standard_normal(m) * (rng.random(m) < 0.6)
+            mu = float(rng.standard_normal())
+            state = _fresh_state(problem, mu, beta)
+            scale = (problem.N if family == "gaussian" else 2 * problem.N)
+            z = np.abs(problem.U.T @ state).max() + np.abs(beta).max()
+            prob = replace(problem, lam=rng.uniform(0.05, 1.0) * z / scale)
+            order = rng.permutation(problem.n_groups)[
+                :rng.integers(1, problem.n_groups + 1)].astype(np.int64)
+            b_ref, s_ref = beta.copy(), state.copy()
+            mu_ref, d_ref = self.reference_sweep(prob, s_ref, mu, b_ref,
+                                                 order)
+            mu_k, d_k = _sweep(prob, _Workspace(prob), state, mu, beta, order)
+            assert self.close(beta, b_ref) and self.close(state, s_ref)
+            assert abs(mu_k - mu_ref) <= 1e-12 * max(1.0, abs(mu_ref))
+            assert abs(d_k - d_ref) <= 1e-12 * max(1.0, d_ref)
+            # a coordinate the reference leaves at zero the kernel does too
+            np.testing.assert_array_equal(beta == 0.0, b_ref == 0.0)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_empty_order_moves_only_the_intercept(self, rng, family):
+        from netcov.solver import _fresh_state, _sweep, _Workspace
+
+        problem = replace(self.problem(rng, self.LAYOUTS["mixed"], family),
+                          lam=0.01)
+        beta = rng.standard_normal(problem.U.shape[1])
+        state = _fresh_state(problem, 0.3, beta)
+        b_ref, s_ref = beta.copy(), state.copy()
+        order = np.empty(0, dtype=np.int64)
+        expected = self.reference_sweep(problem, s_ref, 0.3, b_ref, order)
+        got = _sweep(problem, _Workspace(problem), state, 0.3, beta, order)
+        assert got == expected
+        np.testing.assert_array_equal(beta, b_ref)
+        np.testing.assert_array_equal(state, s_ref)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_shrunk_group_is_exact_zero(self, rng, family, width):
+        from netcov.solver import _fresh_state, _sweep, _Workspace
+
+        problem = self.problem(rng, [2, width, 2], family)
+        beta = rng.standard_normal(problem.U.shape[1])
+        # targets of both signs, so a zero formed as 0 * z would show -0.0
+        beta[2:2 + width] = 5.0 * np.resize([-1.0, 1.0], width)
+        state = _fresh_state(problem, 0.0, beta)
+        # the middle group's threshold beats any target it can reach
+        prob = replace(problem, lam=1.0,
+                       multipliers=np.array([1e-9, 1e9, 1e-9]))
+        _sweep(prob, _Workspace(prob), state, 0.0, beta,
+               np.arange(3, dtype=np.int64))
+        shrunk = beta[2:2 + width]
+        assert np.all(shrunk == 0.0) and not np.any(np.signbit(shrunk))
+        assert np.all(beta[:2] != 0.0) and np.all(beta[2 + width:] != 0.0)
+
+    def test_missing_compiler_is_named(self, rng, tmp_path, monkeypatch):
+        import netcov.solver as solver
+
+        problem = self.problem(rng, [1, 2], "gaussian")
+        monkeypatch.setattr(solver, "_kernel_fn", None)
+        monkeypatch.setattr(solver, "_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(solver, "_CC", str(tmp_path / "no-such-cc"))
+        with pytest.raises(RuntimeError, match="no-such-cc"):
+            solver._Workspace(problem)
+
+    def test_failing_compiler_shows_its_output(self, rng, tmp_path,
+                                               monkeypatch):
+        import netcov.solver as solver
+
+        problem = self.problem(rng, [1, 2], "gaussian")
+        monkeypatch.setattr(solver, "_kernel_fn", None)
+        monkeypatch.setattr(solver, "_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(solver, "_CFLAGS",
+                            solver._CFLAGS + ("-fno-such-flag",))
+        with pytest.raises(RuntimeError, match="(?s)gcc.*no-such-flag"):
+            solver._Workspace(problem)
+        assert os.listdir(tmp_path / "cache") == []
+
+    def test_concurrent_cold_builds_load_one_library(self, tmp_path):
+        # two processes build into one empty cache at once; both must
+        # succeed, agree, and leave exactly one library behind
+        cache = tmp_path / "cache"
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from netcov import solver\n"
+            "solver._CACHE_DIR = sys.argv[1]\n"
+            "p = solver.PenalizedProblem(\n"
+            "    U=np.eye(12)[:, :4], y=np.arange(12.0), family='gaussian',\n"
+            "    slices=((0, 1), (1, 4)), multipliers=np.ones(2),\n"
+            "    names=('a', 'b'), lam=0.01)\n"
+            "sol = solver.fit_at_lambda(p)\n"
+            "maps = [line.split(None, 5)[-1].replace(' (deleted)', '').strip()\n"
+            "        for line in open('/proc/self/maps') if 'sweep_kernel' in line]\n"
+            "print(sorted(set(maps)), repr(sol.mu), sol.beta_tilde.tolist())\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(cache)],
+                                  env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        for proc, (_, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err[-2000:]
+        libraries = os.listdir(cache)
+        assert len(libraries) == 1 and libraries[0].endswith(".so")
+        assert outputs[0][0] == outputs[1][0]
+        assert f"['{cache / libraries[0]}']" in outputs[0][0]
+
+
 class TestStateReuse:
     """The solver's work vector is carried instead of recomputed; what it
     carries must equal a fresh pass over U."""
@@ -590,6 +761,34 @@ class TestStateReuse:
             assert again.n_sweeps == sol.n_sweeps
             assert again.deviance == sol.deviance
         assert plain > 0
+
+
+class TestDesignLayout:
+    """The kernel reads U as raw memory; whatever dtype or order U
+    arrives in, the path is that of its C-ordered float64 copy."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_float32_and_fortran_u_give_the_same_path(self, family):
+        prep = scheme_problem("ebg", family)
+        problem = prep.problem
+        U32 = problem.U.astype(np.float32)
+        cases = [(np.asfortranarray(problem.U),
+                  np.ascontiguousarray(problem.U)),
+                 (U32, np.ascontiguousarray(U32, dtype=np.float64))]
+        for U, reference in cases:
+            assert U.flags.f_contiguous or U.dtype != np.float64
+            paths = [fit_path(replace(problem, U=u), prep.basis, prep.emap,
+                              grid_size=15) for u in (U, reference)]
+            for a, b in zip(*(pf.entries for pf in paths)):
+                assert a.mu == b.mu and a.n_sweeps == b.n_sweeps
+                np.testing.assert_array_equal(a.beta_tilde, b.beta_tilde)
+                np.testing.assert_array_equal(a.beta, b.beta)
+                assert a.kkt_residual == b.kkt_residual
+
+    def test_row_count_must_match_response(self, rng):
+        problem, *_ = build_problem(rng)
+        with pytest.raises(ValueError, match="rows"):
+            replace(problem, U=problem.U[:-1])
 
 
 class TestCommunityRelabelling:
