@@ -28,8 +28,8 @@ from .simulate import (ExperimentConfig, GroundTruth, PRESET_ACTIVE_GROUPS,
                        draw_response, gen_design_synthetic, gen_semisynthetic,
                        make_beta, scenario_difficulty)
 from .solver import (ConvergenceError, PathFit, PenalizedProblem, deviance,
-                     fit_at_lambda, fit_path, group_update, kkt_residual,
-                     lambda_grid, lambda_max, objective)
+                     fit_at_lambda, fit_path, kkt_residual, lambda_grid,
+                     lambda_max, objective)
 from .tuning import (CVResult, FitResult, cross_validate, one_se_select,
                      select_and_refit)
 
@@ -46,8 +46,8 @@ __all__ = [
     "orthonormalize", "back_transform",
     # solver
     "PenalizedProblem", "PathFit", "ConvergenceError", "deviance",
-    "group_update", "fit_at_lambda", "lambda_max", "lambda_grid", "fit_path",
-    "kkt_residual", "objective",
+    "fit_at_lambda", "lambda_max", "lambda_grid", "fit_path", "kkt_residual",
+    "objective",
     # tuning
     "CVResult", "FitResult", "cross_validate", "select_and_refit",
     "one_se_select",

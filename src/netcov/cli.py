@@ -91,12 +91,21 @@ PRESETS = {
 
 
 def load_config(path, overrides=None):
-    """Read, default, and validate a flat config; returns resolved strings."""
+    """Read, default, and validate a flat config; returns a :class:`Config`."""
     try:
         raw = read_manifest(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return resolve_config(raw, overrides)
+
+
+class Config(dict):
+    """The resolved config strings, as the run manifest records them, with
+    every key converted and range-checked once into ``settings``."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.settings = _convert(self)
 
 
 def resolve_config(raw, overrides=None):
@@ -116,11 +125,7 @@ def resolve_config(raw, overrides=None):
     resolved.update(entries)
     if "seed" not in resolved or resolved["seed"] == "":
         raise ConfigError("config must set a seed; reproducibility is mandatory")
-    try:
-        int(resolved["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"seed must be an integer: {resolved['seed']!r}") from exc
-    return resolved
+    return Config(resolved)
 
 
 def _cfg_list(cfg, key, allowed=None):
@@ -134,50 +139,86 @@ def _cfg_list(cfg, key, allowed=None):
     return values
 
 
-def _cfg_int(cfg, key):
+def _int(key, text, least):
     try:
-        return int(cfg[key])
+        value = int(text)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
+        raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {text!r}")
+    return value
 
 
-def _cfg_float(cfg, key):
+def _positive(key, text, below=np.inf):
     try:
-        return float(cfg[key])
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
+        raise ConfigError(f"{key} must be a number, got {text!r}") from exc
+    if not 0.0 < value < below:
+        raise ConfigError(f"{key} must be in (0, {below:g}), got {text!r}")
+    return value
 
 
 def _alpha_levels(cfg):
     if cfg["experiment.alphas"]:
-        return [float(v) for v in _cfg_list(cfg, "experiment.alphas")]
-    lo = _cfg_float(cfg, "experiment.alpha_min")
-    hi = _cfg_float(cfg, "experiment.alpha_max")
-    count = _cfg_int(cfg, "experiment.alpha_count")
-    return list(np.geomspace(lo, hi, count))
+        return [_positive("experiment.alphas", v)
+                for v in _cfg_list(cfg, "experiment.alphas")]
+    lo = _positive("experiment.alpha_min", cfg["experiment.alpha_min"])
+    hi = _positive("experiment.alpha_max", cfg["experiment.alpha_max"])
+    count = _int("experiment.alpha_count", cfg["experiment.alpha_count"], 1)
+    return [float(a) for a in np.geomspace(lo, hi, count)]
+
+
+def _convert(cfg):
+    """Every key of a resolved config as the value it stands for; a value
+    out of its range is a ConfigError naming the key."""
+    s = SimpleNamespace(
+        seed=_int("seed", cfg["seed"], 0),
+        schemes=_cfg_list(cfg, "experiment.schemes", {"nbg", "ebg"}),
+        families=_cfg_list(cfg, "experiment.families",
+                           {"gaussian", "binomial"}),
+        n_active=[_int("experiment.n_active", v, 1)
+                  for v in _cfg_list(cfg, "experiment.n_active")],
+        alphas=_alpha_levels(cfg),
+        replicates=_int("experiment.replicates",
+                        cfg["experiment.replicates"], 1),
+        design=cfg["data.design"],
+        split_communities=(
+            _int("data.split_communities", cfg["data.split_communities"], 2)
+            if cfg["data.split_communities"] else None),
+        grid_size=_int("solver.grid_size", cfg["solver.grid_size"], 2),
+        min_ratio=_positive("solver.min_ratio", cfg["solver.min_ratio"], 1.0),
+        folds=_int("solver.folds", cfg["solver.folds"], 2),
+        methods=_cfg_list(cfg, "sweep.methods",
+                          {"scheme", "nbg", "ebg", "lasso", "cpm"}),
+        N=_int("data.N", cfg["data.N"], 1),
+        K=_int("data.K", cfg["data.K"], 1),
+        nodes_per_community=_int("data.nodes_per_community",
+                                 cfg["data.nodes_per_community"], 1),
+        d=_int("data.d", cfg["data.d"], 0),
+    )
+    for scheme in s.schemes:
+        for k in s.n_active:
+            if (scheme.upper(), k) not in PRESET_ACTIVE_GROUPS:
+                raise ConfigError(
+                    f"no active-group preset for scheme={scheme}, "
+                    f"n_active={k} (available: 1 or 5)")
+    return s
 
 
 def enumerate_cells(cfg):
     """Deterministic grid enumeration: scheme x family x n_active x alpha x rep."""
-    schemes = _cfg_list(cfg, "experiment.schemes", {"nbg", "ebg"})
-    families = _cfg_list(cfg, "experiment.families", {"gaussian", "binomial"})
-    n_active = [int(v) for v in _cfg_list(cfg, "experiment.n_active")]
-    alphas = _alpha_levels(cfg)
-    replicates = _cfg_int(cfg, "experiment.replicates")
+    s = cfg.settings
     cells = []
     index = 0
-    for scheme in schemes:
-        for family in families:
-            for k in n_active:
-                if (scheme.upper(), k) not in PRESET_ACTIVE_GROUPS:
-                    raise ConfigError(
-                        f"no active-group preset for scheme={scheme}, "
-                        f"n_active={k} (available: 1 or 5)")
-                for ai, alpha in enumerate(alphas):
-                    for rep in range(replicates):
+    for scheme in s.schemes:
+        for family in s.families:
+            for k in s.n_active:
+                for ai, alpha in enumerate(s.alphas):
+                    for rep in range(s.replicates):
                         cells.append(SimpleNamespace(
                             scheme=scheme, family=family, n_active=k,
-                            alpha=float(alpha), alpha_index=ai, replicate=rep,
+                            alpha=alpha, alpha_index=ai, replicate=rep,
                             index=index,
                             cell_id=(f"{scheme}_{family}_k{k}"
                                      f"_a{ai:02d}_r{rep:02d}"),
@@ -209,18 +250,17 @@ def write_run_manifest(path, subcommand, cfg, extra=None, timings=None):
 # simulate
 
 def _simulate_cell(cfg, cell, cell_dir):
-    seed = _cell_seed(cfg["seed"], cell.index)
+    s = cfg.settings
+    seed = _cell_seed(s.seed, cell.index)
     active = PRESET_ACTIVE_GROUPS[(cell.scheme.upper(), cell.n_active)]
-    split = (_cfg_int(cfg, "data.split_communities")
-             if cfg["data.split_communities"] else None)
+    split = s.split_communities
     exp = ExperimentConfig(
         scheme=cell.scheme.upper(), active_groups=active, alpha=cell.alpha,
-        family=cell.family, N=_cfg_int(cfg, "data.N"),
-        K=_cfg_int(cfg, "data.K"),
-        nodes_per_community=_cfg_int(cfg, "data.nodes_per_community"),
-        d=_cfg_int(cfg, "data.d"), seed=seed, replicate=0,
+        family=cell.family, N=s.N, K=s.K,
+        nodes_per_community=s.nodes_per_community, d=s.d, seed=seed,
+        replicate=0,
     )
-    if cfg["data.design"] == "synthetic":
+    if s.design == "synthetic":
         dataset = gen_design_synthetic(exp)
         communities = dataset.communities
         if split is not None:
@@ -231,7 +271,7 @@ def _simulate_cell(cfg, cell, cell_dir):
         dataset = dc_replace(dataset, y=y, communities=communities)
     else:
         dataset, truth, communities = gen_semisynthetic(
-            cfg["data.design"], exp, split_target=split)
+            s.design, exp, split_target=split)
         dataset = dc_replace(dataset, communities=communities)
 
     tmp = cell_dir + ".tmp"
@@ -540,22 +580,21 @@ def run_evaluate(fit_dir, data_dir, out_dir):
 
 
 def _load_path_for_roc(fit_dir, p):
-    lams = []
-    with open(os.path.join(fit_dir, "path.csv"), newline="") as fh:
-        reader = csv.DictReader(fh)
-        seen = {}
-        for r in reader:
-            seen[int(r["lambda_index"])] = float(r["lambda"])
-    if not seen:
+    """The fitted path as ROC input: the lambda grid from ``cv.csv`` (one
+    row per point, the values ``path.csv`` repeats per group) and each
+    point's coefficients from its ``coef_<i>.csv``."""
+    with open(os.path.join(fit_dir, "cv.csv"), newline="") as fh:
+        lams = [float(r["lambda"]) for r in csv.DictReader(fh)]
+    if not lams:
         return None
     entries = []
-    for i in sorted(seen):
+    for i, lam in enumerate(lams):
         coef = np.loadtxt(os.path.join(fit_dir, f"coef_{i:03d}.csv"),
                           delimiter=",").reshape(-1)
         if coef.size != p:
             raise ValueError(f"coef_{i:03d}.csv has {coef.size} rows, "
                              f"expected {p}")
-        entries.append(SimpleNamespace(lam=seen[i], beta=coef))
+        entries.append(SimpleNamespace(lam=lam, beta=coef))
     return SimpleNamespace(entries=entries)
 
 
@@ -569,13 +608,12 @@ def cmd_evaluate(args):
 
 def _sweep_cell_job(payload):
     cfg, cell, out_dir = payload
+    s = cfg.settings
     cell_dir = os.path.join(out_dir, "cells", cell.cell_id)
     _simulate_cell(cfg, cell, cell_dir)
-    methods = _cfg_list(cfg, "sweep.methods",
-                        {"scheme", "nbg", "ebg", "lasso", "cpm"})
-    seed = _cell_seed(cfg["seed"], cell.index)
+    seed = _cell_seed(s.seed, cell.index)
     rows = []
-    for method in methods:
+    for method in s.methods:
         scheme = cell.scheme if method == "scheme" else method
         if scheme == "cpm":
             if cell.family != "gaussian":
@@ -584,14 +622,9 @@ def _sweep_cell_job(payload):
                                 alpha=0.01))
         else:
             fit_dir = os.path.join(cell_dir, f"fit_{scheme}")
-            run_fit(cell_dir, scheme, fit_dir,
-                    folds=_cfg_int(cfg, "solver.folds"),
-                    grid_size=_cfg_int(cfg, "solver.grid_size"),
-                    min_ratio=_cfg_float(cfg, "solver.min_ratio"),
-                    seed=seed,
-                    split_communities=(
-                        _cfg_int(cfg, "data.split_communities")
-                        if cfg["data.split_communities"] else None))
+            run_fit(cell_dir, scheme, fit_dir, folds=s.folds,
+                    grid_size=s.grid_size, min_ratio=s.min_ratio, seed=seed,
+                    split_communities=s.split_communities)
             rows.append(run_evaluate(fit_dir, cell_dir,
                                      os.path.join(cell_dir, f"eval_{scheme}")))
     return rows

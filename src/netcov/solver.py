@@ -11,8 +11,8 @@ the binomial deviance is minus twice the Bernoulli log-likelihood.
 
 Because each group's columns are orthonormal, the per-group coordinate
 update is a closed-form multiplicative shrinkage of the group's
-residual correlation (:func:`group_update`).  The gaussian family runs
-cyclic group descent on residuals; the binomial family runs
+residual correlation z, ``max(0, 1 - t/||z||) * z``.  The gaussian
+family runs cyclic group descent on residuals; the binomial family runs
 majorize-minimize sweeps: the logistic curvature is bounded by 1/4, so
 each sweep does exact cyclic descent on the induced quadratic surrogate,
 which never increases the true objective.
@@ -35,9 +35,10 @@ certificate is unchanged.  The solver's state (the gaussian residual
 y - mu - U b, or the binomial linear predictor mu + U b) is affine in
 (mu, b), and both extrapolations are affine combinations whose weights
 sum to 1.  So a trial point is priced from the same combination of the
-states stored at the points it combines, with no pass over U; and a
-path point that starts where its predecessor stopped reuses the state
-of that point's final KKT pass.
+states stored at the points it combines, with no pass over U.  A path
+hands each point its start state as an argument (the last solution's
+state, or the same extrapolation of the last two) and solves each point
+once, under a hard cap of ten times its sweep budget.
 
 The pass over the groups, the hot loop of every sweep, runs in C:
 ``sweep_kernel.c`` beside this module.  It is compiled with the system C
@@ -78,7 +79,6 @@ __all__ = [
     "Solution",
     "ConvergenceError",
     "deviance",
-    "group_update",
     "smooth_gradient",
     "objective",
     "kkt_residual",
@@ -212,16 +212,6 @@ def deviance(family, y, eta):
         e = np.clip(eta, -ETA_CLIP, ETA_CLIP)
         return -2.0 * float(np.sum(y * e - np.logaddexp(0.0, e)))
     raise ValueError(f"unknown family {family!r}")
-
-
-def group_update(z, threshold):
-    """Multiplicative shrinkage: ``max(0, 1 - t/||z||) * z`` (0 when ||z|| <= t)."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    nz = np.linalg.norm(z)
-    if nz <= threshold:
-        return np.zeros_like(z)
-    return (1.0 - threshold / nz) * z
 
 
 def _linear_predictor(problem, mu, beta_tilde):
@@ -428,11 +418,11 @@ class _Workspace:
     """Per-problem scratch shared across a path: the transposed design
     (rows contiguous per column of U; a view of U, whose layout
     :class:`PenalizedProblem` fixes), the group layout as flat arrays, the
-    kernel's work buffer, the compiled sweep bound to all of these, and
-    the state held at the point the next fit starts from."""
+    kernel's work buffer and the compiled sweep bound to all of these.
+    None of it depends on lambda or on where a fit starts."""
 
     __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups", "work",
-                 "sweep_groups", "held")
+                 "sweep_groups")
 
     def __init__(self, problem):
         kernel = _load_kernel()
@@ -457,20 +447,6 @@ class _Workspace:
             kernel, self.UT.ctypes.data, problem.N, self.starts.ctypes.data,
             self.ends.ctypes.data, self.multipliers.ctypes.data,
             self.work.ctypes.data)
-        self.held = None
-
-    def hold(self, mu, beta, state):
-        """Keep the state at (mu, beta) for a fit that starts there; the
-        state depends on U and y only, not on lambda."""
-        self.held = (mu, beta.copy(), state)
-
-    def start_state(self, problem, mu, beta):
-        """A copy of the held state if it is at (mu, beta), else a fresh
-        pass over U; the held state itself is never modified."""
-        held = self.held
-        if held is not None and held[0] == mu and np.array_equal(held[1], beta):
-            return held[2].copy()
-        return _fresh_state(problem, mu, beta)
 
 
 def _kernel_array(arr, dtype):
@@ -553,7 +529,8 @@ def _anderson(problem, beta, coords, history, states):
 
 
 def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
-                  tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, workspace=None):
+                  tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, workspace=None,
+                  state0=None):
     """Solve the penalized problem at the problem's lambda.
 
     Cyclic group descent with an active-set strategy: iterate over the
@@ -565,6 +542,15 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     sweeps on one active set, an Anderson step is tried and kept only when
     it lowers the objective; the history holds only the active coordinates.
 
+    The fit starts at ``(mu0, beta0)`` (default: the intercept-only fit).
+    ``state0`` is the work vector of :func:`_fresh_state` there, when the
+    caller holds it (a path hands over its last solution's state); without
+    it the start costs one pass over U.  The sweeps update a copy, so the
+    caller's array is left as it is.  A ``state0`` that is not the state at
+    ``(mu0, beta0)`` costs sweeps but never correctness: the screening
+    pass recomputes the state from ``(mu, beta)`` before it certifies
+    anything, and every return goes through that fresh-state KKT pass.
+
     Raises :class:`ConvergenceError` carrying the last iterate after
     ``max_iter`` total sweeps.
     """
@@ -573,9 +559,15 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     if beta.size != m:
         raise ValueError(f"warm start has length {beta.size}, expected {m}")
     mu = _intercept_start(problem) if mu0 is None else float(mu0)
+    if state0 is None:
+        state = _fresh_state(problem, mu, beta)
+    else:
+        state = np.array(state0, dtype=np.float64)
+        if state.shape != (problem.N,):
+            raise ValueError(f"start state has shape {state.shape}, "
+                             f"expected ({problem.N},)")
     ws = _Workspace(problem) if workspace is None else workspace
 
-    state = ws.start_state(problem, mu, beta)
     norms = _group_norms(beta, problem.slices)
     in_active = norms > 0
     active = np.flatnonzero(in_active)
@@ -619,7 +611,6 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
             res = max(_kkt_from_gradient(problem, beta, grad), abs(gmu))
             done = res <= ZERO_GRAD_TOL
         if done:
-            ws.hold(mu, beta, state)
             return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
                             kkt_residual=res,
                             deviance=_state_deviance(problem, state),
@@ -648,12 +639,14 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
     The grid defaults to ``lambda_grid(lambda_max(problem), ...)``.  Each
     entry records the intercept, coefficients in both the orthonormal and
     the folded-back original space, active group names, training
-    deviance, sweep count and KKT residual.  When the last two entries
-    share their active set, the next point starts from their linear
-    extrapolation instead, if that has the lower objective.  A
-    non-converged point is retried once from the same start, with a
-    ``RuntimeWarning``, with 10x the iteration budget before the error
-    propagates; its sweep count includes the failed attempt's.
+    deviance, sweep count and KKT residual.  Each point starts where the
+    last one stopped, handed that solution's state.  When the last two
+    solutions share their active set, the next point starts from their
+    linear extrapolation instead, with the state ``2 s_k - s_{k-1}``, if
+    that has the lower objective.  Each point is solved once, with a hard
+    cap of ``10 * max_iter`` sweeps; a point that needs more than
+    ``max_iter`` of them is announced with a ``RuntimeWarning``, and
+    one that reaches the cap raises :class:`ConvergenceError`.
     """
     if lambdas is None:
         lambdas = lambda_grid(lambda_max(problem), grid_size=grid_size,
@@ -663,50 +656,38 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
         raise ValueError("lambda grid must be strictly decreasing")
 
     entries = []
-    finals = []  # the states of the last two solutions
-    mu0 = None
-    beta0 = None
+    last = prev = None  # the last two solutions
     ws = _Workspace(problem)
     for i, lam in enumerate(lambdas):
         prob = replace(problem, lam=float(lam))
-        predicted = False
-        if (len(entries) >= 2 and entries[-1].active_groups
+        start, predicted = {}, False
+        if last is not None:
+            start = dict(beta0=last.beta_tilde, mu0=last.mu, state0=last.state)
+        if (prev is not None and entries[-1].active_groups
                 and entries[-1].active_groups == entries[-2].active_groups):
-            last, prev = entries[-1], entries[-2]
-            mu_p = 2.0 * last.mu - prev.mu
             beta_p = 2.0 * last.beta_tilde - prev.beta_tilde
-            state_p = 2.0 * finals[-1] - finals[-2]
+            state_p = 2.0 * last.state - prev.state
             q_plain = _penalized(prob, last.deviance, last.beta_tilde)
             dev_p = _state_deviance(prob, state_p)
             if _penalized(prob, dev_p, beta_p) < q_plain:
-                mu0, beta0, predicted = mu_p, beta_p, True
-                ws.hold(mu_p, beta_p, state_p)
-        retry_sweeps = 0
-        try:
-            sol = fit_at_lambda(prob, beta0=beta0, mu0=mu0,
-                                max_iter=max_iter, tol=tol, kkt_tol=kkt_tol,
-                                workspace=ws)
-        except ConvergenceError as exc:
+                start = dict(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
+                             state0=state_p)
+                predicted = True
+        sol = fit_at_lambda(prob, **start, max_iter=10 * max_iter, tol=tol,
+                            kkt_tol=kkt_tol, workspace=ws)
+        if sol.n_sweeps > max_iter:
             warnings.warn(
-                f"lambda index {i}: no convergence after {exc.sweeps} sweeps "
-                f"(KKT residual {exc.kkt_residual:.3e}); retrying with "
-                f"{10 * max_iter} sweeps", RuntimeWarning, stacklevel=2)
-            retry_sweeps = exc.sweeps
-            sol = fit_at_lambda(prob, beta0=beta0, mu0=mu0,
-                                max_iter=10 * max_iter, tol=tol,
-                                kkt_tol=kkt_tol, workspace=ws)
-        mu0 = sol.mu
-        beta0 = sol.beta_tilde
-        finals = finals[-1:] + [sol.state]
+                f"lambda index {i}: took {sol.n_sweeps} sweeps, more than "
+                f"max_iter={max_iter}", RuntimeWarning, stacklevel=2)
+        prev, last = last, sol
         norms = _group_norms(sol.beta_tilde, problem.slices)
         active = tuple(problem.names[gi]
                        for gi in range(problem.n_groups) if norms[gi] > 0)
         beta = back_transform(sol.beta_tilde, basis, emap)
         entries.append(PathEntry(
-            lam=float(lam), mu=sol.mu, beta_tilde=sol.beta_tilde.copy(),
+            lam=float(lam), mu=sol.mu, beta_tilde=sol.beta_tilde,
             beta=beta, active_groups=active, deviance=sol.deviance,
-            n_sweeps=retry_sweeps + sol.n_sweeps,
-            kkt_residual=sol.kkt_residual,
+            n_sweeps=sol.n_sweeps, kkt_residual=sol.kkt_residual,
             n_extrapolated=sol.n_extrapolated + predicted,
         ))
     return PathFit(lambdas=lambdas, entries=entries, group_names=problem.names,

@@ -71,6 +71,23 @@ class TestConfig:
         resolved = cli.load_config(cfg, {"seed": "99"})
         assert resolved["seed"] == "99"
 
+    @pytest.mark.parametrize("key,value", [
+        ("experiment.n_active", "x"), ("experiment.alphas", "abc"),
+        ("experiment.alphas", "-1"), ("solver.folds", "abc"),
+        ("sweep.methods", "foo"), ("solver.min_ratio", "2"),
+        ("data.N", "-5"), ("experiment.replicates", "0")])
+    def test_bad_value_refused_before_any_cell(self, tmp_path, capsys, key,
+                                               value):
+        # every key is converted and range-checked at load, so a bad
+        # value is a config error naming its key and nothing is written
+        cfg = write_config(tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         "--set", f"{key}={value}"])
+        assert code == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (out / "cells").exists()
+
     def test_invalid_scheme_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["fit", "--data", "x", "--scheme", "banana",
@@ -208,6 +225,18 @@ class TestEvaluate:
         roc = read_rows(out / "roc.csv")
         assert len(roc) == 8
         assert roc[0]["fpr"] == "0.0" and roc[0]["tpr"] == "0.0"
+
+    def test_roc_reads_no_path_csv(self, sim_dir, fit_dir, tmp_path):
+        # the lambda grid comes from cv.csv; path.csv is a report only
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        os.remove(fit_copy / "path.csv")
+        outs = [tmp_path / "eval", tmp_path / "eval_copy"]
+        for fit, out in zip((fit_dir, fit_copy), outs):
+            assert cli.main(["evaluate", "--fit", str(fit), "--data",
+                             sim_dir, "--out", str(out)]) == 0
+        assert ((outs[0] / "roc.csv").read_bytes()
+                == (outs[1] / "roc.csv").read_bytes())
 
     def test_without_truth_prediction_only(self, sim_dir, tmp_path):
         import shutil

@@ -15,9 +15,8 @@ from netcov.groups import ExpansionMap, normalize_group_name
 from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
 from netcov.solver import (ConvergenceError, PenalizedProblem, deviance,
-                           fit_at_lambda, fit_path, group_update,
-                           kkt_residual, lambda_grid, lambda_max, objective,
-                           smooth_gradient)
+                           fit_at_lambda, fit_path, kkt_residual, lambda_grid,
+                           lambda_max, objective, smooth_gradient)
 from oracles import (fd_gradient, ista_objective, ista_solve, random_grouping,
                      stationarity_residual, sweep_groups)
 
@@ -73,25 +72,6 @@ class TestDeviance:
     def test_binomial_clip_guards_overflow(self):
         val = deviance("binomial", np.array([0.0]), np.array([1e6]))
         assert np.isfinite(val)
-
-
-class TestGroupUpdate:
-    def test_plain_shrink(self):
-        z = np.array([1.2, 1.6])  # norm 2
-        np.testing.assert_allclose(group_update(z, 1.0), 0.5 * z)
-
-    def test_boundary_exact_zero(self):
-        z = np.array([0.6, 0.8])  # norm 1
-        out = group_update(z, 1.0)
-        assert np.all(out == 0.0)
-
-    def test_zero_threshold_identity(self, rng):
-        z = rng.standard_normal(5)
-        np.testing.assert_array_equal(group_update(z, 0.0), z)
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(group_update(np.zeros(3), 1.0),
-                                      np.zeros(3))
 
 
 class TestLambdaMax:
@@ -336,26 +316,26 @@ class TestPath:
         print(f"monotone-tendency fraction: {np.mean(fractions):.3f}")
 
     def test_retry_is_announced(self):
-        # with a 5-sweep budget the last point of this path needs the 10x
-        # retry; the retry must warn and still certify the point
+        # with a 5-sweep budget the last point of this path needs more
+        # sweeps than that; it is solved once under the 10x cap, warns
+        # and is still certified
         problem, basis, emap, _ = build_problem(np.random.default_rng(0))
         with pytest.warns(RuntimeWarning) as record:
             pf = fit_path(problem, basis, emap, grid_size=3, max_iter=5)
         assert len(record) == 1
         message = str(record[0].message)
-        assert message.startswith("lambda index 2: no convergence after "
-                                  "5 sweeps")
-        assert message.endswith("retrying with 50 sweeps")
+        assert message.startswith("lambda index 2: took "
+                                  f"{pf.entries[2].n_sweeps} sweeps")
         assert pf.entries[2].n_sweeps > 5
         assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
-        # the entry counts the failed attempt's sweeps plus the retry's.
-        # Entry 0 (lambda_max) is empty, so no predicted start: the retry
-        # warm-starts from entry 1, as the failed attempt did
+        # the entry counts the sweeps of one solve, none replayed.  Entry 0
+        # (lambda_max) is empty, so no predicted start: the point
+        # warm-starts from entry 1
         assert pf.entries[0].active_groups == ()
         warm = pf.entries[1]
-        retry = fit_at_lambda(replace(problem, lam=float(pf.lambdas[2])),
-                              beta0=warm.beta_tilde, mu0=warm.mu, max_iter=50)
-        assert pf.entries[2].n_sweeps == 5 + retry.n_sweeps
+        once = fit_at_lambda(replace(problem, lam=float(pf.lambdas[2])),
+                             beta0=warm.beta_tilde, mu0=warm.mu, max_iter=50)
+        assert pf.entries[2].n_sweeps == once.n_sweeps
 
     def test_increasing_grid_rejected(self, rng):
         problem, basis, emap, _ = build_problem(rng)
@@ -623,6 +603,24 @@ class TestSweepKernel:
         assert np.all(shrunk == 0.0) and not np.any(np.signbit(shrunk))
         assert np.all(beta[:2] != 0.0) and np.all(beta[2 + width:] != 0.0)
 
+    def test_target_on_the_threshold_is_exact_zero(self):
+        # unit-vector columns make every product exact: the target
+        # z = U_G^T r + b_G = (0.75, 1.0) has norm 1.25, exactly the
+        # threshold N * lam * w_G, so the group leaves as +0.0
+        from netcov.solver import _sweep, _Workspace
+
+        problem = PenalizedProblem(
+            U=np.eye(4)[:, :2], y=np.zeros(4), family="gaussian",
+            slices=((0, 2),), multipliers=np.array([1.25]), names=("g",),
+            lam=0.25)
+        beta = np.array([0.25, 0.5])
+        state = np.array([0.5, 0.5, -0.5, -0.5])  # mean 0: mu stays put
+        mu, delta = _sweep(problem, _Workspace(problem), state, 0.0, beta,
+                           np.zeros(1, dtype=np.int64))
+        assert np.all(beta == 0.0) and not np.any(np.signbit(beta))
+        assert mu == 0.0 and delta == 0.5
+        np.testing.assert_array_equal(state, [0.75, 1.0, -0.5, -0.5])
+
     def test_missing_compiler_is_named(self, rng, tmp_path, monkeypatch):
         import netcov.solver as solver
 
@@ -709,14 +707,13 @@ class TestStateReuse:
                                step[1].copy()))
             return step
 
-        def started(problem, beta0=None, mu0=None, workspace=None, **kwargs):
+        def started(problem, beta0=None, mu0=None, state0=None, **kwargs):
             if solutions and not np.array_equal(beta0,
                                                 solutions[-1].beta_tilde):
-                mu, beta, state = workspace.held
-                assert mu == mu0 and np.array_equal(beta, beta0)
-                priced.append(("predicted", problem, mu, beta, state.copy()))
+                priced.append(("predicted", problem, mu0, beta0,
+                               state0.copy()))
             solutions.append(solve(problem, beta0=beta0, mu0=mu0,
-                                   workspace=workspace, **kwargs))
+                                   state0=state0, **kwargs))
             return solutions[-1]
 
         monkeypatch.setattr(solver, "_anderson", accepted)
@@ -761,6 +758,66 @@ class TestStateReuse:
             assert again.n_sweeps == sol.n_sweeps
             assert again.deviance == sol.deviance
         assert plain > 0
+
+    @pytest.mark.parametrize("shape", [(49,), (51,), (50, 1)])
+    def test_misshapen_start_state_is_refused(self, rng, shape, monkeypatch):
+        # the kernel writes the state as raw memory of N doubles: a state
+        # of any other shape is refused before a sweep starts
+        import netcov.solver as solver
+
+        problem, *_ = build_problem(rng)
+        swept = []
+        monkeypatch.setattr(solver, "_sweep",
+                            lambda *args: swept.append(args))
+        with pytest.raises(ValueError, match="start state has shape"):
+            fit_at_lambda(problem, state0=np.zeros(shape))
+        assert swept == []
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_wrong_start_state_still_certified(self, rng, family):
+        # a state0 that is not the state at (mu0, beta0) costs sweeps,
+        # never the answer: the fit is certified from scratch and reaches
+        # the fresh start's objective
+        problem, *_ = build_problem(rng, family=family, lam=0.05)
+        beta0 = rng.standard_normal(problem.U.shape[1])
+        fresh = fit_at_lambda(problem, beta0=beta0, mu0=0.1)
+        state0 = rng.standard_normal(problem.N)
+        given = state0.copy()
+        wrong = fit_at_lambda(problem, beta0=beta0, mu0=0.1, state0=state0)
+        assert kkt_residual(problem, wrong.mu, wrong.beta_tilde) <= 1e-6
+        q_fresh = objective(problem, fresh.mu, fresh.beta_tilde)
+        q_wrong = objective(problem, wrong.mu, wrong.beta_tilde)
+        assert abs(q_wrong - q_fresh) <= 1e-12 * abs(q_fresh)
+        # the sweeps ran on a copy
+        np.testing.assert_array_equal(state0, given)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_path_starts_need_no_pass_over_u(self, family, monkeypatch):
+        # after the first point, every point of a path starts from the
+        # state it is handed: no _fresh_state call comes between a fit's
+        # start and its first sweep
+        import netcov.solver as solver
+
+        events = []
+
+        def tap(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, wrapped)
+
+        for name in ("fit_at_lambda", "_fresh_state", "_sweep"):
+            tap(name, getattr(solver, name))
+        prep = scheme_problem("ebg", family)
+        fit_path(prep.problem, prep.basis, prep.emap, grid_size=20)
+        monkeypatch.undo()
+        starts = []
+        for i, event in enumerate(events):
+            if event == "fit_at_lambda":
+                first_sweep = events.index("_sweep", i)
+                starts.append(events[i:first_sweep].count("_fresh_state"))
+        assert len(starts) == 20
+        assert starts == [1] + [0] * 19
 
 
 class TestDesignLayout:
