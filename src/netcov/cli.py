@@ -33,8 +33,9 @@ from . import __version__
 from .baselines import cpm_fit, cpm_predict, write_cpm_edges
 # build_design is unused here but stays importable as netcov.cli.build_design,
 # a name the benchmark's traced run (benchmarks/spans.py) wraps
-from .data import (build_design, load_dataset, read_manifest,  # noqa: F401
-                   save_dataset, write_manifest)
+from .data import (build_design, load_dataset, read_feature_csv,  # noqa: F401
+                   read_manifest, require_finite, save_dataset,
+                   write_manifest)
 from .groups import split_communities, write_groups_csv
 from .metrics import (prediction_metrics, roc_along_path, support_metrics,
                       write_metrics_csv, write_roc_csv)
@@ -366,30 +367,6 @@ def _write_feature_csv(path, header, *columns):
             writer.writerow([j] + [repr(float(v)) for v in values])
 
 
-def _require_finite(path, name, values):
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: {name} is not finite")
-
-
-def _read_feature_csv(path, p, defaults):
-    """Columns of a :func:`_write_feature_csv` file as length-p arrays; a
-    non-finite value is a data error."""
-    columns = [np.full(p, value) for value in defaults]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            j = int(row[0])
-            if not 0 <= j < p:
-                raise ValueError(
-                    f"{path}: feature index {j} outside 0..{p - 1}")
-            for column, value in zip(columns, row[1:]):
-                column[j] = float(value)
-    for name, column in zip(header[1:], columns):
-        _require_finite(path, name, column)
-    return columns
-
-
 def _write_model(model, out_dir):
     """Write a FittedModel's arrays; its scalars go to ``fit_info``."""
     _write_feature_csv(os.path.join(out_dir, "coefficients.csv"), ["beta"],
@@ -401,17 +378,21 @@ def _write_model(model, out_dir):
                               os.path.join(out_dir, "nuisance_model.csv"))
 
 
-def _read_model(fit_dir, info, p):
-    """The FittedModel that :func:`run_fit` wrote to ``fit_dir``; a
-    non-finite number, a negative sd or a y_sd not above 0 is a data error
-    naming its file."""
+def _read_model(fit_dir, info, dataset):
+    """The FittedModel that :func:`run_fit` wrote to ``fit_dir``, to score
+    on ``dataset``; a fit of another p or family, a non-finite number, a
+    negative sd or a y_sd not above 0 is a data error."""
+    p = dataset.index.p
     if int(info["p"]) != p:
         raise ValueError(
             f"fit was trained with p={info['p']} but dataset has p={p}")
-    beta, = _read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p,
-                              (0.0,))
+    if info["family"] != dataset.family:
+        raise ValueError(f"fit was trained on the {info['family']} family "
+                         f"but dataset is {dataset.family}")
+    beta, = read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p,
+                             (0.0,))
     std_path = os.path.join(fit_dir, "standardization.csv")
-    means, sds = _read_feature_csv(std_path, p, (0.0, 1.0))
+    means, sds = read_feature_csv(std_path, p, (0.0, 1.0))
     if np.any(sds < 0.0):
         raise ValueError(f"{std_path}: sd is negative")
     mu = float(info["intercept"])
@@ -420,7 +401,7 @@ def _read_model(fit_dir, info, p):
     info_path = os.path.join(fit_dir, "fit_info")
     for key, value in (("intercept", mu), ("y_mean", y_mean), ("y_sd", y_sd)):
         if value is not None:
-            _require_finite(info_path, key, value)
+            require_finite(info_path, key, value)
     if y_sd is not None and y_sd <= 0.0:
         raise ValueError(f"{info_path}: y_sd is not positive")
     nm_path = os.path.join(fit_dir, "nuisance_model.csv")
@@ -452,7 +433,7 @@ def _read_nuisance_model(path):
         y_coefs = None
         for row in reader:
             values = [float(v) for v in row[1:]]
-            _require_finite(path, f"row {row[0]}", values)
+            require_finite(path, f"row {row[0]}", values)
             if row[0] == "y":
                 y_coefs = np.array(values)
             else:
@@ -545,7 +526,7 @@ def run_evaluate(fit_dir, data_dir, out_dir):
     dataset = load_dataset(data_dir)
     idx = dataset.index
     info = read_manifest(os.path.join(fit_dir, "fit_info"))
-    model = _read_model(fit_dir, info, idx.p)
+    model = _read_model(fit_dir, info, dataset)
     os.makedirs(out_dir, exist_ok=True)
 
     row = {"method": info.get("method", info.get("scheme"))}

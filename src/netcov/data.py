@@ -36,6 +36,7 @@ A dataset directory contains headerless, comma-separated CSVs:
                       e.g. ``1-785`` or ``1-5,7,9-12``)
 """
 
+import csv
 import os
 from dataclasses import dataclass, field
 
@@ -436,6 +437,32 @@ def write_manifest(path, entries, header=None):
             fh.write(f"# {line}\n")
         for key, value in entries.items():
             fh.write(f"{key} = {value}\n")
+
+
+def require_finite(path, name, values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: {name} is not finite")
+
+
+def read_feature_csv(path, p, defaults):
+    """Columns of a per-feature CSV (a header, then a feature index and one
+    value per column on each row) as length-p arrays, each starting from
+    its entry of ``defaults``; an index outside 0..p-1 or a non-finite
+    value is a data error naming the file."""
+    columns = [np.full(p, value) for value in defaults]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for row in reader:
+            j = int(row[0])
+            if not 0 <= j < p:
+                raise ValueError(
+                    f"{path}: feature index {j} outside 0..{p - 1}")
+            for column, value in zip(columns, row[1:]):
+                column[j] = float(value)
+    for name, column in zip(header[1:], columns):
+        require_finite(path, name, column)
+    return columns
 
 
 def _load_matrix(path, N, cols):

@@ -271,7 +271,7 @@ def back_transform(beta_tilde, basis, emap):
     preserved: ``U @ beta_tilde == Z_std @ beta`` up to rank truncation.
     """
     beta_tilde = np.asarray(beta_tilde, dtype=np.float64).ravel()
-    total = sum(s1 - s0 for s0, s1 in basis.u_slices)
+    total = basis.u_slices[-1][1]  # the groups tile U's columns
     if beta_tilde.size != total:
         raise ValueError(
             f"coefficient vector has length {beta_tilde.size}, expected {total}"

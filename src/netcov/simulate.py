@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import (CommunityMap, Dataset, FeatureIndex, build_design,
-                   load_dataset)
+                   load_dataset, read_feature_csv)
 from .groups import scheme_groups, split_communities
 
 __all__ = [
@@ -221,18 +221,10 @@ def write_truth_csv(truth, path):
 
 
 def load_truth_csv(path, p):
-    beta = np.zeros(p)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            j = int(row[0])
-            if not 0 <= j < p:
-                raise ValueError(
-                    f"{path}: feature index {j} outside 0..{p - 1}")
-            beta[j] = float(row[1])
-    support = np.flatnonzero(beta)
-    return GroundTruth(beta=beta, mu=0.0, active_features=support,
+    """The ground truth :func:`write_truth_csv` wrote, read as any other
+    per-feature file: a bad index or a non-finite beta is a data error."""
+    beta, = read_feature_csv(path, p, (0.0,))
+    return GroundTruth(beta=beta, mu=0.0, active_features=np.flatnonzero(beta),
                        active_groups=())
 
 

@@ -41,31 +41,33 @@ state, or the same extrapolation of the last two) and solves each point
 once, under a hard cap of ten times its sweep budget.
 
 The pass over the groups, the hot loop of every sweep, runs in C:
-``sweep_kernel.c`` beside this module.  It is compiled with the system C
-compiler (``gcc``) the first time a solver workspace is made, never at
-import, and loaded with :mod:`ctypes`; ctypes and a compiler need no
-package beyond the standard library, where cffi would be an undeclared
-dependency.  The library is cached under the user cache directory
-(``$XDG_CACHE_HOME/netcov``, by default ``~/.cache/netcov``).  A missing
-or failing compiler is an error naming the compiler and its output;
-there is no interpreted fallback.  The build uses ``-O3 -march=native
--ffp-contract=off`` and never ``-ffast-math``: fast-math would let the
-compiler reassociate sums and fuse multiply-adds, so a result would
-depend on the vector width of the build.  The kernel instead spells out
-eight independent partial sums per dot product, which the compiler
-vectorizes without reordering any of them, so its arithmetic is the same
-whatever vector width the build picks.
+``sweep_kernel.c`` beside this module.  Each solve binds it to the group
+layout that :class:`PenalizedProblem` checks when it is built.  It is
+compiled with the system C compiler (``gcc``) the first time a solve
+binds it, never at import, and loaded with :mod:`ctypes`; ctypes and a
+compiler need no package beyond the standard library, where cffi would
+be an undeclared dependency.  The library is cached under the user cache
+directory (``$XDG_CACHE_HOME/netcov``, by default ``~/.cache/netcov``).
+A missing or failing compiler is an error naming the compiler and its
+output; there is no interpreted fallback.  The build uses ``-O3
+-march=native -ffp-contract=off`` and never ``-ffast-math``: fast-math
+would let the compiler reassociate sums and fuse multiply-adds, so a
+result would depend on the vector width of the build.  The kernel
+instead spells out eight independent partial sums per dot product, which
+the compiler vectorizes without reordering any of them, so its
+arithmetic is the same whatever vector width the build picks.
 """
 
 import ctypes
 import functools
 import hashlib
+import numbers
 import os
 import platform
 import subprocess
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -128,7 +130,10 @@ class PenalizedProblem:
     ``U`` is stored as float64 with contiguous columns, the layout
     :func:`~netcov.preprocess.orthonormalize` writes (kept without a
     copy); any other dtype or order is converted once here, so the path
-    does not depend on how U arrived.
+    does not depend on how U arrived.  The groups must tile U's columns
+    in order, each non-empty, with one finite positive multiplier and one
+    name each; they are kept as ``offsets`` (group g owns columns
+    ``offsets[g]:offsets[g + 1]``), the multipliers as contiguous float64.
     """
 
     U: np.ndarray
@@ -138,6 +143,7 @@ class PenalizedProblem:
     multipliers: np.ndarray
     names: tuple
     lam: float = 0.0
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U",
@@ -147,12 +153,30 @@ class PenalizedProblem:
                              f"{np.size(self.y)} rows")
         if self.family not in ("gaussian", "binomial"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if np.any(np.asarray(self.multipliers) <= 0):
-            raise ValueError("penalty multipliers must be positive")
+        if not (isinstance(self.lam, numbers.Real) and 0 <= self.lam < np.inf):
+            raise ValueError(
+                f"lambda must be a finite number >= 0, got {self.lam!r}")
+        # O(groups) and no pass over U: this runs at every path point
+        n, m = len(self.slices), self.U.shape[1]
+        # read as floats, so that a fractional bound is refused, not truncated
+        starts = np.fromiter((s0 for s0, _ in self.slices), float, count=n)
+        ends = np.fromiter((s1 for _, s1 in self.slices), float, count=n)
+        if (n == 0 or starts[0] != 0 or ends[-1] != m or np.any(ends % 1)
+                or np.any(starts[1:] != ends[:-1]) or np.any(ends <= starts)):
+            raise ValueError(f"group slices must tile U's {m} columns in "
+                             "order with integer bounds, each group non-empty")
+        multipliers = np.ascontiguousarray(self.multipliers, dtype=np.float64)
+        if multipliers.shape != (n,) or not np.all(
+                (0 < multipliers) & (multipliers < np.inf)):
+            raise ValueError("need one finite positive penalty multiplier "
+                             f"for each of the {n} groups")
+        if len(self.names) != n:
+            raise ValueError(f"{len(self.names)} group names for {n} groups")
         if self.family == "binomial" and not np.all(np.isin(self.y, (0.0, 1.0))):
             raise ValueError("binomial responses must be coded 0/1")
+        object.__setattr__(self, "multipliers", multipliers)
+        object.__setattr__(self, "offsets",
+                           np.append(starts, ends[-1]).astype(np.int64))
 
     @property
     def N(self):
@@ -160,7 +184,7 @@ class PenalizedProblem:
 
     @property
     def n_groups(self):
-        return len(self.slices)
+        return self.offsets.size - 1
 
 
 @dataclass
@@ -249,7 +273,7 @@ def smooth_gradient(problem, mu, beta_tilde, state=None):
 
 def _penalized(problem, dev, beta_tilde):
     """Q from a deviance in hand: dev/N + lambda * sum_G w_G ||b_G||."""
-    pen = float(_group_norms(beta_tilde, problem.slices) @ problem.multipliers)
+    pen = float(_group_norms(problem, beta_tilde) @ problem.multipliers)
     return dev / problem.N + problem.lam * pen
 
 
@@ -266,13 +290,8 @@ def objective(problem, mu, beta_tilde):
                       beta_tilde)
 
 
-def _group_starts(slices):
-    return np.fromiter((s0 for s0, _ in slices), dtype=np.int64,
-                       count=len(slices))
-
-
-def _group_norms(vec, slices):
-    sq = np.add.reduceat(vec * vec, _group_starts(slices))
+def _group_norms(problem, vec):
+    sq = np.add.reduceat(vec * vec, problem.offsets[:-1])
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -283,7 +302,7 @@ def _kkt_from_gradient(problem, beta_tilde, grad):
     ||g||^2 + 2 s <g, b>/||b|| + s^2, so everything reduces to per-group
     norms and inner products computed in one pass.
     """
-    starts = _group_starts(problem.slices)
+    starts = problem.offsets[:-1]
     gnorms2 = np.add.reduceat(grad * grad, starts)
     lam = problem.lam
     if lam == 0.0:
@@ -293,7 +312,7 @@ def _kkt_from_gradient(problem, beta_tilde, grad):
     dots = np.add.reduceat(grad * beta_tilde, starts)
     scale = lam * problem.multipliers
     active = bnorms > 0
-    res = np.empty(len(problem.slices))
+    res = np.empty(problem.n_groups)
     gnorms = np.sqrt(np.maximum(gnorms2, 0.0))
     res[~active] = np.maximum(0.0, gnorms[~active] - scale[~active])
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -329,7 +348,7 @@ def lambda_max(problem):
     """
     mu0 = _intercept_start(problem)
     _, grad = smooth_gradient(problem, mu0, np.zeros(problem.U.shape[1]))
-    norms = _group_norms(grad, problem.slices)
+    norms = _group_norms(problem, grad)
     lam = float(np.max(norms / problem.multipliers))
     # largest gradient any unit-norm column could attain; lam below float
     # dust of that scale means the response carries no usable signal
@@ -414,39 +433,19 @@ def _load_kernel():
     return fn
 
 
-class _Workspace:
-    """Per-problem scratch shared across a path: the transposed design
-    (rows contiguous per column of U; a view of U, whose layout
-    :class:`PenalizedProblem` fixes), the group layout as flat arrays, the
-    kernel's work buffer and the compiled sweep bound to all of these.
-    None of it depends on lambda or on where a fit starts."""
-
-    __slots__ = ("UT", "starts", "ends", "multipliers", "all_groups", "work",
-                 "sweep_groups")
-
-    def __init__(self, problem):
-        kernel = _load_kernel()
-        self.UT = np.ascontiguousarray(problem.U.T, dtype=np.float64)
-        n_groups = len(problem.slices)
-        self.starts = _group_starts(problem.slices)
-        self.ends = np.fromiter((s1 for _, s1 in problem.slices),
-                                dtype=np.int64, count=n_groups)
-        self.multipliers = np.ascontiguousarray(
-            np.asarray(problem.multipliers, dtype=np.float64))
-        self.all_groups = np.arange(n_groups, dtype=np.int64)
-        widths = self.ends - self.starts
-        # the kernel reads these as raw memory: check the bounds once here
-        if (self.multipliers.shape != (n_groups,)
-                or np.any(self.starts < 0) or np.any(widths < 0)
-                or np.any(self.ends > self.UT.shape[0])):
-            raise ValueError("group slices or multipliers do not fit U's "
-                             f"{self.UT.shape[0]} columns")
-        # the block's residual shift (N), then the widest group's target
-        self.work = np.empty(problem.N + int(np.max(widths, initial=0)))
-        self.sweep_groups = functools.partial(
-            kernel, self.UT.ctypes.data, problem.N, self.starts.ctypes.data,
-            self.ends.ctypes.data, self.multipliers.ctypes.data,
-            self.work.ctypes.data)
+def _bind_kernel(problem):
+    """The compiled group pass bound to U.T (a view), the problem's layout
+    and multipliers and a work buffer; the kernel reads them as raw
+    memory, so the bound call holds them all as ``arrays``."""
+    offsets = problem.offsets
+    arrays = (problem.U.T, offsets[:-1], offsets[1:], problem.multipliers,
+              # the block's residual shift (N), then the widest group's target
+              np.empty(problem.N + int(np.diff(offsets).max())))
+    sweep_groups = functools.partial(
+        _load_kernel(), arrays[0].ctypes.data, problem.N,
+        *(arr.ctypes.data for arr in arrays[1:]))
+    sweep_groups.arrays = arrays
+    return sweep_groups
 
 
 def _kernel_array(arr, dtype):
@@ -457,7 +456,7 @@ def _kernel_array(arr, dtype):
     return arr.ctypes.data
 
 
-def _sweep(problem, ws, state, mu, beta, order):
+def _sweep(problem, sweep_groups, state, mu, beta, order):
     """One cyclic pass (intercept + the given groups); returns (mu, max change).
 
     ``state`` is the work vector of :func:`_fresh_state`, updated in
@@ -487,7 +486,7 @@ def _sweep(problem, ws, state, mu, beta, order):
         eta += dmu
     max_delta = abs(dmu)
 
-    group_delta = ws.sweep_groups(
+    group_delta = sweep_groups(
         _kernel_array(resid, np.float64),
         None if gaussian else _kernel_array(eta, np.float64),
         _kernel_array(beta, np.float64), thresh_scale,
@@ -529,8 +528,7 @@ def _anderson(problem, beta, coords, history, states):
 
 
 def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
-                  tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, workspace=None,
-                  state0=None):
+                  tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, state0=None):
     """Solve the penalized problem at the problem's lambda.
 
     Cyclic group descent with an active-set strategy: iterate over the
@@ -566,9 +564,10 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
         if state.shape != (problem.N,):
             raise ValueError(f"start state has shape {state.shape}, "
                              f"expected ({problem.N},)")
-    ws = _Workspace(problem) if workspace is None else workspace
+    sweep_groups = _bind_kernel(problem)
+    all_groups = np.arange(problem.n_groups, dtype=np.int64)
 
-    norms = _group_norms(beta, problem.slices)
+    norms = _group_norms(problem, beta)
     in_active = norms > 0
     active = np.flatnonzero(in_active)
 
@@ -576,10 +575,10 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     n_extrapolated = 0
     while sweeps < max_iter:
         # converge on the current active set
-        coords = np.flatnonzero(np.repeat(in_active, ws.ends - ws.starts))
+        coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
         history, states = [], []
         while sweeps < max_iter:
-            mu, delta = _sweep(problem, ws, state, mu, beta, active)
+            mu, delta = _sweep(problem, sweep_groups, state, mu, beta, active)
             sweeps += 1
             if delta < tol:
                 break
@@ -598,7 +597,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
         state = _fresh_state(problem, mu, beta)  # shed incremental drift
         gmu, grad = smooth_gradient(problem, mu, beta, state)
         if problem.lam > 0:
-            gnorms = _group_norms(grad, problem.slices)
+            gnorms = _group_norms(problem, grad)
             limit = problem.lam * problem.multipliers
             violators = ~in_active & (gnorms > limit)
             if violators.any():
@@ -618,9 +617,9 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
 
         # not stationary yet: take a full pass over every group
         if sweeps < max_iter:
-            mu, _ = _sweep(problem, ws, state, mu, beta, ws.all_groups)
+            mu, _ = _sweep(problem, sweep_groups, state, mu, beta, all_groups)
             sweeps += 1
-            norms = _group_norms(beta, problem.slices)
+            norms = _group_norms(problem, beta)
             in_active = norms > 0
             active = np.flatnonzero(in_active)
 
@@ -657,7 +656,6 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
 
     entries = []
     last = prev = None  # the last two solutions
-    ws = _Workspace(problem)
     for i, lam in enumerate(lambdas):
         prob = replace(problem, lam=float(lam))
         start, predicted = {}, False
@@ -674,13 +672,13 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
                              state0=state_p)
                 predicted = True
         sol = fit_at_lambda(prob, **start, max_iter=10 * max_iter, tol=tol,
-                            kkt_tol=kkt_tol, workspace=ws)
+                            kkt_tol=kkt_tol)
         if sol.n_sweeps > max_iter:
             warnings.warn(
                 f"lambda index {i}: took {sol.n_sweeps} sweeps, more than "
                 f"max_iter={max_iter}", RuntimeWarning, stacklevel=2)
         prev, last = last, sol
-        norms = _group_norms(sol.beta_tilde, problem.slices)
+        norms = _group_norms(problem, sol.beta_tilde)
         active = tuple(problem.names[gi]
                        for gi in range(problem.n_groups) if norms[gi] > 0)
         beta = back_transform(sol.beta_tilde, basis, emap)

@@ -289,6 +289,46 @@ class TestEvaluate:
         assert (f"feature index {index} outside 0..20"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_truth_is_data_error(self, sim_dir, fit_dir, tmp_path,
+                                            capsys, value):
+        # truth.csv goes through the reader coefficients.csv uses: a
+        # non-finite beta would otherwise count as true support
+        data_copy = tmp_path / "data"
+        shutil.copytree(sim_dir, data_copy)
+        (data_copy / "truth.csv").write_text(
+            f"feature_index,beta\n0,{value}\n1,0.5\n")
+        code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                         str(data_copy), "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert "truth.csv: beta is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_family_mismatch_is_data_error(self, sim_dir, fit_dir, tmp_path,
+                                           capsys):
+        # the gaussian fit against a binomial copy of its cell, then a
+        # binomial fit of that copy against the gaussian cell
+        binary = tmp_path / "binary"
+        shutil.copytree(sim_dir, binary)
+        y = np.loadtxt(binary / "y.csv")
+        np.savetxt(binary / "y.csv", (y > np.median(y)).astype(float),
+                   fmt="%.17g")
+        _edit_manifest(binary / "manifest", "family", "binomial")
+        binary_fit = tmp_path / "binary_fit"
+        assert cli.main(["fit", "--data", str(binary), "--scheme", "ebg",
+                         "--out", str(binary_fit), "--folds", "3",
+                         "--grid-size", "8", "--seed", "3"]) == 0
+        for fit, data, trained, scored in (
+                (fit_dir, binary, "gaussian", "binomial"),
+                (binary_fit, sim_dir, "binomial", "gaussian")):
+            out = tmp_path / f"eval_{trained}"
+            code = cli.main(["evaluate", "--fit", str(fit), "--data",
+                             str(data), "--out", str(out)])
+            assert code == 3
+            assert (f"fit was trained on the {trained} family but dataset "
+                    f"is {scored}") in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestNuisanceEvaluate:
     def test_evaluate_matches_in_process_prediction(self, tmp_path):

@@ -201,18 +201,19 @@ class TestFitAtLambda:
         assert np.isfinite(err.value.kkt_residual)
 
     def test_objective_never_increases(self, rng):
-        from netcov.solver import _fresh_state, _sweep, _Workspace
+        from netcov.solver import _bind_kernel, _fresh_state, _sweep
 
         for family in ("gaussian", "binomial"):
             problem, *_ = build_problem(rng, family=family)
             prob = replace(problem, lam=0.2 * lambda_max(problem))
-            ws = _Workspace(prob)
+            kernel = _bind_kernel(prob)
+            all_groups = np.arange(prob.n_groups, dtype=np.int64)
             mu = float(prob.y.mean()) if family == "gaussian" else 0.0
             beta = np.zeros(prob.U.shape[1])
             state = _fresh_state(prob, mu, beta)
             prev = objective(prob, mu, beta)
             for _ in range(60):
-                mu, _ = _sweep(prob, ws, state, mu, beta, ws.all_groups)
+                mu, _ = _sweep(prob, kernel, state, mu, beta, all_groups)
                 q = objective(prob, mu, beta)
                 assert q <= prev + 1e-12
                 prev = q
@@ -545,7 +546,7 @@ class TestSweepKernel:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("layout", ["singleton", "block", "mixed"])
     def test_one_sweep_matches_reference(self, rng, layout, family):
-        from netcov.solver import _fresh_state, _sweep, _Workspace
+        from netcov.solver import _bind_kernel, _fresh_state, _sweep
 
         for trial in range(5):
             problem = self.problem(rng, self.LAYOUTS[layout], family)
@@ -561,7 +562,8 @@ class TestSweepKernel:
             b_ref, s_ref = beta.copy(), state.copy()
             mu_ref, d_ref = self.reference_sweep(prob, s_ref, mu, b_ref,
                                                  order)
-            mu_k, d_k = _sweep(prob, _Workspace(prob), state, mu, beta, order)
+            mu_k, d_k = _sweep(prob, _bind_kernel(prob), state, mu, beta,
+                               order)
             assert self.close(beta, b_ref) and self.close(state, s_ref)
             assert abs(mu_k - mu_ref) <= 1e-12 * max(1.0, abs(mu_ref))
             assert abs(d_k - d_ref) <= 1e-12 * max(1.0, d_ref)
@@ -570,7 +572,7 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_empty_order_moves_only_the_intercept(self, rng, family):
-        from netcov.solver import _fresh_state, _sweep, _Workspace
+        from netcov.solver import _bind_kernel, _fresh_state, _sweep
 
         problem = replace(self.problem(rng, self.LAYOUTS["mixed"], family),
                           lam=0.01)
@@ -579,7 +581,7 @@ class TestSweepKernel:
         b_ref, s_ref = beta.copy(), state.copy()
         order = np.empty(0, dtype=np.int64)
         expected = self.reference_sweep(problem, s_ref, 0.3, b_ref, order)
-        got = _sweep(problem, _Workspace(problem), state, 0.3, beta, order)
+        got = _sweep(problem, _bind_kernel(problem), state, 0.3, beta, order)
         assert got == expected
         np.testing.assert_array_equal(beta, b_ref)
         np.testing.assert_array_equal(state, s_ref)
@@ -587,7 +589,7 @@ class TestSweepKernel:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("width", [1, 3])
     def test_shrunk_group_is_exact_zero(self, rng, family, width):
-        from netcov.solver import _fresh_state, _sweep, _Workspace
+        from netcov.solver import _bind_kernel, _fresh_state, _sweep
 
         problem = self.problem(rng, [2, width, 2], family)
         beta = rng.standard_normal(problem.U.shape[1])
@@ -597,7 +599,7 @@ class TestSweepKernel:
         # the middle group's threshold beats any target it can reach
         prob = replace(problem, lam=1.0,
                        multipliers=np.array([1e-9, 1e9, 1e-9]))
-        _sweep(prob, _Workspace(prob), state, 0.0, beta,
+        _sweep(prob, _bind_kernel(prob), state, 0.0, beta,
                np.arange(3, dtype=np.int64))
         shrunk = beta[2:2 + width]
         assert np.all(shrunk == 0.0) and not np.any(np.signbit(shrunk))
@@ -607,7 +609,7 @@ class TestSweepKernel:
         # unit-vector columns make every product exact: the target
         # z = U_G^T r + b_G = (0.75, 1.0) has norm 1.25, exactly the
         # threshold N * lam * w_G, so the group leaves as +0.0
-        from netcov.solver import _sweep, _Workspace
+        from netcov.solver import _bind_kernel, _sweep
 
         problem = PenalizedProblem(
             U=np.eye(4)[:, :2], y=np.zeros(4), family="gaussian",
@@ -615,7 +617,7 @@ class TestSweepKernel:
             lam=0.25)
         beta = np.array([0.25, 0.5])
         state = np.array([0.5, 0.5, -0.5, -0.5])  # mean 0: mu stays put
-        mu, delta = _sweep(problem, _Workspace(problem), state, 0.0, beta,
+        mu, delta = _sweep(problem, _bind_kernel(problem), state, 0.0, beta,
                            np.zeros(1, dtype=np.int64))
         assert np.all(beta == 0.0) and not np.any(np.signbit(beta))
         assert mu == 0.0 and delta == 0.5
@@ -629,7 +631,7 @@ class TestSweepKernel:
         monkeypatch.setattr(solver, "_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setattr(solver, "_CC", str(tmp_path / "no-such-cc"))
         with pytest.raises(RuntimeError, match="no-such-cc"):
-            solver._Workspace(problem)
+            solver._bind_kernel(problem)
 
     def test_failing_compiler_shows_its_output(self, rng, tmp_path,
                                                monkeypatch):
@@ -641,7 +643,7 @@ class TestSweepKernel:
         monkeypatch.setattr(solver, "_CFLAGS",
                             solver._CFLAGS + ("-fno-such-flag",))
         with pytest.raises(RuntimeError, match="(?s)gcc.*no-such-flag"):
-            solver._Workspace(problem)
+            solver._bind_kernel(problem)
         assert os.listdir(tmp_path / "cache") == []
 
     def test_concurrent_cold_builds_load_one_library(self, tmp_path):
@@ -682,11 +684,14 @@ class TestStateReuse:
     """The solver's work vector is carried instead of recomputed; what it
     carries must equal a fresh pass over U."""
 
-    def test_workspace_views_prepared_design(self):
-        prep = scheme_problem("ebg", "gaussian")
-        from netcov.solver import _Workspace
+    def test_kernel_reads_prepared_design_in_place(self):
+        # the bound kernel is handed U's own memory, transposed by view
+        from netcov.solver import _bind_kernel
 
-        assert np.shares_memory(_Workspace(prep.problem).UT, prep.problem.U)
+        prep = scheme_problem("ebg", "gaussian")
+        kernel = _bind_kernel(prep.problem)
+        assert kernel.args[0] == prep.problem.U.ctypes.data
+        assert np.shares_memory(kernel.arrays[0], prep.problem.U)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_stored_state_pricing_matches_fresh(self, family, monkeypatch):
@@ -846,6 +851,91 @@ class TestDesignLayout:
         problem, *_ = build_problem(rng)
         with pytest.raises(ValueError, match="rows"):
             replace(problem, U=problem.U[:-1])
+
+
+class CountingSlices(tuple):
+    """A group layout that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestGroupLayout:
+    """The problem checks its group layout once, when it is built; every
+    reduction and the compiled sweep read the arrays it keeps."""
+
+    SLICES = ((0, 2), (2, 3), (3, 5))
+
+    @staticmethod
+    def build(rng, **changes):
+        fields = dict(U=rng.standard_normal((12, 5)),
+                      y=rng.standard_normal(12), family="gaussian",
+                      slices=TestGroupLayout.SLICES, multipliers=np.ones(3),
+                      names=("a", "b", "c"), lam=0.1)
+        fields.update(changes)
+        return PenalizedProblem(**fields)
+
+    def test_layout_is_kept_as_arrays(self, rng):
+        problem = self.build(rng, multipliers=[1, 2, 3])
+        np.testing.assert_array_equal(problem.offsets, [0, 2, 3, 5])
+        assert problem.offsets.dtype == np.int64 and problem.n_groups == 3
+        assert problem.multipliers.dtype == np.float64
+        assert problem.multipliers.flags.c_contiguous
+
+    @pytest.mark.parametrize("slices", [
+        ((0, 2), (3, 5)),  # a gap
+        ((0, 3), (2, 5)),  # an overlap
+        ((0, 2), (2, 2), (2, 5)),  # an empty group
+        ((2, 5), (0, 2)),  # out of order
+        ((0, 2), (2, 4)),  # stops short of U's 5 columns
+        ((0, 2), (2, 6)),  # runs past them
+        ((0, 2.5), (2.5, 5)),  # a bound that is not an integer
+        (),
+    ])
+    def test_malformed_layout_is_refused(self, rng, slices):
+        n = len(slices)
+        with pytest.raises(ValueError, match="tile U's 5 columns"):
+            self.build(rng, slices=slices, multipliers=np.ones(n),
+                       names=tuple(map(str, range(n))))
+
+    def test_slice_that_is_not_a_pair_is_refused(self, rng):
+        with pytest.raises(ValueError, match="unpack"):
+            self.build(rng, slices=((0, 2), (2, 3, 4), (3, 5)))
+
+    @pytest.mark.parametrize("multipliers", [
+        np.ones(2), np.ones(4), np.ones((3, 1)), [1.0, np.nan, 1.0],
+        [1.0, np.inf, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0]])
+    def test_bad_multipliers_are_refused(self, rng, multipliers):
+        with pytest.raises(ValueError, match="one finite positive penalty"):
+            self.build(rng, multipliers=multipliers)
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d")])
+    def test_wrong_name_count_is_refused(self, rng, names):
+        with pytest.raises(ValueError, match="group names for 3 groups"):
+            self.build(rng, names=names)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1, "0.1", None])
+    def test_bad_lambda_is_refused(self, rng, lam):
+        problem = self.build(rng)
+        with pytest.raises(ValueError, match="lambda must be"):
+            replace(problem, lam=lam)
+
+    def test_layout_is_read_once(self, rng):
+        problem, *_ = build_problem(rng)
+        slices = CountingSlices(problem.slices)
+        problem = replace(problem, slices=slices,
+                          lam=0.3 * lambda_max(problem))
+        built = slices.iterations
+        beta = np.zeros(problem.U.shape[1])
+        lambda_max(problem)
+        objective(problem, 0.0, beta)
+        kkt_residual(problem, 0.0, beta)
+        sol = fit_at_lambda(problem)
+        assert np.any(sol.beta_tilde != 0.0)
+        assert slices.iterations == built
 
 
 class TestCommunityRelabelling:
