@@ -331,8 +331,8 @@ def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
     with open(os.path.join(out_dir, "active_groups.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "norm"])
-        for name, (s0, s1) in zip(fit.path.group_names, fit.path.slices):
-            norm = float(np.linalg.norm(entry.beta_tilde[s0:s1]))
+        for name, norm in zip(fit.path.group_names,
+                              fit.path.group_norms(entry)):
             if norm > 0:
                 writer.writerow([name, repr(norm)])
     idx = dataset.index
@@ -389,10 +389,9 @@ def _read_model(fit_dir, info, dataset):
     if info["family"] != dataset.family:
         raise ValueError(f"fit was trained on the {info['family']} family "
                          f"but dataset is {dataset.family}")
-    beta, = read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p,
-                             (0.0,))
+    beta, = read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p, 1)
     std_path = os.path.join(fit_dir, "standardization.csv")
-    means, sds = read_feature_csv(std_path, p, (0.0, 1.0))
+    means, sds = read_feature_csv(std_path, p, 2)
     if np.any(sds < 0.0):
         raise ValueError(f"{std_path}: sd is negative")
     mu = float(info["intercept"])

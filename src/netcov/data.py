@@ -75,9 +75,14 @@ class CommunityMap:
     K: int = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=np.int64)
+        raw = np.asarray(self.assignments)
+        with np.errstate(invalid="ignore"):  # a NaN label is refused below
+            a = raw.astype(np.int64)  # a copy
         if a.ndim != 1 or a.size == 0:
             raise ValueError("community assignments must be a non-empty 1-d sequence")
+        if not np.array_equal(a, raw):
+            bad = raw[a != raw][0]
+            raise ValueError(f"community labels must be integers; got {bad}")
         labels = np.unique(a)
         K = int(labels[-1])
         if labels[0] != 1 or labels.size != K:
@@ -85,7 +90,6 @@ class CommunityMap:
                 "community labels must form a contiguous range 1..K with every "
                 f"label used; got labels {labels.tolist()}"
             )
-        a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "assignments", a)
         object.__setattr__(self, "K", K)
@@ -439,30 +443,49 @@ def write_manifest(path, entries, header=None):
             fh.write(f"{key} = {value}\n")
 
 
+def _seeded_rng(seed, *tags):
+    """The generator of stream (seed, *tags), or fresh entropy without a
+    seed."""
+    if seed is None:
+        return np.random.default_rng()
+    return np.random.default_rng((int(seed),) + tuple(int(t) for t in tags))
+
+
 def require_finite(path, name, values):
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: {name} is not finite")
 
 
-def read_feature_csv(path, p, defaults):
-    """Columns of a per-feature CSV (a header, then a feature index and one
-    value per column on each row) as length-p arrays, each starting from
-    its entry of ``defaults``; an index outside 0..p-1 or a non-finite
-    value is a data error naming the file."""
-    columns = [np.full(p, value) for value in defaults]
+def read_feature_csv(path, p, width, sparse=False):
+    """The ``width`` value columns of a per-feature CSV (a header, then a
+    feature index and ``width`` values on each row) as length-p arrays.
+    Every feature is listed exactly once, unless the file is ``sparse``:
+    then a feature may be left out and its values are 0.0.  A row of
+    another length, an index outside 0..p-1 or listed twice, a missing
+    feature or a non-finite value is a data error naming the file."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            j = int(row[0])
-            if not 0 <= j < p:
-                raise ValueError(
-                    f"{path}: feature index {j} outside 0..{p - 1}")
-            for column, value in zip(columns, row[1:]):
-                column[j] = float(value)
+        header, *rows = list(csv.reader(fh)) or [[]]
+    for line, row in enumerate([header, *rows], 1):
+        if len(row) != width + 1:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+                             f"expected {width + 1}")
+    columns = np.zeros((width, p))
+    listed = np.zeros(p, dtype=bool)
+    for row in rows:
+        j = int(row[0])
+        if not 0 <= j < p:
+            raise ValueError(f"{path}: feature index {j} outside 0..{p - 1}")
+        if listed[j]:
+            raise ValueError(f"{path}: feature index {j} is listed twice")
+        listed[j] = True
+        columns[:, j] = [float(value) for value in row[1:]]
+    if not (sparse or listed.all()):
+        missing = np.flatnonzero(~listed)
+        raise ValueError(f"{path}: {missing.size} of {p} features are not "
+                         f"listed (first few: {missing[:5].tolist()})")
     for name, column in zip(header[1:], columns):
         require_finite(path, name, column)
-    return columns
+    return list(columns)
 
 
 def _load_matrix(path, N, cols):
@@ -494,7 +517,7 @@ def load_dataset(directory):
     order = np.argsort(comm[:, 0])
     if not np.array_equal(comm[order, 0], np.arange(1, n + 1)):
         raise ValueError("communities.csv must list node ids 1..n exactly once")
-    assignments = comm[order, 1].astype(np.int64)
+    assignments = comm[order, 1]
 
     edges = _load_matrix(os.path.join(directory, "A.csv"), N, idx.n_edges)
     covs = _load_matrix(os.path.join(directory, "X.csv"), N, n * d)

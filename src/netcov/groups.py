@@ -128,20 +128,17 @@ class ExpansionMap:
     ``expanded_to_original[j]`` is the source coordinate of duplicated
     coordinate j.  Duplicates are laid out group by group in GroupSpec
     order, ascending original index within each group, so the expanded
-    design is ``Z_star = [Z[:, G] for G in groups]`` concatenated.
+    design is ``Z_star = [Z[:, G] for G in groups]`` concatenated; group
+    g owns expanded coordinates ``offsets[g]:offsets[g + 1]``.
     """
 
     expanded_to_original: np.ndarray
-    slices: tuple
+    offsets: np.ndarray
     p: int
 
     @property
     def p_star(self):
         return self.expanded_to_original.size
-
-    @property
-    def n_groups(self):
-        return len(self.slices)
 
 
 def blocks(cm, idx):
@@ -245,16 +242,10 @@ def scheme_groups(scheme, cm, idx):
 
 def expand(spec):
     """Build the duplication map for an overlapping group specification."""
-    pieces = []
-    slices = []
-    start = 0
-    for g in spec.members:
-        pieces.append(g)
-        slices.append((start, start + g.size))
-        start += g.size
-    mapping = np.concatenate(pieces)
-    mapping.flags.writeable = False
-    return ExpansionMap(expanded_to_original=mapping, slices=tuple(slices),
+    mapping = np.concatenate(spec.members)
+    offsets = np.concatenate(([0], np.cumsum(spec.sizes())))
+    mapping.flags.writeable = offsets.flags.writeable = False
+    return ExpansionMap(expanded_to_original=mapping, offsets=offsets,
                         p=spec.p)
 
 

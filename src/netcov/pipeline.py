@@ -124,7 +124,7 @@ def prepare(dataset, spec, train_rows=None):
     kept_names = tuple(spec.names[gi] for gi in basis.kept)
     problem = PenalizedProblem(
         U=U, y=y, family=dataset.family,
-        slices=basis.u_slices, multipliers=multipliers, names=kept_names,
+        offsets=basis.offsets, multipliers=multipliers, names=kept_names,
     )
     model = FittedModel(family=dataset.family, nuisance_model=nuisance_model,
                         **stats)

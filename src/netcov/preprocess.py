@@ -25,6 +25,7 @@ variable duplication; the linear predictor is preserved exactly.
 
 import warnings
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -176,19 +177,18 @@ class OrthoBasis:
     standardized design, duplicated coordinates included):
     ``B_G = U_G diag(s_G) V_G^T``, truncated at numerical rank r_G.
     ``kept`` indexes into the expansion map's groups; groups of rank zero
-    are dropped.  ``u_slices`` locates each group's columns in the
-    orthonormalized design.
+    are dropped.  The i-th kept group owns columns
+    ``offsets[i]:offsets[i + 1]`` of the orthonormalized design.
     """
 
     kept: tuple
     vs: tuple
     sigmas: tuple
-    u_slices: tuple
-    p_star: int
+    offsets: np.ndarray
 
     @property
     def ranks(self):
-        return np.array([s.size for s in self.sigmas])
+        return np.diff(self.offsets)
 
 
 def _factor_block(B, out):
@@ -241,11 +241,10 @@ def orthonormalize(Z, emap, group_names=None):
             f"design has {Z.shape[1]} columns, expected {emap.p}"
         )
     UT = np.empty((emap.p_star, Z.shape[0]))
-    kept, vs, sigmas, slices = [], [], [], []
-    start = 0
-    for gi, (s0, s1) in enumerate(emap.slices):
+    kept, vs, sigmas, offsets = [], [], [], [0]
+    for gi, (s0, s1) in enumerate(pairwise(emap.offsets.tolist())):
         block = Z[:, emap.expanded_to_original[s0:s1]]
-        r, V, s = _factor_block(block, UT[start:])
+        r, V, s = _factor_block(block, UT[offsets[-1]:])
         if r == 0:
             name = group_names[gi] if group_names is not None else str(gi)
             warnings.warn(f"dropping group {name!r}: column block has rank 0")
@@ -253,14 +252,15 @@ def orthonormalize(Z, emap, group_names=None):
         kept.append(gi)
         vs.append(V)
         sigmas.append(s)
-        slices.append((start, start + r))
-        start += r
+        offsets.append(offsets[-1] + r)
     if not kept:
         raise ValueError("all groups have rank 0; nothing to fit")
+    offsets = np.array(offsets, dtype=np.int64)
+    offsets.flags.writeable = False
     basis = OrthoBasis(kept=tuple(kept), vs=tuple(vs), sigmas=tuple(sigmas),
-                       u_slices=tuple(slices), p_star=emap.p_star)
+                       offsets=offsets)
     multipliers = np.sqrt(basis.ranks.astype(np.float64))
-    return UT[:start].T, basis, multipliers
+    return UT[:offsets[-1]].T, basis, multipliers
 
 
 def back_transform(beta_tilde, basis, emap):
@@ -271,14 +271,12 @@ def back_transform(beta_tilde, basis, emap):
     preserved: ``U @ beta_tilde == Z_std @ beta`` up to rank truncation.
     """
     beta_tilde = np.asarray(beta_tilde, dtype=np.float64).ravel()
-    total = basis.u_slices[-1][1]  # the groups tile U's columns
-    if beta_tilde.size != total:
-        raise ValueError(
-            f"coefficient vector has length {beta_tilde.size}, expected {total}"
-        )
+    if beta_tilde.size != basis.offsets[-1]:
+        raise ValueError(f"coefficient vector has length {beta_tilde.size}, "
+                         f"expected {basis.offsets[-1]}")
     beta_star = np.zeros(emap.p_star)
+    starts = emap.offsets.tolist()  # python ints slice faster than numpy's
     for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
-                                  basis.u_slices):
-        s0, s1 = emap.slices[gi]
-        beta_star[s0:s1] = V @ (beta_tilde[u0:u1] / s)
+                                  pairwise(basis.offsets.tolist())):
+        beta_star[starts[gi]:starts[gi + 1]] = V @ (beta_tilde[u0:u1] / s)
     return fold_back(beta_star, emap)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import (CommunityMap, Dataset, FeatureIndex, build_design,
-                   load_dataset, read_feature_csv)
+from .data import (CommunityMap, Dataset, FeatureIndex, _seeded_rng,
+                   build_design, load_dataset, read_feature_csv)
 from .groups import scheme_groups, split_communities
 
 __all__ = [
@@ -94,12 +94,6 @@ class GroundTruth:
         return self.beta != 0.0
 
 
-def _rng(seed, *tags):
-    if seed is None:
-        return np.random.default_rng()
-    return np.random.default_rng((int(seed),) + tuple(int(t) for t in tags))
-
-
 def make_beta(spec, active_names, alpha):
     """Constant-magnitude coefficients on the union of the named groups."""
     if alpha <= 0:
@@ -135,7 +129,7 @@ def gen_design_synthetic(config):
     communities = default_communities(config.K, config.nodes_per_community)
     n = communities.n
     n_edges = n * (n - 1) // 2
-    rng = _rng(config.seed, config.replicate, 0)
+    rng = _seeded_rng(config.seed, config.replicate, 0)
     edges = rng.standard_normal((config.N, n_edges))
     covs = rng.standard_normal((config.N, n * config.d))
     N2 = 2 * config.N
@@ -159,7 +153,7 @@ def draw_response(dataset, truth, family, seed, tag=1):
     """
     Z = build_design(dataset)
     eta = truth.mu + Z @ truth.beta
-    rng = _rng(seed, tag)
+    rng = _seeded_rng(seed, tag)
     if family == "gaussian":
         return eta + NOISE_SD * rng.standard_normal(eta.size)
     return (rng.random(eta.size) < expit(eta)).astype(np.float64)
@@ -223,7 +217,7 @@ def write_truth_csv(truth, path):
 def load_truth_csv(path, p):
     """The ground truth :func:`write_truth_csv` wrote, read as any other
     per-feature file: a bad index or a non-finite beta is a data error."""
-    beta, = read_feature_csv(path, p, (0.0,))
+    beta, = read_feature_csv(path, p, 1, sparse=True)
     return GroundTruth(beta=beta, mu=0.0, active_features=np.flatnonzero(beta),
                        active_groups=())
 

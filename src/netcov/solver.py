@@ -58,6 +58,7 @@ the compiler vectorizes without reordering any of them, so its
 arithmetic is the same whatever vector width the build picks.
 """
 
+import csv
 import ctypes
 import functools
 import hashlib
@@ -67,7 +68,8 @@ import platform
 import subprocess
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 from scipy.special import expit, logit
@@ -123,27 +125,27 @@ class ConvergenceError(RuntimeError):
 class PenalizedProblem:
     """The solver's view of one fit: orthonormalized design plus penalty.
 
-    ``slices`` locates each group's columns in U, ``multipliers`` holds
-    the rank-scaled penalty weights sqrt(r_G), and ``names`` the stable
-    group names used in reports.  ``lam`` is the penalty level for
-    :func:`fit_at_lambda`; path drivers swap it with ``dataclasses.replace``.
-    ``U`` is stored as float64 with contiguous columns, the layout
-    :func:`~netcov.preprocess.orthonormalize` writes (kept without a
-    copy); any other dtype or order is converted once here, so the path
-    does not depend on how U arrived.  The groups must tile U's columns
-    in order, each non-empty, with one finite positive multiplier and one
-    name each; they are kept as ``offsets`` (group g owns columns
-    ``offsets[g]:offsets[g + 1]``), the multipliers as contiguous float64.
+    Group g owns columns ``offsets[g]:offsets[g + 1]`` of U,
+    ``multipliers`` holds the rank-scaled penalty weights sqrt(r_G), and
+    ``names`` the stable group names used in reports.  ``lam`` is the
+    penalty level for :func:`fit_at_lambda`; path drivers swap it with
+    ``dataclasses.replace``.  ``U`` is stored as float64 with contiguous
+    columns, the layout :func:`~netcov.preprocess.orthonormalize` writes
+    (kept without a copy); any other dtype or order is converted once
+    here, so the path does not depend on how U arrived.  ``offsets`` must
+    be a 1-D integer array that starts at 0, ends at U's width and rises
+    strictly, so no group is empty; each group needs one finite positive
+    multiplier and one name.  The offsets are kept as a read-only int64
+    copy, the multipliers as contiguous float64.
     """
 
     U: np.ndarray
     y: np.ndarray
     family: str
-    slices: tuple
+    offsets: np.ndarray
     multipliers: np.ndarray
     names: tuple
     lam: float = 0.0
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "U",
@@ -157,14 +159,13 @@ class PenalizedProblem:
             raise ValueError(
                 f"lambda must be a finite number >= 0, got {self.lam!r}")
         # O(groups) and no pass over U: this runs at every path point
-        n, m = len(self.slices), self.U.shape[1]
-        # read as floats, so that a fractional bound is refused, not truncated
-        starts = np.fromiter((s0 for s0, _ in self.slices), float, count=n)
-        ends = np.fromiter((s1 for _, s1 in self.slices), float, count=n)
-        if (n == 0 or starts[0] != 0 or ends[-1] != m or np.any(ends % 1)
-                or np.any(starts[1:] != ends[:-1]) or np.any(ends <= starts)):
-            raise ValueError(f"group slices must tile U's {m} columns in "
-                             "order with integer bounds, each group non-empty")
+        offsets, m = np.asarray(self.offsets), self.U.shape[1]
+        if (offsets.dtype.kind not in "iu" or offsets.ndim != 1
+                or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != m
+                or np.any(offsets[1:] <= offsets[:-1])):
+            raise ValueError("group offsets must be a 1-D integer array "
+                             f"rising strictly from 0 to U's {m} columns")
+        n = offsets.size - 1
         multipliers = np.ascontiguousarray(self.multipliers, dtype=np.float64)
         if multipliers.shape != (n,) or not np.all(
                 (0 < multipliers) & (multipliers < np.inf)):
@@ -174,9 +175,10 @@ class PenalizedProblem:
             raise ValueError(f"{len(self.names)} group names for {n} groups")
         if self.family == "binomial" and not np.all(np.isin(self.y, (0.0, 1.0))):
             raise ValueError("binomial responses must be coded 0/1")
+        offsets = offsets.astype(np.int64)  # a copy the caller cannot change
+        offsets.flags.writeable = False  # the kernel indexes U by it
+        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "multipliers", multipliers)
-        object.__setattr__(self, "offsets",
-                           np.append(starts, ends[-1]).astype(np.int64))
 
     @property
     def N(self):
@@ -218,11 +220,18 @@ class PathFit:
     lambdas: np.ndarray
     entries: list
     group_names: tuple
-    slices: tuple
+    offsets: np.ndarray
 
     def betas(self):
         """(grid, p) matrix of folded-back coefficients."""
         return np.vstack([e.beta for e in self.entries])
+
+    def group_norms(self, entry):
+        """Each group's coefficient norm at a path entry, as written to
+        the CSVs: one ``np.linalg.norm`` per group, whose last bit can
+        differ from the solver's reduceat norms."""
+        return [float(np.linalg.norm(entry.beta_tilde[s0:s1]))
+                for s0, s1 in pairwise(self.offsets.tolist())]
 
 
 def deviance(family, y, eta):
@@ -427,7 +436,7 @@ def _load_kernel():
             os.replace(built, path)
     fn = ctypes.CDLL(path).netcov_sweep_groups
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, f64, ptr, i64)
+    fn.argtypes = (ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, f64, ptr, i64)
     fn.restype = f64
     _kernel_fn = fn
     return fn
@@ -437,10 +446,9 @@ def _bind_kernel(problem):
     """The compiled group pass bound to U.T (a view), the problem's layout
     and multipliers and a work buffer; the kernel reads them as raw
     memory, so the bound call holds them all as ``arrays``."""
-    offsets = problem.offsets
-    arrays = (problem.U.T, offsets[:-1], offsets[1:], problem.multipliers,
+    arrays = (problem.U.T, problem.offsets, problem.multipliers,
               # the block's residual shift (N), then the widest group's target
-              np.empty(problem.N + int(np.diff(offsets).max())))
+              np.empty(problem.N + int(np.diff(problem.offsets).max())))
     sweep_groups = functools.partial(
         _load_kernel(), arrays[0].ctypes.data, problem.N,
         *(arr.ctypes.data for arr in arrays[1:]))
@@ -679,8 +687,7 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
                 f"max_iter={max_iter}", RuntimeWarning, stacklevel=2)
         prev, last = last, sol
         norms = _group_norms(problem, sol.beta_tilde)
-        active = tuple(problem.names[gi]
-                       for gi in range(problem.n_groups) if norms[gi] > 0)
+        active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))
         beta = back_transform(sol.beta_tilde, basis, emap)
         entries.append(PathEntry(
             lam=float(lam), mu=sol.mu, beta_tilde=sol.beta_tilde,
@@ -689,14 +696,11 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
             n_extrapolated=sol.n_extrapolated + predicted,
         ))
     return PathFit(lambdas=lambdas, entries=entries, group_names=problem.names,
-                   slices=problem.slices)
+                   offsets=problem.offsets)
 
 
 def write_path_csv(path_fit, directory):
     """Serialize a path: ``path.csv`` plus one ``coef_<i>.csv`` per grid point."""
-    import csv
-    import os
-
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "path.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -704,8 +708,8 @@ def write_path_csv(path_fit, directory):
                          "group_norm"])
         for i, entry in enumerate(path_fit.entries):
             active = set(entry.active_groups)
-            for name, (s0, s1) in zip(path_fit.group_names, path_fit.slices):
-                norm = float(np.linalg.norm(entry.beta_tilde[s0:s1]))
+            for name, norm in zip(path_fit.group_names,
+                                  path_fit.group_norms(entry)):
                 writer.writerow([i, repr(entry.lam), name,
                                  int(name in active), repr(norm)])
     for i, entry in enumerate(path_fit.entries):

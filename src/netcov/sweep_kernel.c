@@ -2,11 +2,11 @@
  * design; the compiled body of netcov.solver._sweep.
  *
  * UT holds the design transposed: column j of U is the contiguous row
- * UT[j*N .. j*N+N).  Group g owns columns starts[g] .. ends[g]-1 and has
- * threshold thresh_scale * multipliers[g].  The groups in `order` are
- * visited in turn; each takes its exact block minimizer given the
- * residual, which is updated in place, and eta with it unless eta is
- * NULL.
+ * UT[j*N .. j*N+N).  Group g owns columns offsets[g] .. offsets[g+1]-1
+ * and has threshold thresh_scale * multipliers[g].  The groups in
+ * `order` are visited in turn; each takes its exact block minimizer
+ * given the residual, which is updated in place, and eta with it unless
+ * eta is NULL.
  * Returns the largest absolute coefficient change.
  *
  * A width-1 group takes the soft-threshold z -/+ t; a wider group the
@@ -50,8 +50,8 @@ static void apply_shift(const double *shift, double *resid, double *eta,
 }
 
 double netcov_sweep_groups(const double *UT, int64_t N,
-                           const int64_t *starts, const int64_t *ends,
-                           const double *multipliers, double *work,
+                           const int64_t *offsets, const double *multipliers,
+                           double *work,
                            double *resid, double *eta, double *beta,
                            double thresh_scale,
                            const int64_t *order, int64_t n_order)
@@ -61,8 +61,8 @@ double netcov_sweep_groups(const double *UT, int64_t N,
     double *z = work + N;
     for (int64_t o = 0; o < n_order; o++) {
         const int64_t g = order[o];
-        const int64_t s0 = starts[g];
-        const int64_t width = ends[g] - s0;
+        const int64_t s0 = offsets[g];
+        const int64_t width = offsets[g + 1] - s0;
         const double t = thresh_scale * multipliers[g];
         const double *U = UT + s0 * N;
         double *b = beta + s0;

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import _seeded_rng
 from .pipeline import FittedModel, holdout_deviance, prepare
 from .solver import fit_path, lambda_grid, lambda_max
 
@@ -86,12 +87,6 @@ def one_se_select(mean_deviance, se):
     limit = mean_deviance[idx_min] + se[idx_min]
     idx_one_se = int(np.flatnonzero(mean_deviance <= limit)[0])
     return idx_min, idx_one_se
-
-
-def _seeded_rng(seed, tag):
-    if seed is None:
-        return np.random.default_rng()
-    return np.random.default_rng((int(seed), int(tag)))
 
 
 def _fold_assignment(n, folds, rng):

@@ -304,6 +304,23 @@ class TestEvaluate:
         assert "truth.csv: beta is not finite" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("feature_index,beta\n0,0.5\n3\n", "line 3 has 1 fields"),
+        ("feature_index,beta\n3,0.5\n3,0.25\n",
+         "feature index 3 is listed twice"),
+    ], ids=["short_row", "repeated_index"])
+    def test_malformed_truth_is_data_error(self, sim_dir, fit_dir, tmp_path,
+                                           capsys, text, message):
+        # truth.csv lists only the nonzero features, but each at most once
+        # and each with its value
+        data_copy = tmp_path / "data"
+        shutil.copytree(sim_dir, data_copy)
+        (data_copy / "truth.csv").write_text(text)
+        code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                         str(data_copy), "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert f"truth.csv: {message}" in capsys.readouterr().err
+
     def test_family_mismatch_is_data_error(self, sim_dir, fit_dir, tmp_path,
                                            capsys):
         # the gaussian fit against a binomial copy of its cell, then a
@@ -416,6 +433,15 @@ def _set_field(path, row, column, text):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edit_row(path, row, edit):
+    """Replace line ``row`` of a CSV by ``edit(fields)``, or drop it when
+    that returns None."""
+    lines = path.read_text().splitlines()
+    fields = edit(lines[row].split(","))
+    lines[row:row + 1] = [] if fields is None else [",".join(fields)]
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestFitFileNumbers:
     """evaluate refuses a fit file holding a number no fit can write."""
 
@@ -446,6 +472,29 @@ class TestFitFileNumbers:
         "nan_nuisance_coefficient": (
             lambda f: _set_field(f / "nuisance_model.csv", 1, 2, "nan"),
             "nuisance_model.csv: row f0 is not finite"),
+        # run_fit lists every feature once in these two files
+        "short_coefficient_row": (
+            lambda f: _edit_row(f / "coefficients.csv", 3, lambda r: r[:1]),
+            "coefficients.csv: line 4 has 1 fields, expected 2"),
+        "short_standardization_row": (
+            lambda f: _edit_row(f / "standardization.csv", 2,
+                                lambda r: r[:2]),
+            "standardization.csv: line 3 has 2 fields, expected 3"),
+        "repeated_coefficient_index": (
+            lambda f: _set_field(f / "coefficients.csv", 2, 0, "0"),
+            "coefficients.csv: feature index 0 is listed twice"),
+        "repeated_standardization_index": (
+            lambda f: _set_field(f / "standardization.csv", 4, 0, "2"),
+            "standardization.csv: feature index 2 is listed twice"),
+        "missing_coefficient_feature": (
+            lambda f: _edit_row(f / "coefficients.csv", 1, lambda r: None),
+            "coefficients.csv: 1 of 10 features are not listed "
+            "(first few: [0])"),
+        "missing_standardization_feature": (
+            lambda f: _edit_row(f / "standardization.csv", 6,
+                                lambda r: None),
+            "standardization.csv: 1 of 10 features are not listed "
+            "(first few: [5])"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -550,6 +599,9 @@ class TestBadInputRejected:
         "overlapping_rows": (
             lambda d: _edit_manifest(d / "manifest", "test_rows", "10-14"),
             "train_rows and test_rows overlap"),
+        "fractional_community": (
+            lambda d: _set_field(d / "communities.csv", 1, 1, "1.7"),
+            "community labels must be integers; got 1.7"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -162,6 +162,14 @@ class TestCommunityMap:
         with pytest.raises(ValueError, match="contiguous"):
             CommunityMap(assignments=[1, 3, 3])
 
+    def test_labels_must_be_integers(self):
+        # a label the int64 cast would change is refused, not truncated
+        cm = CommunityMap(assignments=np.array([1.0, 2.0, 2.0]))
+        np.testing.assert_array_equal(cm.assignments, [1, 2, 2])
+        for labels in ([1, 2, 1.7], [1, 2, np.nan], [1, 2, 2.5, 3]):
+            with pytest.raises(ValueError, match="must be integers"):
+                CommunityMap(assignments=labels)
+
     def test_ordering_is_contiguous_nondecreasing(self):
         cm = CommunityMap(assignments=[2, 1, 2, 1, 3])
         ordered = cm.assignments[cm.ordering()]

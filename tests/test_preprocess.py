@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ class TestOrthonormalize:
     def test_orthonormal_blocks(self, rng):
         Z_std, spec, emap = toy_expansion(rng)
         U, basis, mult = orthonormalize(Z_std, emap)
-        for s0, s1 in basis.u_slices:
+        for s0, s1 in pairwise(basis.offsets):
             block = U[:, s0:s1]
             np.testing.assert_allclose(block.T @ block,
                                        np.eye(s1 - s0), atol=1e-10)
@@ -212,8 +213,8 @@ class TestOrthonormalize:
         Z_star = expand_design(emap, Z_std)
         U, basis, _ = orthonormalize(Z_std, emap)
         for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
-                                      basis.u_slices):
-            s0, s1 = emap.slices[gi]
+                                      pairwise(basis.offsets)):
+            s0, s1 = emap.offsets[gi:gi + 2]
             approx = U[:, u0:u1] @ np.diag(s) @ V.T
             rel = (np.linalg.norm(approx - Z_star[:, s0:s1])
                    / np.linalg.norm(Z_star[:, s0:s1]))
@@ -227,7 +228,7 @@ class TestOrthonormalize:
         from netcov.groups import ExpansionMap
 
         emap = ExpansionMap(expanded_to_original=np.array([0, 1]),
-                            slices=((0, 2),), p=2)
+                            offsets=np.array([0, 2]), p=2)
         U, basis, mult = orthonormalize(Zs, emap)
         assert basis.ranks.tolist() == [1]
         assert mult[0] == pytest.approx(1.0)
@@ -238,7 +239,7 @@ class TestOrthonormalize:
         from netcov.groups import ExpansionMap
 
         emap = ExpansionMap(expanded_to_original=np.arange(5),
-                            slices=((0, 5),), p=5)
+                            offsets=np.array([0, 5]), p=5)
         _, _, mult = orthonormalize(Z, emap)
         assert mult[0] == pytest.approx(np.sqrt(5.0))
 
@@ -247,7 +248,7 @@ class TestOrthonormalize:
         from netcov.groups import ExpansionMap
 
         emap = ExpansionMap(expanded_to_original=np.arange(3),
-                            slices=((0, 2), (2, 3)), p=3)
+                            offsets=np.array([0, 2, 3]), p=3)
         with pytest.warns(UserWarning, match="rank 0"):
             U, basis, _ = orthonormalize(Z, emap)
         assert basis.kept == (0,)
@@ -268,7 +269,7 @@ class TestBackTransform:
         from netcov.groups import ExpansionMap
 
         emap = ExpansionMap(expanded_to_original=np.arange(6),
-                            slices=((0, 6),), p=6)
+                            offsets=np.array([0, 6]), p=6)
         U, basis, _ = orthonormalize(Zs, emap)
         for _ in range(5):
             bt = rng.standard_normal(U.shape[1])
@@ -353,12 +354,9 @@ class TestOrthonormalizeProperties:
             start += B.shape[1]
         # one more group overlapping all others: the last column of each
         groups.append(np.array([g[-1] for g in groups]))
-        slices, start = [], 0
-        for g in groups:
-            slices.append((start, start + g.size))
-            start += g.size
         emap = ExpansionMap(expanded_to_original=np.concatenate(groups),
-                            slices=tuple(slices), p=Z.shape[1])
+                            offsets=np.cumsum([0] + [g.size for g in groups]),
+                            p=Z.shape[1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # rank-0 drops
             U, basis, mult = orthonormalize(Z, emap)
@@ -368,7 +366,7 @@ class TestOrthonormalizeProperties:
         assert basis.ranks.tolist() == [r for r in ranks if r > 0]
         np.testing.assert_array_equal(mult, np.sqrt(basis.ranks))
         for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
-                                      basis.u_slices):
+                                      pairwise(basis.offsets)):
             Ug = U[:, u0:u1]
             assert np.abs(Ug.T @ Ug - np.eye(u1 - u0)).max() <= 1e-10
             B = Z[:, groups[gi]]

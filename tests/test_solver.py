@@ -26,12 +26,8 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
     """Random standardized + orthonormalized problem and its raw pieces."""
     Z = rng.standard_normal((N, p))
     groups = random_grouping(rng, p, kind)
-    mapping = np.concatenate(groups)
-    slices, start = [], 0
-    for g in groups:
-        slices.append((start, start + g.size))
-        start += g.size
-    emap = ExpansionMap(expanded_to_original=mapping, slices=tuple(slices),
+    emap = ExpansionMap(expanded_to_original=np.concatenate(groups),
+                        offsets=np.cumsum([0] + [g.size for g in groups]),
                         p=p)
     means = Z.mean(0)
     sds = Z.std(0)
@@ -50,9 +46,15 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
     U, basis, mult = orthonormalize(Zs, emap)
     names = tuple(str(i) for i in range(len(basis.kept)))
     problem = PenalizedProblem(U=U, y=y, family=family,
-                               slices=basis.u_slices, multipliers=mult,
+                               offsets=basis.offsets, multipliers=mult,
                                names=names, lam=lam)
     return problem, basis, emap, Zs
+
+
+def pairs(problem):
+    """The problem's groups as the (start, stop) pairs the oracles take."""
+    offsets = problem.offsets.tolist()
+    return list(zip(offsets[:-1], offsets[1:]))
 
 
 class TestDeviance:
@@ -86,7 +88,7 @@ class TestLambdaMax:
         y = U @ v
         y = y - y.mean() + 0.7
         problem = PenalizedProblem(U=U, y=y, family="gaussian",
-                                   slices=((0, r),),
+                                   offsets=np.array([0, r]),
                                    multipliers=np.array([2.0]),
                                    names=("g",))
         assert lambda_max(problem) == pytest.approx(3.0 / (10 * 2.0),
@@ -101,7 +103,7 @@ class TestLambdaMax:
         w -= w.mean()
         w -= U @ (U.T @ w)
         problem = PenalizedProblem(U=U, y=0.5 + w, family="gaussian",
-                                   slices=((0, 3),),
+                                   offsets=np.array([0, 3]),
                                    multipliers=np.array([1.0]),
                                    names=("g",))
         with pytest.raises(ValueError, match="degenerates"):
@@ -110,7 +112,7 @@ class TestLambdaMax:
     def test_constant_binary_response_errors(self, rng):
         U, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         problem = PenalizedProblem(U=U, y=np.ones(8), family="binomial",
-                                   slices=((0, 2),),
+                                   offsets=np.array([0, 2]),
                                    multipliers=np.array([1.0]),
                                    names=("g",))
         with pytest.raises(ValueError, match="constant"):
@@ -170,10 +172,10 @@ class TestFitAtLambda:
         lam = 0.3 * lambda_max(problem)
         prob = replace(problem, lam=lam)
         sol = fit_at_lambda(prob)
-        mu_o, beta_o = ista_solve(prob.U, prob.y, family, prob.slices,
+        mu_o, beta_o = ista_solve(prob.U, prob.y, family, pairs(prob),
                                   prob.multipliers, lam)
         q_fit = objective(prob, sol.mu, sol.beta_tilde)
-        q_oracle = ista_objective(prob.U, prob.y, family, prob.slices,
+        q_oracle = ista_objective(prob.U, prob.y, family, pairs(prob),
                                   prob.multipliers, lam, mu_o, beta_o)
         assert abs(q_fit - q_oracle) <= 1e-6 * max(1.0, abs(q_oracle))
         pred_fit = sol.mu + prob.U @ sol.beta_tilde
@@ -187,7 +189,7 @@ class TestFitAtLambda:
             lam = 0.4 * lambda_max(problem)
             prob = replace(problem, lam=lam)
             sol = fit_at_lambda(prob)
-            res = stationarity_residual(prob.U, prob.y, family, prob.slices,
+            res = stationarity_residual(prob.U, prob.y, family, pairs(prob),
                                         prob.multipliers, lam, sol.mu,
                                         sol.beta_tilde)
             assert res <= 1e-6
@@ -227,9 +229,9 @@ class TestFitAtLambda:
         sol_a = fit_at_lambda(replace(problem, lam=lam))
         sol_b = fit_at_lambda(scaled)
         active_a = [np.linalg.norm(sol_a.beta_tilde[s0:s1]) > 0
-                    for s0, s1 in problem.slices]
+                    for s0, s1 in pairs(problem)]
         active_b = [np.linalg.norm(sol_b.beta_tilde[s0:s1]) > 0
-                    for s0, s1 in problem.slices]
+                    for s0, s1 in pairs(problem)]
         assert active_a == active_b
         np.testing.assert_allclose(sol_a.beta_tilde, sol_b.beta_tilde,
                                    atol=1e-6)
@@ -261,10 +263,10 @@ class TestLassoEquivalence:
         lam = 0.3 * lambda_max(problem)
         prob = replace(problem, lam=lam)
         sol = fit_at_lambda(prob)
-        mu_o, beta_o = ista_solve(prob.U, prob.y, "gaussian", prob.slices,
+        mu_o, beta_o = ista_solve(prob.U, prob.y, "gaussian", pairs(prob),
                                   prob.multipliers, lam)
         q_fit = objective(prob, sol.mu, sol.beta_tilde)
-        q_o = ista_objective(prob.U, prob.y, "gaussian", prob.slices,
+        q_o = ista_objective(prob.U, prob.y, "gaussian", pairs(prob),
                              prob.multipliers, lam, mu_o, beta_o)
         assert abs(q_fit - q_o) <= 1e-6 * max(1.0, abs(q_o))
 
@@ -420,11 +422,11 @@ class TestAcceleration:
                 assert (objective(at, mu0, beta0)
                         < objective(at, last.mu, last.beta_tilde))
         for entry in pf.entries:
-            mu_o, beta_o = ista_solve(prob.U, prob.y, family, prob.slices,
+            mu_o, beta_o = ista_solve(prob.U, prob.y, family, pairs(prob),
                                       prob.multipliers, entry.lam)
             q_fit = objective(replace(prob, lam=entry.lam), entry.mu,
                               entry.beta_tilde)
-            q_o = ista_objective(prob.U, prob.y, family, prob.slices,
+            q_o = ista_objective(prob.U, prob.y, family, pairs(prob),
                                  prob.multipliers, entry.lam, mu_o, beta_o)
             assert abs(q_fit - q_o) <= 1e-6 * max(1.0, abs(q_o))
             pred = entry.mu + prob.U @ entry.beta_tilde
@@ -461,13 +463,13 @@ class TestAcceleration:
         prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
         sol = fit_at_lambda(prob)
         assert sol.n_extrapolated > 0
-        _, beta_o = ista_solve(prob.U, prob.y, family, prob.slices,
+        _, beta_o = ista_solve(prob.U, prob.y, family, pairs(prob),
                                prob.multipliers, prob.lam)
-        zero = [not sol.beta_tilde[s0:s1].any() for s0, s1 in prob.slices]
-        zero_o = [not beta_o[s0:s1].any() for s0, s1 in prob.slices]
+        zero = [not sol.beta_tilde[s0:s1].any() for s0, s1 in pairs(prob)]
+        zero_o = [not beta_o[s0:s1].any() for s0, s1 in pairs(prob)]
         assert zero == zero_o
         assert any(zero) and not all(zero)
-        for (s0, s1), z in zip(prob.slices, zero):
+        for (s0, s1), z in zip(pairs(prob), zero):
             if z:
                 assert np.all(sol.beta_tilde[s0:s1] == 0.0)
 
@@ -509,20 +511,18 @@ class TestSweepKernel:
     def problem(rng, widths, family, N=37):
         # N not a multiple of the kernel's 8 partial sums, so the tail runs
         m = sum(widths)
-        stops = np.cumsum(widths)
-        slices = tuple(zip((stops - widths).tolist(), stops.tolist()))
         U = rng.standard_normal((N, m)) / np.sqrt(N)
         y = (rng.standard_normal(N) if family == "gaussian"
              else (rng.random(N) < 0.5).astype(float))
         return PenalizedProblem(
-            U=U, y=y, family=family, slices=slices,
+            U=U, y=y, family=family, offsets=np.cumsum([0] + widths),
             multipliers=np.sqrt(np.asarray(widths, dtype=float)),
             names=tuple(map(str, range(len(widths)))))
 
     @staticmethod
     def reference_sweep(problem, state, mu, beta, order):
         # _sweep's intercept step, then the interpreted group pass
-        starts, ends = (np.array(s) for s in zip(*problem.slices))
+        starts, ends = problem.offsets[:-1], problem.offsets[1:]
         N, lam = problem.N, problem.lam
         if problem.family == "gaussian":
             resid, eta, scale = state, None, N * lam
@@ -613,7 +613,8 @@ class TestSweepKernel:
 
         problem = PenalizedProblem(
             U=np.eye(4)[:, :2], y=np.zeros(4), family="gaussian",
-            slices=((0, 2),), multipliers=np.array([1.25]), names=("g",),
+            offsets=np.array([0, 2]), multipliers=np.array([1.25]),
+            names=("g",),
             lam=0.25)
         beta = np.array([0.25, 0.5])
         state = np.array([0.5, 0.5, -0.5, -0.5])  # mean 0: mu stays put
@@ -657,7 +658,7 @@ class TestSweepKernel:
             "solver._CACHE_DIR = sys.argv[1]\n"
             "p = solver.PenalizedProblem(\n"
             "    U=np.eye(12)[:, :4], y=np.arange(12.0), family='gaussian',\n"
-            "    slices=((0, 1), (1, 4)), multipliers=np.ones(2),\n"
+            "    offsets=np.array([0, 1, 4]), multipliers=np.ones(2),\n"
             "    names=('a', 'b'), lam=0.01)\n"
             "sol = solver.fit_at_lambda(p)\n"
             "maps = [line.split(None, 5)[-1].replace(' (deleted)', '').strip()\n"
@@ -853,57 +854,50 @@ class TestDesignLayout:
             replace(problem, U=problem.U[:-1])
 
 
-class CountingSlices(tuple):
-    """A group layout that counts how often it is iterated."""
-
-    iterations = 0
-
-    def __iter__(self):
-        self.iterations += 1
-        return super().__iter__()
-
-
 class TestGroupLayout:
-    """The problem checks its group layout once, when it is built; every
-    reduction and the compiled sweep read the arrays it keeps."""
+    """The problem checks its group layout when it is built, before any
+    sweep; every reduction and the compiled sweep read the arrays it keeps."""
 
-    SLICES = ((0, 2), (2, 3), (3, 5))
+    OFFSETS = [0, 2, 3, 5]
 
     @staticmethod
-    def build(rng, **changes):
-        fields = dict(U=rng.standard_normal((12, 5)),
+    def build(rng, m=5, **changes):
+        fields = dict(U=rng.standard_normal((12, m)),
                       y=rng.standard_normal(12), family="gaussian",
-                      slices=TestGroupLayout.SLICES, multipliers=np.ones(3),
+                      offsets=TestGroupLayout.OFFSETS, multipliers=np.ones(3),
                       names=("a", "b", "c"), lam=0.1)
         fields.update(changes)
         return PenalizedProblem(**fields)
 
     def test_layout_is_kept_as_arrays(self, rng):
-        problem = self.build(rng, multipliers=[1, 2, 3])
+        problem = self.build(rng, offsets=np.array([0, 2, 3, 5], np.int32),
+                             multipliers=[1, 2, 3])
         np.testing.assert_array_equal(problem.offsets, [0, 2, 3, 5])
         assert problem.offsets.dtype == np.int64 and problem.n_groups == 3
+        assert problem.offsets.flags.c_contiguous
+        assert not problem.offsets.flags.writeable
         assert problem.multipliers.dtype == np.float64
         assert problem.multipliers.flags.c_contiguous
 
-    @pytest.mark.parametrize("slices", [
-        ((0, 2), (3, 5)),  # a gap
-        ((0, 3), (2, 5)),  # an overlap
-        ((0, 2), (2, 2), (2, 5)),  # an empty group
-        ((2, 5), (0, 2)),  # out of order
-        ((0, 2), (2, 4)),  # stops short of U's 5 columns
-        ((0, 2), (2, 6)),  # runs past them
-        ((0, 2.5), (2.5, 5)),  # a bound that is not an integer
-        (),
-    ])
-    def test_malformed_layout_is_refused(self, rng, slices):
-        n = len(slices)
-        with pytest.raises(ValueError, match="tile U's 5 columns"):
-            self.build(rng, slices=slices, multipliers=np.ones(n),
+    # each case is (offsets, U's width); the first eight keep their
+    # earlier test ids
+    @pytest.mark.parametrize("offsets, m", [
+        ([1, 2, 3, 5], 5),  # does not start at 0
+        ([0, 2, 3, 4], 5),  # stops short of U's 5 columns
+        ([0, 2, 3, 6], 5),  # runs past them
+        ([0, 2, 2, 5], 5),  # an empty group
+        ([0, 3, 2, 5], 5),  # out of order
+        (np.array([0.0, 2.0, 3.0, 5.0]), 5),  # floats, even whole ones
+        (np.array([False, True]), 1),  # booleans, even 0 and 1
+        (np.array([[0, 2], [3, 5]]), 5),  # not 1-D
+        ([0], 0),  # fewer than two entries
+    ], ids=[f"slices{i}" for i in range(8)] + ["single"])
+    def test_malformed_layout_is_refused(self, rng, offsets, m):
+        n = max(np.size(offsets) - 1, 1)
+        with pytest.raises(ValueError, match=f"rising strictly from 0 to "
+                                             f"U's {m} columns"):
+            self.build(rng, m=m, offsets=offsets, multipliers=np.ones(n),
                        names=tuple(map(str, range(n))))
-
-    def test_slice_that_is_not_a_pair_is_refused(self, rng):
-        with pytest.raises(ValueError, match="unpack"):
-            self.build(rng, slices=((0, 2), (2, 3, 4), (3, 5)))
 
     @pytest.mark.parametrize("multipliers", [
         np.ones(2), np.ones(4), np.ones((3, 1)), [1.0, np.nan, 1.0],
@@ -922,20 +916,6 @@ class TestGroupLayout:
         problem = self.build(rng)
         with pytest.raises(ValueError, match="lambda must be"):
             replace(problem, lam=lam)
-
-    def test_layout_is_read_once(self, rng):
-        problem, *_ = build_problem(rng)
-        slices = CountingSlices(problem.slices)
-        problem = replace(problem, slices=slices,
-                          lam=0.3 * lambda_max(problem))
-        built = slices.iterations
-        beta = np.zeros(problem.U.shape[1])
-        lambda_max(problem)
-        objective(problem, 0.0, beta)
-        kkt_residual(problem, 0.0, beta)
-        sol = fit_at_lambda(problem)
-        assert np.any(sol.beta_tilde != 0.0)
-        assert slices.iterations == built
 
 
 class TestCommunityRelabelling:

@@ -7,7 +7,8 @@ from netcov import (CommunityMap, FeatureIndex, cross_validate, ebg_groups,
                     make_beta, one_se_select, select_and_refit)
 from netcov.pipeline import holdout_deviance, prepare
 from netcov.solver import deviance, fit_path
-from netcov.tuning import _constant_y_fold, _fold_assignment, _seeded_rng
+from netcov.data import _seeded_rng
+from netcov.tuning import _constant_y_fold, _fold_assignment
 
 
 def noise_dataset(seed, N=60, communities=(1, 1, 2, 2, 3, 3, 4, 4)):
