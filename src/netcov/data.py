@@ -461,8 +461,9 @@ def read_feature_csv(path, p, width, sparse=False):
     feature index and ``width`` values on each row) as length-p arrays.
     Every feature is listed exactly once, unless the file is ``sparse``:
     then a feature may be left out and its values are 0.0.  A row of
-    another length, an index outside 0..p-1 or listed twice, a missing
-    feature or a non-finite value is a data error naming the file."""
+    another length, an index that is not an integer, outside 0..p-1 or
+    listed twice, a missing feature, or a value that is not a finite
+    number is a data error naming the file."""
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     for line, row in enumerate([header, *rows], 1):
@@ -471,14 +472,22 @@ def read_feature_csv(path, p, width, sparse=False):
                              f"expected {width + 1}")
     columns = np.zeros((width, p))
     listed = np.zeros(p, dtype=bool)
-    for row in rows:
-        j = int(row[0])
+    for line, row in enumerate(rows, 2):
+        try:
+            j = int(row[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {line} has feature index "
+                             f"{row[0]!r}, not an integer") from None
         if not 0 <= j < p:
             raise ValueError(f"{path}: feature index {j} outside 0..{p - 1}")
         if listed[j]:
             raise ValueError(f"{path}: feature index {j} is listed twice")
         listed[j] = True
-        columns[:, j] = [float(value) for value in row[1:]]
+        try:
+            columns[:, j] = [float(value) for value in row[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {line} holds a value that is "
+                             "not a number") from None
     if not (sparse or listed.all()):
         missing = np.flatnonzero(~listed)
         raise ValueError(f"{path}: {missing.size} of {p} features are not "

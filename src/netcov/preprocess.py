@@ -14,11 +14,12 @@ orthonormal basis of its column space, which turns the group penalty
 into a penalty on each group's contribution to the linear predictor and
 makes the per-group solver update a closed-form shrinkage.  Each block
 is gathered from the standardized design through the overlap expansion
-map, so the expanded design is never built.  A block with no more
-columns than rows whose Gram matrix is well conditioned is factored by
-an eigendecomposition of that Gram matrix; every other block by a thin
-SVD truncated at numerical rank.  Rank-deficient groups get their
-penalty multiplier scaled by sqrt(rank) instead of sqrt(size).
+map, so the expanded design is never built.  A block is factored by an
+eigendecomposition of its smaller Gram matrix, ``B^T B`` or ``B B^T``,
+truncated at numerical rank; only a block whose dropped directions are
+not null directions of the block itself falls back to a thin SVD.
+Rank-deficient groups get their penalty multiplier scaled by sqrt(rank)
+instead of sqrt(size).
 :func:`back_transform` inverts both the orthonormalization and the
 variable duplication; the linear predictor is preserved exactly.
 """
@@ -43,11 +44,11 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10  # singular value kept iff > RANK_TOL * s_max of its group
-# A block takes the Gram route iff every Gram eigenvalue exceeds
-# GRAM_TOL * lambda_max.  The Gram basis misses orthonormality,
-# |U^T U - I|, by about eps / (lambda_min / lambda_max), so this bound
-# keeps that error near 1e-12; every singular-value ratio then exceeds
-# 1e-2, far above RANK_TOL, so the SVD would keep every column too.
+# The Gram route keeps the eigenvalues above GRAM_TOL * lambda_max.  A
+# basis built as B V / s misses orthonormality by about
+# eps / (lambda_min / lambda_max) over the kept ones, near 1e-12; every
+# kept singular-value ratio exceeds 1e-2, far above RANK_TOL, so the SVD
+# keeps those directions too.
 GRAM_TOL = 1e-4
 
 
@@ -150,12 +151,13 @@ def residualize_nuisance(Z, y, nuisance, residualize_y=True):
             "nuisance matrix is rank-deficient on the training rows; "
             "using the least-norm solution"
         )
-    coefs, *_ = np.linalg.lstsq(M, Z, rcond=None)
+    # the least-norm solution under lstsq(rcond=None)'s cutoff, from one
+    # pseudo-inverse of the small M instead of a solve per column of Z
+    P = np.linalg.pinv(M, rcond=np.finfo(np.float64).eps * max(M.shape))
     y_coefs = None
     if residualize_y and y is not None:
-        y_coefs, *_ = np.linalg.lstsq(M, np.asarray(y, dtype=np.float64),
-                                      rcond=None)
-    model = NuisanceModel(feature_coefs=coefs, y_coefs=y_coefs, q=q)
+        y_coefs = P @ np.asarray(y, dtype=np.float64)
+    model = NuisanceModel(feature_coefs=P @ Z, y_coefs=y_coefs, q=q)
     Z_corr, y_corr = apply_nuisance(model, Z, nuisance, y)
     return Z_corr, y_corr, model
 
@@ -195,29 +197,44 @@ def _factor_block(B, out):
     """Orthonormal basis of B's column space, written as rows of ``out``.
 
     Returns (rank, V, s) with ``B V = U diag(s)`` and ``U^T`` in
-    ``out[:rank]``.  A block with no more columns than rows goes through
-    ``eigh(B^T B)`` when every eigenvalue exceeds ``GRAM_TOL`` times the
-    largest; any other block (wide, rank-deficient or ill-conditioned) is
-    factored by a thin SVD truncated at ``RANK_TOL``.
+    ``out[:rank]``.  The block goes through ``eigh`` of its smaller Gram
+    matrix: ``B^T B`` (m <= N), whose eigenvectors give V and
+    ``U = B V / s``, or ``B B^T`` (m > N), whose eigenvectors give U and
+    ``V = B^T U / s``.  Eigenvalues above ``GRAM_TOL`` times the largest
+    are kept.  The dropped eigenvectors must be null directions of B
+    itself, ``|B x| <= RANK_TOL * s_max`` over them all, so the SVD would
+    drop them too; where they are not, the block is factored by a thin SVD
+    truncated at ``RANK_TOL``.  Either way the rank is the SVD's.
     """
     N, m = B.shape
-    if 0 < m <= N:
-        lam, V = np.linalg.eigh(B.T @ B)
-        if lam[0] > GRAM_TOL * lam[-1]:  # false for an all-zero block
-            s = np.sqrt(lam[::-1])
-            V = np.ascontiguousarray(V[:, ::-1])
-            np.dot(V.T, B.T, out=out[:m])
-            out[:m] /= s[:, None]
-            return m, V, s
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    r = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    out[:r] = U[:, :r].T
-    V = Vt[:r].T.copy()
-    # an all-zero column (constant on the training rows) adds nothing to
-    # B V, but the SVD leaves rounding dust in its row of V, which
-    # back_transform would report as that column's coefficient
-    V[~B.any(axis=0)] = 0.0
-    return r, V, s[:r].copy()
+    wide = m > N
+    lam, E = np.linalg.eigh(B @ B.T if wide else B.T @ B)
+    lam, E = lam[::-1], E[:, ::-1]
+    r = np.count_nonzero(lam > GRAM_TOL * lam[0])  # 0 for an all-zero block
+    if r == lam.size or (np.linalg.norm((B.T if wide else B) @ E[:, r:])
+                         <= RANK_TOL * np.sqrt(lam[0])):
+        s = np.sqrt(lam[:r])
+        if wide:
+            out[:r] = E[:, :r].T
+            V = B.T @ E[:, :r]
+            V /= s
+        else:
+            V = np.ascontiguousarray(E[:, :r])
+            np.dot(V.T, B.T, out=out[:r])
+            out[:r] /= s[:, None]
+    else:
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        r = np.count_nonzero(s > RANK_TOL * s[0])
+        out[:r] = U[:, :r].T
+        V = Vt[:r].T.copy()
+        s = s[:r].copy()
+    if r < m:  # else B has no all-zero column
+        # an all-zero column (constant on the training rows) adds nothing
+        # to B V, but a factorization can leave rounding dust (or -0.0) in
+        # its row of V, which back_transform would report as that column's
+        # coefficient
+        V[~B.any(axis=0)] = 0.0
+    return r, V, s
 
 
 def orthonormalize(Z, emap, group_names=None):

@@ -173,7 +173,8 @@ class PenalizedProblem:
                              f"for each of the {n} groups")
         if len(self.names) != n:
             raise ValueError(f"{len(self.names)} group names for {n} groups")
-        if self.family == "binomial" and not np.all(np.isin(self.y, (0.0, 1.0))):
+        y = np.asarray(self.y)
+        if self.family == "binomial" and not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError("binomial responses must be coded 0/1")
         offsets = offsets.astype(np.int64)  # a copy the caller cannot change
         offsets.flags.writeable = False  # the kernel indexes U by it

@@ -308,7 +308,9 @@ class TestEvaluate:
         ("feature_index,beta\n0,0.5\n3\n", "line 3 has 1 fields"),
         ("feature_index,beta\n3,0.5\n3,0.25\n",
          "feature index 3 is listed twice"),
-    ], ids=["short_row", "repeated_index"])
+        ("feature_index,beta\n3,0.5\n1.5,0.25\n",
+         "line 3 has feature index '1.5', not an integer"),
+    ], ids=["short_row", "repeated_index", "fractional_index"])
     def test_malformed_truth_is_data_error(self, sim_dir, fit_dir, tmp_path,
                                            capsys, text, message):
         # truth.csv lists only the nonzero features, but each at most once
@@ -486,6 +488,17 @@ class TestFitFileNumbers:
         "repeated_standardization_index": (
             lambda f: _set_field(f / "standardization.csv", 4, 0, "2"),
             "standardization.csv: feature index 2 is listed twice"),
+        "fractional_coefficient_index": (
+            lambda f: _set_field(f / "coefficients.csv", 2, 0, "1.5"),
+            "coefficients.csv: line 3 has feature index '1.5', "
+            "not an integer"),
+        "text_standardization_index": (
+            lambda f: _set_field(f / "standardization.csv", 4, 0, "x"),
+            "standardization.csv: line 5 has feature index 'x', "
+            "not an integer"),
+        "text_coefficient_value": (
+            lambda f: _set_field(f / "coefficients.csv", 3, 1, "abc"),
+            "coefficients.csv: line 4 holds a value that is not a number"),
         "missing_coefficient_feature": (
             lambda f: _edit_row(f / "coefficients.csv", 1, lambda r: None),
             "coefficients.csv: 1 of 10 features are not listed "

@@ -153,6 +153,25 @@ class TestResidualize:
         with pytest.warns(UserWarning, match="rank-deficient"):
             residualize_nuisance(rng.standard_normal((15, 2)), None, nuisance)
 
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_matches_lstsq(self, rng, deficient):
+        # one pseudo-inverse gives lstsq(rcond=None)'s least-norm solution,
+        # on a full-rank M and on test_rank_deficient_warns's M
+        base = rng.standard_normal((15, 1))
+        nuisance = np.hstack([base, 2.0 * base if deficient
+                              else rng.standard_normal((15, 1))])
+        Z, y = rng.standard_normal((15, 2)), rng.standard_normal(15)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, model = residualize_nuisance(Z, y, nuisance)
+        assert deficient == any("rank-deficient" in str(w.message)
+                                for w in caught)
+        M = np.column_stack([np.ones(15), nuisance])
+        for coefs, rhs in ((model.feature_coefs, Z), (model.y_coefs, y)):
+            ref = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            assert (np.linalg.norm(coefs - ref)
+                    <= 1e-12 * np.linalg.norm(ref))
+
     def test_apply_to_new_rows(self, rng):
         nuisance = rng.standard_normal((20, 2))
         Z = rng.standard_normal((20, 3))
@@ -255,6 +274,45 @@ class TestOrthonormalize:
         assert U.shape[1] == 2
 
 
+class TestGramRoute:
+    """A block whose dropped Gram eigenvectors are null directions of the
+    block itself is factored without an SVD, wide or tall."""
+
+    def test_no_svd_and_the_svd_rank(self, rng, monkeypatch):
+        # atlas-shaped: 1.5N columns, centred and residualized on 2
+        # nuisance columns, so rank N - 3; column 7 is constant, so zero
+        N = 60
+        Z = rng.standard_normal((N, 90))
+        Z[:, 7] = 3.0
+        Z, _, _ = residualize_nuisance(Z, None, rng.standard_normal((N, 2)))
+        Z = standardized(Z)
+        # the wide block, then a tall one holding column 10 twice and the
+        # zero column
+        groups = [np.arange(90), np.array([10, 11, 12, 13, 14, 10, 7])]
+        emap = ExpansionMap(expanded_to_original=np.concatenate(groups),
+                            offsets=np.array([0, 90, 97]), p=90)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block went to the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        U, basis, _ = orthonormalize(Z, emap)
+        monkeypatch.undo()
+
+        assert basis.ranks.tolist() == [N - 3, 5]
+        assert basis.ranks.tolist() == [svd_rank(Z[:, g]) for g in groups]
+        for g, V, s, (u0, u1) in zip(groups, basis.vs, basis.sigmas,
+                                     pairwise(basis.offsets)):
+            Ug = U[:, u0:u1]
+            assert np.abs(Ug.T @ Ug - np.eye(u1 - u0)).max() <= 1e-12
+            B = Z[:, g]
+            assert (np.linalg.norm((Ug * s) @ V.T - B)
+                    <= 1e-10 * np.linalg.norm(B))
+            # the zero column's row of V is exactly +0.0
+            zero = g == 7
+            assert not np.signbit(V[zero]).any() and not V[zero].any()
+
+
 class TestBackTransform:
     def test_zero_maps_to_zero(self, rng):
         Z_std, spec, emap = toy_expansion(rng)
@@ -295,7 +353,8 @@ class TestBackTransform:
             back_transform(np.zeros(U.shape[1] + 2), basis, emap)
 
 
-BLOCK_KINDS = ("narrow", "duplicated", "wide", "single", "zero", "graded")
+BLOCK_KINDS = ("narrow", "duplicated", "wide", "wide_tail", "single", "zero",
+               "graded")
 
 
 def property_block(kind, rng, N):
@@ -314,6 +373,15 @@ def property_block(kind, rng, N):
         nuisance -= nuisance.mean()
         B -= np.outer(nuisance, nuisance @ B) / (nuisance @ nuisance)
         return B
+    if kind == "wide_tail":
+        # wide and of full row rank, with one singular ratio at 1e-9: above
+        # RANK_TOL, so the SVD keeps it, but far below what B B^T resolves
+        m = N + int(rng.integers(1, N + 1))
+        Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        W, _ = np.linalg.qr(rng.standard_normal((m, N)))
+        s = np.linspace(1.0, 0.5, N)
+        s[-1] = 1e-9
+        return (Q * s) @ W.T
     if kind == "single":
         return rng.standard_normal((N, 1))
     if kind == "zero":
@@ -343,6 +411,7 @@ class TestOrthonormalizeProperties:
     # the overlap group here is 4x4 with eigenvalue ratio 1.6e-7: its Gram
     # basis misses orthonormality by 2.3e-10, so it must take the SVD
     @example(kinds=["narrow", "narrow", "graded", "narrow"], N=4, seed=4)
+    @example(kinds=["wide_tail", "wide"], N=12, seed=0)
     def test_blocks(self, kinds, N, seed):
         assume(any(kind != "zero" for kind in kinds))
         rng = np.random.default_rng(seed)
@@ -373,6 +442,12 @@ class TestOrthonormalizeProperties:
             rel = np.linalg.norm((Ug * s) @ V.T - B) / np.linalg.norm(B)
             assert rel < 1e-8
         bt = rng.standard_normal(U.shape[1])
+        # the last direction of a wide_tail block has singular ratio 1e-9,
+        # which scales its coefficient by 1e9: Z @ beta then cancels more
+        # digits than a 1e-8 check allows, so that one direction stays 0
+        for gi, u1 in zip(basis.kept, basis.offsets[1:]):
+            if gi < len(kinds) and kinds[gi] == "wide_tail":
+                bt[u1 - 1] = 0.0
         beta = back_transform(bt, basis, emap)
         pred_u = U @ bt
         scale = max(1.0, np.linalg.norm(pred_u))

@@ -911,6 +911,14 @@ class TestGroupLayout:
         with pytest.raises(ValueError, match="group names for 3 groups"):
             self.build(rng, names=names)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.5])
+    def test_binomial_response_must_be_0_1(self, rng, bad):
+        y = np.arange(12) % 2.0
+        self.build(rng, family="binomial", y=y)
+        y[3] = bad
+        with pytest.raises(ValueError, match="coded 0/1"):
+            self.build(rng, family="binomial", y=y)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1, "0.1", None])
     def test_bad_lambda_is_refused(self, rng, lam):
         problem = self.build(rng)
