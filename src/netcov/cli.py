@@ -33,8 +33,9 @@ from . import __version__
 from .baselines import cpm_fit, cpm_predict, write_cpm_edges
 # build_design is unused here but stays importable as netcov.cli.build_design,
 # a name the benchmark's traced run (benchmarks/spans.py) wraps
-from .data import (build_design, load_dataset, read_feature_csv,  # noqa: F401
-                   read_manifest, require_finite, save_dataset,
+from .data import (build_design, load_dataset, parse_int,  # noqa: F401
+                   parse_number, read_feature_csv, read_manifest,
+                   require_finite, require_keys, save_dataset,
                    write_manifest)
 from .groups import split_communities, write_groups_csv
 from .metrics import (prediction_metrics, roc_along_path, support_metrics,
@@ -106,7 +107,10 @@ class Config(dict):
 
     def __init__(self, entries):
         super().__init__(entries)
-        self.settings = _convert(self)
+        try:
+            self.settings = _convert(self)
+        except ValueError as exc:  # a value parse_int or parse_number refused
+            raise ConfigError(str(exc)) from None
 
 
 def resolve_config(raw, overrides=None):
@@ -140,63 +144,45 @@ def _cfg_list(cfg, key, allowed=None):
     return values
 
 
-def _int(key, text, least):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
-    if value < least:
-        raise ConfigError(f"{key} must be at least {least}, got {text!r}")
-    return value
-
-
-def _positive(key, text, below=np.inf):
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {text!r}") from exc
-    if not 0.0 < value < below:
-        raise ConfigError(f"{key} must be in (0, {below:g}), got {text!r}")
-    return value
-
-
 def _alpha_levels(cfg):
     if cfg["experiment.alphas"]:
-        return [_positive("experiment.alphas", v)
+        return [parse_number("experiment.alphas", v, 0.0)
                 for v in _cfg_list(cfg, "experiment.alphas")]
-    lo = _positive("experiment.alpha_min", cfg["experiment.alpha_min"])
-    hi = _positive("experiment.alpha_max", cfg["experiment.alpha_max"])
-    count = _int("experiment.alpha_count", cfg["experiment.alpha_count"], 1)
+    lo, hi = (parse_number(key, cfg[key], 0.0)
+              for key in ("experiment.alpha_min", "experiment.alpha_max"))
+    count = parse_int("experiment.alpha_count",
+                      cfg["experiment.alpha_count"], 1)
     return [float(a) for a in np.geomspace(lo, hi, count)]
 
 
 def _convert(cfg):
     """Every key of a resolved config as the value it stands for; a value
-    out of its range is a ConfigError naming the key."""
+    out of its range is an error naming the key."""
+    def integer(key, least):
+        return parse_int(key, cfg[key], least)
+
     s = SimpleNamespace(
-        seed=_int("seed", cfg["seed"], 0),
+        seed=integer("seed", 0),
         schemes=_cfg_list(cfg, "experiment.schemes", {"nbg", "ebg"}),
         families=_cfg_list(cfg, "experiment.families",
                            {"gaussian", "binomial"}),
-        n_active=[_int("experiment.n_active", v, 1)
+        n_active=[parse_int("experiment.n_active", v, 1)
                   for v in _cfg_list(cfg, "experiment.n_active")],
         alphas=_alpha_levels(cfg),
-        replicates=_int("experiment.replicates",
-                        cfg["experiment.replicates"], 1),
+        replicates=integer("experiment.replicates", 1),
         design=cfg["data.design"],
-        split_communities=(
-            _int("data.split_communities", cfg["data.split_communities"], 2)
-            if cfg["data.split_communities"] else None),
-        grid_size=_int("solver.grid_size", cfg["solver.grid_size"], 2),
-        min_ratio=_positive("solver.min_ratio", cfg["solver.min_ratio"], 1.0),
-        folds=_int("solver.folds", cfg["solver.folds"], 2),
+        split_communities=(integer("data.split_communities", 2)
+                           if cfg["data.split_communities"] else None),
+        grid_size=integer("solver.grid_size", 2),
+        min_ratio=parse_number("solver.min_ratio", cfg["solver.min_ratio"],
+                               0.0, 1.0),
+        folds=integer("solver.folds", 2),
         methods=_cfg_list(cfg, "sweep.methods",
                           {"scheme", "nbg", "ebg", "lasso", "cpm"}),
-        N=_int("data.N", cfg["data.N"], 1),
-        K=_int("data.K", cfg["data.K"], 1),
-        nodes_per_community=_int("data.nodes_per_community",
-                                 cfg["data.nodes_per_community"], 1),
-        d=_int("data.d", cfg["data.d"], 0),
+        N=integer("data.N", 1),
+        K=integer("data.K", 1),
+        nodes_per_community=integer("data.nodes_per_community", 1),
+        d=integer("data.d", 0),
     )
     for scheme in s.schemes:
         for k in s.n_active:
@@ -258,9 +244,7 @@ def _simulate_cell(cfg, cell, cell_dir):
     exp = ExperimentConfig(
         scheme=cell.scheme.upper(), active_groups=active, alpha=cell.alpha,
         family=cell.family, N=s.N, K=s.K,
-        nodes_per_community=s.nodes_per_community, d=s.d, seed=seed,
-        replicate=0,
-    )
+        nodes_per_community=s.nodes_per_community, d=s.d, seed=seed)
     if s.design == "synthetic":
         dataset = gen_design_synthetic(exp)
         communities = dataset.communities
@@ -380,10 +364,14 @@ def _write_model(model, out_dir):
 
 def _read_model(fit_dir, info, dataset):
     """The FittedModel that :func:`run_fit` wrote to ``fit_dir``, to score
-    on ``dataset``; a fit of another p or family, a non-finite number, a
-    negative sd or a y_sd not above 0 is a data error."""
+    on ``dataset``; a missing key, a fit of another p or family, a value
+    that is not a finite number, a negative sd or a y_sd not above 0 is a
+    data error."""
+    info_path = os.path.join(fit_dir, "fit_info")
+    require_keys(info_path, info, ("family", "p", "intercept", "y_mean",
+                                   "y_sd"))
     p = dataset.index.p
-    if int(info["p"]) != p:
+    if parse_int(f"{info_path}: p", info["p"], 1) != p:
         raise ValueError(
             f"fit was trained with p={info['p']} but dataset has p={p}")
     if info["family"] != dataset.family:
@@ -394,20 +382,17 @@ def _read_model(fit_dir, info, dataset):
     means, sds = read_feature_csv(std_path, p, 2)
     if np.any(sds < 0.0):
         raise ValueError(f"{std_path}: sd is negative")
-    mu = float(info["intercept"])
-    y_mean, y_sd = (None if info[key] == "NA" else float(info[key])
+    mu = parse_number(f"{info_path}: intercept", info["intercept"])
+    y_mean, y_sd = (None if info[key] == "NA"
+                    else parse_number(f"{info_path}: {key}", info[key])
                     for key in ("y_mean", "y_sd"))
-    info_path = os.path.join(fit_dir, "fit_info")
-    for key, value in (("intercept", mu), ("y_mean", y_mean), ("y_sd", y_sd)):
-        if value is not None:
-            require_finite(info_path, key, value)
     if y_sd is not None and y_sd <= 0.0:
         raise ValueError(f"{info_path}: y_sd is not positive")
     nm_path = os.path.join(fit_dir, "nuisance_model.csv")
     return FittedModel(
         family=info["family"], mu=mu, beta=beta, column_means=means,
         column_sds=sds, y_mean=y_mean, y_sd=y_sd,
-        nuisance_model=(_read_nuisance_model(nm_path)
+        nuisance_model=(_read_nuisance_model(nm_path, p, dataset.family)
                         if os.path.exists(nm_path) else None),
     )
 
@@ -424,22 +409,39 @@ def _write_nuisance_model(model, path):
             writer.writerow(["y"] + [repr(float(v)) for v in model.y_coefs])
 
 
-def _read_nuisance_model(path):
+def _read_nuisance_model(path, p, family):
+    """The NuisanceModel that :func:`_write_nuisance_model` wrote for a fit
+    of ``p`` features: a header ``target,c0,...,c<q>``, then the rows
+    ``f0`` to ``f<p-1>`` in order and, for the gaussian family only, a row
+    ``y``, each with q+1 finite numbers.  Anything else is a data error
+    naming the file."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        feature_cols = []
-        y_coefs = None
-        for row in reader:
-            values = [float(v) for v in row[1:]]
-            require_finite(path, f"row {row[0]}", values)
-            if row[0] == "y":
-                y_coefs = np.array(values)
-            else:
-                feature_cols.append(values)
-    coefs = np.array(feature_cols).T
-    return NuisanceModel(feature_coefs=coefs, y_coefs=y_coefs,
-                         q=coefs.shape[0] - 1)
+        header, *rows = list(csv.reader(fh)) or [[]]
+    width = len(header)  # the target, then q+1 coefficients
+    if width < 2:
+        raise ValueError(f"{path}: the header names no coefficients")
+    targets = [f"f{j}" for j in range(p)] + ["y"] * (family == "gaussian")
+    if len(rows) != len(targets):
+        raise ValueError(f"{path}: {len(rows)} rows, expected "
+                         f"{len(targets)}: f0 to f{p - 1}"
+                         + (" and y" if family == "gaussian" else ""))
+    values = np.empty((len(rows), width - 1))
+    for line, (row, target, out) in enumerate(zip(rows, targets, values), 2):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+                             f"expected {width}")
+        if row[0] != target:
+            raise ValueError(f"{path}: line {line} is row {row[0]!r}, "
+                             f"expected {target!r}")
+        try:
+            out[:] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {line} holds a value that is "
+                             "not a number") from None
+        require_finite(path, f"row {target}", out)
+    return NuisanceModel(feature_coefs=values[:p].T,
+                         y_coefs=values[p] if family == "gaussian" else None,
+                         q=width - 2)
 
 
 def cmd_fit(args):
@@ -563,17 +565,25 @@ def _load_path_for_roc(fit_dir, p):
     """The fitted path as ROC input: the lambda grid from ``cv.csv`` (one
     row per point, the values ``path.csv`` repeats per group) and each
     point's coefficients from its ``coef_<i>.csv``."""
-    with open(os.path.join(fit_dir, "cv.csv"), newline="") as fh:
-        lams = [float(r["lambda"]) for r in csv.DictReader(fh)]
+    cv_path = os.path.join(fit_dir, "cv.csv")
+    with open(cv_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        require_keys(cv_path, reader.fieldnames or (), ("lambda",))
+        lams = [parse_number(f"{cv_path}: lambda", r["lambda"])
+                for r in reader]
     if not lams:
         return None
     entries = []
     for i, lam in enumerate(lams):
-        coef = np.loadtxt(os.path.join(fit_dir, f"coef_{i:03d}.csv"),
-                          delimiter=",").reshape(-1)
+        path = os.path.join(fit_dir, f"coef_{i:03d}.csv")
+        try:
+            coef = np.loadtxt(path, delimiter=",").reshape(-1)
+        except ValueError:
+            raise ValueError(f"{path} holds a value that is not a "
+                             "number") from None
         if coef.size != p:
-            raise ValueError(f"coef_{i:03d}.csv has {coef.size} rows, "
-                             f"expected {p}")
+            raise ValueError(f"{path} has {coef.size} rows, expected {p}")
+        require_finite(path, "beta", coef)
         entries.append(SimpleNamespace(lam=lam, beta=coef))
     return SimpleNamespace(entries=entries)
 

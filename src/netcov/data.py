@@ -389,17 +389,15 @@ def parse_row_spec(text, N=None):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-")
-            lo, hi = int(lo), int(hi)
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad row range {part!r}")
-            out.extend(range(lo - 1, hi))
-        else:
-            v = int(part)
-            if v < 1:
-                raise ValueError(f"bad row index {part!r}")
-            out.append(v - 1)
+        lo, dash, hi = part.partition("-")
+        try:
+            lo = int(lo)
+            hi = int(hi) if dash else lo
+        except ValueError:
+            raise ValueError(f"bad row range {part!r}") from None
+        if lo < 1 or hi < lo:
+            raise ValueError(f"bad row range {part!r}")
+        out.extend(range(lo - 1, hi))
     rows = np.array(out, dtype=np.int64)
     if N is not None and rows.size and rows.max() >= N:
         raise ValueError(f"row spec {text!r} exceeds N={N}")
@@ -433,6 +431,40 @@ def read_manifest(path):
             key, value = line.split("=", 1)
             entries[key.strip()] = value.strip()
     return entries
+
+
+def require_keys(path, entries, keys):
+    """A data error naming the file when ``entries`` lacks one of ``keys``."""
+    for key in keys:
+        if key not in entries:
+            raise ValueError(f"{path}: missing required key {key!r}")
+
+
+def parse_int(name, text, least):
+    """``text`` as an integer of at least ``least``; anything else is a
+    ValueError naming ``name``, the key (and file) the text came from."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {text!r}")
+    return value
+
+
+def parse_number(name, text, low=-np.inf, high=np.inf):
+    """``text`` as a finite number strictly between ``low`` and ``high``;
+    anything else is a ValueError naming ``name``, as :func:`parse_int`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is not finite")
+    if not low < value < high:
+        raise ValueError(
+            f"{name} must be in ({low:g}, {high:g}), got {text!r}")
+    return value
 
 
 def write_manifest(path, entries, header=None):
@@ -508,15 +540,12 @@ def _load_matrix(path, N, cols):
 
 def load_dataset(directory):
     """Load a dataset directory written by :func:`save_dataset`."""
-    manifest = read_manifest(os.path.join(directory, "manifest"))
-    for key in ("n", "d", "N", "family"):
-        if key not in manifest:
-            raise ValueError(f"manifest missing required key {key!r}")
-    n = int(manifest["n"])
-    d = int(manifest["d"])
-    N = int(manifest["N"])
+    path = os.path.join(directory, "manifest")
+    manifest = read_manifest(path)
+    require_keys(path, manifest, ("n", "d", "N", "family"))
+    n, d, N, q = (parse_int(f"{path}: {key}", manifest.get(key, "0"), least)
+                  for key, least in (("n", 2), ("d", 0), ("N", 1), ("q", 0)))
     family = manifest["family"]
-    q = int(manifest.get("q", 0))
     idx = FeatureIndex(n=n, d=d)
 
     comm = np.loadtxt(os.path.join(directory, "communities.csv"),
@@ -539,17 +568,18 @@ def load_dataset(directory):
         nuisance = _load_matrix(nu_path, N, q) if q > 0 else np.loadtxt(
             nu_path, delimiter=",", ndmin=2)
 
-    train_rows = test_rows = None
-    if "train_rows" in manifest:
-        train_rows = parse_row_spec(manifest["train_rows"], N)
-    if "test_rows" in manifest:
-        test_rows = parse_row_spec(manifest["test_rows"], N)
+    splits = {}
+    for key in ("train_rows", "test_rows"):
+        if key in manifest:
+            try:
+                splits[key] = parse_row_spec(manifest[key], N)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
 
     return Dataset(
         edges=edges, node_covs=covs, y=y,
         communities=CommunityMap(assignments=assignments),
-        family=family, nuisance=nuisance,
-        train_rows=train_rows, test_rows=test_rows,
+        family=family, nuisance=nuisance, **splits,
     )
 
 

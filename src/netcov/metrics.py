@@ -71,7 +71,7 @@ def _counts(selected, true):
     return tp, fp, fn, tn
 
 
-def support_metrics(beta_hat, truth, spec=None, tol=SELECTION_TOL):
+def support_metrics(beta_hat, truth, spec=None):
     """Feature-level confusion counts of an estimate against ground truth.
 
     ``truth`` is a GroundTruth or a coefficient vector.  With a GroupSpec
@@ -86,7 +86,7 @@ def support_metrics(beta_hat, truth, spec=None, tol=SELECTION_TOL):
         raise ValueError(
             f"lengths differ: estimate {beta_hat.size}, truth {true_beta.size}"
         )
-    selected = np.abs(beta_hat) > tol
+    selected = np.abs(beta_hat) > SELECTION_TOL
     true = true_beta != 0.0
     tp, fp, fn, tn = _counts(selected, true)
     recall = _safe_ratio(tp, tp + fn)
@@ -130,7 +130,7 @@ def prediction_metrics(y_hat, y_test, family):
     raise ValueError(f"unknown family {family!r}")
 
 
-def roc_along_path(path, truth, tol=SELECTION_TOL):
+def roc_along_path(path, truth):
     """Per-lambda (FPR, TPR, FDR) of the estimated support, lambda descending.
 
     TPR = TP/(TP+FN), FPR = FP/(FP+TN), FDR = FP/(TP+FP); the FDR is NaN
@@ -141,7 +141,7 @@ def roc_along_path(path, truth, tol=SELECTION_TOL):
     for entry in path.entries:
         if entry.beta.size != true.size:
             raise ValueError("path and truth cover different p")
-        selected = np.abs(entry.beta) > tol
+        selected = np.abs(entry.beta) > SELECTION_TOL
         tp, fp, fn, tn = _counts(selected, true)
         points.append({
             "lambda": entry.lam,
@@ -163,7 +163,7 @@ def _envelope(points):
     return fpr[keep], best[keep]
 
 
-def roc_dominance(points_a, points_b, tol=1e-9):
+def roc_dominance(points_a, points_b):
     """Fraction of matched FPR grid points where curve A is at or above B.
 
     Both curves are reduced to their upper envelopes and linearly
@@ -174,7 +174,7 @@ def roc_dominance(points_a, points_b, tol=1e-9):
     grid = np.unique(np.concatenate([fa, fb]))
     a = np.interp(grid, fa, ta)
     b = np.interp(grid, fb, tb)
-    return float(np.mean(a >= b - tol))
+    return float(np.mean(a >= b - 1e-9))  # slack for float dust in TPR
 
 
 def _fmt(value):

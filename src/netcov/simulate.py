@@ -69,7 +69,6 @@ class ExperimentConfig:
     nodes_per_community: int = 5
     d: int = 1
     seed: int = None
-    replicate: int = 0
 
     def __post_init__(self):
         if self.scheme not in ("NBG", "EBG"):
@@ -129,7 +128,7 @@ def gen_design_synthetic(config):
     communities = default_communities(config.K, config.nodes_per_community)
     n = communities.n
     n_edges = n * (n - 1) // 2
-    rng = _seeded_rng(config.seed, config.replicate, 0)
+    rng = _seeded_rng(config.seed, 0, 0)
     edges = rng.standard_normal((config.N, n_edges))
     covs = rng.standard_normal((config.N, n * config.d))
     N2 = 2 * config.N
@@ -201,8 +200,7 @@ def gen_semisynthetic(files_path, config, split_target=None):
     # groups over the source's coordinates, whatever config.d says
     spec = scheme_groups(config.scheme, communities, centered.index)
     truth = make_beta(spec, config.active_groups, config.alpha)
-    y = draw_response(centered, truth, config.family, config.seed,
-                      tag=config.replicate + 1)
+    y = draw_response(centered, truth, config.family, config.seed, tag=1)
     return replace(centered, y=y), truth, communities
 
 

@@ -9,13 +9,18 @@ rank-scaled penalty multiplier sqrt(r_G) and the intercept mu is
 unpenalized.  The gaussian deviance is half the residual sum of squares;
 the binomial deviance is minus twice the Bernoulli log-likelihood.
 
-Because each group's columns are orthonormal, the per-group coordinate
-update is a closed-form multiplicative shrinkage of the group's
-residual correlation z, ``max(0, 1 - t/||z||) * z``.  The gaussian
-family runs cyclic group descent on residuals; the binomial family runs
-majorize-minimize sweeps: the logistic curvature is bounded by 1/4, so
-each sweep does exact cyclic descent on the induced quadratic surrogate,
-which never increases the true objective.
+One rule gives the loss gradient of both families.  With the working
+residual r = y - E[y | eta] (y - eta, or y - expit(eta) for the binomial
+family), the gradient of (1/N) deviance in (mu, b) is
+-c (mean(r), U^T r / N) with gradient scale c = 1 or 2, and each
+observation's deviance has curvature at most c k in eta, with k = 1 or
+the logistic bound 1/4.  As each group's columns are orthonormal, the
+group's exact minimizer of the quadratic with that curvature is the
+shrinkage ``max(0, 1 - t/||z||) * z`` of z = b_G + U_G^T r / k, at
+t = N lambda w_G / (c k).  For the gaussian family that quadratic is the
+objective, so the sweeps are cyclic group descent; for the binomial
+family it majorizes the objective and is re-taken at the top of each
+sweep, so no sweep increases the true objective.
 
 An active-set strategy makes long regularization paths cheap: sweeps
 cycle over the current active groups until stable, then one full
@@ -98,6 +103,9 @@ DEFAULT_MAX_ITER = 10000
 DEFAULT_TOL = 1e-7
 DEFAULT_KKT_TOL = 1e-6
 ZERO_GRAD_TOL = 1e-10  # absolute gradient gate for the unpenalized case
+# per family: the gradient scale c and the curvature bound k (see above)
+_GRAD_SCALE = {"gaussian": 1.0, "binomial": 2.0}
+_CURVATURE = {"gaussian": 1.0, "binomial": 0.25}
 ANDERSON_K = 5  # iterate differences per Anderson step, taken every K+1 sweeps
 
 _CC = "gcc"
@@ -248,19 +256,19 @@ def deviance(family, y, eta):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _linear_predictor(problem, mu, beta_tilde):
-    if np.any(beta_tilde):
-        return mu + problem.U @ beta_tilde
-    return np.full(problem.N, mu)
-
-
 def _fresh_state(problem, mu, beta):
     """The solver's work vector at (mu, beta): the residual y - eta for the
     gaussian family, the linear predictor eta for the binomial family."""
-    eta = _linear_predictor(problem, mu, beta)
+    eta = mu + problem.U @ beta if np.any(beta) else np.full(problem.N, mu)
+    return problem.y - eta if problem.family == "gaussian" else eta
+
+
+def _working_residual(problem, state):
+    """The working residual y - E[y | eta] at a work vector: the gaussian
+    state itself, y - expit(eta) for the binomial family."""
     if problem.family == "gaussian":
-        return problem.y - eta
-    return eta
+        return state
+    return problem.y - expit(state)
 
 
 def smooth_gradient(problem, mu, beta_tilde, state=None):
@@ -274,11 +282,9 @@ def smooth_gradient(problem, mu, beta_tilde, state=None):
     """
     if state is None:
         state = _fresh_state(problem, mu, beta_tilde)
-    N = problem.N
-    if problem.family == "gaussian":
-        return -float(state.mean()), -(problem.U.T @ state) / N
-    diff = expit(state) - problem.y
-    return 2.0 * float(diff.mean()), 2.0 * (problem.U.T @ diff) / N
+    r = _working_residual(problem, state)
+    c = _GRAD_SCALE[problem.family]
+    return -c * float(r.mean()), -c * (problem.U.T @ r) / problem.N
 
 
 def _penalized(problem, dev, beta_tilde):
@@ -295,9 +301,8 @@ def _state_deviance(problem, state):
 
 def objective(problem, mu, beta_tilde):
     """Penalized objective Q at (mu, beta_tilde)."""
-    eta = _linear_predictor(problem, mu, beta_tilde)
-    return _penalized(problem, deviance(problem.family, problem.y, eta),
-                      beta_tilde)
+    state = _fresh_state(problem, mu, beta_tilde)
+    return _penalized(problem, _state_deviance(problem, state), beta_tilde)
 
 
 def _group_norms(problem, vec):
@@ -356,17 +361,16 @@ def lambda_max(problem):
     signal at all (constant y, or y orthogonal to every column), since
     the regularization path degenerates.
     """
-    mu0 = _intercept_start(problem)
-    _, grad = smooth_gradient(problem, mu0, np.zeros(problem.U.shape[1]))
+    mu0, beta0 = _intercept_start(problem), np.zeros(problem.U.shape[1])
+    state0 = _fresh_state(problem, mu0, beta0)
+    _, grad = smooth_gradient(problem, mu0, beta0, state0)
     norms = _group_norms(problem, grad)
     lam = float(np.max(norms / problem.multipliers))
     # largest gradient any unit-norm column could attain; lam below float
     # dust of that scale means the response carries no usable signal
-    eta0 = np.full(problem.N, mu0)
-    if problem.family == "gaussian":
-        reachable = np.linalg.norm(problem.y - eta0) / problem.N
-    else:
-        reachable = 2.0 * np.linalg.norm(expit(eta0) - problem.y) / problem.N
+    reachable = (_GRAD_SCALE[problem.family]
+                 * np.linalg.norm(_working_residual(problem, state0))
+                 / problem.N)
     if lam <= 1e-12 * reachable or reachable == 0.0:
         raise ValueError(
             "lambda_max is 0: response is orthogonal to every predictor, "
@@ -469,36 +473,28 @@ def _sweep(problem, sweep_groups, state, mu, beta, order):
     """One cyclic pass (intercept + the given groups); returns (mu, max change).
 
     ``state`` is the work vector of :func:`_fresh_state`, updated in
-    place: the residual y - eta for the gaussian family; eta for the
-    binomial family, whose surrogate residual 4*(y - pi) is re-majorized
-    from it here, at the top of each sweep.
+    place.  The step residual is the working residual over the curvature
+    bound k: the gaussian state itself, updated with it; for the binomial
+    family a copy re-majorized from eta at the top of each sweep.
     Exact coordinate minimization per block in both cases, so the
     objective (gaussian) / its majorizer (binomial) never increases.
     The pass over the groups runs in the compiled kernel.
     """
-    N = problem.N
-    lam = problem.lam
     gaussian = problem.family == "gaussian"
-    if gaussian:
-        resid = state
-        thresh_scale = N * lam
-    else:
-        eta = state
-        pi = expit(eta)
-        resid = 4.0 * (problem.y - pi)
-        thresh_scale = 2.0 * N * lam
+    c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
+    resid = state if gaussian else _working_residual(problem, state) / k
 
     dmu = float(resid.mean())
     mu += dmu
     resid -= dmu
     if not gaussian:
-        eta += dmu
+        state += dmu  # eta
     max_delta = abs(dmu)
 
     group_delta = sweep_groups(
         _kernel_array(resid, np.float64),
-        None if gaussian else _kernel_array(eta, np.float64),
-        _kernel_array(beta, np.float64), thresh_scale,
+        None if gaussian else _kernel_array(state, np.float64),
+        _kernel_array(beta, np.float64), problem.N * problem.lam / (c * k),
         _kernel_array(order, np.int64), order.size)
     return mu, max(max_delta, group_delta)
 
@@ -537,15 +533,16 @@ def _anderson(problem, beta, coords, history, states):
 
 
 def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
-                  tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, state0=None):
+                  state0=None):
     """Solve the penalized problem at the problem's lambda.
 
     Cyclic group descent with an active-set strategy: iterate over the
-    currently active groups until coordinate changes fall below ``tol``,
-    then screen all groups with one gradient pass; groups violating the
-    zero-group condition enter the active set.  The fit returns only once
-    the stationarity residual is at most ``kkt_tol`` (relative to
-    lambda*w_G; absolute when lambda is 0).  Every ``ANDERSON_K + 1``
+    currently active groups until coordinate changes fall below
+    ``DEFAULT_TOL``, then screen all groups with one gradient pass; groups
+    violating the zero-group condition enter the active set.  The fit
+    returns only once the stationarity residual (relative to lambda*w_G)
+    and the intercept's gradient are at most ``DEFAULT_KKT_TOL``, or both
+    at most ``ZERO_GRAD_TOL`` when lambda is 0.  Every ``ANDERSON_K + 1``
     sweeps on one active set, an Anderson step is tried and kept only when
     it lowers the objective; the history holds only the active coordinates.
 
@@ -589,7 +586,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
         while sweeps < max_iter:
             mu, delta = _sweep(problem, sweep_groups, state, mu, beta, active)
             sweeps += 1
-            if delta < tol:
+            if delta < DEFAULT_TOL:
                 break
             history.append(np.concatenate(([mu], beta[coords])))
             states.append(state.copy())
@@ -614,7 +611,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
                 active = np.flatnonzero(in_active)
                 continue
             res = _kkt_from_gradient(problem, beta, grad)
-            done = res <= kkt_tol and abs(gmu) <= max(kkt_tol, tol)
+            done = res <= DEFAULT_KKT_TOL and abs(gmu) <= DEFAULT_KKT_TOL
         else:
             res = max(_kkt_from_gradient(problem, beta, grad), abs(gmu))
             done = res <= ZERO_GRAD_TOL
@@ -640,8 +637,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
 
 
 def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
-             lambdas=None, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL,
-             kkt_tol=DEFAULT_KKT_TOL):
+             lambdas=None, max_iter=DEFAULT_MAX_ITER):
     """Fit along a descending lambda grid with warm starts.
 
     The grid defaults to ``lambda_grid(lambda_max(problem), ...)``.  Each
@@ -680,8 +676,7 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
                 start = dict(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
                              state0=state_p)
                 predicted = True
-        sol = fit_at_lambda(prob, **start, max_iter=10 * max_iter, tol=tol,
-                            kkt_tol=kkt_tol)
+        sol = fit_at_lambda(prob, **start, max_iter=10 * max_iter)
         if sol.n_sweeps > max_iter:
             warnings.warn(
                 f"lambda index {i}: took {sol.n_sweeps} sweeps, more than "

@@ -348,6 +348,40 @@ class TestEvaluate:
                     f"is {scored}") in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("target, row, text, message", [
+        ("coef_003.csv", 4, "nan", "coef_003.csv: beta is not finite"),
+        ("coef_000.csv", 0, "-inf", "coef_000.csv: beta is not finite"),
+        ("coef_002.csv", 7, "abc",
+         "coef_002.csv holds a value that is not a number"),
+        ("cv.csv", 3, "nan", "cv.csv: lambda is not finite"),
+        ("cv.csv", 1, "abc", "cv.csv: lambda must be a number, got 'abc'"),
+        ("cv.csv", 0, "lam", "cv.csv: missing required key 'lambda'"),
+    ], ids=["nan_coefficient", "inf_coefficient", "text_coefficient",
+            "nan_lambda", "text_lambda", "no_lambda_column"])
+    def test_roc_inputs_must_be_finite_numbers(self, sim_dir, fit_dir,
+                                               tmp_path, capsys, target, row,
+                                               text, message):
+        # a NaN coefficient would count as unselected in roc.csv
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        _set_field(fit_copy / target, row, 0, text)
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         sim_dir, "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "roc.csv").exists()
+
+    def test_short_coefficient_file_names_its_path(self, sim_dir, fit_dir,
+                                                   tmp_path, capsys):
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        _edit_row(fit_copy / "coef_005.csv", 2, lambda r: None)
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         sim_dir, "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"{fit_copy / 'coef_005.csv'} has 20 rows, expected 21"
+                in capsys.readouterr().err)
+
 
 class TestNuisanceEvaluate:
     def test_evaluate_matches_in_process_prediction(self, tmp_path):
@@ -409,6 +443,30 @@ class TestNuisanceEvaluate:
         assert (f"dataset has {q} nuisance columns but the fit was trained "
                 "with 2" in capsys.readouterr().err)
 
+    def test_binomial_fit_refuses_a_y_row(self, tmp_path, capsys):
+        # the binomial response is never corrected, so its fit has no y row
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        rng = np.random.default_rng(6)
+        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2], d=1, N=40, nuisance_q=1)
+        ds = replace(ds, y=(ds.y > np.median(ds.y)).astype(float),
+                     family="binomial", train_rows=np.arange(30),
+                     test_rows=np.arange(30, 40))
+        save_dataset(ds, str(tmp_path / "data"))
+        fit_dir = tmp_path / "fit"
+        assert cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(fit_dir), "--folds", "3",
+                         "--grid-size", "6", "--seed", "3"]) == 0
+        path = fit_dir / "nuisance_model.csv"
+        path.write_text(path.read_text() + "y,0.5,0.25\n")
+        code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                         str(tmp_path / "data"), "--out",
+                         str(tmp_path / "eval")])
+        assert code == 3
+        assert ("nuisance_model.csv: 22 rows, expected 21: f0 to f20"
+                in capsys.readouterr().err)
+
 
 @pytest.fixture(scope="module")
 def nuisance_fit(tmp_path_factory):
@@ -445,7 +503,7 @@ def _edit_row(path, row, edit):
 
 
 class TestFitFileNumbers:
-    """evaluate refuses a fit file holding a number no fit can write."""
+    """evaluate refuses a fit file that no fit can write."""
 
     CASES = {
         "nan_coefficient": (lambda f: _set_field(f / "coefficients.csv",
@@ -508,6 +566,36 @@ class TestFitFileNumbers:
                                 lambda r: None),
             "standardization.csv: 1 of 10 features are not listed "
             "(first few: [5])"),
+        # the gaussian response was corrected: its row must be there
+        "missing_nuisance_y_row": (
+            lambda f: _edit_row(f / "nuisance_model.csv", 11,
+                                lambda r: None),
+            "nuisance_model.csv: 10 rows, expected 11: f0 to f9 and y"),
+        "missing_nuisance_feature_row": (
+            lambda f: _edit_row(f / "nuisance_model.csv", 4,
+                                lambda r: None),
+            "nuisance_model.csv: 10 rows, expected 11: f0 to f9 and y"),
+        "short_nuisance_row": (
+            lambda f: _edit_row(f / "nuisance_model.csv", 2,
+                                lambda r: r[:2]),
+            "nuisance_model.csv: line 3 has 2 fields, expected 3"),
+        "misnamed_nuisance_row": (
+            lambda f: _set_field(f / "nuisance_model.csv", 2, 0, "f7"),
+            "nuisance_model.csv: line 3 is row 'f7', expected 'f1'"),
+        "text_nuisance_coefficient": (
+            lambda f: _set_field(f / "nuisance_model.csv", 5, 1, "abc"),
+            "nuisance_model.csv: line 6 holds a value that is not a number"),
+        "missing_intercept": (
+            lambda f: _drop_manifest_key(f / "fit_info", "intercept"),
+            "fit_info: missing required key 'intercept'"),
+        "missing_family": (
+            lambda f: _drop_manifest_key(f / "fit_info", "family"),
+            "fit_info: missing required key 'family'"),
+        "text_p": (lambda f: _edit_manifest(f / "fit_info", "p", "x"),
+                   "fit_info: p must be an integer, got 'x'"),
+        "text_intercept": (
+            lambda f: _edit_manifest(f / "fit_info", "intercept", "abc"),
+            "fit_info: intercept must be a number, got 'abc'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -590,6 +678,12 @@ def _edit_manifest(path, key, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _drop_manifest_key(path, key):
+    lines = [line for line in path.read_text().splitlines()
+             if line.split("=")[0].strip() != key]
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestBadInputRejected:
     """Bad data is refused when the dataset loads, with exit code 3."""
 
@@ -615,6 +709,21 @@ class TestBadInputRejected:
         "fractional_community": (
             lambda d: _set_field(d / "communities.csv", 1, 1, "1.7"),
             "community labels must be integers; got 1.7"),
+        "text_node_count": (
+            lambda d: _edit_manifest(d / "manifest", "n", "four"),
+            "manifest: n must be an integer, got 'four'"),
+        "text_covariate_count": (
+            lambda d: _edit_manifest(d / "manifest", "d", "1.0"),
+            "manifest: d must be an integer, got '1.0'"),
+        "negative_row_count": (
+            lambda d: _edit_manifest(d / "manifest", "N", "-3"),
+            "manifest: N must be at least 1, got '-3'"),
+        "text_nuisance_count": (
+            lambda d: _edit_manifest(d / "manifest", "q", "x"),
+            "manifest: q must be an integer, got 'x'"),
+        "text_train_rows": (
+            lambda d: _edit_manifest(d / "manifest", "train_rows", "1-x"),
+            "manifest: train_rows: bad row range '1-x'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -198,6 +198,12 @@ class TestRowSpec:
         with pytest.raises(ValueError, match="exceeds"):
             parse_row_spec("1-10", N=5)
 
+    @pytest.mark.parametrize("part", ["1-x", "x", "0", "5-", "-5", "1-2-3",
+                                      "4-2", "2.5"])
+    def test_bad_part_is_named(self, part):
+        with pytest.raises(ValueError, match=f"bad row range '{part}'"):
+            parse_row_spec(f"1-3,{part}")
+
 
 class TestDiskLayout:
     def test_round_trip(self, rng, tmp_path):
@@ -244,6 +250,31 @@ class TestDiskLayout:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="family"):
             load_dataset(str(tmp_path / "d"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", "x", "n must be an integer, got 'x'"),
+        ("n", "1", "n must be at least 2, got '1'"),
+        ("d", "one", "d must be an integer, got 'one'"),
+        ("d", "-1", "d must be at least 0, got '-1'"),
+        ("N", "3.0", "N must be an integer, got '3.0'"),
+        ("N", "-3", "N must be at least 1, got '-3'"),
+        ("q", "two", "q must be an integer, got 'two'"),
+        ("train_rows", "1-x", "train_rows: bad row range '1-x'"),
+        ("test_rows", "2,y", "test_rows: bad row range 'y'"),
+    ])
+    def test_bad_manifest_value_names_file_and_key(self, rng, tmp_path, key,
+                                                   value, message):
+        from conftest import make_dataset
+
+        ds = make_dataset(rng, [1, 2], d=1, N=3)
+        save_dataset(ds, str(tmp_path / "d"))
+        manifest = tmp_path / "d" / "manifest"
+        lines = [ln for ln in manifest.read_text().splitlines()
+                 if ln.split("=")[0].strip() != key]
+        manifest.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(str(tmp_path / "d"))
+        assert str(err.value) == f"{manifest}: {message}"
 
     def test_shape_mismatch_rejected(self, rng, tmp_path):
         from conftest import make_dataset

@@ -77,32 +77,51 @@ class TestDeviance:
 
 
 class TestLambdaMax:
-    def test_hand_computed_single_group(self, rng):
-        # orthonormal single group, ||U^T (y - ybar)|| = 3, N = 10, r = 4
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_hand_computed_single_group(self, rng, family):
+        # orthonormal single group of mean-zero columns, N = 10, r = 4, w = 2
         N, r = 10, 4
         base = rng.standard_normal((N, r))
         base -= base.mean(0)
         U, _ = np.linalg.qr(base)
-        v = rng.standard_normal(r)
-        v *= 3.0 / np.linalg.norm(v)
-        y = U @ v
-        y = y - y.mean() + 0.7
-        problem = PenalizedProblem(U=U, y=y, family="gaussian",
+        if family == "gaussian":
+            # ||U^T (y - ybar)|| = 3
+            v = rng.standard_normal(r)
+            v *= 3.0 / np.linalg.norm(v)
+            y = U @ v
+            y = y - y.mean() + 0.7
+            expected = 3.0 / (N * 2.0)
+        else:
+            # the intercept-only fit has mean ybar, so the gradient is
+            # 2 U^T (ybar - y) / N
+            y = np.array([1.0, 1, 1, 0, 1, 0, 0, 1, 0, 0])
+            expected = 2.0 * np.linalg.norm(U.T @ (y - y.mean())) / (N * 2.0)
+        problem = PenalizedProblem(U=U, y=y, family=family,
                                    offsets=np.array([0, r]),
                                    multipliers=np.array([2.0]),
                                    names=("g",))
-        assert lambda_max(problem) == pytest.approx(3.0 / (10 * 2.0),
-                                                    rel=1e-9)
+        assert lambda_max(problem) == pytest.approx(expected, rel=1e-9)
 
-    def test_orthogonal_response_errors(self, rng):
-        # y = constant + component orthogonal to the columns and to 1
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_orthogonal_response_errors(self, rng, family):
+        # mean-zero orthonormal columns, all orthogonal to y - ybar: for the
+        # gaussian family y is a constant plus a component orthogonal to the
+        # columns and to 1, for the binomial family the columns are made
+        # orthogonal to a fixed 0/1 response
         base = rng.standard_normal((10, 3))
         base -= base.mean(0)
-        U, _ = np.linalg.qr(base)  # mean-zero orthonormal columns
-        w = rng.standard_normal(10)
-        w -= w.mean()
-        w -= U @ (U.T @ w)
-        problem = PenalizedProblem(U=U, y=0.5 + w, family="gaussian",
+        if family == "gaussian":
+            U, _ = np.linalg.qr(base)
+            w = rng.standard_normal(10)
+            w -= w.mean()
+            w -= U @ (U.T @ w)
+            y = 0.5 + w
+        else:
+            y = np.array([0.0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
+            w = y - y.mean()
+            base -= np.outer(w, w @ base) / (w @ w)
+            U, _ = np.linalg.qr(base)
+        problem = PenalizedProblem(U=U, y=y, family=family,
                                    offsets=np.array([0, 3]),
                                    multipliers=np.array([1.0]),
                                    names=("g",))
