@@ -220,14 +220,12 @@ def _cell_seed(base_seed, cell_index):
                                        int(cell_index))).generate_state(1)[0])
 
 
-def write_run_manifest(path, subcommand, cfg, extra=None, timings=None):
+def write_run_manifest(path, subcommand, cfg, extra):
     header = [
         f"netcov {__version__} run manifest",
         f"subcommand: {subcommand}",
     ]
-    for key, value in (extra or {}).items():
-        header.append(f"{key}: {value}")
-    for key, value in (timings or {}).items():
+    for key, value in extra.items():
         header.append(f"{key}: {value}")
     entries = {k: cfg[k] for k in sorted(cfg)}
     write_manifest(path, entries, header=header)
@@ -280,8 +278,8 @@ def cmd_simulate(args):
         _simulate_cell(cfg, cell, os.path.join(args.out, "cells", cell.cell_id))
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "simulate", cfg,
-        extra={"out": args.out, "cells": len(cells)},
-        timings={"wall_seconds": f"{time.time() - started:.3f}"},
+        extra={"out": args.out, "cells": len(cells),
+               "wall_seconds": f"{time.time() - started:.3f}"},
     )
     return 0
 
@@ -458,8 +456,8 @@ def cmd_fit(args):
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "fit", cfg,
         extra={"data": args.data, "out": args.out, "scheme": args.scheme,
-               "split_communities": args.split_communities},
-        timings={"wall_seconds": f"{time.time() - started:.3f}"},
+               "split_communities": args.split_communities,
+               "wall_seconds": f"{time.time() - started:.3f}"},
     )
     return 0
 
@@ -497,8 +495,8 @@ def cmd_cpm(args):
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "cpm", {},
         extra={"data": args.data, "out": args.out,
-               "alpha": repr(args.alpha)},
-        timings={"wall_seconds": f"{time.time() - started:.3f}"},
+               "alpha": repr(args.alpha),
+               "wall_seconds": f"{time.time() - started:.3f}"},
     )
     return 0
 
@@ -647,8 +645,8 @@ def cmd_sweep(args):
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), table)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "sweep", cfg,
-        extra={"out": args.out, "cells": len(cells)},
-        timings={"wall_seconds": f"{time.time() - started:.3f}"},
+        extra={"out": args.out, "cells": len(cells),
+               "wall_seconds": f"{time.time() - started:.3f}"},
     )
     return 0
 

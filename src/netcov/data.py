@@ -419,8 +419,9 @@ def format_row_spec(rows):
 
 
 def read_manifest(path):
-    """Read a flat ``key = value`` manifest file into a dict of strings."""
-    entries = {}
+    """Read a flat ``key = value`` manifest file into a dict of strings;
+    a key listed twice is refused."""
+    entries, first_line = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -428,8 +429,12 @@ def read_manifest(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats "
+                                 f"line {first_line[key]}")
+            first_line[key] = lineno
+            entries[key] = value
     return entries
 
 

@@ -158,13 +158,13 @@ def draw_response(dataset, truth, family, seed, tag=1):
     return (rng.random(eta.size) < expit(eta)).astype(np.float64)
 
 
-def scenario_difficulty(dataset, truth, family, rows=None):
+def scenario_difficulty(dataset, truth, family):
     """(metric_name, value) over the empirical training distribution.
 
     gaussian: SNR = Var(Z beta) / sigma^2; binomial: Bayes error
     E[min(pi, 1 - pi)].  Exact at beta = 0: SNR 0 and BE 0.5.
     """
-    Z = build_design(dataset, dataset.training_rows(rows))
+    Z = build_design(dataset, dataset.training_rows())
     eta = truth.mu + Z @ truth.beta
     if family == "gaussian":
         return "snr", float(np.var(eta) / NOISE_SD**2)

@@ -5,9 +5,9 @@ Minimizes
     Q(mu, b) = (1/N) * deviance(y, mu + U b) + lambda * sum_G w_G ||b_G||_2
 
 over groups of columns of the orthonormalized design U, where w_G is the
-rank-scaled penalty multiplier sqrt(r_G) and the intercept mu is
-unpenalized.  The gaussian deviance is half the residual sum of squares;
-the binomial deviance is minus twice the Bernoulli log-likelihood.
+rank-scaled penalty multiplier sqrt(r_G), lambda > 0 and the intercept
+mu is unpenalized.  The gaussian deviance is half the residual sum of
+squares, the binomial one minus twice the Bernoulli log-likelihood.
 
 One rule gives the loss gradient of both families.  With the working
 residual r = y - E[y | eta] (y - eta, or y - expit(eta) for the binomial
@@ -23,9 +23,12 @@ family it majorizes the objective and is re-taken at the top of each
 sweep, so no sweep increases the true objective.
 
 An active-set strategy makes long regularization paths cheap: sweeps
-cycle over the current active groups until stable, then one full
-gradient pass screens all groups for violators of the zero-group
-optimality condition; the same pass doubles as the exit KKT certificate.
+cycle over the active groups until no coordinate moves by the inner
+tolerance, then one full gradient pass screens all groups; violators of
+the zero-group condition join the active set, which never shrinks within
+a point.  That pass is also the exit KKT certificate; one with no
+violators that misses it divides the inner tolerance by 10, tying the
+sweeps' precision to the certificate, as Celer does (ICML 2018).
 
 Two objective-guarded extrapolations cut the sweep count without
 changing what is returned.  Every ``ANDERSON_K + 1`` active-set sweeps,
@@ -102,7 +105,6 @@ ETA_CLIP = 30.0  # linear-predictor threshold guarding exp/log1p overflow
 DEFAULT_MAX_ITER = 10000
 DEFAULT_TOL = 1e-7
 DEFAULT_KKT_TOL = 1e-6
-ZERO_GRAD_TOL = 1e-10  # absolute gradient gate for the unpenalized case
 # per family: the gradient scale c and the curvature bound k (see above)
 _GRAD_SCALE = {"gaussian": 1.0, "binomial": 2.0}
 _CURVATURE = {"gaussian": 1.0, "binomial": 0.25}
@@ -311,7 +313,7 @@ def _group_norms(problem, vec):
 
 
 def _kkt_from_gradient(problem, beta_tilde, grad):
-    """Max stationarity violation, relative to lambda*w_G (absolute at lambda 0).
+    """Max stationarity violation, relative to lambda*w_G.
 
     Active groups use the identity ||g + s*b/||b||||^2 =
     ||g||^2 + 2 s <g, b>/||b|| + s^2, so everything reduces to per-group
@@ -319,13 +321,10 @@ def _kkt_from_gradient(problem, beta_tilde, grad):
     """
     starts = problem.offsets[:-1]
     gnorms2 = np.add.reduceat(grad * grad, starts)
-    lam = problem.lam
-    if lam == 0.0:
-        return float(np.sqrt(np.maximum(gnorms2, 0.0)).max())
     bnorms = np.sqrt(np.maximum(
         np.add.reduceat(beta_tilde * beta_tilde, starts), 0.0))
     dots = np.add.reduceat(grad * beta_tilde, starts)
-    scale = lam * problem.multipliers
+    scale = problem.lam * problem.multipliers
     active = bnorms > 0
     res = np.empty(problem.n_groups)
     gnorms = np.sqrt(np.maximum(gnorms2, 0.0))
@@ -340,6 +339,8 @@ def _kkt_from_gradient(problem, beta_tilde, grad):
 
 def kkt_residual(problem, mu, beta_tilde):
     """Stationarity certificate computed from scratch at (mu, beta_tilde)."""
+    if not problem.lam > 0:
+        raise ValueError(f"lambda must be > 0, got {problem.lam!r}")
     _, grad = smooth_gradient(problem, mu, beta_tilde)
     return _kkt_from_gradient(problem, beta_tilde, grad)
 
@@ -536,15 +537,15 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
                   state0=None):
     """Solve the penalized problem at the problem's lambda.
 
-    Cyclic group descent with an active-set strategy: iterate over the
-    currently active groups until coordinate changes fall below
-    ``DEFAULT_TOL``, then screen all groups with one gradient pass; groups
-    violating the zero-group condition enter the active set.  The fit
-    returns only once the stationarity residual (relative to lambda*w_G)
-    and the intercept's gradient are at most ``DEFAULT_KKT_TOL``, or both
-    at most ``ZERO_GRAD_TOL`` when lambda is 0.  Every ``ANDERSON_K + 1``
-    sweeps on one active set, an Anderson step is tried and kept only when
-    it lowers the objective; the history holds only the active coordinates.
+    Lambda must be positive.  Sweeps cycle over the active groups until
+    coordinate changes fall below the inner tolerance, ``DEFAULT_TOL`` at
+    first; then one gradient pass screens all groups, and violators of the
+    zero-group condition join the active set.  The fit returns at the
+    first pass whose stationarity residual (relative to lambda*w_G) and
+    intercept gradient are at most ``DEFAULT_KKT_TOL``; a pass with no
+    violators that misses divides the inner tolerance by 10.  Every
+    ``ANDERSON_K + 1`` sweeps on one active set, an Anderson step is tried
+    and kept only if it lowers the objective (active coordinates only).
 
     The fit starts at ``(mu0, beta0)`` (default: the intercept-only fit).
     ``state0`` is the work vector of :func:`_fresh_state` there, when the
@@ -558,6 +559,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     Raises :class:`ConvergenceError` carrying the last iterate after
     ``max_iter`` total sweeps.
     """
+    if not problem.lam > 0:
+        raise ValueError(f"lambda must be > 0, got {problem.lam!r}")
     m = problem.U.shape[1]
     beta = np.zeros(m) if beta0 is None else np.array(beta0, dtype=np.float64)
     if beta.size != m:
@@ -571,14 +574,12 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
             raise ValueError(f"start state has shape {state.shape}, "
                              f"expected ({problem.N},)")
     sweep_groups = _bind_kernel(problem)
-    all_groups = np.arange(problem.n_groups, dtype=np.int64)
 
-    norms = _group_norms(problem, beta)
-    in_active = norms > 0
+    in_active = _group_norms(problem, beta) > 0
     active = np.flatnonzero(in_active)
 
-    sweeps = 0
-    n_extrapolated = 0
+    tol = DEFAULT_TOL
+    sweeps = n_extrapolated = 0
     while sweeps < max_iter:
         # converge on the current active set
         coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
@@ -586,7 +587,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
         while sweeps < max_iter:
             mu, delta = _sweep(problem, sweep_groups, state, mu, beta, active)
             sweeps += 1
-            if delta < DEFAULT_TOL:
+            if delta < tol:
                 break
             history.append(np.concatenate(([mu], beta[coords])))
             states.append(state.copy())
@@ -602,32 +603,19 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
         # full gradient pass: screening + KKT certificate
         state = _fresh_state(problem, mu, beta)  # shed incremental drift
         gmu, grad = smooth_gradient(problem, mu, beta, state)
-        if problem.lam > 0:
-            gnorms = _group_norms(problem, grad)
-            limit = problem.lam * problem.multipliers
-            violators = ~in_active & (gnorms > limit)
-            if violators.any():
-                in_active |= violators
-                active = np.flatnonzero(in_active)
-                continue
-            res = _kkt_from_gradient(problem, beta, grad)
-            done = res <= DEFAULT_KKT_TOL and abs(gmu) <= DEFAULT_KKT_TOL
-        else:
-            res = max(_kkt_from_gradient(problem, beta, grad), abs(gmu))
-            done = res <= ZERO_GRAD_TOL
-        if done:
+        violators = ~in_active & (_group_norms(problem, grad)
+                                  > problem.lam * problem.multipliers)
+        if violators.any():
+            in_active |= violators
+            active = np.flatnonzero(in_active)
+            continue
+        res = _kkt_from_gradient(problem, beta, grad)
+        if res <= DEFAULT_KKT_TOL and abs(gmu) <= DEFAULT_KKT_TOL:
             return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
                             kkt_residual=res,
                             deviance=_state_deviance(problem, state),
                             n_extrapolated=n_extrapolated, state=state)
-
-        # not stationary yet: take a full pass over every group
-        if sweeps < max_iter:
-            mu, _ = _sweep(problem, sweep_groups, state, mu, beta, all_groups)
-            sweeps += 1
-            norms = _group_norms(problem, beta)
-            in_active = norms > 0
-            active = np.flatnonzero(in_active)
+        tol /= 10  # the sweeps stopped short of the certificate
 
     final_res = kkt_residual(problem, mu, beta)
     raise ConvergenceError(
@@ -656,8 +644,10 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
         lambdas = lambda_grid(lambda_max(problem), grid_size=grid_size,
                               min_ratio=min_ratio)
     lambdas = np.asarray(lambdas, dtype=np.float64)
-    if lambdas.size > 1 and not np.all(np.diff(lambdas) < 0):
-        raise ValueError("lambda grid must be strictly decreasing")
+    if not (lambdas.ndim == 1 and lambdas.size and lambdas[-1] > 0
+            and np.all(np.diff(lambdas) < 0)):
+        raise ValueError("lambda grid must be non-empty, positive and "
+                         "strictly decreasing")
 
     entries = []
     last = prev = None  # the last two solutions

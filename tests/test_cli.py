@@ -88,6 +88,15 @@ class TestConfig:
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (out / "cells").exists()
 
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        # a key listed twice would let the later line win unseen
+        cfg = write_config(tmp_path / "c.cfg", "seed = 6\n")
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "c.cfg:11: key 'seed' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_scheme_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["fit", "--data", "x", "--scheme", "banana",
@@ -262,10 +271,10 @@ class TestEvaluate:
         cli.main(["fit", "--data", sim_dir, "--scheme", "ebg", "--out",
                   str(fit_dir), "--folds", "3", "--grid-size", "8",
                   "--seed", "3"])
-        cfg = write_config(tmp_path / "c2.cfg",
-                           extra="data.nodes_per_community = 4\n")
+        cfg = write_config(tmp_path / "c2.cfg")
         out2 = tmp_path / "other"
-        cli.main(["simulate", "--config", cfg, "--out", str(out2)])
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out2),
+                         "--set", "data.nodes_per_community=4"]) == 0
         other = next((out2 / "cells").glob("*"))
         code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
                          str(other), "--out", str(tmp_path / "eval")])
@@ -596,6 +605,9 @@ class TestFitFileNumbers:
         "text_intercept": (
             lambda f: _edit_manifest(f / "fit_info", "intercept", "abc"),
             "fit_info: intercept must be a number, got 'abc'"),
+        "repeated_intercept": (
+            lambda f: _repeat_manifest_key(f / "fit_info", "intercept", "0.5"),
+            "fit_info:20: key 'intercept' repeats line 7"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -678,6 +690,11 @@ def _edit_manifest(path, key, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _repeat_manifest_key(path, key, value):
+    with open(path, "a") as fh:
+        fh.write(f"{key} = {value}\n")
+
+
 def _drop_manifest_key(path, key):
     lines = [line for line in path.read_text().splitlines()
              if line.split("=")[0].strip() != key]
@@ -724,6 +741,9 @@ class TestBadInputRejected:
         "text_train_rows": (
             lambda d: _edit_manifest(d / "manifest", "train_rows", "1-x"),
             "manifest: train_rows: bad row range '1-x'"),
+        "repeated_row_count": (
+            lambda d: _repeat_manifest_key(d / "manifest", "N", "12"),
+            "manifest:8: key 'N' repeats line 3"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -169,15 +170,6 @@ class TestLambdaMax:
 
 
 class TestFitAtLambda:
-    def test_lambda_zero_matches_ols_predictions(self, rng):
-        problem, *_ = build_problem(rng, N=60, p=10, lam=0.0)
-        sol = fit_at_lambda(problem)
-        M = np.column_stack([np.ones(problem.N), problem.U])
-        coef, *_ = np.linalg.lstsq(M, problem.y, rcond=None)
-        pred_ols = M @ coef
-        pred_fit = sol.mu + problem.U @ sol.beta_tilde
-        assert np.max(np.abs(pred_ols - pred_fit)) < 1e-8
-
     def test_gaussian_intercept_is_mean(self, rng):
         problem, *_ = build_problem(rng)
         lam = lambda_max(problem)
@@ -817,6 +809,61 @@ class TestStateReuse:
         np.testing.assert_array_equal(state0, given)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_certificate_miss_sweeps_only_the_active_set(self, rng, family,
+                                                          monkeypatch):
+        # a start state off by noise lets the sweeps settle short of the
+        # certificate: the first pass finds no violator and misses (on a
+        # group for gaussian, on the intercept for binomial).  The point
+        # goes on over the groups nonzero at its start or admitted as
+        # violators, never over every group, and returns certified
+        import netcov.solver as solver
+        from netcov.solver import _fresh_state, _group_norms, _kkt_from_gradient
+
+        problem, *_ = build_problem(rng, family=family, lam=0.05)
+        start = fit_at_lambda(problem)
+        state0 = (_fresh_state(problem, start.mu, start.beta_tilde)
+                  + 0.01 * rng.standard_normal(problem.N))
+        sweep, gradient = solver._sweep, solver.smooth_gradient
+        allowed = set(np.flatnonzero(
+            _group_norms(problem, start.beta_tilde)).tolist())
+        orders, passes = [], []
+
+        def swept(prob, kernel, state, mu, beta, order):
+            orders.append((order.tolist(), sorted(allowed)))
+            return sweep(prob, kernel, state, mu, beta, order)
+
+        def screened(prob, mu, beta, state=None):
+            gmu, grad = gradient(prob, mu, beta, state)
+            zero = _group_norms(prob, beta) == 0
+            violators = zero & (_group_norms(prob, grad)
+                                > prob.lam * prob.multipliers)
+            allowed.update(np.flatnonzero(violators).tolist())
+            certified = (_kkt_from_gradient(prob, beta, grad) <= 1e-6
+                         and abs(gmu) <= 1e-6)
+            passes.append((bool(violators.any()), certified))
+            return gmu, grad
+
+        monkeypatch.setattr(solver, "_sweep", swept)
+        monkeypatch.setattr(solver, "smooth_gradient", screened)
+        sol = fit_at_lambda(problem, beta0=start.beta_tilde, mu0=start.mu,
+                            state0=state0)
+        monkeypatch.undo()
+        assert passes[0] == (False, False)
+        assert passes[-1] == (False, True)
+        for order, groups in orders:
+            assert set(order) <= set(groups)
+        assert kkt_residual(problem, sol.mu, sol.beta_tilde) <= 1e-6
+        mu_o, beta_o = ista_solve(problem.U, problem.y, family,
+                                  pairs(problem), problem.multipliers,
+                                  problem.lam)
+        q_fit = objective(problem, sol.mu, sol.beta_tilde)
+        q_o = ista_objective(problem.U, problem.y, family, pairs(problem),
+                             problem.multipliers, problem.lam, mu_o, beta_o)
+        assert abs(q_fit - q_o) <= 1e-6 * max(1.0, abs(q_o))
+        pred_fit = sol.mu + problem.U @ sol.beta_tilde
+        assert np.max(np.abs(pred_fit - (mu_o + problem.U @ beta_o))) < 1e-5
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_path_starts_need_no_pass_over_u(self, family, monkeypatch):
         # after the first point, every point of a path starts from the
         # state it is handed: no _fresh_state call comes between a fit's
@@ -943,6 +990,41 @@ class TestGroupLayout:
         problem = self.build(rng)
         with pytest.raises(ValueError, match="lambda must be"):
             replace(problem, lam=lam)
+
+
+class TestPositiveLambda:
+    """The solver solves lambda > 0 only; lambda = 0 or below is refused
+    before any sweep or pass over U."""
+
+    @pytest.mark.parametrize("lam", [0.0, -0.1])
+    def test_fit_and_certificate_refuse(self, rng, lam, monkeypatch):
+        import netcov.solver as solver
+
+        problem, *_ = build_problem(rng)
+        # PenalizedProblem itself refuses lambda < 0: set it past that
+        object.__setattr__(problem, "lam", lam)
+        touched = []
+        for name in ("_sweep", "smooth_gradient"):
+            monkeypatch.setattr(solver, name,
+                                lambda *args, name=name: touched.append(name))
+        refused = re.escape(f"lambda must be > 0, got {lam!r}")
+        with pytest.raises(ValueError, match=refused):
+            fit_at_lambda(problem)
+        with pytest.raises(ValueError, match=refused):
+            kkt_residual(problem, 0.0, np.zeros(problem.U.shape[1]))
+        assert touched == []
+
+    @pytest.mark.parametrize("grid", [[0.1, 0.0], [0.1, -0.1], [0.0], []])
+    def test_path_grid_must_be_positive(self, rng, grid, monkeypatch):
+        import netcov.solver as solver
+
+        problem, basis, emap, _ = build_problem(rng)
+        solves = []
+        monkeypatch.setattr(solver, "fit_at_lambda",
+                            lambda *args, **kwargs: solves.append(args))
+        with pytest.raises(ValueError, match="non-empty, positive"):
+            fit_path(problem, basis, emap, lambdas=np.array(grid))
+        assert solves == []
 
 
 class TestCommunityRelabelling:

@@ -1,6 +1,7 @@
 """Dead code in ``src/netcov`` fails the suite: an import that nothing
-uses, and a module-level private name that nothing references.  Both are
-read from the syntax tree, so no linter is needed."""
+uses, a module-level private name that nothing references, and a
+module-level UPPER_CASE constant that no module reads.  All are read from
+the syntax tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -33,8 +34,8 @@ def unused_imports(source):
     return unused
 
 
-def private_definitions(source):
-    """Module-level ``_private`` names a module defines (dunders aside)."""
+def definitions(source):
+    """Names a module binds at module level by def, class or assignment."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -42,7 +43,19 @@ def private_definitions(source):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+    return names
+
+
+def private_definitions(source):
+    """Module-level ``_private`` names a module defines (dunders aside)."""
+    return [n for n in definitions(source)
+            if n.startswith("_") and not n.endswith("__")]
+
+
+def constant_definitions(source):
+    """Module-level public UPPER_CASE names a module defines."""
+    return [n for n in definitions(source)
+            if n.isupper() and not n.startswith("_")]
 
 
 def references(source):
@@ -64,11 +77,14 @@ def test_the_checks_see_dead_code():
               "import csv  # noqa: F401\n"
               "__all__ = ['os']\n"
               "_SIZE = 3\n"
+              "ZERO_GRAD_TOL = 1e-10\n"
+              "Config = dict\n"
               "def _helper():\n"
               "    return dataclass\n")
     assert unused_imports(source) == ["field"]
     assert private_definitions(source) == ["_SIZE", "_helper"]
-    assert references(source) == {"dataclass", "field"}
+    assert constant_definitions(source) == ["ZERO_GRAD_TOL"]
+    assert references(source) == {"dataclass", "field", "dict"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -76,11 +92,18 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_every_private_name_is_referenced():
+def unreferenced(defined):
+    """``module: name`` for each name ``defined`` finds that no module
+    reads."""
     sources = {path.name: path.read_text() for path in MODULES}
     refs = set().union(*(references(source) for source in sources.values()))
-    unreferenced = [f"{module}: {name}"
-                    for module, source in sources.items()
-                    for name in private_definitions(source)
-                    if name not in refs]
-    assert unreferenced == []
+    return [f"{module}: {name}" for module, source in sources.items()
+            for name in defined(source) if name not in refs]
+
+
+def test_every_private_name_is_referenced():
+    assert unreferenced(private_definitions) == []
+
+
+def test_every_constant_is_read():
+    assert unreferenced(constant_definitions) == []
