@@ -11,7 +11,7 @@ import numpy as np
 from netcov import (CommunityMap, Dataset, FeatureIndex, ebg_groups,
                     make_beta)
 from netcov.pipeline import prepare
-from netcov.solver import fit_path, lambda_max
+from netcov.solver import fit_path, lambda_grid, lambda_max
 
 rng = np.random.default_rng(11)
 cm = CommunityMap(assignments=np.repeat([1, 2, 3, 4], 3))
@@ -28,9 +28,11 @@ ds = Dataset(edges=Z[:, :idx.n_edges], node_covs=Z[:, idx.n_edges:], y=y,
 prep = prepare(ds, spec)
 print(f"expanded design: p={idx.p} -> p*={prep.emap.p_star}, "
       f"orthonormal columns={prep.problem.U.shape[1]}")
-print(f"lambda_max = {lambda_max(prep.problem):.4f}")
+lam_max = lambda_max(prep.problem)
+print(f"lambda_max = {lam_max:.4f}")
 
-path = fit_path(prep.problem, prep.basis, prep.emap, grid_size=30)
+path = fit_path(prep.problem, prep.basis, prep.emap,
+                lambdas=lambda_grid(lam_max, grid_size=30))
 print("\n  lambda    active groups")
 last = None
 for entry in path.entries:

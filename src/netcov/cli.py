@@ -666,6 +666,14 @@ def _flag_overrides(args):
     return overrides
 
 
+def _seed_flag(text):
+    """A ``fit --seed`` value: an integer of at least 0."""
+    try:
+        return parse_int("seed", text, 0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="netcov",
@@ -689,7 +697,7 @@ def build_parser():
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--grid-size", type=int, default=100)
     p.add_argument("--min-ratio", type=float, default=0.05)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_flag, required=True)
     p.add_argument("--split-communities", type=int, default=None,
                    metavar="SIZE")
     p.set_defaults(func=cmd_fit)

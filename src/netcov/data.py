@@ -30,7 +30,7 @@ A dataset directory contains headerless, comma-separated CSVs:
 * ``X.csv``           N rows, n*d columns, node-major (omitted when d=0)
 * ``y.csv``           N rows, one column
 * ``communities.csv`` n rows: node_id (1..n), community_id (1..K)
-* ``nuisance.csv``    N rows, q columns (optional)
+* ``nuisance.csv``    N rows, q columns (present exactly when q > 0)
 * ``manifest``        key = value lines: n, d, N, family, optional q,
                       train_rows, test_rows (1-based inclusive ranges,
                       e.g. ``1-785`` or ``1-5,7,9-12``)
@@ -569,9 +569,11 @@ def load_dataset(directory):
         raise ValueError(f"y.csv: expected {N} rows, got {y.size}")
     nuisance = None
     nu_path = os.path.join(directory, "nuisance.csv")
-    if q > 0 or os.path.exists(nu_path):
-        nuisance = _load_matrix(nu_path, N, q) if q > 0 else np.loadtxt(
-            nu_path, delimiter=",", ndmin=2)
+    if q > 0:
+        nuisance = _load_matrix(nu_path, N, q)
+    elif os.path.exists(nu_path):
+        raise ValueError(f"{nu_path}: the manifest declares no nuisance "
+                         "columns (q)")
 
     splits = {}
     for key in ("train_rows", "test_rows"):

@@ -88,10 +88,6 @@ class GroundTruth:
     active_features: np.ndarray
     active_groups: tuple
 
-    @property
-    def support(self):
-        return self.beta != 0.0
-
 
 def make_beta(spec, active_names, alpha):
     """Constant-magnitude coefficients on the union of the named groups."""

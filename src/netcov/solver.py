@@ -46,7 +46,7 @@ sum to 1.  So a trial point is priced from the same combination of the
 states stored at the points it combines, with no pass over U.  A path
 hands each point its start state as an argument (the last solution's
 state, or the same extrapolation of the last two) and solves each point
-once, under a hard cap of ten times its sweep budget.
+once, under the one sweep cap ``MAX_SWEEPS``.
 
 The pass over the groups, the hot loop of every sweep, runs in C:
 ``sweep_kernel.c`` beside this module.  Each solve binds it to the group
@@ -75,7 +75,6 @@ import os
 import platform
 import subprocess
 import tempfile
-import warnings
 from dataclasses import dataclass, replace
 from itertools import pairwise
 
@@ -102,7 +101,7 @@ __all__ = [
 ]
 
 ETA_CLIP = 30.0  # linear-predictor threshold guarding exp/log1p overflow
-DEFAULT_MAX_ITER = 10000
+MAX_SWEEPS = 100_000  # per solve; reaching it raises ConvergenceError
 DEFAULT_TOL = 1e-7
 DEFAULT_KKT_TOL = 1e-6
 # per family: the gradient scale c and the curvature bound k (see above)
@@ -232,10 +231,6 @@ class PathFit:
     entries: list
     group_names: tuple
     offsets: np.ndarray
-
-    def betas(self):
-        """(grid, p) matrix of folded-back coefficients."""
-        return np.vstack([e.beta for e in self.entries])
 
     def group_norms(self, entry):
         """Each group's coefficient norm at a path entry, as written to
@@ -533,8 +528,7 @@ def _anderson(problem, beta, coords, history, states):
     return float(x[0]), trial_state
 
 
-def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
-                  state0=None):
+def fit_at_lambda(problem, beta0=None, mu0=None, state0=None):
     """Solve the penalized problem at the problem's lambda.
 
     Lambda must be positive.  Sweeps cycle over the active groups until
@@ -556,8 +550,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     pass recomputes the state from ``(mu, beta)`` before it certifies
     anything, and every return goes through that fresh-state KKT pass.
 
-    Raises :class:`ConvergenceError` carrying the last iterate after
-    ``max_iter`` total sweeps.
+    Raises :class:`ConvergenceError` carrying the last iterate when
+    ``MAX_SWEEPS`` sweeps leave the point uncertified.
     """
     if not problem.lam > 0:
         raise ValueError(f"lambda must be > 0, got {problem.lam!r}")
@@ -580,11 +574,11 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
 
     tol = DEFAULT_TOL
     sweeps = n_extrapolated = 0
-    while sweeps < max_iter:
+    while sweeps < MAX_SWEEPS:
         # converge on the current active set
         coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
         history, states = [], []
-        while sweeps < max_iter:
+        while sweeps < MAX_SWEEPS:
             mu, delta = _sweep(problem, sweep_groups, state, mu, beta, active)
             sweeps += 1
             if delta < tol:
@@ -593,7 +587,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
             states.append(state.copy())
             # extrapolate only where a sweep follows, so that the returned
             # iterate always comes from a sweep
-            if len(history) > ANDERSON_K and sweeps < max_iter:
+            if len(history) > ANDERSON_K and sweeps < MAX_SWEEPS:
                 step = _anderson(problem, beta, coords, history, states)
                 if step is not None:
                     mu, state = step
@@ -624,25 +618,18 @@ def fit_at_lambda(problem, beta0=None, mu0=None, max_iter=DEFAULT_MAX_ITER,
     )
 
 
-def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
-             lambdas=None, max_iter=DEFAULT_MAX_ITER):
-    """Fit along a descending lambda grid with warm starts.
+def fit_path(problem, basis, emap, lambdas):
+    """Fit along the descending lambda grid ``lambdas`` with warm starts.
 
-    The grid defaults to ``lambda_grid(lambda_max(problem), ...)``.  Each
-    entry records the intercept, coefficients in both the orthonormal and
-    the folded-back original space, active group names, training
+    Each entry records the intercept, coefficients in both the orthonormal
+    and the folded-back original space, active group names, training
     deviance, sweep count and KKT residual.  Each point starts where the
     last one stopped, handed that solution's state.  When the last two
     solutions share their active set, the next point starts from their
     linear extrapolation instead, with the state ``2 s_k - s_{k-1}``, if
-    that has the lower objective.  Each point is solved once, with a hard
-    cap of ``10 * max_iter`` sweeps; a point that needs more than
-    ``max_iter`` of them is announced with a ``RuntimeWarning``, and
-    one that reaches the cap raises :class:`ConvergenceError`.
+    that has the lower objective.  Each point is solved once; one left
+    uncertified at ``MAX_SWEEPS`` sweeps raises :class:`ConvergenceError`.
     """
-    if lambdas is None:
-        lambdas = lambda_grid(lambda_max(problem), grid_size=grid_size,
-                              min_ratio=min_ratio)
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if not (lambdas.ndim == 1 and lambdas.size and lambdas[-1] > 0
             and np.all(np.diff(lambdas) < 0)):
@@ -651,7 +638,7 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
 
     entries = []
     last = prev = None  # the last two solutions
-    for i, lam in enumerate(lambdas):
+    for lam in lambdas:
         prob = replace(problem, lam=float(lam))
         start, predicted = {}, False
         if last is not None:
@@ -666,11 +653,7 @@ def fit_path(problem, basis, emap, grid_size=100, min_ratio=0.05,
                 start = dict(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
                              state0=state_p)
                 predicted = True
-        sol = fit_at_lambda(prob, **start, max_iter=10 * max_iter)
-        if sol.n_sweeps > max_iter:
-            warnings.warn(
-                f"lambda index {i}: took {sol.n_sweeps} sweeps, more than "
-                f"max_iter={max_iter}", RuntimeWarning, stacklevel=2)
+        sol = fit_at_lambda(prob, **start)
         prev, last = last, sol
         norms = _group_norms(problem, sol.beta_tilde)
         active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))

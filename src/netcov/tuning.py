@@ -105,10 +105,12 @@ def _constant_y_fold(y, rows, assignment, folds):
     return False
 
 
-def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
-                   min_ratio=0.05, rows=None):
+def cross_validate(dataset, spec, folds=10, *, seed, grid_size=100,
+                   min_ratio=0.05):
     """K-fold cross-validation of the penalty level over one lambda grid.
 
+    The folds split the dataset's training rows, and the grid is
+    ``lambda_grid(lambda_max(...), grid_size, min_ratio)`` on all of them.
     Deterministic given ``seed``: the fold assignment is a seeded
     round-robin over a random permutation.  Under the binomial family an
     assignment leaving some fold's training part with constant response
@@ -116,7 +118,7 @@ def cross_validate(dataset, spec, folds=10, seed=None, grid_size=100,
     """
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
-    rows = dataset.training_rows(rows)
+    rows = dataset.training_rows()
     if rows.size < folds:
         raise ValueError(f"{rows.size} training rows cannot fill {folds} folds")
 

@@ -103,6 +103,21 @@ class TestConfig:
                       "--out", "y", "--seed", "1"])
         assert err.value.code == 2
 
+    def test_negative_fit_seed_is_usage_error(self, tmp_path, capsys):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(6), [1, 1, 2, 2], d=1, N=14)
+        save_dataset(ds, str(tmp_path / "data"))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                      "ebg", "--out", str(tmp_path / "fit"), "--folds", "3",
+                      "--grid-size", "4", "--seed", "-1"])
+        assert err.value.code == 2
+        assert ("argument --seed: seed must be at least 0, got '-1'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fit").exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -744,6 +759,13 @@ class TestBadInputRejected:
         "repeated_row_count": (
             lambda d: _repeat_manifest_key(d / "manifest", "N", "12"),
             "manifest:8: key 'N' repeats line 3"),
+        # a nuisance.csv is read only as the q columns the manifest declares
+        "undeclared_nuisance": (
+            lambda d: _drop_manifest_key(d / "manifest", "q"),
+            "nuisance.csv: the manifest declares no nuisance columns (q)"),
+        "zero_nuisance_count": (
+            lambda d: _edit_manifest(d / "manifest", "q", "0"),
+            "nuisance.csv: the manifest declares no nuisance columns (q)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

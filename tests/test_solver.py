@@ -205,11 +205,14 @@ class TestFitAtLambda:
                                         sol.beta_tilde)
             assert res <= 1e-6
 
-    def test_nonconvergence_carries_iterate(self, rng):
+    def test_nonconvergence_carries_iterate(self, rng, monkeypatch):
+        import netcov.solver as solver
+
         problem, *_ = build_problem(rng)
         prob = replace(problem, lam=0.1 * lambda_max(problem))
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError) as err:
-            fit_at_lambda(prob, max_iter=1)
+            fit_at_lambda(prob)
         assert err.value.beta_tilde is not None
         assert np.isfinite(err.value.kkt_residual)
 
@@ -293,13 +296,15 @@ class TestPath:
 
     def test_beta_zero_at_path_start(self, rng):
         problem, basis, emap, _ = build_problem(rng)
-        pf = fit_path(problem, basis, emap, grid_size=20)
+        pf = fit_path(problem, basis, emap,
+                      lambdas=lambda_grid(lambda_max(problem), grid_size=20))
         assert np.all(pf.entries[0].beta == 0.0)
         assert pf.entries[0].active_groups == ()
 
     def test_entries_record_diagnostics(self, rng):
         problem, basis, emap, _ = build_problem(rng)
-        pf = fit_path(problem, basis, emap, grid_size=15)
+        pf = fit_path(problem, basis, emap,
+                      lambdas=lambda_grid(lambda_max(problem), grid_size=15))
         for entry in pf.entries:
             assert entry.kkt_residual <= 1e-6 or entry.lam == 0
             assert entry.n_sweeps >= 1
@@ -309,7 +314,8 @@ class TestPath:
     def test_folded_back_beta_matches_invariance(self, rng):
         problem, basis, emap, Zs = build_problem(rng, N=40, p=10,
                                                  kind="overlap")
-        pf = fit_path(problem, basis, emap, grid_size=12)
+        pf = fit_path(problem, basis, emap,
+                      lambdas=lambda_grid(lambda_max(problem), grid_size=12))
         for entry in pf.entries:
             pred_u = entry.mu + problem.U @ entry.beta_tilde
             pred_z = entry.mu + Zs @ entry.beta
@@ -323,32 +329,43 @@ class TestPath:
             r = np.random.default_rng(seed)
             problem, basis, emap, _ = build_problem(r, N=60, p=14,
                                                     kind="partition")
-            pf = fit_path(problem, basis, emap, grid_size=40)
+            pf = fit_path(problem, basis, emap, lambdas=lambda_grid(
+                lambda_max(problem), grid_size=40))
             sizes = [len(e.active_groups) for e in pf.entries]
             pairs = list(zip(sizes, sizes[1:]))
             fractions.append(np.mean([b >= a for a, b in pairs]))
         print(f"monotone-tendency fraction: {np.mean(fractions):.3f}")
 
-    def test_retry_is_announced(self):
-        # with a 5-sweep budget the last point of this path needs more
-        # sweeps than that; it is solved once under the 10x cap, warns
-        # and is still certified
+    def test_sweep_cap_raises_without_warning(self, monkeypatch):
+        # the last point of this 3-point path needs more than 5 sweeps:
+        # under a cap of 5 it raises, carrying the capped sweep count, and
+        # nothing is announced on the way
+        import warnings
+
+        import netcov.solver as solver
+
         problem, basis, emap, _ = build_problem(np.random.default_rng(0))
-        with pytest.warns(RuntimeWarning) as record:
-            pf = fit_path(problem, basis, emap, grid_size=3, max_iter=5)
-        assert len(record) == 1
-        message = str(record[0].message)
-        assert message.startswith("lambda index 2: took "
-                                  f"{pf.entries[2].n_sweeps} sweeps")
-        assert pf.entries[2].n_sweeps > 5
-        assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as err:
+                fit_path(problem, basis, emap, lambdas=lambda_grid(
+                    lambda_max(problem), grid_size=3))
+        assert err.value.sweeps == 5
+
+    def test_entry_counts_one_solve(self):
         # the entry counts the sweeps of one solve, none replayed.  Entry 0
         # (lambda_max) is empty, so no predicted start: the point
         # warm-starts from entry 1
+        problem, basis, emap, _ = build_problem(np.random.default_rng(0))
+        pf = fit_path(problem, basis, emap,
+                      lambdas=lambda_grid(lambda_max(problem), grid_size=3))
+        assert pf.entries[2].n_sweeps > 5
+        assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
         assert pf.entries[0].active_groups == ()
         warm = pf.entries[1]
         once = fit_at_lambda(replace(problem, lam=float(pf.lambdas[2])),
-                             beta0=warm.beta_tilde, mu0=warm.mu, max_iter=50)
+                             beta0=warm.beta_tilde, mu0=warm.mu)
         assert pf.entries[2].n_sweeps == once.n_sweeps
 
     def test_increasing_grid_rejected(self, rng):
@@ -422,8 +439,8 @@ class TestAcceleration:
         monkeypatch.setattr(solver, "fit_at_lambda", counted)
         prep = scheme_problem(scheme, family)
         prob = prep.problem
-        pf = fit_path(prob, prep.basis, prep.emap, grid_size=10,
-                      min_ratio=0.3)
+        pf = fit_path(prob, prep.basis, prep.emap, lambdas=lambda_grid(
+            lambda_max(prob), grid_size=10, min_ratio=0.3))
         predicted = sum(e.n_extrapolated - a
                         for e, a in zip(pf.entries, anderson))
         assert predicted > 0
@@ -486,7 +503,8 @@ class TestAcceleration:
 
     def test_reruns_are_bit_identical(self):
         prep = scheme_problem("nbg", "binomial")
-        runs = [fit_path(prep.problem, prep.basis, prep.emap, grid_size=30)
+        lambdas = lambda_grid(lambda_max(prep.problem), grid_size=30)
+        runs = [fit_path(prep.problem, prep.basis, prep.emap, lambdas=lambdas)
                 for _ in range(2)]
         for a, b in zip(*(pf.entries for pf in runs)):
             assert a.mu == b.mu
@@ -502,7 +520,8 @@ class TestAcceleration:
         # (binomial) sweeps.  10% headroom over the measured count
         problem, basis, emap, _ = build_problem(np.random.default_rng(0),
                                                 family=family)
-        pf = fit_path(problem, basis, emap)
+        pf = fit_path(problem, basis, emap,
+                      lambdas=lambda_grid(lambda_max(problem)))
         total = sum(e.n_sweeps for e in pf.entries)
         assert total <= 1.1 * measured
         assert sum(e.n_extrapolated for e in pf.entries) > 0
@@ -736,7 +755,8 @@ class TestStateReuse:
         monkeypatch.setattr(solver, "_anderson", accepted)
         monkeypatch.setattr(solver, "fit_at_lambda", started)
         prep = scheme_problem("ebg", family)
-        fit_path(prep.problem, prep.basis, prep.emap, grid_size=30)
+        fit_path(prep.problem, prep.basis, prep.emap,
+                 lambdas=lambda_grid(lambda_max(prep.problem), grid_size=30))
         monkeypatch.undo()
         assert {kind for kind, *_ in priced} == {"anderson", "predicted"}
         for _, problem, mu, beta, state in priced:
@@ -762,7 +782,8 @@ class TestStateReuse:
 
         monkeypatch.setattr(solver, "fit_at_lambda", recorded)
         prep = scheme_problem("ebg", family)
-        fit_path(prep.problem, prep.basis, prep.emap, grid_size=20)
+        fit_path(prep.problem, prep.basis, prep.emap,
+                 lambdas=lambda_grid(lambda_max(prep.problem), grid_size=20))
         monkeypatch.undo()
         plain = 0
         for (_, _, _, last), (at, mu0, beta0, sol) in zip(calls, calls[1:]):
@@ -881,7 +902,8 @@ class TestStateReuse:
         for name in ("fit_at_lambda", "_fresh_state", "_sweep"):
             tap(name, getattr(solver, name))
         prep = scheme_problem("ebg", family)
-        fit_path(prep.problem, prep.basis, prep.emap, grid_size=20)
+        fit_path(prep.problem, prep.basis, prep.emap,
+                 lambdas=lambda_grid(lambda_max(prep.problem), grid_size=20))
         monkeypatch.undo()
         starts = []
         for i, event in enumerate(events):
@@ -907,7 +929,9 @@ class TestDesignLayout:
         for U, reference in cases:
             assert U.flags.f_contiguous or U.dtype != np.float64
             paths = [fit_path(replace(problem, U=u), prep.basis, prep.emap,
-                              grid_size=15) for u in (U, reference)]
+                              lambdas=lambda_grid(lambda_max(problem),
+                                                  grid_size=15))
+                     for u in (U, reference)]
             for a, b in zip(*(pf.entries for pf in paths)):
                 assert a.mu == b.mu and a.n_sweeps == b.n_sweeps
                 np.testing.assert_array_equal(a.beta_tilde, b.beta_tilde)

@@ -1,15 +1,21 @@
 """Dead code in ``src/netcov`` fails the suite: an import that nothing
-uses, a module-level private name that nothing references, and a
-module-level UPPER_CASE constant that no module reads.  All are read from
-the syntax tree, so no linter is needed."""
+uses, a module-level private name that nothing references, a
+module-level UPPER_CASE constant that no module reads, a public function
+or class that nothing names and a public method or property that nothing
+reads as an attribute.  Public names count as used when the package, its
+tests, its demos or its benchmark use them.  All are read from the syntax
+tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "netcov"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "netcov"
 MODULES = sorted(SRC.glob("*.py"))
+CALLERS = sorted(path for top in ("src", "tests", "demos", "benchmarks")
+                 for path in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -58,6 +64,29 @@ def constant_definitions(source):
             if n.isupper() and not n.startswith("_")]
 
 
+def public_definitions(source):
+    """Module-level public functions and classes a module defines."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def public_methods(source):
+    """``Class.name`` for each public method or property of a module's
+    classes."""
+    return [f"{node.name}.{item.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
+def attribute_reads(source):
+    """Every name a module reads as an attribute."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def references(source):
     """Every name a module reads, as a name, an attribute or an import."""
     refs = set()
@@ -80,11 +109,24 @@ def test_the_checks_see_dead_code():
               "ZERO_GRAD_TOL = 1e-10\n"
               "Config = dict\n"
               "def _helper():\n"
-              "    return dataclass\n")
+              "    return dataclass\n"
+              "class Path:\n"
+              "    @property\n"
+              "    def betas(self):\n"
+              "        return self.entries\n"
+              "    def _stack(self):\n"
+              "        return self.betas\n"
+              "    def norms(self):\n"
+              "        self.size = 0\n")
     assert unused_imports(source) == ["field"]
     assert private_definitions(source) == ["_SIZE", "_helper"]
     assert constant_definitions(source) == ["ZERO_GRAD_TOL"]
-    assert references(source) == {"dataclass", "field", "dict"}
+    assert references(source) == {"dataclass", "field", "dict", "property",
+                                  "entries", "betas", "size", "self"}
+    assert public_definitions(source) == ["Path"]
+    assert public_methods(source) == ["Path.betas", "Path.norms"]
+    # a store is not a read, and ``norms`` is never read as an attribute
+    assert attribute_reads(source) == {"entries", "betas"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -92,13 +134,14 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced(defined):
-    """``module: name`` for each name ``defined`` finds that no module
-    reads."""
-    sources = {path.name: path.read_text() for path in MODULES}
-    refs = set().union(*(references(source) for source in sources.values()))
-    return [f"{module}: {name}" for module, source in sources.items()
-            for name in defined(source) if name not in refs]
+def unreferenced(defined, reads=references, callers=MODULES):
+    """``module: name`` for each name ``defined`` finds in ``src/netcov``
+    that ``reads`` finds in none of ``callers`` (a method counts by its
+    own name)."""
+    used = set().union(*(reads(path.read_text()) for path in callers))
+    return [f"{path.name}: {name}" for path in MODULES
+            for name in defined(path.read_text())
+            if name.rsplit(".", 1)[-1] not in used]
 
 
 def test_every_private_name_is_referenced():
@@ -107,3 +150,11 @@ def test_every_private_name_is_referenced():
 
 def test_every_constant_is_read():
     assert unreferenced(constant_definitions) == []
+
+
+def test_every_public_definition_is_named():
+    assert unreferenced(public_definitions, callers=CALLERS) == []
+
+
+def test_every_public_method_is_read():
+    assert unreferenced(public_methods, attribute_reads, CALLERS) == []

@@ -6,7 +6,7 @@ from conftest import make_dataset
 from netcov import (CommunityMap, FeatureIndex, cross_validate, ebg_groups,
                     make_beta, one_se_select, select_and_refit)
 from netcov.pipeline import holdout_deviance, prepare
-from netcov.solver import deviance, fit_path
+from netcov.solver import deviance, fit_path, lambda_grid, lambda_max
 from netcov.data import _seeded_rng
 from netcov.tuning import _constant_y_fold, _fold_assignment
 
@@ -114,6 +114,13 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="folds"):
             cross_validate(ds, spec, folds=10, seed=0)
 
+    def test_seed_is_required(self):
+        # an unseeded CV would draw its folds from fresh entropy
+        ds = noise_dataset(5)
+        spec, _ = _groups(ds)
+        with pytest.raises(TypeError, match="seed"):
+            cross_validate(ds, spec, folds=5)
+
     def test_binomial_redraw_gives_up_after_two(self):
         rng = np.random.default_rng(8)
         ds = make_dataset(rng, [1, 1, 2, 2], d=1, N=20, family="binomial")
@@ -167,9 +174,11 @@ class TestCrossValidate:
                                       prep_b.model.column_sds)
         np.testing.assert_array_equal(prep_a.problem.U, prep_b.problem.U)
         pf_a = fit_path(prep_a.problem, prep_a.basis, prep_a.emap,
-                        grid_size=10)
+                        lambdas=lambda_grid(lambda_max(prep_a.problem),
+                                            grid_size=10))
         pf_b = fit_path(prep_b.problem, prep_b.basis, prep_b.emap,
-                        grid_size=10)
+                        lambdas=lambda_grid(lambda_max(prep_b.problem),
+                                            grid_size=10))
         for ea, eb in zip(pf_a.entries, pf_b.entries):
             np.testing.assert_array_equal(ea.beta, eb.beta)
             assert ea.mu == eb.mu
