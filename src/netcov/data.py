@@ -481,10 +481,7 @@ def write_manifest(path, entries, header=None):
 
 
 def _seeded_rng(seed, *tags):
-    """The generator of stream (seed, *tags), or fresh entropy without a
-    seed."""
-    if seed is None:
-        return np.random.default_rng()
+    """The generator of stream (seed, *tags); there is no unseeded one."""
     return np.random.default_rng((int(seed),) + tuple(int(t) for t in tags))
 
 

@@ -20,7 +20,7 @@ both over the empirical distribution of the training rows.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -58,7 +58,8 @@ PRESET_ACTIVE_GROUPS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One cell of an experiment grid."""
+    """One cell of an experiment grid.  ``seed`` is required, and by
+    keyword: it fixes the design and the responses drawn from it."""
 
     scheme: str
     active_groups: tuple
@@ -68,7 +69,7 @@ class ExperimentConfig:
     K: int = 10
     nodes_per_community: int = 5
     d: int = 1
-    seed: int = None
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.scheme not in ("NBG", "EBG"):
@@ -185,7 +186,7 @@ def gen_semisynthetic(files_path, config, split_target=None):
     communities = ds.communities
     if split_target is not None:
         communities = split_communities(communities, split_target,
-                                        (int(config.seed or 0), 97))
+                                        (config.seed, 97))
     centered = replace(
         ds,
         edges=ds.edges - ds.edges[ds.train_rows].mean(axis=0),

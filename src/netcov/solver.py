@@ -49,8 +49,9 @@ state, or the same extrapolation of the last two) and solves each point
 once, under the one sweep cap ``MAX_SWEEPS``.
 
 The pass over the groups, the hot loop of every sweep, runs in C:
-``sweep_kernel.c`` beside this module.  Each solve binds it to the group
-layout that :class:`PenalizedProblem` checks when it is built.  It is
+``sweep_kernel.c`` beside this module.  A path binds it once to the group
+layout that :class:`PenalizedProblem` checks when it is built, and each
+solve binds that to its own state and coefficient arrays.  It is
 compiled with the system C compiler (``gcc``) the first time a solve
 binds it, never at import, and loaded with :mod:`ctypes`; ctypes and a
 compiler need no package beyond the standard library, where cffi would
@@ -63,7 +64,12 @@ would let the compiler reassociate sums and fuse multiply-adds, so a
 result would depend on the vector width of the build.  The kernel
 instead spells out eight independent partial sums per dot product, which
 the compiler vectorizes without reordering any of them, so its
-arithmetic is the same whatever vector width the build picks.
+arithmetic is the same whatever vector width the build picks.  A wide
+group is worked four columns at a time, loading each residual element
+once for four dots and each residual-shift element once for four terms.
+Each dot keeps its own partial sums and each shift element adds its
+terms in column order, so the result is bit for bit that of one column
+at a time.
 """
 
 import csv
@@ -457,28 +463,46 @@ def _bind_kernel(problem):
     return sweep_groups
 
 
-def _kernel_array(arr, dtype):
-    """The address of an array the kernel writes or reads as raw memory."""
-    if arr.dtype != dtype or not arr.flags.c_contiguous:
-        raise TypeError(f"sweep kernel needs contiguous {np.dtype(dtype)}, "
-                        f"got {arr.dtype} (contiguous: {arr.flags.c_contiguous})")
-    return arr.ctypes.data
+def _bind_sweep(kernel, problem, state, beta):
+    """One solve's group pass: ``kernel`` (:func:`_bind_kernel`) bound to
+    the threshold at the problem's lambda and to the arrays the kernel
+    writes as raw memory, checked and their addresses taken once: ``beta``,
+    ``state`` and the step residual, which is the gaussian state itself or
+    a binomial buffer that :func:`_sweep` refills."""
+    m, N = kernel.arrays[0].shape
+    for arr, n in ((state, N), (beta, m)):
+        if (arr.dtype != np.float64 or arr.shape != (n,)
+                or not arr.flags.c_contiguous):
+            raise TypeError(f"sweep kernel needs contiguous float64 of shape "
+                            f"({n},), got {arr.dtype} {arr.shape}")
+    gaussian = problem.family == "gaussian"
+    resid = state if gaussian else np.empty(N)
+    c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
+    sweep = functools.partial(
+        kernel, resid.ctypes.data, None if gaussian else state.ctypes.data,
+        beta.ctypes.data, problem.N * problem.lam / (c * k))
+    sweep.arrays = (*kernel.arrays, resid, state, beta)
+    return sweep
 
 
-def _sweep(problem, sweep_groups, state, mu, beta, order):
+def _sweep(problem, sweep, state, mu, beta, order):
     """One cyclic pass (intercept + the given groups); returns (mu, max change).
 
-    ``state`` is the work vector of :func:`_fresh_state`, updated in
-    place.  The step residual is the working residual over the curvature
-    bound k: the gaussian state itself, updated with it; for the binomial
-    family a copy re-majorized from eta at the top of each sweep.
-    Exact coordinate minimization per block in both cases, so the
+    ``sweep`` is the group pass that :func:`_bind_sweep` bound to
+    ``state``, the work vector of :func:`_fresh_state`, and to ``beta``;
+    both are updated in place.  The step residual is the working residual
+    over the curvature bound k: the gaussian state itself, updated with
+    it; for the binomial family re-majorized from eta at the top of each
+    sweep.  Exact coordinate minimization per block in both cases, so the
     objective (gaussian) / its majorizer (binomial) never increases.
-    The pass over the groups runs in the compiled kernel.
     """
+    resid, bound_state, bound_beta = sweep.arrays[-3:]
+    if state is not bound_state or beta is not bound_beta:
+        raise ValueError("the sweep is bound to other state and beta arrays")
     gaussian = problem.family == "gaussian"
-    c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
-    resid = state if gaussian else _working_residual(problem, state) / k
+    if not gaussian:
+        np.divide(_working_residual(problem, state),
+                  _CURVATURE[problem.family], out=resid)
 
     dmu = float(resid.mean())
     mu += dmu
@@ -487,11 +511,10 @@ def _sweep(problem, sweep_groups, state, mu, beta, order):
         state += dmu  # eta
     max_delta = abs(dmu)
 
-    group_delta = sweep_groups(
-        _kernel_array(resid, np.float64),
-        None if gaussian else _kernel_array(state, np.float64),
-        _kernel_array(beta, np.float64), problem.N * problem.lam / (c * k),
-        _kernel_array(order, np.int64), order.size)
+    if order.dtype != np.int64 or not order.flags.c_contiguous:
+        raise TypeError(f"sweep order must be contiguous int64, got "
+                        f"{order.dtype}")
+    group_delta = sweep(order.ctypes.data, order.size)
     return mu, max(max_delta, group_delta)
 
 
@@ -528,7 +551,8 @@ def _anderson(problem, beta, coords, history, states):
     return float(x[0]), trial_state
 
 
-def fit_at_lambda(problem, beta0=None, mu0=None, state0=None):
+def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
+                  _kernel=None):
     """Solve the penalized problem at the problem's lambda.
 
     Lambda must be positive.  Sweeps cycle over the active groups until
@@ -552,13 +576,16 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None):
 
     Raises :class:`ConvergenceError` carrying the last iterate when
     ``MAX_SWEEPS`` sweeps leave the point uncertified.
+
+    ``_kernel`` is internal: :func:`fit_path` binds the compiled pass once
+    (:func:`_bind_kernel`) and hands it to every point.
     """
     if not problem.lam > 0:
         raise ValueError(f"lambda must be > 0, got {problem.lam!r}")
     m = problem.U.shape[1]
     beta = np.zeros(m) if beta0 is None else np.array(beta0, dtype=np.float64)
-    if beta.size != m:
-        raise ValueError(f"warm start has length {beta.size}, expected {m}")
+    if beta.shape != (m,):
+        raise ValueError(f"warm start has shape {beta.shape}, expected ({m},)")
     mu = _intercept_start(problem) if mu0 is None else float(mu0)
     if state0 is None:
         state = _fresh_state(problem, mu, beta)
@@ -567,7 +594,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None):
         if state.shape != (problem.N,):
             raise ValueError(f"start state has shape {state.shape}, "
                              f"expected ({problem.N},)")
-    sweep_groups = _bind_kernel(problem)
+    sweep = _bind_sweep(_kernel or _bind_kernel(problem), problem, state,
+                        beta)
 
     in_active = _group_norms(problem, beta) > 0
     active = np.flatnonzero(in_active)
@@ -579,7 +607,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None):
         coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
         history, states = [], []
         while sweeps < MAX_SWEEPS:
-            mu, delta = _sweep(problem, sweep_groups, state, mu, beta, active)
+            mu, delta = _sweep(problem, sweep, state, mu, beta, active)
             sweeps += 1
             if delta < tol:
                 break
@@ -590,12 +618,12 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None):
             if len(history) > ANDERSON_K and sweeps < MAX_SWEEPS:
                 step = _anderson(problem, beta, coords, history, states)
                 if step is not None:
-                    mu, state = step
+                    mu, state[:] = step  # the sweep is bound to this buffer
                     n_extrapolated += 1
                 history, states = [], []
 
         # full gradient pass: screening + KKT certificate
-        state = _fresh_state(problem, mu, beta)  # shed incremental drift
+        state[:] = _fresh_state(problem, mu, beta)  # shed incremental drift
         gmu, grad = smooth_gradient(problem, mu, beta, state)
         violators = ~in_active & (_group_norms(problem, grad)
                                   > problem.lam * problem.multipliers)
@@ -636,6 +664,7 @@ def fit_path(problem, basis, emap, lambdas):
         raise ValueError("lambda grid must be non-empty, positive and "
                          "strictly decreasing")
 
+    kernel = _bind_kernel(problem)
     entries = []
     last = prev = None  # the last two solutions
     for lam in lambdas:
@@ -653,7 +682,7 @@ def fit_path(problem, basis, emap, lambdas):
                 start = dict(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
                              state0=state_p)
                 predicted = True
-        sol = fit_at_lambda(prob, **start)
+        sol = fit_at_lambda(prob, _kernel=kernel, **start)
         prev, last = last, sol
         norms = _group_norms(problem, sol.beta_tilde)
         active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))

@@ -18,6 +18,13 @@
  * reassociated and no multiply-add is fused.  A dot product keeps
  * LANES independent partial sums, each one a plain left-to-right sum,
  * so the compiler can vectorize across them without reordering any.
+ *
+ * A wider group is worked four columns at a time (register blocking):
+ * dot4 loads each residual element once for four dots, and one pass
+ * adds four columns' terms to each shift element.  That only interleaves
+ * independent sums: each dot keeps its own partial sums, combine tree
+ * and tail, and each shift element takes its terms in column order, so
+ * the results are bit for bit those of one column at a time.
  */
 #include <math.h>
 #include <stdint.h>
@@ -36,6 +43,28 @@ static double dot(const double *a, const double *b, int64_t n)
         tail += a[i] * b[i];
     return ((acc[0] + acc[1]) + (acc[2] + acc[3]))
          + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail;
+}
+
+/* out[c] = dot(U + c*N, r, N), bit for bit, for four consecutive
+ * columns, loading each r[i] once for all four */
+static void dot4(const double *U, const double *r, int64_t N, double *out)
+{
+    double acc[4][LANES] = {{0.0}};
+    int64_t i = 0;
+    for (; i + LANES <= N; i += LANES)
+        for (int l = 0; l < LANES; l++) {
+            const double ri = r[i + l];
+            for (int c = 0; c < 4; c++)
+                acc[c][l] += U[c * N + i + l] * ri;
+        }
+    for (int c = 0; c < 4; c++) {
+        const double *a = acc[c];
+        double tail = 0.0;
+        for (int64_t j = i; j < N; j++)
+            tail += U[c * N + j] * r[j];
+        out[c] = ((a[0] + a[1]) + (a[2] + a[3]))
+               + ((a[4] + a[5]) + (a[6] + a[7])) + tail;
+    }
 }
 
 /* resid -= shift, and eta += shift unless eta is NULL */
@@ -92,10 +121,15 @@ double netcov_sweep_groups(const double *UT, int64_t N,
             continue;
         }
 
+        int64_t k = 0;
+        for (; k + 4 <= width; k += 4)
+            dot4(U + k * N, resid, N, z + k);
+        for (; k < width; k++)
+            z[k] = dot(U + k * N, resid, N);
         double nz2 = 0.0;
         int any_old = 0;
-        for (int64_t k = 0; k < width; k++) {
-            z[k] = dot(U + k * N, resid, N) + b[k];
+        for (k = 0; k < width; k++) {
+            z[k] += b[k];
             nz2 += z[k] * z[k];
             any_old |= b[k] != 0.0;
         }
@@ -103,31 +137,48 @@ double netcov_sweep_groups(const double *UT, int64_t N,
         if (nz <= t) {
             if (!any_old)
                 continue;
-            for (int64_t k = 0; k < width; k++)
+            for (k = 0; k < width; k++)
                 z[k] = 0.0;
         } else {
             const double scale = 1.0 - t / nz;
-            for (int64_t k = 0; k < width; k++)
+            for (k = 0; k < width; k++)
                 z[k] = scale * z[k];
         }
         /* z now holds the new block; the change is z - b */
         double step = 0.0;
-        for (int64_t k = 0; k < width; k++)
+        for (k = 0; k < width; k++)
             if (fabs(z[k] - b[k]) > step)
                 step = fabs(z[k] - b[k]);
         if (!(step > 0.0))
             continue;
-        const double d0 = z[0] - b[0];
-        for (int64_t i = 0; i < N; i++)
-            shift[i] = d0 * U[i];
-        for (int64_t k = 1; k < width; k++) {
+        /* shift = sum_k (z[k] - b[k]) U_k, each element summed in k order
+         * from the first term; the width mod 4 left over goes one by one */
+        for (k = 0; k + 4 <= width; k += 4) {
+            const double e0 = z[k] - b[k], e1 = z[k + 1] - b[k + 1];
+            const double e2 = z[k + 2] - b[k + 2], e3 = z[k + 3] - b[k + 3];
+            const double *V0 = U + k * N, *V1 = V0 + N, *V2 = V1 + N,
+                         *V3 = V2 + N;
+            if (k == 0)
+                for (int64_t i = 0; i < N; i++)
+                    shift[i] = ((e0 * V0[i] + e1 * V1[i]) + e2 * V2[i])
+                             + e3 * V3[i];
+            else
+                for (int64_t i = 0; i < N; i++)
+                    shift[i] = (((shift[i] + e0 * V0[i]) + e1 * V1[i])
+                                + e2 * V2[i]) + e3 * V3[i];
+        }
+        for (; k < width; k++) {
             const double dk = z[k] - b[k];
             const double *Uk = U + k * N;
-            for (int64_t i = 0; i < N; i++)
-                shift[i] += dk * Uk[i];
+            if (k == 0)
+                for (int64_t i = 0; i < N; i++)
+                    shift[i] = dk * Uk[i];
+            else
+                for (int64_t i = 0; i < N; i++)
+                    shift[i] += dk * Uk[i];
         }
         apply_shift(shift, resid, eta, N);
-        for (int64_t k = 0; k < width; k++)
+        for (k = 0; k < width; k++)
             b[k] = z[k];
         if (step > max_delta)
             max_delta = step;

@@ -365,7 +365,7 @@ class TestSchemeDispatch:
         upper, _ = make_groups(ds, "EBG")
         lower, cm = make_groups(ds, "ebg")
         cfg = ExperimentConfig(scheme="EBG", active_groups=("(1,1)",),
-                               alpha=0.2, family="gaussian", d=2)
+                               alpha=0.2, family="gaussian", d=2, seed=0)
         assert_same_spec(upper, lower)
         assert_same_spec(lower, groups_for(cfg, cm))
         assert lower.n_groups == 6

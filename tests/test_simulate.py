@@ -93,6 +93,18 @@ class TestSyntheticDesign:
         c = gen_design_synthetic(small_config(seed=13))
         assert not np.array_equal(a.edges, c.edges)
 
+    def test_seed_is_required(self):
+        # without a seed a config would draw a fresh design on every call
+        kw = dict(scheme="EBG", active_groups=("(1,1)",), alpha=0.2,
+                  family="gaussian", N=20)
+        with pytest.raises(TypeError, match="seed"):
+            ExperimentConfig(**kw)
+        with pytest.raises(TypeError):
+            ExperimentConfig("EBG", ("(1,1)",), 0.2, "gaussian", 20, 3, 3, 1,
+                             12)
+        with pytest.raises(TypeError):
+            gen_design_synthetic(ExperimentConfig(**kw, seed=None))
+
     def test_column_means_concentrate(self):
         cfg = ExperimentConfig(scheme="EBG", active_groups=("(1,1)",),
                                alpha=0.2, family="gaussian", seed=5)

@@ -52,6 +52,13 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
     return problem, basis, emap, Zs
 
 
+def bound_sweep(problem, state, beta):
+    """The compiled group pass of one solve, as fit_at_lambda binds it."""
+    from netcov.solver import _bind_kernel, _bind_sweep
+
+    return _bind_sweep(_bind_kernel(problem), problem, state, beta)
+
+
 def pairs(problem):
     """The problem's groups as the (start, stop) pairs the oracles take."""
     offsets = problem.offsets.tolist()
@@ -217,16 +224,16 @@ class TestFitAtLambda:
         assert np.isfinite(err.value.kkt_residual)
 
     def test_objective_never_increases(self, rng):
-        from netcov.solver import _bind_kernel, _fresh_state, _sweep
+        from netcov.solver import _fresh_state, _sweep
 
         for family in ("gaussian", "binomial"):
             problem, *_ = build_problem(rng, family=family)
             prob = replace(problem, lam=0.2 * lambda_max(problem))
-            kernel = _bind_kernel(prob)
             all_groups = np.arange(prob.n_groups, dtype=np.int64)
             mu = float(prob.y.mean()) if family == "gaussian" else 0.0
             beta = np.zeros(prob.U.shape[1])
             state = _fresh_state(prob, mu, beta)
+            kernel = bound_sweep(prob, state, beta)
             prev = objective(prob, mu, beta)
             for _ in range(60):
                 mu, _ = _sweep(prob, kernel, state, mu, beta, all_groups)
@@ -573,10 +580,96 @@ class TestSweepKernel:
         return np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(
             1.0, np.max(np.abs(b), initial=0.0))
 
+    @staticmethod
+    def kernel_dot(u, r):
+        # the kernel's dot: eight lane sums, each a left-to-right sum from
+        # 0.0 over every eighth product, its combine tree, then the tail
+        n8 = u.size - u.size % 8
+        prod = u * r
+
+        def plain_sum(x):
+            return np.cumsum(np.concatenate(([0.0], x)))[-1]
+
+        a = [plain_sum(prod[lane:n8:8]) for lane in range(8)]
+        return (((a[0] + a[1]) + (a[2] + a[3]))
+                + ((a[4] + a[5]) + (a[6] + a[7]))) + plain_sum(prod[n8:])
+
+    @classmethod
+    def kernel_sweep(cls, problem, state, mu, beta, order):
+        # _sweep in numpy with the kernel's own order of every sum, one
+        # column at a time
+        gaussian = problem.family == "gaussian"
+        c, k = (1.0, 1.0) if gaussian else (2.0, 0.25)
+        resid = state if gaussian else (problem.y - expit(state)) / k
+        dmu = float(resid.mean())
+        resid -= dmu
+        if not gaussian:
+            state += dmu
+        max_delta = abs(dmu)
+        thresh_scale = problem.N * problem.lam / (c * k)
+        for g in order:
+            s0, s1 = problem.offsets[g], problem.offsets[g + 1]
+            t = thresh_scale * problem.multipliers[g]
+            U, b = problem.U.T[s0:s1], beta[s0:s1]
+            if s1 - s0 == 1:
+                zs = cls.kernel_dot(U[0], resid) + b[0]
+                z = np.array([zs - t if zs > t else zs + t if zs < -t
+                              else 0.0])
+            else:
+                z = np.array([cls.kernel_dot(u, resid) for u in U]) + b
+                nz2 = 0.0
+                for zk in z:
+                    nz2 += zk * zk
+                nz = np.sqrt(nz2)
+                if nz <= t and not b.any():
+                    continue
+                z = np.zeros_like(z) if nz <= t else (1.0 - t / nz) * z
+            step = float(np.abs(z - b).max())
+            if not step > 0.0:
+                continue
+            shift = (z[0] - b[0]) * U[0]
+            for zk, bk, u in zip(z[1:], b[1:], U[1:]):
+                shift = shift + (zk - bk) * u
+            resid -= shift
+            if not gaussian:
+                state += shift
+            max_delta = max(max_delta, step)
+            b[:] = z
+        return mu + dmu, max_delta
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("N", [37, 64])
+    def test_sweeps_equal_the_kernel_arithmetic(self, rng, N, family):
+        # every width from a singleton to three four-column blocks plus
+        # one, at an N with a dot tail and one without: the blocked kernel
+        # must give exactly the bits of one column at a time
+        from netcov.solver import _fresh_state, _sweep
+
+        for trial in range(4):
+            widths = rng.permutation([1, 2, 4, 5, 7, 8, 9, 13]).tolist()
+            problem = self.problem(rng, widths, family, N=N)
+            m = problem.U.shape[1]
+            beta = rng.standard_normal(m) * (rng.random(m) < 0.6)
+            mu = float(rng.standard_normal())
+            state = _fresh_state(problem, mu, beta)
+            scale = (problem.N if family == "gaussian" else 2 * problem.N)
+            z = np.abs(problem.U.T @ state).max() + np.abs(beta).max()
+            prob = replace(problem, lam=rng.uniform(0.05, 1.0) * z / scale)
+            order = rng.permutation(problem.n_groups).astype(np.int64)
+            sweep = bound_sweep(prob, state, beta)
+            mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
+            for _ in range(3):
+                mu_ref, d_ref = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
+                                                  order)
+                mu, d = _sweep(prob, sweep, state, mu, beta, order)
+                assert (mu, d) == (mu_ref, d_ref)
+                assert beta.tobytes() == b_ref.tobytes()
+                assert state.tobytes() == s_ref.tobytes()
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("layout", ["singleton", "block", "mixed"])
     def test_one_sweep_matches_reference(self, rng, layout, family):
-        from netcov.solver import _bind_kernel, _fresh_state, _sweep
+        from netcov.solver import _fresh_state, _sweep
 
         for trial in range(5):
             problem = self.problem(rng, self.LAYOUTS[layout], family)
@@ -592,8 +685,8 @@ class TestSweepKernel:
             b_ref, s_ref = beta.copy(), state.copy()
             mu_ref, d_ref = self.reference_sweep(prob, s_ref, mu, b_ref,
                                                  order)
-            mu_k, d_k = _sweep(prob, _bind_kernel(prob), state, mu, beta,
-                               order)
+            mu_k, d_k = _sweep(prob, bound_sweep(prob, state, beta), state,
+                               mu, beta, order)
             assert self.close(beta, b_ref) and self.close(state, s_ref)
             assert abs(mu_k - mu_ref) <= 1e-12 * max(1.0, abs(mu_ref))
             assert abs(d_k - d_ref) <= 1e-12 * max(1.0, d_ref)
@@ -602,7 +695,7 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_empty_order_moves_only_the_intercept(self, rng, family):
-        from netcov.solver import _bind_kernel, _fresh_state, _sweep
+        from netcov.solver import _fresh_state, _sweep
 
         problem = replace(self.problem(rng, self.LAYOUTS["mixed"], family),
                           lam=0.01)
@@ -611,7 +704,8 @@ class TestSweepKernel:
         b_ref, s_ref = beta.copy(), state.copy()
         order = np.empty(0, dtype=np.int64)
         expected = self.reference_sweep(problem, s_ref, 0.3, b_ref, order)
-        got = _sweep(problem, _bind_kernel(problem), state, 0.3, beta, order)
+        got = _sweep(problem, bound_sweep(problem, state, beta), state, 0.3,
+                     beta, order)
         assert got == expected
         np.testing.assert_array_equal(beta, b_ref)
         np.testing.assert_array_equal(state, s_ref)
@@ -619,7 +713,7 @@ class TestSweepKernel:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("width", [1, 3])
     def test_shrunk_group_is_exact_zero(self, rng, family, width):
-        from netcov.solver import _bind_kernel, _fresh_state, _sweep
+        from netcov.solver import _fresh_state, _sweep
 
         problem = self.problem(rng, [2, width, 2], family)
         beta = rng.standard_normal(problem.U.shape[1])
@@ -629,7 +723,7 @@ class TestSweepKernel:
         # the middle group's threshold beats any target it can reach
         prob = replace(problem, lam=1.0,
                        multipliers=np.array([1e-9, 1e9, 1e-9]))
-        _sweep(prob, _bind_kernel(prob), state, 0.0, beta,
+        _sweep(prob, bound_sweep(prob, state, beta), state, 0.0, beta,
                np.arange(3, dtype=np.int64))
         shrunk = beta[2:2 + width]
         assert np.all(shrunk == 0.0) and not np.any(np.signbit(shrunk))
@@ -639,7 +733,7 @@ class TestSweepKernel:
         # unit-vector columns make every product exact: the target
         # z = U_G^T r + b_G = (0.75, 1.0) has norm 1.25, exactly the
         # threshold N * lam * w_G, so the group leaves as +0.0
-        from netcov.solver import _bind_kernel, _sweep
+        from netcov.solver import _sweep
 
         problem = PenalizedProblem(
             U=np.eye(4)[:, :2], y=np.zeros(4), family="gaussian",
@@ -648,8 +742,8 @@ class TestSweepKernel:
             lam=0.25)
         beta = np.array([0.25, 0.5])
         state = np.array([0.5, 0.5, -0.5, -0.5])  # mean 0: mu stays put
-        mu, delta = _sweep(problem, _bind_kernel(problem), state, 0.0, beta,
-                           np.zeros(1, dtype=np.int64))
+        mu, delta = _sweep(problem, bound_sweep(problem, state, beta), state,
+                           0.0, beta, np.zeros(1, dtype=np.int64))
         assert np.all(beta == 0.0) and not np.any(np.signbit(beta))
         assert mu == 0.0 and delta == 0.5
         np.testing.assert_array_equal(state, [0.75, 1.0, -0.5, -0.5])
@@ -809,6 +903,21 @@ class TestStateReuse:
                             lambda *args: swept.append(args))
         with pytest.raises(ValueError, match="start state has shape"):
             fit_at_lambda(problem, state0=np.zeros(shape))
+        assert swept == []
+
+    @pytest.mark.parametrize("extra", [-1, 1, None])
+    def test_misshapen_warm_start_is_refused(self, rng, extra, monkeypatch):
+        # the kernel writes beta as raw memory of m doubles, like the state
+        import netcov.solver as solver
+
+        problem, *_ = build_problem(rng)
+        m = problem.U.shape[1]
+        shape = (m, 1) if extra is None else (m + extra,)
+        swept = []
+        monkeypatch.setattr(solver, "_sweep",
+                            lambda *args: swept.append(args))
+        with pytest.raises(ValueError, match="warm start has shape"):
+            fit_at_lambda(problem, beta0=np.zeros(shape))
         assert swept == []
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])

@@ -4,9 +4,11 @@ module-level UPPER_CASE constant that no module reads, a public function
 or class that nothing names and a public method or property that nothing
 reads as an attribute.  Public names count as used when the package, its
 tests, its demos or its benchmark use them.  All are read from the syntax
-tree, so no linter is needed."""
+tree, so no linter is needed.  The C sweep kernel must compile without a
+warning under the solver's own flags."""
 
 import ast
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -158,3 +160,12 @@ def test_every_public_definition_is_named():
 
 def test_every_public_method_is_read():
     assert unreferenced(public_methods, attribute_reads, CALLERS) == []
+
+
+def test_sweep_kernel_compiles_without_warnings():
+    from netcov import solver
+
+    proc = subprocess.run(
+        [solver._CC, *solver._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-fsyntax-only", solver._SOURCE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
