@@ -15,6 +15,8 @@ from scipy import stats
 
 __all__ = ["CpmModel", "cpm_fit", "cpm_predict", "write_cpm_edges"]
 
+CPM_ALPHA = 0.01  # the default p-value threshold for edge screening
+
 
 @dataclass(frozen=True)
 class CpmModel:
@@ -42,7 +44,14 @@ def _edge_correlations(E, y):
     return np.clip(r, -1.0, 1.0)
 
 
-def cpm_fit(Z, y, idx, alpha=0.01):
+def check_cpm_alpha(alpha):
+    """``alpha`` if it is a number in (0, 1], else a ValueError naming it."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"CPM alpha must be a number in (0, 1], got {alpha!r}")
+    return alpha
+
+
+def cpm_fit(Z, y, idx, alpha=CPM_ALPHA):
     """Fit CPM on a raw training design.
 
     Parameters
@@ -57,8 +66,7 @@ def cpm_fit(Z, y, idx, alpha=0.01):
     alpha : float
         Two-sided p-value threshold for edge screening, in (0, 1].
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"CPM alpha must be a number in (0, 1], got {alpha!r}")
+    check_cpm_alpha(alpha)
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     N = y.size

@@ -30,7 +30,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .baselines import cpm_fit, cpm_predict, write_cpm_edges
+from .baselines import (CPM_ALPHA, check_cpm_alpha, cpm_fit, cpm_predict,
+                        write_cpm_edges)
 # build_design is unused here but stays importable as netcov.cli.build_design,
 # a name the benchmark's traced run (benchmarks/spans.py) wraps
 from .data import (build_design, load_dataset, parse_int,  # noqa: F401
@@ -47,7 +48,7 @@ from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, draw_response,
                        gen_design_synthetic, gen_semisynthetic, groups_for,
                        load_truth_csv, make_beta, scenario_difficulty,
                        write_scenario_csv, write_truth_csv)
-from .solver import ConvergenceError, write_path_csv
+from .solver import GRID_SIZE, MIN_RATIO, ConvergenceError, write_path_csv
 from .tuning import cross_validate, select_and_refit, write_cv_csv
 
 __all__ = ["main", "ConfigError"]
@@ -76,11 +77,20 @@ CONFIG_DEFAULTS = {
     "data.d": "1",
     "data.design": "synthetic",
     "data.split_communities": "",
-    "solver.grid_size": "100",
-    "solver.min_ratio": "0.05",
+    "solver.grid_size": str(GRID_SIZE),
+    "solver.min_ratio": repr(MIN_RATIO),
     "solver.folds": "10",
     "sweep.methods": "scheme,lasso",
 }
+
+CONFIG_KEYS = set(CONFIG_DEFAULTS) | {"seed"}
+
+# each fit flag and the config key it sets; the key's default, conversion
+# and range check apply
+FIT_FLAGS = {"--seed": "seed", "--folds": "solver.folds",
+             "--grid-size": "solver.grid_size",
+             "--min-ratio": "solver.min_ratio",
+             "--split-communities": "data.split_communities"}
 
 PRESETS = {
     "experiment-i": {
@@ -114,11 +124,8 @@ class Config(dict):
 
 
 def resolve_config(raw, overrides=None):
-    entries = dict(raw)
-    if overrides:
-        entries.update(overrides)
-    known = set(CONFIG_DEFAULTS) | {"seed"}
-    unknown = sorted(set(entries) - known)
+    entries = {**raw, **(overrides or {})}
+    unknown = sorted(set(entries) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     preset = entries.get("experiment.preset", "")
@@ -291,16 +298,17 @@ def _method_name(scheme):
     return "lasso" if scheme == "lasso" else f"netcov:{scheme}"
 
 
-def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
-            split_communities=None):
+def run_fit(data_dir, scheme, out_dir, settings, seed):
+    """Fit ``scheme`` under a resolved config's ``settings`` and ``seed``."""
+    s = settings
     dataset = load_dataset(data_dir)
     spec, communities = make_groups(dataset, scheme,
-                                    split_target=split_communities,
+                                    split_target=s.split_communities,
                                     seed=(int(seed), 11))
-    if split_communities is not None:
+    if s.split_communities is not None:
         dataset = dc_replace(dataset, communities=communities)
-    cv = cross_validate(dataset, spec, folds=folds, seed=seed,
-                        grid_size=grid_size, min_ratio=min_ratio)
+    cv = cross_validate(dataset, spec, folds=s.folds, seed=seed,
+                        grid_size=s.grid_size, min_ratio=s.min_ratio)
     fit = select_and_refit(cv)
     model = fit.model
 
@@ -330,10 +338,10 @@ def run_fit(data_dir, scheme, out_dir, folds, grid_size, min_ratio, seed,
         "y_sd": "NA" if model.y_sd is None else repr(float(model.y_sd)),
         "deviance": repr(float(fit.deviance)),
         "kkt_residual": repr(float(fit.kkt_residual)),
-        "seed": seed, "folds": folds, "grid_size": grid_size,
-        "min_ratio": repr(float(min_ratio)),
-        "split_communities": ("" if split_communities is None
-                              else split_communities),
+        "seed": seed, "folds": s.folds, "grid_size": s.grid_size,
+        "min_ratio": repr(s.min_ratio),
+        "split_communities": ("" if s.split_communities is None
+                              else s.split_communities),
         "version": __version__,
     }
     write_manifest(os.path.join(out_dir, "fit_info"), info)
@@ -444,19 +452,12 @@ def _read_nuisance_model(path, p, family):
 
 def cmd_fit(args):
     started = time.time()
-    run_fit(args.data, args.scheme, args.out, folds=args.folds,
-            grid_size=args.grid_size, min_ratio=args.min_ratio,
-            seed=args.seed, split_communities=args.split_communities)
-    cfg = {
-        "seed": str(args.seed),
-        "solver.folds": str(args.folds),
-        "solver.grid_size": str(args.grid_size),
-        "solver.min_ratio": repr(args.min_ratio),
-    }
+    cfg = resolve_config({}, _flag_overrides(args))
+    run_fit(args.data, args.scheme, args.out, cfg.settings, cfg.settings.seed)
     write_run_manifest(
-        os.path.join(args.out, "run_manifest"), "fit", cfg,
+        os.path.join(args.out, "run_manifest"), "fit",
+        {key: cfg[key] for key in FIT_FLAGS.values()},
         extra={"data": args.data, "out": args.out, "scheme": args.scheme,
-               "split_communities": args.split_communities,
                "wall_seconds": f"{time.time() - started:.3f}"},
     )
     return 0
@@ -465,10 +466,11 @@ def cmd_fit(args):
 # ---------------------------------------------------------------------------
 # cpm
 
-def run_cpm(data_dir, out_dir, alpha=0.01):
+def run_cpm(data_dir, out_dir, alpha):
     dataset = load_dataset(data_dir)
     if dataset.family != "gaussian":
         raise ValueError("CPM supports continuous responses only")
+    row = {"method": "cpm", **_read_scenario(data_dir)}
     Z, y, nuisance_model = nuisance_corrected(dataset,
                                               dataset.training_rows())
     idx = dataset.index
@@ -476,9 +478,6 @@ def run_cpm(data_dir, out_dir, alpha=0.01):
     os.makedirs(out_dir, exist_ok=True)
     write_cpm_edges(model, idx, os.path.join(out_dir, "cpm_edges.csv"))
 
-    row = {"method": "cpm"}
-    scen = _read_scenario(data_dir)
-    row.update(scen)
     rows_te = dataset.test_rows
     if rows_te is not None and rows_te.size >= 2:
         Z_te, y_te = corrected_rows(nuisance_model, dataset, rows_te)
@@ -491,11 +490,14 @@ def run_cpm(data_dir, out_dir, alpha=0.01):
 
 def cmd_cpm(args):
     started = time.time()
-    run_cpm(args.data, args.out, alpha=args.alpha)
+    try:
+        alpha = check_cpm_alpha(parse_number("alpha", args.alpha))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    run_cpm(args.data, args.out, alpha)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "cpm", {},
-        extra={"data": args.data, "out": args.out,
-               "alpha": repr(args.alpha),
+        extra={"data": args.data, "out": args.out, "alpha": repr(alpha),
                "wall_seconds": f"{time.time() - started:.3f}"},
     )
     return 0
@@ -505,20 +507,21 @@ def cmd_cpm(args):
 # evaluate
 
 def _read_scenario(data_dir):
+    """The scenario columns of a dataset's ``scenario.csv``, or none when
+    it has no such file; a file that lacks one of these columns, or a full
+    row under its header, is a data error naming the file."""
     path = os.path.join(data_dir, "scenario.csv")
     if not os.path.exists(path):
         return {}
+    keys = ("scheme", "family", "n_active", "alpha", "difficulty_metric",
+            "difficulty")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        require_keys(path, reader.fieldnames or (), keys)
         row = next(reader, None)
-    if row is None:
-        return {}
-    return {
-        "scheme": row.get("scheme"), "family": row.get("family"),
-        "n_active": row.get("n_active"), "alpha": row.get("alpha"),
-        "difficulty_metric": row.get("difficulty_metric"),
-        "difficulty": row.get("difficulty"),
-    }
+    if row is None or None in row.values():
+        raise ValueError(f"{path}: expected one full row under the header")
+    return {key: row[key] for key in keys}
 
 
 def run_evaluate(fit_dir, data_dir, out_dir):
@@ -526,10 +529,9 @@ def run_evaluate(fit_dir, data_dir, out_dir):
     idx = dataset.index
     info = read_manifest(os.path.join(fit_dir, "fit_info"))
     model = _read_model(fit_dir, info, dataset)
+    row = {"method": info.get("method", info.get("scheme")),
+           **_read_scenario(data_dir)}
     os.makedirs(out_dir, exist_ok=True)
-
-    row = {"method": info.get("method", info.get("scheme"))}
-    row.update(_read_scenario(data_dir))
 
     truth_path = os.path.join(data_dir, "truth.csv")
     truth = None
@@ -607,12 +609,10 @@ def _sweep_cell_job(payload):
             if cell.family != "gaussian":
                 continue
             rows.append(run_cpm(cell_dir, os.path.join(cell_dir, "fit_cpm"),
-                                alpha=0.01))
+                                CPM_ALPHA))
         else:
             fit_dir = os.path.join(cell_dir, f"fit_{scheme}")
-            run_fit(cell_dir, scheme, fit_dir, folds=s.folds,
-                    grid_size=s.grid_size, min_ratio=s.min_ratio, seed=seed,
-                    split_communities=s.split_communities)
+            run_fit(cell_dir, scheme, fit_dir, s, seed)
             rows.append(run_evaluate(fit_dir, cell_dir,
                                      os.path.join(cell_dir, f"eval_{scheme}")))
     return rows
@@ -655,23 +655,16 @@ def cmd_sweep(args):
 # entry point
 
 def _flag_overrides(args):
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
+    """The config entries the command line sets: each given flag whose
+    destination is a config key, then each ``--set key=value``."""
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in CONFIG_KEYS and value is not None}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     return overrides
-
-
-def _seed_flag(text):
-    """A ``fit --seed`` value: an integer of at least 0."""
-    try:
-        return parse_int("seed", text, 0)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser():
@@ -686,7 +679,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="write datasets for a config grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_simulate)
 
@@ -694,18 +687,14 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--scheme", required=True, choices=["nbg", "ebg", "lasso"])
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--grid-size", type=int, default=100)
-    p.add_argument("--min-ratio", type=float, default=0.05)
-    p.add_argument("--seed", type=_seed_flag, required=True)
-    p.add_argument("--split-communities", type=int, default=None,
-                   metavar="SIZE")
+    for flag, key in FIT_FLAGS.items():
+        p.add_argument(flag, dest=key, required=key == "seed")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cpm", help="connectome predictive modeling baseline")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", default=CPM_ALPHA)
     p.set_defaults(func=cmd_cpm)
 
     p = sub.add_parser("evaluate", help="score a fit against a dataset")
@@ -717,7 +706,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="simulate + fit + evaluate over a grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -27,7 +27,7 @@ On-disk layout
 A dataset directory contains headerless, comma-separated CSVs:
 
 * ``A.csv``           N rows, n(n-1)/2 columns, canonical edge order
-* ``X.csv``           N rows, n*d columns, node-major (omitted when d=0)
+* ``X.csv``           N rows, n*d columns, node-major (absent when d=0)
 * ``y.csv``           N rows, one column
 * ``communities.csv`` n rows: node_id (1..n), community_id (1..K)
 * ``nuisance.csv``    N rows, q columns (present exactly when q > 0)
@@ -531,8 +531,11 @@ def read_feature_csv(path, p, width, sparse=False):
     return list(columns)
 
 
-def _load_matrix(path, N, cols):
+def _load_matrix(path, N, cols, block):
+    """The N x cols matrix in ``path``, which must not exist when cols is 0."""
     if cols == 0:
+        if os.path.exists(path):
+            raise ValueError(f"{path}: the manifest declares no {block}")
         return np.zeros((N, 0))
     M = np.loadtxt(path, delimiter=",", ndmin=2)
     if M.shape != (N, cols):
@@ -559,18 +562,13 @@ def load_dataset(directory):
         raise ValueError("communities.csv must list node ids 1..n exactly once")
     assignments = comm[order, 1]
 
-    edges = _load_matrix(os.path.join(directory, "A.csv"), N, idx.n_edges)
-    covs = _load_matrix(os.path.join(directory, "X.csv"), N, n * d)
-    y = np.loadtxt(os.path.join(directory, "y.csv"), delimiter=",").reshape(-1)
-    if y.size != N:
-        raise ValueError(f"y.csv: expected {N} rows, got {y.size}")
-    nuisance = None
-    nu_path = os.path.join(directory, "nuisance.csv")
-    if q > 0:
-        nuisance = _load_matrix(nu_path, N, q)
-    elif os.path.exists(nu_path):
-        raise ValueError(f"{nu_path}: the manifest declares no nuisance "
-                         "columns (q)")
+    edges, covs, y, nuisance = (
+        _load_matrix(os.path.join(directory, name), N, cols, block)
+        for name, cols, block in (
+            ("A.csv", idx.n_edges, "edges"),
+            ("X.csv", n * d, "node covariates (d)"),
+            ("y.csv", 1, "response"),
+            ("nuisance.csv", q, "nuisance columns (q)")))
 
     splits = {}
     for key in ("train_rows", "test_rows"):
@@ -583,7 +581,7 @@ def load_dataset(directory):
     return Dataset(
         edges=edges, node_covs=covs, y=y,
         communities=CommunityMap(assignments=assignments),
-        family=family, nuisance=nuisance, **splits,
+        family=family, nuisance=nuisance if q else None, **splits,
     )
 
 

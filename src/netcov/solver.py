@@ -114,6 +114,8 @@ DEFAULT_KKT_TOL = 1e-6
 _GRAD_SCALE = {"gaussian": 1.0, "binomial": 2.0}
 _CURVATURE = {"gaussian": 1.0, "binomial": 0.25}
 ANDERSON_K = 5  # iterate differences per Anderson step, taken every K+1 sweeps
+GRID_SIZE = 100  # points on the default lambda grid
+MIN_RATIO = 0.05  # its smallest lambda as a share of lambda_max
 
 _CC = "gcc"
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
@@ -383,7 +385,7 @@ def lambda_max(problem):
     return lam * (1.0 + 1e-10)
 
 
-def lambda_grid(lam_max, grid_size=100, min_ratio=0.05):
+def lambda_grid(lam_max, grid_size=GRID_SIZE, min_ratio=MIN_RATIO):
     """Logarithmically spaced grid from lam_max down to min_ratio*lam_max."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import _seeded_rng
 from .pipeline import FittedModel, holdout_deviance, prepare
-from .solver import fit_path, lambda_grid, lambda_max
+from .solver import GRID_SIZE, MIN_RATIO, fit_path, lambda_grid, lambda_max
 
 __all__ = ["CVResult", "FitResult", "cross_validate", "select_and_refit",
            "one_se_select", "write_cv_csv"]
@@ -105,8 +105,8 @@ def _constant_y_fold(y, rows, assignment, folds):
     return False
 
 
-def cross_validate(dataset, spec, folds=10, *, seed, grid_size=100,
-                   min_ratio=0.05):
+def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
+                   min_ratio=MIN_RATIO):
     """K-fold cross-validation of the penalty level over one lambda grid.
 
     The folds split the dataset's training rows, and the grid is

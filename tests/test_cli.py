@@ -109,14 +109,67 @@ class TestConfig:
 
         ds = make_dataset(np.random.default_rng(6), [1, 1, 2, 2], d=1, N=14)
         save_dataset(ds, str(tmp_path / "data"))
-        with pytest.raises(SystemExit) as err:
-            cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
-                      "ebg", "--out", str(tmp_path / "fit"), "--folds", "3",
-                      "--grid-size", "4", "--seed", "-1"])
-        assert err.value.code == 2
-        assert ("argument --seed: seed must be at least 0, got '-1'"
+        code = cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(tmp_path / "fit"), "--folds", "3",
+                         "--grid-size", "4", "--seed", "-1"])
+        assert code == 2
+        assert ("config error: seed must be at least 0, got '-1'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("folds", [0, 1, -2])
+    def test_fewer_than_two_folds_exit_2(self, tmp_path, capsys, folds):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(6), [1, 1, 2, 2], d=1, N=14)
+        save_dataset(ds, str(tmp_path / "data"))
+        code = cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(tmp_path / "fit"), "--folds",
+                         str(folds), "--grid-size", "4", "--seed", "1"])
+        assert code == 2
+        assert (f"config error: solver.folds must be at least 2, got "
+                f"'{folds}'" in capsys.readouterr().err)
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("command,flag,value,key", [
+        ("fit", "--folds", "0", "solver.folds"),
+        ("fit", "--folds", "1", "solver.folds"),
+        ("fit", "--grid-size", "1", "solver.grid_size"),
+        ("fit", "--grid-size", "x", "solver.grid_size"),
+        *[("fit", "--min-ratio", v, "solver.min_ratio")
+          for v in ("0", "1", "2", "nan", "inf")],
+        ("fit", "--split-communities", "0", "data.split_communities"),
+        ("fit", "--split-communities", "1", "data.split_communities"),
+        ("fit", "--seed", "-1", "seed"),
+        ("fit", "--seed", "x", "seed"),
+        *[("cpm", "--alpha", v, "alpha")
+          for v in ("0", "-1", "2", "nan", "inf", "x")]])
+    def test_bad_flag_is_config_error_before_any_read(
+            self, tmp_path, capsys, command, flag, value, key):
+        # --data names no directory: a 2 rather than a 3 shows that the
+        # flag was refused before the dataset was read
+        out = tmp_path / "out"
+        argv = [command, "--data", str(tmp_path / "missing"),
+                "--out", str(out), flag, value]
+        if command == "fit":
+            argv += ["--scheme", "ebg"] + ["--seed", "1"] * (flag != "--seed")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("netcov: config error: ")
+        assert key in err
+        assert not out.exists()
+
+    def test_every_fit_flag_sets_a_config_key(self):
+        # a fit flag reaches the run only through the config's conversion
+        # and range checks, so it cannot skip them
+        sub = next(action for action in cli.build_parser()._actions
+                   if action.dest == "subcommand")
+        dests = [action.dest for action in sub.choices["fit"]._actions
+                 if action.option_strings and action.dest != "help"]
+        flags = set(dests) - {"data", "scheme", "out"}
+        assert len(flags) == len(dests) - 3
+        assert flags <= set(cli.CONFIG_DEFAULTS) | {"seed"}
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +286,9 @@ class TestSplitCommunities:
         assert len(groups) == 50
 
 
+SCENARIO_HEADER = "scheme,family,n_active,alpha,difficulty_metric,difficulty\n"
+
+
 class TestEvaluate:
     def test_synthetic_cell_full_row(self, sim_dir, tmp_path):
         fit_dir = tmp_path / "fit"
@@ -280,6 +336,23 @@ class TestEvaluate:
         assert row["recall"] == "NA"
         assert row["correlation"] != "NA"
         assert not (out / "roc.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "garbage\n", "", SCENARIO_HEADER, SCENARIO_HEADER + "ebg\n"],
+        ids=["no_header", "empty", "no_row", "short_row"])
+    def test_malformed_scenario_is_data_error(self, sim_dir, fit_dir,
+                                              tmp_path, capsys, text):
+        # without its header and one full row, scenario.csv would leave
+        # metrics.csv's scenario columns NA without a word
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir, data)
+        (data / "scenario.csv").write_text(text)
+        out = tmp_path / "eval"
+        code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                         str(data), "--out", str(out)])
+        assert code == 3
+        assert str(data / "scenario.csv") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mismatched_p_is_data_error(self, sim_dir, tmp_path):
         fit_dir = tmp_path / "fit"
@@ -766,6 +839,10 @@ class TestBadInputRejected:
         "zero_nuisance_count": (
             lambda d: _edit_manifest(d / "manifest", "q", "0"),
             "nuisance.csv: the manifest declares no nuisance columns (q)"),
+        # so is an X.csv only as the n*d columns the manifest declares
+        "undeclared_node_covariates": (
+            lambda d: _edit_manifest(d / "manifest", "d", "0"),
+            "X.csv: the manifest declares no node covariates (d)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -787,19 +864,6 @@ class TestBadInputRejected:
         assert code == 3
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("folds", [0, 1, -2])
-    def test_fewer_than_two_folds_exit_3(self, tmp_path, capsys, folds):
-        from conftest import make_dataset
-        from netcov import save_dataset
-
-        ds = make_dataset(np.random.default_rng(6), [1, 1, 2, 2], d=1, N=14)
-        save_dataset(ds, str(tmp_path / "data"))
-        code = cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
-                         "ebg", "--out", str(tmp_path / "fit"), "--folds",
-                         str(folds), "--grid-size", "4", "--seed", "1"])
-        assert code == 3
-        assert (f"folds must be at least 2, got {folds}"
-                in capsys.readouterr().err)
 
 
 class TestCpm:
@@ -868,9 +932,19 @@ class TestCpm:
         save_dataset(ds, str(data_dir))
         code = cli.main(["cpm", "--data", str(data_dir),
                          "--out", str(tmp_path / "o"), "--alpha", alpha])
-        assert code == 3
+        assert code == 2
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_alpha_one_is_legal(self, tmp_path):
+        # the (0, 1] rule includes its upper end
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(4), [1, 1, 2, 2], d=1, N=30)
+        save_dataset(ds, str(tmp_path / "data"))
+        assert cli.main(["cpm", "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "o"), "--alpha", "1"]) == 0
 
     def test_default_threshold(self):
         parser = cli.build_parser()

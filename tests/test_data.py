@@ -285,6 +285,15 @@ class TestDiskLayout:
         with pytest.raises(ValueError, match="y.csv"):
             load_dataset(str(tmp_path / "d"))
 
+    def test_two_column_response_rejected(self, rng, tmp_path):
+        from conftest import make_dataset
+
+        ds = make_dataset(rng, [1, 2], d=1, N=3)
+        save_dataset(ds, str(tmp_path / "d"))
+        (tmp_path / "d" / "y.csv").write_text("1,4\n2,5\n3,6\n")
+        with pytest.raises(ValueError, match="y.csv: expected 3x1, got 3x2"):
+            load_dataset(str(tmp_path / "d"))
+
     def test_binomial_requires_01(self, rng):
         from conftest import make_dataset
 

@@ -301,6 +301,15 @@ class TestPath:
         assert grid[-1] == pytest.approx(0.05 * lam, rel=1e-12)
         assert np.all(np.diff(grid) < 0)
 
+    def test_grid_needs_two_points(self):
+        with pytest.raises(ValueError, match="grid_size must be at least 2"):
+            lambda_grid(1.0, grid_size=1)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, np.nan])
+    def test_grid_ratio_inside_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match=r"min_ratio must be in \(0, 1\)"):
+            lambda_grid(1.0, min_ratio=ratio)
+
     def test_beta_zero_at_path_start(self, rng):
         problem, basis, emap, _ = build_problem(rng)
         pf = fit_path(problem, basis, emap,

@@ -108,6 +108,13 @@ class TestCrossValidate:
                 hits += 1
         assert hits >= 0.8 * n_seeds
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        ds = noise_dataset(5)
+        spec, _ = _groups(ds)
+        with pytest.raises(ValueError, match="folds must be at least 2"):
+            cross_validate(ds, spec, folds=folds, seed=0)
+
     def test_too_few_rows(self):
         ds = noise_dataset(5, N=6)
         spec, _ = _groups(ds)
