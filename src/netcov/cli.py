@@ -274,6 +274,9 @@ def _simulate_cell(cfg, cell, cell_dir):
     if os.path.exists(cell_dir):
         shutil.rmtree(cell_dir)
     os.replace(tmp, cell_dir)
+    # sorted as a reload gets them; the difficulty used a source's own order
+    return dc_replace(dataset, train_rows=np.sort(dataset.train_rows),
+                      test_rows=np.sort(dataset.test_rows)), truth
 
 
 def cmd_simulate(args):
@@ -298,10 +301,9 @@ def _method_name(scheme):
     return "lasso" if scheme == "lasso" else f"netcov:{scheme}"
 
 
-def run_fit(data_dir, scheme, out_dir, settings, seed):
-    """Fit ``scheme`` under a resolved config's ``settings`` and ``seed``."""
+def run_fit(dataset, scheme, out_dir, settings, seed):
+    """Fit ``scheme`` to ``dataset`` with a config's settings and seed."""
     s = settings
-    dataset = load_dataset(data_dir)
     spec, communities = make_groups(dataset, scheme,
                                     split_target=s.split_communities,
                                     seed=(int(seed), 11))
@@ -453,7 +455,8 @@ def _read_nuisance_model(path, p, family):
 def cmd_fit(args):
     started = time.time()
     cfg = resolve_config({}, _flag_overrides(args))
-    run_fit(args.data, args.scheme, args.out, cfg.settings, cfg.settings.seed)
+    run_fit(load_dataset(args.data), args.scheme, args.out, cfg.settings,
+            cfg.settings.seed)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "fit",
         {key: cfg[key] for key in FIT_FLAGS.values()},
@@ -466,11 +469,10 @@ def cmd_fit(args):
 # ---------------------------------------------------------------------------
 # cpm
 
-def run_cpm(data_dir, out_dir, alpha):
-    dataset = load_dataset(data_dir)
+def run_cpm(dataset, scenario, out_dir, alpha):
     if dataset.family != "gaussian":
         raise ValueError("CPM supports continuous responses only")
-    row = {"method": "cpm", **_read_scenario(data_dir)}
+    row = {"method": "cpm", **scenario}
     Z, y, nuisance_model = nuisance_corrected(dataset,
                                               dataset.training_rows())
     idx = dataset.index
@@ -494,7 +496,8 @@ def cmd_cpm(args):
         alpha = check_cpm_alpha(parse_number("alpha", args.alpha))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    run_cpm(args.data, args.out, alpha)
+    run_cpm(load_dataset(args.data), _read_scenario(args.data), args.out,
+            alpha)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "cpm", {},
         extra={"data": args.data, "out": args.out, "alpha": repr(alpha),
@@ -524,40 +527,27 @@ def _read_scenario(data_dir):
     return {key: row[key] for key in keys}
 
 
-def run_evaluate(fit_dir, data_dir, out_dir):
-    dataset = load_dataset(data_dir)
-    idx = dataset.index
-    info = read_manifest(os.path.join(fit_dir, "fit_info"))
-    model = _read_model(fit_dir, info, dataset)
-    row = {"method": info.get("method", info.get("scheme")),
-           **_read_scenario(data_dir)}
-    os.makedirs(out_dir, exist_ok=True)
-
-    truth_path = os.path.join(data_dir, "truth.csv")
-    truth = None
-    if os.path.exists(truth_path):
-        truth = load_truth_csv(truth_path, idx.p)
+def run_evaluate(method, model, path, dataset, truth, scenario, out_dir):
+    """Score ``model`` on ``dataset``'s test rows and, given the ``truth``,
+    its support and each point of ``path``, whose entries carry lam and beta."""
+    row = {"method": method, **scenario}
+    if truth is not None:
         report = support_metrics(model.beta, truth)
         row["recall"] = report.recall
         row["precision"] = report.precision
 
     rows_te = dataset.test_rows
     if rows_te is not None and rows_te.size >= 2:
-        yhat, y = model.predict(dataset, rows_te)
-        pred = prediction_metrics(yhat, y, model.family)
-        if model.family == "gaussian":
-            row["correlation"] = pred.correlation
-        else:
-            row["accuracy"] = pred.accuracy
+        pred = prediction_metrics(*model.predict(dataset, rows_te),
+                                  model.family)
+        key = "correlation" if model.family == "gaussian" else "accuracy"
+        row[key] = getattr(pred, key)
 
+    os.makedirs(out_dir, exist_ok=True)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
-
     if truth is not None:
-        path_like = _load_path_for_roc(fit_dir, idx.p)
-        if path_like is not None:
-            points = roc_along_path(path_like, truth)
-            write_roc_csv(os.path.join(out_dir, "roc.csv"),
-                          [(row["method"], points)])
+        write_roc_csv(os.path.join(out_dir, "roc.csv"),
+                      [(method, roc_along_path(path, truth))])
     return row
 
 
@@ -572,7 +562,7 @@ def _load_path_for_roc(fit_dir, p):
         lams = [parse_number(f"{cv_path}: lambda", r["lambda"])
                 for r in reader]
     if not lams:
-        return None
+        raise ValueError(f"{cv_path}: lists no lambda")
     entries = []
     for i, lam in enumerate(lams):
         path = os.path.join(fit_dir, f"coef_{i:03d}.csv")
@@ -589,7 +579,17 @@ def _load_path_for_roc(fit_dir, p):
 
 
 def cmd_evaluate(args):
-    run_evaluate(args.fit, args.data, args.out)
+    dataset = load_dataset(args.data)
+    info = read_manifest(os.path.join(args.fit, "fit_info"))
+    model = _read_model(args.fit, info, dataset)
+    scenario = _read_scenario(args.data)
+    truth_path = os.path.join(args.data, "truth.csv")
+    truth = path = None
+    if os.path.exists(truth_path):
+        truth = load_truth_csv(truth_path, dataset.index.p)
+        path = _load_path_for_roc(args.fit, dataset.index.p)
+    run_evaluate(info.get("method", info.get("scheme")), model, path,
+                 dataset, truth, scenario, args.out)
     return 0
 
 
@@ -600,7 +600,8 @@ def _sweep_cell_job(payload):
     cfg, cell, out_dir = payload
     s = cfg.settings
     cell_dir = os.path.join(out_dir, "cells", cell.cell_id)
-    _simulate_cell(cfg, cell, cell_dir)
+    dataset, truth = _simulate_cell(cfg, cell, cell_dir)
+    scenario = _read_scenario(cell_dir)
     seed = _cell_seed(s.seed, cell.index)
     rows = []
     for method in s.methods:
@@ -608,13 +609,14 @@ def _sweep_cell_job(payload):
         if scheme == "cpm":
             if cell.family != "gaussian":
                 continue
-            rows.append(run_cpm(cell_dir, os.path.join(cell_dir, "fit_cpm"),
-                                CPM_ALPHA))
+            rows.append(run_cpm(dataset, scenario,
+                                os.path.join(cell_dir, "fit_cpm"), CPM_ALPHA))
         else:
-            fit_dir = os.path.join(cell_dir, f"fit_{scheme}")
-            run_fit(cell_dir, scheme, fit_dir, s, seed)
-            rows.append(run_evaluate(fit_dir, cell_dir,
-                                     os.path.join(cell_dir, f"eval_{scheme}")))
+            fit = run_fit(dataset, scheme,
+                          os.path.join(cell_dir, f"fit_{scheme}"), s, seed)
+            rows.append(run_evaluate(
+                _method_name(scheme), fit.model, fit.path, dataset, truth,
+                scenario, os.path.join(cell_dir, f"eval_{scheme}")))
     return rows
 
 
