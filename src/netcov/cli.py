@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 
 import argparse
 import csv
+import glob
 import os
 import shutil
 import sys
@@ -36,8 +37,8 @@ from .baselines import (CPM_ALPHA, check_cpm_alpha, cpm_fit, cpm_predict,
 # a name the benchmark's traced run (benchmarks/spans.py) wraps
 from .data import (build_design, load_dataset, parse_int,  # noqa: F401
                    parse_number, read_feature_csv, read_manifest,
-                   require_finite, require_keys, save_dataset,
-                   write_manifest)
+                   read_number_csv, require_finite, require_keys,
+                   save_dataset, write_manifest)
 from .groups import split_communities, write_groups_csv
 from .metrics import (prediction_metrics, roc_along_path, support_metrics,
                       write_metrics_csv, write_roc_csv)
@@ -315,6 +316,8 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
     model = fit.model
 
     os.makedirs(out_dir, exist_ok=True)
+    _remove_own_files(out_dir, "coef_[0-9][0-9][0-9]*.csv",
+                      "nuisance_model.csv")
     write_groups_csv(spec, os.path.join(out_dir, "groups.csv"))
     write_cv_csv(cv, os.path.join(out_dir, "cv.csv"))
     write_path_csv(fit.path, out_dir)
@@ -348,6 +351,14 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
     }
     write_manifest(os.path.join(out_dir, "fit_info"), info)
     return fit
+
+
+def _remove_own_files(out_dir, *patterns):
+    """Remove netcov's own files of these name patterns from a user-named
+    ``out_dir``, so that a rerun there leaves none of another run's."""
+    for pattern in patterns:
+        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+            os.remove(path)
 
 
 def _write_feature_csv(path, header, *columns):
@@ -510,9 +521,9 @@ def cmd_cpm(args):
 # evaluate
 
 def _read_scenario(data_dir):
-    """The scenario columns of a dataset's ``scenario.csv``, or none when
-    it has no such file; a file that lacks one of these columns, or a full
-    row under its header, is a data error naming the file."""
+    """The scenario columns of a dataset's ``scenario.csv`` as written, or
+    none without that file.  A missing column or row, or a value no cell
+    can have, is a data error naming the file (and the key)."""
     path = os.path.join(data_dir, "scenario.csv")
     if not os.path.exists(path):
         return {}
@@ -524,6 +535,14 @@ def _read_scenario(data_dir):
         row = next(reader, None)
     if row is None or None in row.values():
         raise ValueError(f"{path}: expected one full row under the header")
+    parse_int(f"{path}: n_active", row["n_active"], 1)
+    for key in ("alpha", "difficulty"):
+        parse_number(f"{path}: {key}", row[key])
+    for key, allowed in (("family", ("gaussian", "binomial")),
+                         ("difficulty_metric", ("snr", "bayes_error"))):
+        if row[key] not in allowed:
+            raise ValueError(f"{path}: {key} must be {' or '.join(allowed)}"
+                             f", got {row[key]!r}")
     return {key: row[key] for key in keys}
 
 
@@ -548,6 +567,8 @@ def run_evaluate(method, model, path, dataset, truth, scenario, out_dir):
     if truth is not None:
         write_roc_csv(os.path.join(out_dir, "roc.csv"),
                       [(method, roc_along_path(path, truth))])
+    else:
+        _remove_own_files(out_dir, "roc.csv")
     return row
 
 
@@ -567,7 +588,7 @@ def _load_path_for_roc(fit_dir, p):
     for i, lam in enumerate(lams):
         path = os.path.join(fit_dir, f"coef_{i:03d}.csv")
         try:
-            coef = np.loadtxt(path, delimiter=",").reshape(-1)
+            coef = read_number_csv(path).reshape(-1)
         except ValueError:
             raise ValueError(f"{path} holds a value that is not a "
                              "number") from None

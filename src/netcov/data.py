@@ -38,6 +38,7 @@ A dataset directory contains headerless, comma-separated CSVs:
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -531,13 +532,21 @@ def read_feature_csv(path, p, width, sparse=False):
     return list(columns)
 
 
+def read_number_csv(path, ndmin=0):
+    """``np.loadtxt`` of a comma-separated file, without numpy's warning
+    for an empty one: the caller's shape check refuses it by name."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", ndmin=ndmin)
+
+
 def _load_matrix(path, N, cols, block):
     """The N x cols matrix in ``path``, which must not exist when cols is 0."""
     if cols == 0:
         if os.path.exists(path):
             raise ValueError(f"{path}: the manifest declares no {block}")
         return np.zeros((N, 0))
-    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    M = read_number_csv(path, ndmin=2)
     if M.shape != (N, cols):
         raise ValueError(f"{path}: expected {N}x{cols}, got {M.shape[0]}x{M.shape[1]}")
     return M
@@ -553,13 +562,11 @@ def load_dataset(directory):
     family = manifest["family"]
     idx = FeatureIndex(n=n, d=d)
 
-    comm = np.loadtxt(os.path.join(directory, "communities.csv"),
-                      delimiter=",", ndmin=2)
-    if comm.shape != (n, 2):
-        raise ValueError(f"communities.csv: expected {n}x2, got {comm.shape}")
+    comm_path = os.path.join(directory, "communities.csv")
+    comm = _load_matrix(comm_path, n, 2, "communities")
     order = np.argsort(comm[:, 0])
     if not np.array_equal(comm[order, 0], np.arange(1, n + 1)):
-        raise ValueError("communities.csv must list node ids 1..n exactly once")
+        raise ValueError(f"{comm_path}: must list node ids 1..n exactly once")
     assignments = comm[order, 1]
 
     edges, covs, y, nuisance = (

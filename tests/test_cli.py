@@ -289,6 +289,37 @@ class TestSplitCommunities:
 SCENARIO_HEADER = "scheme,family,n_active,alpha,difficulty_metric,difficulty\n"
 
 
+def _scenario(**values):
+    row = {"scheme": "ebg", "family": "gaussian", "n_active": "1",
+           "alpha": "0.6", "difficulty_metric": "snr", "difficulty": "2.5",
+           **values}
+    return SCENARIO_HEADER + ",".join(row.values()) + "\n"
+
+
+# scenario.csv text and the message that refuses it, after the file's path
+BAD_SCENARIOS = {
+    "no_header": ("garbage\n", "missing required key 'scheme'"),
+    "empty": ("", "missing required key 'scheme'"),
+    "no_row": (SCENARIO_HEADER, "expected one full row under the header"),
+    "short_row": (SCENARIO_HEADER + "ebg\n",
+                  "expected one full row under the header"),
+    "text_alpha": (_scenario(alpha="abc"),
+                   "alpha must be a number, got 'abc'"),
+    "nan_alpha": (_scenario(alpha="nan"), "alpha is not finite"),
+    "inf_difficulty": (_scenario(difficulty="inf"),
+                       "difficulty is not finite"),
+    "zero_n_active": (_scenario(n_active="0"),
+                      "n_active must be at least 1, got '0'"),
+    "fractional_n_active": (_scenario(n_active="1.5"),
+                            "n_active must be an integer, got '1.5'"),
+    "unknown_family": (_scenario(family="poisson"),
+                       "family must be gaussian or binomial, got 'poisson'"),
+    "unknown_difficulty_metric": (
+        _scenario(difficulty_metric="auc"),
+        "difficulty_metric must be snr or bayes_error, got 'auc'"),
+}
+
+
 class TestEvaluate:
     def test_synthetic_cell_full_row(self, sim_dir, tmp_path):
         fit_dir = tmp_path / "fit"
@@ -337,13 +368,14 @@ class TestEvaluate:
         assert row["correlation"] != "NA"
         assert not (out / "roc.csv").exists()
 
-    @pytest.mark.parametrize("text", [
-        "garbage\n", "", SCENARIO_HEADER, SCENARIO_HEADER + "ebg\n"],
-        ids=["no_header", "empty", "no_row", "short_row"])
+    @pytest.mark.parametrize("text, message", BAD_SCENARIOS.values(),
+                             ids=BAD_SCENARIOS.keys())
     def test_malformed_scenario_is_data_error(self, sim_dir, fit_dir,
-                                              tmp_path, capsys, text):
+                                              tmp_path, capsys, text,
+                                              message):
         # without its header and one full row, scenario.csv would leave
-        # metrics.csv's scenario columns NA without a word
+        # metrics.csv's scenario columns NA without a word; a value no
+        # cell can have would be copied into metrics.csv as it stands
         data = tmp_path / "data"
         shutil.copytree(sim_dir, data)
         (data / "scenario.csv").write_text(text)
@@ -351,7 +383,8 @@ class TestEvaluate:
         code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
                          str(data), "--out", str(out)])
         assert code == 3
-        assert str(data / "scenario.csv") in capsys.readouterr().err
+        assert (f"{data / 'scenario.csv'}: {message}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_mismatched_p_is_data_error(self, sim_dir, tmp_path):
@@ -467,6 +500,7 @@ class TestEvaluate:
         assert code == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "eval" / "roc.csv").exists()
+        assert not (tmp_path / "eval").exists()
 
     def test_short_coefficient_file_names_its_path(self, sim_dir, fit_dir,
                                                    tmp_path, capsys):
@@ -478,6 +512,54 @@ class TestEvaluate:
         assert code == 3
         assert (f"{fit_copy / 'coef_005.csv'} has 20 rows, expected 21"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "eval").exists()
+
+
+class TestRerunIntoSameOut:
+    """A rerun into an existing --out replaces netcov's own files there."""
+
+    def test_smaller_grid_leaves_no_old_coefficient_file(self, sim_dir,
+                                                         tmp_path):
+        out = tmp_path / "fit"
+        for grid in ("8", "4"):
+            assert cli.main(["fit", "--data", sim_dir, "--scheme", "ebg",
+                             "--out", str(out), "--folds", "3",
+                             "--grid-size", grid, "--seed", "3"]) == 0
+        assert len(read_rows(out / "cv.csv")) == 4
+        assert sorted(f.name for f in out.glob("coef_*.csv")) == [
+            f"coef_{i:03d}.csv" for i in range(4)]
+
+    def test_refit_without_nuisance_drops_the_nuisance_model(self, tmp_path):
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(6), [1, 1, 1, 2, 2, 2], d=1,
+                          N=40, nuisance_q=2)
+        ds = replace(ds, train_rows=np.arange(30), test_rows=np.arange(30, 40))
+        save_dataset(ds, str(tmp_path / "q2"))
+        save_dataset(replace(ds, nuisance=None), str(tmp_path / "q0"))
+        out = tmp_path / "fit"
+        for data in ("q2", "q0"):
+            assert cli.main(["fit", "--data", str(tmp_path / data),
+                             "--scheme", "ebg", "--out", str(out),
+                             "--folds", "3", "--grid-size", "6",
+                             "--seed", "3"]) == 0
+        assert not (out / "nuisance_model.csv").exists()
+        assert cli.main(["evaluate", "--fit", str(out), "--data",
+                         str(tmp_path / "q0"), "--out",
+                         str(tmp_path / "eval")]) == 0
+
+    def test_evaluate_without_truth_drops_the_roc(self, sim_dir, fit_dir,
+                                                  tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir, data)
+        os.remove(data / "truth.csv")
+        out = tmp_path / "eval"
+        for dataset in (sim_dir, data):
+            assert cli.main(["evaluate", "--fit", str(fit_dir), "--data",
+                             str(dataset), "--out", str(out)]) == 0
+        assert read_rows(out / "metrics.csv")[0]["recall"] == "NA"
+        assert not (out / "roc.csv").exists()
 
 
 class TestNuisanceEvaluate:
@@ -864,6 +946,21 @@ class TestBadInputRejected:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["y.csv", "communities.csv"])
+    def test_empty_file_is_one_data_error_line(self, sim_dir, tmp_path,
+                                               capsys, name):
+        # numpy warns about an empty file; the refusal is netcov's alone
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir, data)
+        (data / name).write_text("")
+        code = cli.main(["fit", "--data", str(data), "--scheme", "ebg",
+                         "--out", str(tmp_path / "fit"), "--seed", "1"])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"netcov: data error: {data / name}: ")
+        assert not (tmp_path / "fit").exists()
 
 
 class TestCpm:
@@ -936,6 +1033,17 @@ class TestCpm:
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_malformed_scenario_is_data_error(self, sim_dir, tmp_path,
+                                              capsys):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir, data)
+        (data / "scenario.csv").write_text(_scenario(alpha="abc"))
+        out = tmp_path / "cpm"
+        assert cli.main(["cpm", "--data", str(data), "--out", str(out)]) == 3
+        assert (f"{data / 'scenario.csv'}: alpha must be a number, got 'abc'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_alpha_one_is_legal(self, tmp_path):
         # the (0, 1] rule includes its upper end
         from conftest import make_dataset
@@ -952,11 +1060,12 @@ class TestCpm:
         assert args.alpha == 0.01
 
 
-def sweep_config(path, alphas="0.3,0.6", methods="scheme,lasso"):
+def sweep_config(path, alphas="0.3,0.6", methods="scheme,lasso",
+                 families="gaussian"):
     path.write_text(
         "seed = 11\n"
         "experiment.schemes = ebg\n"
-        "experiment.families = gaussian\n"
+        f"experiment.families = {families}\n"
         "experiment.n_active = 1\n"
         f"experiment.alphas = {alphas}\n"
         "experiment.replicates = 1\n"
@@ -971,7 +1080,93 @@ def sweep_config(path, alphas="0.3,0.6", methods="scheme,lasso"):
     return str(path)
 
 
+def _assert_same_files(expected, actual):
+    names = sorted(f.name for f in expected.iterdir())
+    assert names == sorted(f.name for f in actual.iterdir()
+                           if f.name != "run_manifest")
+    for name in names:
+        assert (expected / name).read_bytes() == (actual / name).read_bytes()
+
+
+def _assert_cells_match_standalone(out, alone, folds="3", grid="8"):
+    """Each saved cell of the sweep in ``out`` equals the standalone route
+    on it, run into ``alone``: ``fit`` with the cell's seed and the sweep's
+    folds and grid, then ``evaluate``, then ``cpm``; run_manifest aside."""
+    for cell in sorted((out / "cells").iterdir()):
+        seed = read_rows(cell / "scenario.csv")[0]["seed"]
+        data = ["--data", str(cell)]
+        fits = sorted(f.name for f in cell.glob("fit_*"))
+        for name in fits:
+            fit = str(alone / cell.name / name)
+            if name == "fit_cpm":
+                assert cli.main(["cpm", *data, "--out", fit]) == 0
+                continue
+            scheme = name[len("fit_"):]
+            assert cli.main(["fit", *data, "--scheme", scheme, "--out", fit,
+                             "--seed", seed, "--folds", folds,
+                             "--grid-size", grid]) == 0
+            assert cli.main(["evaluate", "--fit", fit, *data, "--out",
+                             str(alone / cell.name / f"eval_{scheme}")]) == 0
+        evals = sorted(f.name for f in cell.glob("eval_*"))
+        assert evals == [f"eval_{f[4:]}" for f in fits if f != "fit_cpm"]
+        for name in fits + evals:
+            _assert_same_files(cell / name, alone / cell.name / name)
+
+
 class TestSweep:
+    def test_sweep_reads_nothing_back(self, tmp_path, monkeypatch):
+        # each cell hands its dataset and fits to every method
+        cfg = sweep_config(tmp_path / "c.cfg", methods="scheme,lasso,cpm")
+        reread = tmp_path / "reread"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(reread)]) == 0
+
+        def read_back(*args, **kwargs):
+            raise AssertionError("a sweep cell read a file back")
+
+        for name in ("load_dataset", "_read_model", "_load_path_for_roc",
+                     "load_truth_csv"):
+            monkeypatch.setattr(cli, name, read_back)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert ((out / "metrics.csv").read_bytes()
+                == (reread / "metrics.csv").read_bytes())
+
+    def test_binomial_cell_matches_standalone_route(self, tmp_path):
+        cfg = sweep_config(tmp_path / "c.cfg", alphas="0.6",
+                           methods="scheme,lasso,cpm", families="binomial")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        _assert_cells_match_standalone(out, tmp_path / "alone")
+
+    def test_semisynthetic_cells_match_standalone_route(self, tmp_path):
+        # a source with nuisance columns whose manifest lists its splits
+        # out of order: a cell is saved with them sorted, and what the sweep
+        # hands on must be what the standalone route reloads
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(9), [1, 1, 1, 2, 2, 2], d=1,
+                          N=40, nuisance_q=2)
+        source = tmp_path / "source"
+        save_dataset(replace(ds, train_rows=np.arange(30),
+                             test_rows=np.arange(30, 40)), str(source))
+        _edit_manifest(source / "manifest", "train_rows", "16-30,1-15")
+        _edit_manifest(source / "manifest", "test_rows", "36-40,31-35")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "seed = 11\n"
+            "experiment.schemes = ebg,nbg\n"
+            "experiment.alphas = 0.6\n"
+            "experiment.replicates = 1\n"
+            f"data.design = {source}\n"
+            "solver.grid_size = 8\n"
+            "solver.folds = 3\n"
+            "sweep.methods = scheme,lasso,cpm\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        _assert_cells_match_standalone(out, tmp_path / "alone")
+
     def test_end_to_end_rows(self, tmp_path):
         cfg = sweep_config(tmp_path / "c.cfg", methods="scheme,lasso,cpm")
         out = tmp_path / "out"
