@@ -538,7 +538,8 @@ def _read_scenario(data_dir):
     parse_int(f"{path}: n_active", row["n_active"], 1)
     for key in ("alpha", "difficulty"):
         parse_number(f"{path}: {key}", row[key])
-    for key, allowed in (("family", ("gaussian", "binomial")),
+    for key, allowed in (("scheme", ("ebg", "nbg")),
+                         ("family", ("gaussian", "binomial")),
                          ("difficulty_metric", ("snr", "bayes_error"))):
         if row[key] not in allowed:
             raise ValueError(f"{path}: {key} must be {' or '.join(allowed)}"

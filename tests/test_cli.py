@@ -312,6 +312,8 @@ BAD_SCENARIOS = {
                       "n_active must be at least 1, got '0'"),
     "fractional_n_active": (_scenario(n_active="1.5"),
                             "n_active must be an integer, got '1.5'"),
+    "unknown_scheme": (_scenario(scheme="xyz"),
+                       "scheme must be ebg or nbg, got 'xyz'"),
     "unknown_family": (_scenario(family="poisson"),
                        "family must be gaussian or binomial, got 'poisson'"),
     "unknown_difficulty_metric": (
@@ -500,6 +502,20 @@ class TestEvaluate:
         assert code == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "eval" / "roc.csv").exists()
+        assert not (tmp_path / "eval").exists()
+
+    def test_cv_without_lambda_is_data_error(self, sim_dir, fit_dir,
+                                             tmp_path, capsys):
+        # no fit writes a cv.csv without a grid point to score
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        cv = fit_copy / "cv.csv"
+        cv.write_text(cv.read_text().splitlines()[0] + "\n")
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         sim_dir, "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"{fit_copy / 'cv.csv'}: lists no lambda"
+                in capsys.readouterr().err)
         assert not (tmp_path / "eval").exists()
 
     def test_short_coefficient_file_names_its_path(self, sim_dir, fit_dir,
