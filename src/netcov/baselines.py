@@ -7,13 +7,12 @@ sums split by correlation sign, and a simple OLS regression of the
 response on the two sums.  Node covariates are never read.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-__all__ = ["CpmModel", "cpm_fit", "cpm_predict", "write_cpm_edges"]
+__all__ = ["CpmModel", "cpm_fit", "cpm_predict"]
 
 CPM_ALPHA = 0.01  # the default p-value threshold for edge screening
 
@@ -111,19 +110,3 @@ def cpm_predict(model, Z, idx):
     if model.negative_edges.size:
         yhat = yhat + model.slope_neg * E[:, model.negative_edges].sum(axis=1)
     return yhat
-
-
-def write_cpm_edges(model, idx, path):
-    """``cpm_edges.csv``: selected edges with node pair, r, p and sign."""
-    pairs = idx.edge_pairs()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge_index", "node_k", "node_l", "r", "p", "sign"])
-        for sign, edges in (("+", model.positive_edges),
-                            ("-", model.negative_edges)):
-            for j in edges:
-                writer.writerow([
-                    int(j), int(pairs[0, j]) + 1, int(pairs[1, j]) + 1,
-                    repr(float(model.r_values[j])),
-                    repr(float(model.p_values[j])), sign,
-                ])

@@ -18,8 +18,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
 import argparse
-import csv
-import glob
 import os
 import shutil
 import sys
@@ -31,26 +29,25 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .baselines import (CPM_ALPHA, check_cpm_alpha, cpm_fit, cpm_predict,
-                        write_cpm_edges)
-# build_design is unused here but stays importable as netcov.cli.build_design,
-# a name the benchmark's traced run (benchmarks/spans.py) wraps
+from .baselines import CPM_ALPHA, check_cpm_alpha, cpm_fit, cpm_predict
+# build_design is unused here but stays importable as netcov.cli.build_design:
+# the benchmark's traced run (benchmarks/spans.py) wraps it there, as it wraps
+# each writer this module calls
 from .data import (build_design, load_dataset, parse_int,  # noqa: F401
-                   parse_number, read_feature_csv, read_manifest,
-                   read_number_csv, require_finite, require_keys,
-                   save_dataset, write_manifest)
-from .groups import split_communities, write_groups_csv
-from .metrics import (prediction_metrics, roc_along_path, support_metrics,
-                      write_metrics_csv, write_roc_csv)
-from .pipeline import (FittedModel, corrected_rows, make_groups,
-                       nuisance_corrected)
-from .preprocess import NuisanceModel
+                   parse_number, read_manifest, save_dataset, write_manifest)
+from .files import (load_truth_csv, read_fit, read_roc_path, read_scenario,
+                    write_active_groups_csv, write_cpm_edges, write_cv_csv,
+                    write_groups_csv, write_metrics_csv, write_model,
+                    write_path_csv, write_roc_csv, write_scenario_csv,
+                    write_truth_csv)
+from .groups import split_communities
+from .metrics import prediction_metrics, roc_along_path, support_metrics
+from .pipeline import corrected_rows, make_groups, nuisance_corrected
 from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, draw_response,
                        gen_design_synthetic, gen_semisynthetic, groups_for,
-                       load_truth_csv, make_beta, scenario_difficulty,
-                       write_scenario_csv, write_truth_csv)
-from .solver import GRID_SIZE, MIN_RATIO, ConvergenceError, write_path_csv
-from .tuning import cross_validate, select_and_refit, write_cv_csv
+                       make_beta, scenario_difficulty)
+from .solver import GRID_SIZE, MIN_RATIO, ConvergenceError
+from .tuning import cross_validate, select_and_refit
 
 __all__ = ["main", "ConfigError"]
 
@@ -269,15 +266,13 @@ def _simulate_cell(cfg, cell, cell_dir):
     save_dataset(dataset, tmp)
     write_truth_csv(truth, os.path.join(tmp, "truth.csv"))
     metric, value = scenario_difficulty(dataset, truth, cell.family)
-    write_scenario_csv(os.path.join(tmp, "scenario.csv"), cell.scheme,
-                       cell.family, cell.n_active, cell.alpha, metric, value,
-                       seed, cell.replicate)
+    scenario = write_scenario_csv(
+        os.path.join(tmp, "scenario.csv"), cell.scheme, cell.family,
+        cell.n_active, cell.alpha, metric, value, seed, cell.replicate)
     if os.path.exists(cell_dir):
         shutil.rmtree(cell_dir)
     os.replace(tmp, cell_dir)
-    # sorted as a reload gets them; the difficulty used a source's own order
-    return dc_replace(dataset, train_rows=np.sort(dataset.train_rows),
-                      test_rows=np.sort(dataset.test_rows)), truth
+    return dataset, truth, scenario
 
 
 def cmd_simulate(args):
@@ -316,20 +311,12 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
     model = fit.model
 
     os.makedirs(out_dir, exist_ok=True)
-    _remove_own_files(out_dir, "coef_[0-9][0-9][0-9]*.csv",
-                      "nuisance_model.csv")
     write_groups_csv(spec, os.path.join(out_dir, "groups.csv"))
     write_cv_csv(cv, os.path.join(out_dir, "cv.csv"))
     write_path_csv(fit.path, out_dir)
-    _write_model(model, out_dir)
-    entry = fit.path.entries[fit.index_hat]
-    with open(os.path.join(out_dir, "active_groups.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "norm"])
-        for name, norm in zip(fit.path.group_names,
-                              fit.path.group_norms(entry)):
-            if norm > 0:
-                writer.writerow([name, repr(norm)])
+    write_model(model, out_dir)
+    write_active_groups_csv(fit.path, fit.path.entries[fit.index_hat],
+                            os.path.join(out_dir, "active_groups.csv"))
     idx = dataset.index
     info = {
         "family": model.family,
@@ -351,116 +338,6 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
     }
     write_manifest(os.path.join(out_dir, "fit_info"), info)
     return fit
-
-
-def _remove_own_files(out_dir, *patterns):
-    """Remove netcov's own files of these name patterns from a user-named
-    ``out_dir``, so that a rerun there leaves none of another run's."""
-    for pattern in patterns:
-        for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
-            os.remove(path)
-
-
-def _write_feature_csv(path, header, *columns):
-    """One row per feature: its index, then one value from each column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index"] + header)
-        for j, values in enumerate(zip(*columns)):
-            writer.writerow([j] + [repr(float(v)) for v in values])
-
-
-def _write_model(model, out_dir):
-    """Write a FittedModel's arrays; its scalars go to ``fit_info``."""
-    _write_feature_csv(os.path.join(out_dir, "coefficients.csv"), ["beta"],
-                       model.beta)
-    _write_feature_csv(os.path.join(out_dir, "standardization.csv"),
-                       ["mean", "sd"], model.column_means, model.column_sds)
-    if model.nuisance_model is not None:
-        _write_nuisance_model(model.nuisance_model,
-                              os.path.join(out_dir, "nuisance_model.csv"))
-
-
-def _read_model(fit_dir, info, dataset):
-    """The FittedModel that :func:`run_fit` wrote to ``fit_dir``, to score
-    on ``dataset``; a missing key, a fit of another p or family, a value
-    that is not a finite number, a negative sd or a y_sd not above 0 is a
-    data error."""
-    info_path = os.path.join(fit_dir, "fit_info")
-    require_keys(info_path, info, ("family", "p", "intercept", "y_mean",
-                                   "y_sd"))
-    p = dataset.index.p
-    if parse_int(f"{info_path}: p", info["p"], 1) != p:
-        raise ValueError(
-            f"fit was trained with p={info['p']} but dataset has p={p}")
-    if info["family"] != dataset.family:
-        raise ValueError(f"fit was trained on the {info['family']} family "
-                         f"but dataset is {dataset.family}")
-    beta, = read_feature_csv(os.path.join(fit_dir, "coefficients.csv"), p, 1)
-    std_path = os.path.join(fit_dir, "standardization.csv")
-    means, sds = read_feature_csv(std_path, p, 2)
-    if np.any(sds < 0.0):
-        raise ValueError(f"{std_path}: sd is negative")
-    mu = parse_number(f"{info_path}: intercept", info["intercept"])
-    y_mean, y_sd = (None if info[key] == "NA"
-                    else parse_number(f"{info_path}: {key}", info[key])
-                    for key in ("y_mean", "y_sd"))
-    if y_sd is not None and y_sd <= 0.0:
-        raise ValueError(f"{info_path}: y_sd is not positive")
-    nm_path = os.path.join(fit_dir, "nuisance_model.csv")
-    return FittedModel(
-        family=info["family"], mu=mu, beta=beta, column_means=means,
-        column_sds=sds, y_mean=y_mean, y_sd=y_sd,
-        nuisance_model=(_read_nuisance_model(nm_path, p, dataset.family)
-                        if os.path.exists(nm_path) else None),
-    )
-
-
-def _write_nuisance_model(model, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target"] + [f"c{j}" for j in
-                                      range(model.feature_coefs.shape[0])])
-        for j in range(model.feature_coefs.shape[1]):
-            writer.writerow([f"f{j}"] + [repr(float(v))
-                                         for v in model.feature_coefs[:, j]])
-        if model.y_coefs is not None:
-            writer.writerow(["y"] + [repr(float(v)) for v in model.y_coefs])
-
-
-def _read_nuisance_model(path, p, family):
-    """The NuisanceModel that :func:`_write_nuisance_model` wrote for a fit
-    of ``p`` features: a header ``target,c0,...,c<q>``, then the rows
-    ``f0`` to ``f<p-1>`` in order and, for the gaussian family only, a row
-    ``y``, each with q+1 finite numbers.  Anything else is a data error
-    naming the file."""
-    with open(path, newline="") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    width = len(header)  # the target, then q+1 coefficients
-    if width < 2:
-        raise ValueError(f"{path}: the header names no coefficients")
-    targets = [f"f{j}" for j in range(p)] + ["y"] * (family == "gaussian")
-    if len(rows) != len(targets):
-        raise ValueError(f"{path}: {len(rows)} rows, expected "
-                         f"{len(targets)}: f0 to f{p - 1}"
-                         + (" and y" if family == "gaussian" else ""))
-    values = np.empty((len(rows), width - 1))
-    for line, (row, target, out) in enumerate(zip(rows, targets, values), 2):
-        if len(row) != width:
-            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
-                             f"expected {width}")
-        if row[0] != target:
-            raise ValueError(f"{path}: line {line} is row {row[0]!r}, "
-                             f"expected {target!r}")
-        try:
-            out[:] = [float(v) for v in row[1:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {line} holds a value that is "
-                             "not a number") from None
-        require_finite(path, f"row {target}", out)
-    return NuisanceModel(feature_coefs=values[:p].T,
-                         y_coefs=values[p] if family == "gaussian" else None,
-                         q=width - 2)
 
 
 def cmd_fit(args):
@@ -507,7 +384,7 @@ def cmd_cpm(args):
         alpha = check_cpm_alpha(parse_number("alpha", args.alpha))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    run_cpm(load_dataset(args.data), _read_scenario(args.data), args.out,
+    run_cpm(load_dataset(args.data), read_scenario(args.data), args.out,
             alpha)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "cpm", {},
@@ -519,33 +396,6 @@ def cmd_cpm(args):
 
 # ---------------------------------------------------------------------------
 # evaluate
-
-def _read_scenario(data_dir):
-    """The scenario columns of a dataset's ``scenario.csv`` as written, or
-    none without that file.  A missing column or row, or a value no cell
-    can have, is a data error naming the file (and the key)."""
-    path = os.path.join(data_dir, "scenario.csv")
-    if not os.path.exists(path):
-        return {}
-    keys = ("scheme", "family", "n_active", "alpha", "difficulty_metric",
-            "difficulty")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        require_keys(path, reader.fieldnames or (), keys)
-        row = next(reader, None)
-    if row is None or None in row.values():
-        raise ValueError(f"{path}: expected one full row under the header")
-    parse_int(f"{path}: n_active", row["n_active"], 1)
-    for key in ("alpha", "difficulty"):
-        parse_number(f"{path}: {key}", row[key])
-    for key, allowed in (("scheme", ("ebg", "nbg")),
-                         ("family", ("gaussian", "binomial")),
-                         ("difficulty_metric", ("snr", "bayes_error"))):
-        if row[key] not in allowed:
-            raise ValueError(f"{path}: {key} must be {' or '.join(allowed)}"
-                             f", got {row[key]!r}")
-    return {key: row[key] for key in keys}
-
 
 def run_evaluate(method, model, path, dataset, truth, scenario, out_dir):
     """Score ``model`` on ``dataset``'s test rows and, given the ``truth``,
@@ -565,53 +415,24 @@ def run_evaluate(method, model, path, dataset, truth, scenario, out_dir):
 
     os.makedirs(out_dir, exist_ok=True)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
+    roc = os.path.join(out_dir, "roc.csv")
     if truth is not None:
-        write_roc_csv(os.path.join(out_dir, "roc.csv"),
-                      [(method, roc_along_path(path, truth))])
-    else:
-        _remove_own_files(out_dir, "roc.csv")
+        write_roc_csv(roc, [(method, roc_along_path(path, truth))])
+    elif os.path.exists(roc):
+        os.remove(roc)  # another run's, with a truth this dataset lacks
     return row
-
-
-def _load_path_for_roc(fit_dir, p):
-    """The fitted path as ROC input: the lambda grid from ``cv.csv`` (one
-    row per point, the values ``path.csv`` repeats per group) and each
-    point's coefficients from its ``coef_<i>.csv``."""
-    cv_path = os.path.join(fit_dir, "cv.csv")
-    with open(cv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        require_keys(cv_path, reader.fieldnames or (), ("lambda",))
-        lams = [parse_number(f"{cv_path}: lambda", r["lambda"])
-                for r in reader]
-    if not lams:
-        raise ValueError(f"{cv_path}: lists no lambda")
-    entries = []
-    for i, lam in enumerate(lams):
-        path = os.path.join(fit_dir, f"coef_{i:03d}.csv")
-        try:
-            coef = read_number_csv(path).reshape(-1)
-        except ValueError:
-            raise ValueError(f"{path} holds a value that is not a "
-                             "number") from None
-        if coef.size != p:
-            raise ValueError(f"{path} has {coef.size} rows, expected {p}")
-        require_finite(path, "beta", coef)
-        entries.append(SimpleNamespace(lam=lam, beta=coef))
-    return SimpleNamespace(entries=entries)
 
 
 def cmd_evaluate(args):
     dataset = load_dataset(args.data)
-    info = read_manifest(os.path.join(args.fit, "fit_info"))
-    model = _read_model(args.fit, info, dataset)
-    scenario = _read_scenario(args.data)
+    method, model = read_fit(args.fit, dataset)
+    scenario = read_scenario(args.data)
     truth_path = os.path.join(args.data, "truth.csv")
     truth = path = None
     if os.path.exists(truth_path):
         truth = load_truth_csv(truth_path, dataset.index.p)
-        path = _load_path_for_roc(args.fit, dataset.index.p)
-    run_evaluate(info.get("method", info.get("scheme")), model, path,
-                 dataset, truth, scenario, args.out)
+        path = read_roc_path(args.fit, dataset.index.p)
+    run_evaluate(method, model, path, dataset, truth, scenario, args.out)
     return 0
 
 
@@ -622,8 +443,7 @@ def _sweep_cell_job(payload):
     cfg, cell, out_dir = payload
     s = cfg.settings
     cell_dir = os.path.join(out_dir, "cells", cell.cell_id)
-    dataset, truth = _simulate_cell(cfg, cell, cell_dir)
-    scenario = _read_scenario(cell_dir)
+    dataset, truth, scenario = _simulate_cell(cfg, cell, cell_dir)
     seed = _cell_seed(s.seed, cell.index)
     rows = []
     for method in s.methods:

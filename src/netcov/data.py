@@ -36,7 +36,6 @@ A dataset directory contains headerless, comma-separated CSVs:
                       e.g. ``1-785`` or ``1-5,7,9-12``)
 """
 
-import csv
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -211,9 +210,10 @@ class Dataset:
 
     ``edges`` holds the edge-weight block (N x n(n-1)/2, canonical
     order), ``node_covs`` the node-covariate block (N x n*d, node-major).
-    ``train_rows``/``test_rows`` are optional 0-based row index arrays.
-    Construction rejects non-finite values, a repeated row within either
-    split, and a row in both splits.
+    ``train_rows``/``test_rows`` are optional 0-based row index arrays,
+    stored sorted, since a split is a set of rows.  Construction rejects
+    non-finite values, a repeated row within either split, and a row in
+    both splits.
     """
 
     edges: np.ndarray
@@ -268,9 +268,10 @@ class Dataset:
                 rows = np.asarray(rows, dtype=np.int64)
                 if rows.size and (rows.min() < 0 or rows.max() >= N):
                     raise ValueError(f"{name} out of range for N={N}")
-                if np.unique(rows).size != rows.size:
+                unique = np.unique(rows)
+                if unique.size != rows.size:
                     raise ValueError(f"{name} lists a row more than once")
-                object.__setattr__(self, name, rows)
+                object.__setattr__(self, name, unique)
         if (self.train_rows is not None and self.test_rows is not None
                 and np.intersect1d(self.train_rows, self.test_rows).size):
             raise ValueError("train_rows and test_rows overlap")
@@ -484,52 +485,6 @@ def write_manifest(path, entries, header=None):
 def _seeded_rng(seed, *tags):
     """The generator of stream (seed, *tags); there is no unseeded one."""
     return np.random.default_rng((int(seed),) + tuple(int(t) for t in tags))
-
-
-def require_finite(path, name, values):
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: {name} is not finite")
-
-
-def read_feature_csv(path, p, width, sparse=False):
-    """The ``width`` value columns of a per-feature CSV (a header, then a
-    feature index and ``width`` values on each row) as length-p arrays.
-    Every feature is listed exactly once, unless the file is ``sparse``:
-    then a feature may be left out and its values are 0.0.  A row of
-    another length, an index that is not an integer, outside 0..p-1 or
-    listed twice, a missing feature, or a value that is not a finite
-    number is a data error naming the file."""
-    with open(path, newline="") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    for line, row in enumerate([header, *rows], 1):
-        if len(row) != width + 1:
-            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
-                             f"expected {width + 1}")
-    columns = np.zeros((width, p))
-    listed = np.zeros(p, dtype=bool)
-    for line, row in enumerate(rows, 2):
-        try:
-            j = int(row[0])
-        except ValueError:
-            raise ValueError(f"{path}: line {line} has feature index "
-                             f"{row[0]!r}, not an integer") from None
-        if not 0 <= j < p:
-            raise ValueError(f"{path}: feature index {j} outside 0..{p - 1}")
-        if listed[j]:
-            raise ValueError(f"{path}: feature index {j} is listed twice")
-        listed[j] = True
-        try:
-            columns[:, j] = [float(value) for value in row[1:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {line} holds a value that is "
-                             "not a number") from None
-    if not (sparse or listed.all()):
-        missing = np.flatnonzero(~listed)
-        raise ValueError(f"{path}: {missing.size} of {p} features are not "
-                         f"listed (first few: {missing[:5].tolist()})")
-    for name, column in zip(header[1:], columns):
-        require_finite(path, name, column)
-    return list(columns)
 
 
 def read_number_csv(path, ndmin=0):

@@ -21,7 +21,6 @@ shared coordinates are duplicated so groups become disjoint; the
 duplicates to recover a coefficient vector in the original space.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +40,6 @@ __all__ = [
     "fold_back",
     "split_communities",
     "normalize_group_name",
-    "write_groups_csv",
 ]
 
 
@@ -288,13 +286,3 @@ def split_communities(cm, target_size, seed):
     from .data import CommunityMap
 
     return CommunityMap(assignments=new_labels)
-
-
-def write_groups_csv(spec, path):
-    """Audit export: one row per (group_name, feature_index), contract order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "feature_index"])
-        for name, members in zip(spec.names, spec.members):
-            for j in members:
-                writer.writerow([name, int(j)])

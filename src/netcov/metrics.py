@@ -12,7 +12,6 @@ definitions of the false positive rate are sometimes garbled, the false
 discovery rate is emitted alongside so both readings are available.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "prediction_metrics",
     "roc_along_path",
     "roc_dominance",
-    "write_metrics_csv",
-    "write_roc_csv",
 ]
 
 SELECTION_TOL = 1e-12
@@ -44,9 +41,6 @@ class SupportReport:
     tn: int
     recall: float
     precision: float
-    group_recall: float = None
-    group_precision: float = None
-    selected_groups: tuple = None
 
     @property
     def p(self):
@@ -71,14 +65,9 @@ def _counts(selected, true):
     return tp, fp, fn, tn
 
 
-def support_metrics(beta_hat, truth, spec=None):
-    """Feature-level confusion counts of an estimate against ground truth.
-
-    ``truth`` is a GroundTruth or a coefficient vector.  With a GroupSpec
-    the group-level analogues are included: a group counts as selected
-    when any of its coordinates is selected, and as truly active when
-    named in the ground truth.
-    """
+def support_metrics(beta_hat, truth):
+    """Feature-level confusion counts of an estimate against ground truth,
+    a GroundTruth or a coefficient vector."""
     beta_hat = np.asarray(beta_hat, dtype=np.float64).ravel()
     true_beta = np.asarray(getattr(truth, "beta", truth),
                            dtype=np.float64).ravel()
@@ -89,28 +78,9 @@ def support_metrics(beta_hat, truth, spec=None):
     selected = np.abs(beta_hat) > SELECTION_TOL
     true = true_beta != 0.0
     tp, fp, fn, tn = _counts(selected, true)
-    recall = _safe_ratio(tp, tp + fn)
-    precision = _safe_ratio(tp, tp + fp)
-
-    group_recall = group_precision = None
-    selected_groups = None
-    if spec is not None:
-        sel_names = tuple(name for name, g in zip(spec.names, spec.members)
-                          if selected[g].any())
-        true_names = set(getattr(truth, "active_groups", ()) or ())
-        if true_names:
-            from .groups import normalize_group_name
-
-            true_norm = {normalize_group_name(t) for t in true_names}
-            sel_norm = {normalize_group_name(s) for s in sel_names}
-            gtp = len(sel_norm & true_norm)
-            group_recall = _safe_ratio(gtp, len(true_norm))
-            group_precision = _safe_ratio(gtp, len(sel_norm))
-        selected_groups = sel_names
-    return SupportReport(tp=tp, fp=fp, fn=fn, tn=tn, recall=recall,
-                         precision=precision, group_recall=group_recall,
-                         group_precision=group_precision,
-                         selected_groups=selected_groups)
+    return SupportReport(tp=tp, fp=fp, fn=fn, tn=tn,
+                         recall=_safe_ratio(tp, tp + fn),
+                         precision=_safe_ratio(tp, tp + fp))
 
 
 def prediction_metrics(y_hat, y_test, family):
@@ -175,37 +145,3 @@ def roc_dominance(points_a, points_b):
     a = np.interp(grid, fa, ta)
     b = np.interp(grid, fb, tb)
     return float(np.mean(a >= b - 1e-9))  # slack for float dust in TPR
-
-
-def _fmt(value):
-    if value is None:
-        return "NA"
-    if isinstance(value, float) and np.isnan(value):
-        return "NA"
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def write_metrics_csv(path, rows):
-    """Tidy per-cell metrics table; one row per (cell, method)."""
-    columns = ["scheme", "family", "n_active", "alpha", "difficulty_metric",
-               "difficulty", "method", "recall", "precision", "correlation",
-               "accuracy"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
-
-
-def write_roc_csv(path, labelled_points):
-    """``roc.csv``: method, lambda, fpr, tpr, fdr for each path point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "lambda", "fpr", "tpr", "fdr"])
-        for method, points in labelled_points:
-            for pt in points:
-                writer.writerow([method, _fmt(float(pt["lambda"])),
-                                 _fmt(pt["fpr"]), _fmt(pt["tpr"]),
-                                 _fmt(pt["fdr"])])

@@ -19,14 +19,13 @@ always zero.  Difficulty is summarized by the signal-to-noise ratio
 both over the empirical distribution of the training rows.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .data import (CommunityMap, Dataset, FeatureIndex, _seeded_rng,
-                   build_design, load_dataset, read_feature_csv)
+                   build_design, load_dataset)
 from .groups import scheme_groups, split_communities
 
 __all__ = [
@@ -39,9 +38,6 @@ __all__ = [
     "draw_response",
     "scenario_difficulty",
     "gen_semisynthetic",
-    "write_truth_csv",
-    "load_truth_csv",
-    "write_scenario_csv",
 ]
 
 NOISE_SD = 1.0  # gaussian response noise, sigma^2 = 1
@@ -199,30 +195,3 @@ def gen_semisynthetic(files_path, config, split_target=None):
     truth = make_beta(spec, config.active_groups, config.alpha)
     y = draw_response(centered, truth, config.family, config.seed, tag=1)
     return replace(centered, y=y), truth, communities
-
-
-def write_truth_csv(truth, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_index", "beta"])
-        for j in np.flatnonzero(truth.beta):
-            writer.writerow([int(j), repr(float(truth.beta[j]))])
-
-
-def load_truth_csv(path, p):
-    """The ground truth :func:`write_truth_csv` wrote, read as any other
-    per-feature file: a bad index or a non-finite beta is a data error."""
-    beta, = read_feature_csv(path, p, 1, sparse=True)
-    return GroundTruth(beta=beta, mu=0.0, active_features=np.flatnonzero(beta),
-                       active_groups=())
-
-
-def write_scenario_csv(path, scheme, family, n_active, alpha, metric, value,
-                       seed, replicate):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scheme", "family", "n_active", "alpha",
-                         "difficulty_metric", "difficulty", "seed",
-                         "replicate"])
-        writer.writerow([scheme, family, n_active, repr(float(alpha)),
-                         metric, repr(float(value)), seed, replicate])

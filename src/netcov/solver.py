@@ -72,7 +72,6 @@ terms in column order, so the result is bit for bit that of one column
 at a time.
 """
 
-import csv
 import ctypes
 import functools
 import hashlib
@@ -82,7 +81,6 @@ import platform
 import subprocess
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import pairwise
 
 import numpy as np
 from scipy.special import expit, logit
@@ -103,7 +101,6 @@ __all__ = [
     "lambda_grid",
     "fit_at_lambda",
     "fit_path",
-    "write_path_csv",
 ]
 
 ETA_CLIP = 30.0  # linear-predictor threshold guarding exp/log1p overflow
@@ -239,13 +236,6 @@ class PathFit:
     entries: list
     group_names: tuple
     offsets: np.ndarray
-
-    def group_norms(self, entry):
-        """Each group's coefficient norm at a path entry, as written to
-        the CSVs: one ``np.linalg.norm`` per group, whose last bit can
-        differ from the solver's reduceat norms."""
-        return [float(np.linalg.norm(entry.beta_tilde[s0:s1]))
-                for s0, s1 in pairwise(self.offsets.tolist())]
 
 
 def deviance(family, y, eta):
@@ -697,21 +687,3 @@ def fit_path(problem, basis, emap, lambdas):
         ))
     return PathFit(lambdas=lambdas, entries=entries, group_names=problem.names,
                    offsets=problem.offsets)
-
-
-def write_path_csv(path_fit, directory):
-    """Serialize a path: ``path.csv`` plus one ``coef_<i>.csv`` per grid point."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "path.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_index", "lambda", "group", "active",
-                         "group_norm"])
-        for i, entry in enumerate(path_fit.entries):
-            active = set(entry.active_groups)
-            for name, norm in zip(path_fit.group_names,
-                                  path_fit.group_norms(entry)):
-                writer.writerow([i, repr(entry.lam), name,
-                                 int(name in active), repr(norm)])
-    for i, entry in enumerate(path_fit.entries):
-        name = os.path.join(directory, f"coef_{i:03d}.csv")
-        np.savetxt(name, entry.beta.reshape(-1, 1), fmt="%.17g", delimiter=",")

@@ -11,7 +11,6 @@ then refit on the full training set at that value, reusing the
 preparation that gave the grid.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from .pipeline import FittedModel, holdout_deviance, prepare
 from .solver import GRID_SIZE, MIN_RATIO, fit_path, lambda_grid, lambda_max
 
 __all__ = ["CVResult", "FitResult", "cross_validate", "select_and_refit",
-           "one_se_select", "write_cv_csv"]
+           "one_se_select"]
 
 
 @dataclass(frozen=True)
@@ -177,15 +176,3 @@ def select_and_refit(cv):
         index_hat=cv.index_one_se, path=pf, cv=replace(cv, prepared=None),
         deviance=entry.deviance, kkt_residual=entry.kkt_residual,
     )
-
-
-def write_cv_csv(cv, path):
-    """``cv.csv``: lambda, mean deviance, SE, selection flags."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "mean_deviance", "se", "is_min",
-                         "is_one_se"])
-        for i, lam in enumerate(cv.lambdas):
-            writer.writerow([repr(float(lam)), repr(float(cv.mean_deviance[i])),
-                             repr(float(cv.se[i])), int(i == cv.index_min),
-                             int(i == cv.index_one_se)])

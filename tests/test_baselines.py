@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netcov import FeatureIndex, cpm_fit, cpm_predict
-from netcov.baselines import write_cpm_edges
+from netcov.files import write_cpm_edges
 
 
 def planted_design(rng, N=500, n=10, noise=0.5):

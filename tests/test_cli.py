@@ -239,6 +239,26 @@ class TestFit:
         coef = read_rows(out / "coefficients.csv")
         assert len(coef) == 21  # p = 15 edges + 6 covariates
 
+    def test_split_order_changes_no_output(self, sim_dir, tmp_path):
+        # a split is a set of rows: listed backwards in the manifest, it
+        # gives the same folds, fit and evaluation
+        backwards = tmp_path / "backwards"
+        shutil.copytree(sim_dir, backwards)
+        for key, rows in (("train_rows", range(40, 0, -1)),
+                          ("test_rows", range(80, 40, -1))):
+            _edit_manifest(backwards / "manifest", key,
+                           ",".join(map(str, rows)))
+        for i, data in enumerate((sim_dir, backwards)):
+            out = tmp_path / f"out{i}"
+            assert cli.main(["fit", "--data", str(data), "--scheme", "ebg",
+                             "--out", str(out / "fit"), "--folds", "3",
+                             "--grid-size", "8", "--seed", "3"]) == 0
+            assert cli.main(["evaluate", "--fit", str(out / "fit"), "--data",
+                             str(data), "--out", str(out / "eval")]) == 0
+            (out / "fit" / "run_manifest").unlink()  # names the data dir
+        for sub in ("fit", "eval"):
+            _assert_same_files(tmp_path / "out0" / sub, tmp_path / "out1" / sub)
+
     def test_cv_csv_flags(self, sim_dir, tmp_path):
         out = tmp_path / "fit"
         cli.main(["fit", "--data", sim_dir, "--scheme", "ebg", "--out",
@@ -303,6 +323,10 @@ BAD_SCENARIOS = {
     "no_row": (SCENARIO_HEADER, "expected one full row under the header"),
     "short_row": (SCENARIO_HEADER + "ebg\n",
                   "expected one full row under the header"),
+    "long_row": (SCENARIO_HEADER + "ebg,gaussian,1,0.6,snr,2.5,7\n",
+                 "expected one full row under the header"),
+    "second_row": (_scenario() + "nbg,binomial,5,0.3,bayes_error,0.2\n",
+                   "expected one full row under the header"),
     "text_alpha": (_scenario(alpha="abc"),
                    "alpha must be a number, got 'abc'"),
     "nan_alpha": (_scenario(alpha="nan"), "alpha is not finite"),
@@ -786,6 +810,10 @@ class TestFitFileNumbers:
         "missing_family": (
             lambda f: _drop_manifest_key(f / "fit_info", "family"),
             "fit_info: missing required key 'family'"),
+        # run_fit always writes the method that metrics.csv and roc.csv name
+        "missing_method": (
+            lambda f: _drop_manifest_key(f / "fit_info", "method"),
+            "fit_info: missing required key 'method'"),
         "text_p": (lambda f: _edit_manifest(f / "fit_info", "p", "x"),
                    "fit_info: p must be an integer, got 'x'"),
         "text_intercept": (
@@ -1139,8 +1167,8 @@ class TestSweep:
         def read_back(*args, **kwargs):
             raise AssertionError("a sweep cell read a file back")
 
-        for name in ("load_dataset", "_read_model", "_load_path_for_roc",
-                     "load_truth_csv"):
+        for name in ("load_dataset", "read_fit", "read_roc_path",
+                     "load_truth_csv", "read_scenario"):
             monkeypatch.setattr(cli, name, read_back)
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from netcov import (CommunityMap, FeatureIndex, blocks, cells, ebg_groups,
                     expand, fold_back, nbg_groups, singleton_groups,
                     split_communities)
-from netcov.groups import (normalize_group_name, scheme_groups,
-                           write_groups_csv)
+from netcov.files import write_groups_csv
+from netcov.groups import normalize_group_name, scheme_groups
 from oracles import expand_design
 
 # 13-community, 236-node reference layout used by the acceptance checks

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 from netcov import (prediction_metrics, roc_along_path, roc_dominance,
                     support_metrics)
-from netcov.metrics import write_metrics_csv, write_roc_csv
+from netcov.files import write_metrics_csv, write_roc_csv
 
 
 def truth_vec(p, support, value=1.0):
@@ -62,19 +62,6 @@ class TestSupportMetrics:
         est = np.array([1.0, 1e-13, 0.0, -1e-15])
         rep = support_metrics(est, truth)
         assert rep.fp == 0
-
-    def test_group_level(self):
-        from netcov import CommunityMap, FeatureIndex, ebg_groups, make_beta
-
-        cm = CommunityMap(assignments=[1, 1, 2])
-        spec = ebg_groups(cm, FeatureIndex(n=3, d=1))
-        truth = make_beta(spec, ("(1,1)",), 0.5)
-        est = np.zeros(spec.p)
-        est[0] = 1.0  # edge inside (1,1) only
-        rep = support_metrics(est, truth, spec=spec)
-        assert rep.group_recall == 1.0
-        assert rep.group_precision == 1.0
-        assert rep.selected_groups == ("(1,1)",)
 
 
 class TestPredictionMetrics:

@@ -5,9 +5,9 @@ from netcov import (CommunityMap, FeatureIndex, build_design, ebg_groups,
                     gen_design_synthetic, gen_semisynthetic, make_beta,
                     nbg_groups, save_dataset, scenario_difficulty,
                     draw_response)
+from netcov.files import load_truth_csv, write_truth_csv
 from netcov.simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS,
-                             default_communities, load_truth_csv,
-                             write_truth_csv)
+                             default_communities)
 
 
 def small_config(**kw):
@@ -55,7 +55,7 @@ class TestMakeBeta:
         # independent oracle: re-derive the support from the exported file
         import csv
 
-        from netcov.groups import write_groups_csv
+        from netcov.files import write_groups_csv
 
         cm = default_communities(4, 3)
         spec = ebg_groups(cm, FeatureIndex(n=12, d=1))

@@ -3,8 +3,10 @@ uses, a module-level private name that nothing references, a
 module-level UPPER_CASE constant that no module reads, a public function
 or class that nothing names and a public method or property that nothing
 reads as an attribute.  Public names count as used when the package, its
-tests, its demos or its benchmark use them.  All are read from the syntax
-tree, so no linter is needed.  The C sweep kernel must compile without a
+tests, its demos or its benchmark use them.  Only ``files.py`` imports
+``csv``, and only it and ``data.py`` write files with ``open`` or
+``np.savetxt``, so one module lists every output file.  All are read from
+the syntax tree, so no linter is needed.  The C sweep kernel must compile without a
 warning under the solver's own flags."""
 
 import ast
@@ -129,6 +131,54 @@ def test_the_checks_see_dead_code():
     assert public_methods(source) == ["Path.betas", "Path.norms"]
     # a store is not a read, and ``norms`` is never read as an attribute
     assert attribute_reads(source) == {"entries", "betas"}
+
+
+def imports_csv(source):
+    return any(isinstance(node, ast.Import)
+               and any(alias.name == "csv" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "csv"
+               for node in ast.walk(ast.parse(source)))
+
+
+def file_writes(source):
+    """The line of each ``savetxt`` call and of each ``open`` call whose
+    mode writes, or is not a literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        modes = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "mode"]
+        writes = any(not isinstance(mode, ast.Constant)
+                     or set(str(mode.value)) & set("wax+") for mode in modes)
+        if name == "savetxt" or name == "open" and writes:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_checks_see_csv_and_file_writes():
+    source = ("from csv import writer\n"
+              "open(path, 'w')\n"
+              "open(path)\n"
+              "open(path, mode='a')\n"
+              "open(path, 'rb')\n"
+              "open(path, mode)\n"
+              "np.savetxt(path, values)\n")
+    assert imports_csv(source) and imports_csv("import os, csv\n")
+    assert not imports_csv("import csvkit\n")
+    assert file_writes(source) == [2, 4, 6, 7]
+
+
+def test_only_files_imports_csv():
+    assert [path.name for path in MODULES if imports_csv(path.read_text())
+            and path.name != "files.py"] == []
+
+
+def test_only_files_and_data_write_files():
+    assert [f"{path.name}:{line}" for path in MODULES
+            if path.name not in ("files.py", "data.py")
+            for line in file_writes(path.read_text())] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
