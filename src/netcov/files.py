@@ -62,22 +62,31 @@ def _labelled_row(label, values):
     return [label] + [repr(float(v)) for v in values]
 
 
-def _read_labelled(path, width=None):
-    """A CSV whose lines under the header are a label and numbers, as
-    (header, labels, values) with one row of ``values`` per line.  Every
-    line, the header too, has ``width`` + 1 fields, or without ``width``
-    as many as the header, which must name at least one value; another
-    length or a value that is not a number is a data error."""
+def _read_rows(path, fields=None):
+    """A CSV as (header, rows).  Every line, the header too, has
+    ``fields`` fields, or without ``fields`` as many as the header;
+    another length is a data error."""
     with open(path, newline="") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
-    fields = len(header) if width is None else width + 1
-    if fields < 2:
-        raise ValueError(f"{path}: the header names no values")
+    if fields is None:
+        fields = len(header)
     for line, row in enumerate([header, *rows], 1):
         if len(row) != fields:
             raise ValueError(f"{path}: line {line} has {len(row)} fields, "
                              f"expected {fields}")
-    values = np.empty((len(rows), fields - 1))
+    return header, rows
+
+
+def _read_labelled(path, width=None):
+    """A CSV whose lines under the header are a label and numbers, as
+    (header, labels, values) with one row of ``values`` per line.  Every
+    line has ``width`` + 1 fields, or without ``width`` as many as the
+    header (:func:`_read_rows`), which must name at least one value; a
+    value that is not a number is a data error."""
+    header, rows = _read_rows(path, None if width is None else width + 1)
+    if len(header) < 2:
+        raise ValueError(f"{path}: the header names no values")
+    values = np.empty((len(rows), len(header) - 1))
     for line, (row, out) in enumerate(zip(rows, values), 2):
         try:
             out[:] = [float(v) for v in row[1:]]
@@ -198,13 +207,13 @@ def write_path_csv(path_fit, directory):
 def read_roc_path(fit_dir, p):
     """The fitted path as ROC input: the lambda grid from ``cv.csv`` (one
     row per point, the values ``path.csv`` repeats per group) and each
-    point's coefficients from its ``coef_<i>.csv``."""
+    point's coefficients from its ``coef_<i>.csv``.  Every ``cv.csv`` line
+    has as many fields as its header."""
     cv_path = os.path.join(fit_dir, "cv.csv")
-    with open(cv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        require_keys(cv_path, reader.fieldnames or (), ("lambda",))
-        lams = [parse_number(f"{cv_path}: lambda", r["lambda"])
-                for r in reader]
+    header, rows = _read_rows(cv_path)
+    require_keys(cv_path, header, ("lambda",))
+    column = header.index("lambda")
+    lams = [parse_number(f"{cv_path}: lambda", row[column]) for row in rows]
     if not lams:
         raise ValueError(f"{cv_path}: lists no lambda")
     entries = []

@@ -48,28 +48,40 @@ hands each point its start state as an argument (the last solution's
 state, or the same extrapolation of the last two) and solves each point
 once, under the one sweep cap ``MAX_SWEEPS``.
 
-The pass over the groups, the hot loop of every sweep, runs in C:
-``sweep_kernel.c`` beside this module.  A path binds it once to the group
-layout that :class:`PenalizedProblem` checks when it is built, and each
-solve binds that to its own state and coefficient arrays.  It is
-compiled with the system C compiler (``gcc``) the first time a solve
-binds it, never at import, and loaded with :mod:`ctypes`; ctypes and a
-compiler need no package beyond the standard library, where cffi would
-be an undeclared dependency.  The library is cached under the user cache
+The sweeps run in C, ``sweep_kernel.c`` beside this module, one call
+per Anderson window: :func:`_solve_block` runs up to ``ANDERSON_K + 1``
+sweeps (fewer where ``MAX_SWEEPS`` comes first) and stops after the
+first whose change is below the inner tolerance.  Each sweep re-takes
+the binomial step residual as ``(y - 1/(1 + exp(-eta))) / 0.25``, the
+form scipy's ``expit`` computes with the same libm ``exp``; moves the
+intercept by the residual's mean, summed in numpy's pairwise order so
+that it is ``np.mean`` to the bit; and makes the pass over the active
+groups.  Each sweep that does not stop the window writes its
+``(mu, beta[coords])`` and its state as one row of two buffers the path
+allocates once, and the Anderson step reads those rows in place.  So
+the paths are bit for bit those of the same loop in numpy.  A path
+binds the kernel once to the group layout that :class:`PenalizedProblem`
+checks when it is built, y and those buffers; each solve binds that to
+its own state, coefficient array and intercept (a ctypes double), and
+each active set to its groups and coordinates.  The kernel is compiled
+with the system C compiler (``gcc``) the first time a solve binds it,
+never at import, and loaded with :mod:`ctypes`; ctypes and a compiler
+need no package beyond the standard library, where cffi would be an
+undeclared dependency.  The library is cached under the user cache
 directory (``$XDG_CACHE_HOME/netcov``, by default ``~/.cache/netcov``).
 A missing or failing compiler is an error naming the compiler and its
 output; there is no interpreted fallback.  The build uses ``-O3
 -march=native -ffp-contract=off`` and never ``-ffast-math``: fast-math
-would let the compiler reassociate sums and fuse multiply-adds, so a
-result would depend on the vector width of the build.  The kernel
-instead spells out eight independent partial sums per dot product, which
-the compiler vectorizes without reordering any of them, so its
-arithmetic is the same whatever vector width the build picks.  A wide
-group is worked four columns at a time, loading each residual element
-once for four dots and each residual-shift element once for four terms.
-Each dot keeps its own partial sums and each shift element adds its
-terms in column order, so the result is bit for bit that of one column
-at a time.
+would let the compiler reassociate sums, fuse multiply-adds and call
+glibc's vector ``exp`` (libmvec), so a result would depend on the vector
+width of the build.  The kernel instead spells out eight independent
+partial sums per dot product, which the compiler vectorizes without
+reordering any of them, so its arithmetic is the same whatever vector
+width the build picks.  A wide group is worked four columns at a time,
+loading each residual element once for four dots and each residual-shift
+element once for four terms.  Each dot keeps its own partial sums and
+each shift element adds its terms in column order, so the result is bit
+for bit that of one column at a time.
 """
 
 import ctypes
@@ -400,7 +412,7 @@ def _host_cpu():
 
 
 def _load_kernel():
-    """The compiled sweep, built into the cache on first use.
+    """The compiled solver entry, built into the cache on first use.
 
     The library's name hashes the C source, the compiler command and the
     host CPU, so a cache in a shared home directory never hands a
@@ -433,34 +445,43 @@ def _load_kernel():
                     f"cannot build the sweep kernel: C compiler {_CC!r} "
                     f"exited {proc.returncode}:\n{proc.stderr}")
             os.replace(built, path)
-    fn = ctypes.CDLL(path).netcov_sweep_groups
+    fn = ctypes.CDLL(path).netcov_solve_block
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, f64, ptr, i64)
-    fn.restype = f64
+    fn.argtypes = (ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,  # per path
+                   ptr, ptr, ptr, ptr, f64,  # per solve
+                   ptr, i64, ptr, i64,  # per active set
+                   i64, f64)  # per call
+    fn.restype = i64
     _kernel_fn = fn
     return fn
 
 
 def _bind_kernel(problem):
-    """The compiled group pass bound to U.T (a view), the problem's layout
-    and multipliers and a work buffer; the kernel reads them as raw
-    memory, so the bound call holds them all as ``arrays``."""
+    """The compiled entry bound to what a path shares: U.T (a view), the
+    problem's layout, multipliers and y, a work buffer, and the buffers a
+    block records its iterates and states in.  The kernel reads them as
+    raw memory, so the bound call holds them all as ``arrays``."""
+    m, N = problem.U.shape[1], problem.N
     arrays = (problem.U.T, problem.offsets, problem.multipliers,
               # the block's residual shift (N), then the widest group's target
-              np.empty(problem.N + int(np.diff(problem.offsets).max())))
-    sweep_groups = functools.partial(
-        _load_kernel(), arrays[0].ctypes.data, problem.N,
-        *(arr.ctypes.data for arr in arrays[1:]))
-    sweep_groups.arrays = arrays
-    return sweep_groups
+              np.empty(N + int(np.diff(problem.offsets).max())),
+              np.ascontiguousarray(problem.y, dtype=np.float64),
+              # K+1 rows of (mu, beta[coords]), as long as the active set
+              np.empty((ANDERSON_K + 1) * (1 + m)),
+              np.empty((ANDERSON_K + 1, N)))
+    kernel = functools.partial(_load_kernel(), arrays[0].ctypes.data, N,
+                               *(arr.ctypes.data for arr in arrays[1:]))
+    kernel.arrays = arrays
+    return kernel
 
 
-def _bind_sweep(kernel, problem, state, beta):
-    """One solve's group pass: ``kernel`` (:func:`_bind_kernel`) bound to
-    the threshold at the problem's lambda and to the arrays the kernel
-    writes as raw memory, checked and their addresses taken once: ``beta``,
-    ``state`` and the step residual, which is the gaussian state itself or
-    a binomial buffer that :func:`_sweep` refills."""
+def _bind_sweep(kernel, problem, state, beta, mu):
+    """One solve's sweeps: ``kernel`` (:func:`_bind_kernel`) bound to the
+    threshold at the problem's lambda and to what the kernel writes as raw
+    memory, checked and their addresses taken once: the step residual,
+    which is the gaussian ``state`` itself or a binomial buffer refilled
+    from ``state`` (eta) each sweep, ``beta``, and the intercept, kept as
+    the ctypes double ``mu`` that starts at the given value."""
     m, N = kernel.arrays[0].shape
     for arr, n in ((state, N), (beta, m)):
         if (arr.dtype != np.float64 or arr.shape != (n,)
@@ -469,60 +490,60 @@ def _bind_sweep(kernel, problem, state, beta):
                             f"({n},), got {arr.dtype} {arr.shape}")
     gaussian = problem.family == "gaussian"
     resid = state if gaussian else np.empty(N)
+    box = ctypes.c_double(mu)
     c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
     sweep = functools.partial(
         kernel, resid.ctypes.data, None if gaussian else state.ctypes.data,
-        beta.ctypes.data, problem.N * problem.lam / (c * k))
+        beta.ctypes.data, ctypes.addressof(box),
+        problem.N * problem.lam / (c * k))
     sweep.arrays = (*kernel.arrays, resid, state, beta)
+    sweep.mu, sweep.beta = box, beta
+    sweep.record, sweep.states = kernel.arrays[-2:]
     return sweep
 
 
-def _sweep(problem, sweep, state, mu, beta, order):
-    """One cyclic pass (intercept + the given groups); returns (mu, max change).
+def _bind_block(sweep, order, coords):
+    """``sweep`` (:func:`_bind_sweep`) bound to one active set: the groups
+    ``order`` it visits and the coordinates ``coords`` whose iterates it
+    records.  ``record`` and ``states`` are the rows a block writes,
+    viewed in the path's buffers."""
+    for name, arr in (("order", order), ("coords", coords)):
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+            raise TypeError(f"sweep {name} must be contiguous int64, got "
+                            f"{arr.dtype}")
+    block = functools.partial(sweep, order.ctypes.data, order.size,
+                              coords.ctypes.data, coords.size)
+    block.order, block.coords = order, coords
+    block.mu, block.beta, block.states = sweep.mu, sweep.beta, sweep.states
+    rows = ANDERSON_K + 1
+    block.record = sweep.record[:rows * (1 + coords.size)].reshape(rows, -1)
+    return block
 
-    ``sweep`` is the group pass that :func:`_bind_sweep` bound to
-    ``state``, the work vector of :func:`_fresh_state`, and to ``beta``;
-    both are updated in place.  The step residual is the working residual
-    over the curvature bound k: the gaussian state itself, updated with
-    it; for the binomial family re-majorized from eta at the top of each
-    sweep.  Exact coordinate minimization per block in both cases, so the
-    objective (gaussian) / its majorizer (binomial) never increases.
-    """
-    resid, bound_state, bound_beta = sweep.arrays[-3:]
-    if state is not bound_state or beta is not bound_beta:
-        raise ValueError("the sweep is bound to other state and beta arrays")
-    gaussian = problem.family == "gaussian"
-    if not gaussian:
-        np.divide(_working_residual(problem, state),
-                  _CURVATURE[problem.family], out=resid)
 
-    dmu = float(resid.mean())
-    mu += dmu
-    resid -= dmu
-    if not gaussian:
-        state += dmu  # eta
-    max_delta = abs(dmu)
-
-    if order.dtype != np.int64 or not order.flags.c_contiguous:
-        raise TypeError(f"sweep order must be contiguous int64, got "
-                        f"{order.dtype}")
-    group_delta = sweep(order.ctypes.data, order.size)
-    return mu, max(max_delta, group_delta)
+def _solve_block(block, n_max, tol):
+    """Up to ``n_max`` sweeps in one compiled call (``block``, bound by
+    :func:`_bind_block`), which stops after the first sweep whose change
+    is below ``tol``.  ``block.mu``, ``block.beta`` and the state move in
+    place; each sweep that did not stop the block is a row of
+    ``block.record`` and ``block.states``.  Returns the number of sweeps
+    run and whether the last one stopped the block."""
+    recorded = block(n_max, tol)
+    return (recorded + 1, True) if recorded < n_max else (n_max, False)
 
 
 def _anderson(problem, beta, coords, history, states):
-    """Anderson extrapolation of the (mu, beta[coords]) iterates in history.
+    """Anderson extrapolation of the (mu, beta[coords]) iterates, the rows
+    of ``history``.
 
     Solves the K x K system on the iterate differences for the affine
     weights, which sum to 1.  The state is affine in (mu, beta), so the
     extrapolated point's state is the same combination of ``states``, the
-    states stored at those iterates; the last entry of both lists is the
-    current point.  Returns ``(mu, state)`` at the extrapolated point,
-    with ``beta`` updated in place, when it lowers the objective;
-    otherwise None, and ``beta`` and ``states`` are left as they are.
+    states stored at those iterates; the last row of both is the current
+    point.  Returns ``(mu, state)`` at the extrapolated point, with
+    ``beta`` updated in place, when it lowers the objective; otherwise
+    None, and ``beta`` and ``states`` are left as they are.
     """
-    X = np.array(history)
-    D = np.diff(X, axis=0)
+    D = np.diff(history, axis=0)
     try:
         z = np.linalg.solve(D @ D.T, np.ones(len(D)))
     except np.linalg.LinAlgError:
@@ -531,10 +552,10 @@ def _anderson(problem, beta, coords, history, states):
     if not np.isfinite(total) or total == 0.0:
         return None
     w = z / total
-    x = w @ X[1:]
+    x = w @ history[1:]
     trial = beta.copy()
     trial[coords] = x[1:]
-    trial_state = w @ np.array(states[1:])
+    trial_state = w @ states[1:]
     q_now = _penalized(problem, _state_deviance(problem, states[-1]), beta)
     q_new = _penalized(problem, _state_deviance(problem, trial_state), trial)
     if not q_new < q_now:
@@ -569,8 +590,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
     Raises :class:`ConvergenceError` carrying the last iterate when
     ``MAX_SWEEPS`` sweeps leave the point uncertified.
 
-    ``_kernel`` is internal: :func:`fit_path` binds the compiled pass once
-    (:func:`_bind_kernel`) and hands it to every point.
+    ``_kernel`` is internal: :func:`fit_path` binds the compiled entry
+    once (:func:`_bind_kernel`) and hands it to every point.
     """
     if not problem.lam > 0:
         raise ValueError(f"lambda must be > 0, got {problem.lam!r}")
@@ -587,7 +608,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
             raise ValueError(f"start state has shape {state.shape}, "
                              f"expected ({problem.N},)")
     sweep = _bind_sweep(_kernel or _bind_kernel(problem), problem, state,
-                        beta)
+                        beta, mu)
 
     in_active = _group_norms(problem, beta) > 0
     active = np.flatnonzero(in_active)
@@ -595,24 +616,25 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
     tol = DEFAULT_TOL
     sweeps = n_extrapolated = 0
     while sweeps < MAX_SWEEPS:
-        # converge on the current active set
+        # converge on the current active set, one Anderson window a call
         coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
-        history, states = [], []
+        block = _bind_block(sweep, active, coords)
         while sweeps < MAX_SWEEPS:
-            mu, delta = _sweep(problem, sweep, state, mu, beta, active)
-            sweeps += 1
-            if delta < tol:
+            n, converged = _solve_block(
+                block, min(ANDERSON_K + 1, MAX_SWEEPS - sweeps), tol)
+            sweeps += n
+            if converged:
                 break
-            history.append(np.concatenate(([mu], beta[coords])))
-            states.append(state.copy())
             # extrapolate only where a sweep follows, so that the returned
             # iterate always comes from a sweep
-            if len(history) > ANDERSON_K and sweeps < MAX_SWEEPS:
-                step = _anderson(problem, beta, coords, history, states)
+            if n > ANDERSON_K and sweeps < MAX_SWEEPS:
+                step = _anderson(problem, beta, coords, block.record,
+                                 block.states)
                 if step is not None:
-                    mu, state[:] = step  # the sweep is bound to this buffer
+                    # into the kernel's own intercept and state
+                    sweep.mu.value, state[:] = step
                     n_extrapolated += 1
-                history, states = [], []
+        mu = sweep.mu.value
 
         # full gradient pass: screening + KKT certificate
         state[:] = _fresh_state(problem, mu, beta)  # shed incremental drift

@@ -1,23 +1,36 @@
-/* One cyclic pass of group coordinate descent over the orthonormalized
- * design; the compiled body of netcov.solver._sweep.
+/* The sweeps of netcov.solver.fit_at_lambda over the orthonormalized
+ * design: one call, netcov_solve_block, runs up to n_max sweeps over
+ * the active groups and stops after the first whose largest change
+ * (intercept or coefficient) is below tol.
+ *
+ * A sweep takes the intercept step, then one cyclic pass over the
+ * groups in `order`.  For the binomial family (eta not NULL) the step
+ * residual is first re-taken from eta as (y - 1/(1 + exp(-eta))) / 0.25,
+ * the logistic curvature bound; for the gaussian family it is the
+ * state itself.  The intercept moves by the residual's mean, summed in
+ * numpy's pairwise order, so mu takes the bits np.mean gives; resid and
+ * eta move with it.  Each group then takes its exact block minimizer
+ * given the residual, which is updated in place, and eta with it.
+ * Every sweep that does not stop the block writes (mu, beta[coords]) as
+ * a row of `record` and the state (eta, or the gaussian resid) as a row
+ * of `states`, for the Anderson step the caller takes on them.  Returns
+ * the number of rows written: n_max when no sweep stopped the block,
+ * else one less than the sweeps run.
  *
  * UT holds the design transposed: column j of U is the contiguous row
  * UT[j*N .. j*N+N).  Group g owns columns offsets[g] .. offsets[g+1]-1
- * and has threshold thresh_scale * multipliers[g].  The groups in
- * `order` are visited in turn; each takes its exact block minimizer
- * given the residual, which is updated in place, and eta with it unless
- * eta is NULL.
- * Returns the largest absolute coefficient change.
- *
- * A width-1 group takes the soft-threshold z -/+ t; a wider group the
- * multiplicative shrinkage max(0, 1 - t/||z||) z, and exactly 0.0 when
- * it is shrunk away.  `work` holds N doubles for the block's residual
- * shift followed by the widest group's width for its target z.
+ * and has threshold thresh_scale * multipliers[g].  A width-1 group
+ * takes the soft-threshold z -/+ t; a wider group the multiplicative
+ * shrinkage max(0, 1 - t/||z||) z, and exactly 0.0 when it is shrunk
+ * away.  `work` holds N doubles for the block's residual shift followed
+ * by the widest group's width for its target z.
  *
  * Built without -ffast-math and with -ffp-contract=off: no sum is
- * reassociated and no multiply-add is fused.  A dot product keeps
- * LANES independent partial sums, each one a plain left-to-right sum,
- * so the compiler can vectorize across them without reordering any.
+ * reassociated, no multiply-add is fused, and exp stays libm's scalar
+ * exp (glibc offers its vector libmvec versions only under fast-math),
+ * the exp scipy's expit calls.  A dot product keeps LANES independent
+ * partial sums, each one a plain left-to-right sum, so the compiler can
+ * vectorize across them without reordering any.
  *
  * A wider group is worked four columns at a time (register blocking):
  * dot4 loads each residual element once for four dots, and one pass
@@ -28,6 +41,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define LANES 8
 
@@ -78,7 +92,38 @@ static void apply_shift(const double *shift, double *resid, double *eta,
             eta[i] += shift[i];
 }
 
-double netcov_sweep_groups(const double *UT, int64_t N,
+/* numpy's pairwise sum of a[0..n): eight partial sums up to 128
+ * elements, two halves of a multiple of eight above */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int l = 0; l < 8; l++)
+            r[l] = a[l];
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int l = 0; l < 8; l++)
+                r[l] += a[i + l];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* One cyclic pass over the groups in order; returns the largest
+ * absolute coefficient change */
+static double sweep_groups(const double *UT, int64_t N,
                            const int64_t *offsets, const double *multipliers,
                            double *work,
                            double *resid, double *eta, double *beta,
@@ -184,4 +229,44 @@ double netcov_sweep_groups(const double *UT, int64_t N,
             max_delta = step;
     }
     return max_delta;
+}
+
+int64_t netcov_solve_block(const double *UT, int64_t N,
+                           const int64_t *offsets, const double *multipliers,
+                           double *work, const double *y,
+                           double *record, double *states,
+                           double *resid, double *eta, double *beta,
+                           double *mu, double thresh_scale,
+                           const int64_t *order, int64_t n_order,
+                           const int64_t *coords, int64_t n_coords,
+                           int64_t n_max, double tol)
+{
+    const double *state = eta ? eta : resid;
+    for (int64_t s = 0; s < n_max; s++) {
+        if (eta)
+            for (int64_t i = 0; i < N; i++)
+                resid[i] = (y[i] - 1.0 / (1.0 + exp(-eta[i]))) / 0.25;
+        /* np.mean: the pairwise sum, from numpy's initial 0.0, over N */
+        const double dmu = (0.0 + pairwise_sum(resid, N)) / (double)N;
+        *mu += dmu;
+        for (int64_t i = 0; i < N; i++)
+            resid[i] -= dmu;
+        if (eta)
+            for (int64_t i = 0; i < N; i++)
+                eta[i] += dmu;
+        double delta = fabs(dmu);
+        const double step = sweep_groups(UT, N, offsets, multipliers, work,
+                                         resid, eta, beta, thresh_scale,
+                                         order, n_order);
+        if (step > delta)
+            delta = step;
+        if (delta < tol)
+            return s;
+        double *row = record + s * (1 + n_coords);
+        row[0] = *mu;
+        for (int64_t c = 0; c < n_coords; c++)
+            row[1 + c] = beta[coords[c]];
+        memcpy(states + s * N, state, (size_t)N * sizeof(double));
+    }
+    return n_max;
 }

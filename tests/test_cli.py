@@ -542,6 +542,26 @@ class TestEvaluate:
                 in capsys.readouterr().err)
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # lambda last on every line, so the short line has no lambda at all
+        (lambda lines: [",".join(line.split(",")[::-1]) for line in lines[:3]]
+         + [lines[3].split(",")[-1]] + lines[4:],
+         "cv.csv: line 4 has 1 fields, expected 5"),
+        (lambda lines: lines[:2] + [lines[2] + ",1"] + lines[3:],
+         "cv.csv: line 3 has 6 fields, expected 5"),
+    ], ids=["short_row", "long_row"])
+    def test_cv_row_length_is_data_error(self, sim_dir, fit_dir, tmp_path,
+                                         capsys, edit, message):
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        cv = fit_copy / "cv.csv"
+        cv.write_text("\n".join(edit(cv.read_text().splitlines())) + "\n")
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         sim_dir, "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_short_coefficient_file_names_its_path(self, sim_dir, fit_dir,
                                                    tmp_path, capsys):
         fit_copy = tmp_path / "fit"

@@ -15,7 +15,8 @@ from netcov import CommunityMap, FeatureIndex, ebg_groups, make_beta
 from netcov.groups import ExpansionMap, normalize_group_name
 from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
-from netcov.solver import (ConvergenceError, PenalizedProblem, deviance,
+from netcov.solver import (ANDERSON_K, ConvergenceError, PenalizedProblem,
+                           _fresh_state, _solve_block, deviance,
                            fit_at_lambda, fit_path, kkt_residual, lambda_grid,
                            lambda_max, objective, smooth_gradient)
 from oracles import (fd_gradient, ista_objective, ista_solve, random_grouping,
@@ -52,11 +53,31 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
     return problem, basis, emap, Zs
 
 
-def bound_sweep(problem, state, beta):
-    """The compiled group pass of one solve, as fit_at_lambda binds it."""
-    from netcov.solver import _bind_kernel, _bind_sweep
+def bound_block(problem, state, mu, beta, order, coords=None):
+    """The compiled sweeps of one solve over one active set, bound as
+    fit_at_lambda binds them; they record every coordinate unless
+    ``coords`` names some."""
+    from netcov.solver import _bind_block, _bind_kernel, _bind_sweep
 
-    return _bind_sweep(_bind_kernel(problem), problem, state, beta)
+    if coords is None:
+        coords = np.arange(problem.U.shape[1])
+    sweep = _bind_sweep(_bind_kernel(problem), problem, state, beta, mu)
+    return _bind_block(sweep, np.asarray(order, dtype=np.int64), coords)
+
+
+def tap_blocks(monkeypatch):
+    """The compiled blocks fit_at_lambda runs from here on, as a list of
+    the groups each one sweeps."""
+    import netcov.solver as solver
+
+    calls, solve_block = [], solver._solve_block
+
+    def tapped(block, n_max, tol):
+        calls.append(block.order.tolist())
+        return solve_block(block, n_max, tol)
+
+    monkeypatch.setattr(solver, "_solve_block", tapped)
+    return calls
 
 
 def pairs(problem):
@@ -224,22 +245,25 @@ class TestFitAtLambda:
         assert np.isfinite(err.value.kkt_residual)
 
     def test_objective_never_increases(self, rng):
-        from netcov.solver import _fresh_state, _sweep
-
+        # 60 sweeps over every group in ten full blocks, read off the rows
+        # each block records
         for family in ("gaussian", "binomial"):
             problem, *_ = build_problem(rng, family=family)
             prob = replace(problem, lam=0.2 * lambda_max(problem))
-            all_groups = np.arange(prob.n_groups, dtype=np.int64)
             mu = float(prob.y.mean()) if family == "gaussian" else 0.0
             beta = np.zeros(prob.U.shape[1])
             state = _fresh_state(prob, mu, beta)
-            kernel = bound_sweep(prob, state, beta)
+            block = bound_block(prob, state, mu, beta, range(prob.n_groups))
             prev = objective(prob, mu, beta)
-            for _ in range(60):
-                mu, _ = _sweep(prob, kernel, state, mu, beta, all_groups)
-                q = objective(prob, mu, beta)
-                assert q <= prev + 1e-12
-                prev = q
+            for _ in range(10):
+                assert (_solve_block(block, ANDERSON_K + 1, 0.0)
+                        == (ANDERSON_K + 1, False))
+                for row in block.record:
+                    q = objective(prob, row[0], row[1:])
+                    assert q <= prev + 1e-12
+                    prev = q
+                assert block.record[-1].tolist() == [block.mu.value,
+                                                     *beta.tolist()]
 
     def test_penalty_scale_invariance(self, rng):
         problem, *_ = build_problem(rng)
@@ -417,22 +441,33 @@ class TestAcceleration:
 
         problem, *_ = build_problem(rng, N=80, p=24, family=family)
         prob = replace(problem, lam=0.05 * lambda_max(problem))
-        values = []
-        sweep = solver._sweep
+        windows, swept = [], []
+        solve_block = solver._solve_block
 
-        def recorded(problem, ws, state, mu, beta, order):
-            values.append(objective(problem, mu, beta))
-            mu, delta = sweep(problem, ws, state, mu, beta, order)
-            values.append(objective(problem, mu, beta))
-            return mu, delta
+        def recorded(block, n_max, tol):
+            # the objective at the block's start, after each sweep it
+            # records (beta[coords] = row[1:]; the other coordinates do
+            # not move) and after a last sweep that stopped it
+            values = [objective(prob, block.mu.value, block.beta)]
+            n, converged = solve_block(block, n_max, tol)
+            beta = block.beta.copy()
+            for row in block.record[:n - converged]:
+                beta[block.coords] = row[1:]
+                values.append(objective(prob, row[0], beta))
+            if converged:
+                values.append(objective(prob, block.mu.value, block.beta))
+            windows.append(values)
+            swept.append(n)
+            return n, converged
 
-        monkeypatch.setattr(solver, "_sweep", recorded)
+        monkeypatch.setattr(solver, "_solve_block", recorded)
         sol = fit_at_lambda(prob)
-        assert sol.n_extrapolated > 0
+        assert sol.n_extrapolated > 0 and sum(swept) == sol.n_sweeps
+        values = [q for window in windows for q in window]
         for prev, q in zip(values, values[1:]):
             assert q <= prev + 1e-12 * max(1.0, abs(prev))
-        # every accepted step shows as a strict drop between two sweeps
-        drops = sum(b < a for a, b in zip(values[1::2], values[2::2]))
+        # every accepted step shows as a strict drop between two blocks
+        drops = sum(b[0] < a[-1] for a, b in zip(windows, windows[1:]))
         assert drops >= sol.n_extrapolated
 
     @pytest.mark.parametrize("scheme,family", [
@@ -544,8 +579,10 @@ class TestAcceleration:
 
 
 class TestSweepKernel:
-    """The compiled group pass against the interpreted reference loop in
-    ``oracles.sweep_groups``, and how the kernel is built and cached."""
+    """The compiled sweeps against the interpreted reference loop in
+    ``oracles.sweep_groups`` and, bit for bit, against ``kernel_sweep``
+    (the kernel's own order of every sum, in numpy), and how the kernel
+    is built and cached."""
 
     LAYOUTS = {
         "singleton": [1] * 9,
@@ -567,7 +604,7 @@ class TestSweepKernel:
 
     @staticmethod
     def reference_sweep(problem, state, mu, beta, order):
-        # _sweep's intercept step, then the interpreted group pass
+        # the kernel's intercept step, then the interpreted group pass
         starts, ends = problem.offsets[:-1], problem.offsets[1:]
         N, lam = problem.N, problem.lam
         if problem.family == "gaussian":
@@ -605,8 +642,8 @@ class TestSweepKernel:
 
     @classmethod
     def kernel_sweep(cls, problem, state, mu, beta, order):
-        # _sweep in numpy with the kernel's own order of every sum, one
-        # column at a time
+        # one sweep in numpy with the kernel's own order of every sum, one
+        # column at a time; returns (mu, the sweep's largest change)
         gaussian = problem.family == "gaussian"
         c, k = (1.0, 1.0) if gaussian else (2.0, 0.25)
         resid = state if gaussian else (problem.y - expit(state)) / k
@@ -646,84 +683,175 @@ class TestSweepKernel:
             b[:] = z
         return mu + dmu, max_delta
 
+    @staticmethod
+    def start(rng, problem):
+        # a random point with some zero coefficients and a lambda at which
+        # some groups move and some are shrunk
+        m = problem.U.shape[1]
+        beta = rng.standard_normal(m) * (rng.random(m) < 0.6)
+        mu = float(rng.standard_normal())
+        state = _fresh_state(problem, mu, beta)
+        scale = (problem.N if problem.family == "gaussian"
+                 else 2 * problem.N)
+        z = np.abs(problem.U.T @ state).max() + np.abs(beta).max()
+        prob = replace(problem, lam=rng.uniform(0.05, 1.0) * z / scale)
+        return prob, mu, beta, state
+
+    @staticmethod
+    def one_sweep_stops(problem, state, mu, beta, order, tol):
+        # whether one sweep from copies of this point stops a block at tol
+        block = bound_block(problem, state.copy(), mu, beta.copy(), order)
+        return _solve_block(block, 1, tol)[1]
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("N", [37, 64])
     def test_sweeps_equal_the_kernel_arithmetic(self, rng, N, family):
-        # every width from a singleton to three four-column blocks plus
-        # one, at an N with a dot tail and one without: the blocked kernel
-        # must give exactly the bits of one column at a time
-        from netcov.solver import _fresh_state, _sweep
-
+        # blocks of 1 to K+1 sweeps over every width from a singleton to
+        # three four-column blocks plus one, at an N with a dot tail and
+        # one without: the blocked kernel must give exactly the bits of
+        # one column at a time, in the iterate, the state and every row
+        # it records
         for trial in range(4):
             widths = rng.permutation([1, 2, 4, 5, 7, 8, 9, 13]).tolist()
-            problem = self.problem(rng, widths, family, N=N)
-            m = problem.U.shape[1]
-            beta = rng.standard_normal(m) * (rng.random(m) < 0.6)
-            mu = float(rng.standard_normal())
-            state = _fresh_state(problem, mu, beta)
-            scale = (problem.N if family == "gaussian" else 2 * problem.N)
-            z = np.abs(problem.U.T @ state).max() + np.abs(beta).max()
-            prob = replace(problem, lam=rng.uniform(0.05, 1.0) * z / scale)
-            order = rng.permutation(problem.n_groups).astype(np.int64)
-            sweep = bound_sweep(prob, state, beta)
-            mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
-            for _ in range(3):
-                mu_ref, d_ref = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
+            prob, mu, beta, state = self.start(
+                rng, self.problem(rng, widths, family, N=N))
+            order = rng.permutation(prob.n_groups).astype(np.int64)
+            coords = np.flatnonzero(rng.random(beta.size) < 0.5)
+            for n_max in range(1, ANDERSON_K + 2):
+                b, s = beta.copy(), state.copy()
+                block = bound_block(prob, s, mu, b, order, coords)
+                assert _solve_block(block, n_max, 0.0) == (n_max, False)
+                mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
+                for row, s_row in zip(block.record[:n_max], block.states):
+                    mu_ref, _ = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
                                                   order)
-                mu, d = _sweep(prob, sweep, state, mu, beta, order)
-                assert (mu, d) == (mu_ref, d_ref)
-                assert beta.tobytes() == b_ref.tobytes()
-                assert state.tobytes() == s_ref.tobytes()
+                    assert row[0] == mu_ref
+                    assert row[1:].tobytes() == b_ref[coords].tobytes()
+                    assert s_row.tobytes() == s_ref.tobytes()
+                assert block.mu.value == mu_ref
+                assert b.tobytes() == b_ref.tobytes()
+                assert s.tobytes() == s_ref.tobytes()
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_block_stops_after_the_first_small_change(self, rng, family):
+        # with tol just above one sweep's change, and at it, the block
+        # stops after the first sweep whose change is below tol: the
+        # kernel's changes are the reference's to the bit
+        K1 = ANDERSON_K + 1
+        for trial in range(6):
+            prob, mu, beta, state = self.start(
+                rng, self.problem(rng, self.LAYOUTS["mixed"], family))
+            order = rng.permutation(prob.n_groups).astype(np.int64)
+            mus, deltas = [], []
+            mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
+            for _ in range(K1):
+                mu_ref, d = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
+                                              order)
+                mus.append(mu_ref)
+                deltas.append(d)
+            j = int(rng.integers(K1))
+            for tol in (np.nextafter(deltas[j], np.inf), deltas[j]):
+                stop = next((i for i, d in enumerate(deltas) if d < tol), None)
+                block = bound_block(prob, state.copy(), mu, beta.copy(), order)
+                if stop is None:
+                    assert _solve_block(block, K1, tol) == (K1, False)
+                else:
+                    assert _solve_block(block, K1, tol) == (stop + 1, True)
+                    assert block.mu.value == mus[stop]
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("layout", ["singleton", "block", "mixed"])
     def test_one_sweep_matches_reference(self, rng, layout, family):
-        from netcov.solver import _fresh_state, _sweep
-
         for trial in range(5):
-            problem = self.problem(rng, self.LAYOUTS[layout], family)
-            m = problem.U.shape[1]
-            beta = rng.standard_normal(m) * (rng.random(m) < 0.6)
-            mu = float(rng.standard_normal())
-            state = _fresh_state(problem, mu, beta)
-            scale = (problem.N if family == "gaussian" else 2 * problem.N)
-            z = np.abs(problem.U.T @ state).max() + np.abs(beta).max()
-            prob = replace(problem, lam=rng.uniform(0.05, 1.0) * z / scale)
-            order = rng.permutation(problem.n_groups)[
-                :rng.integers(1, problem.n_groups + 1)].astype(np.int64)
+            prob, mu, beta, state = self.start(
+                rng, self.problem(rng, self.LAYOUTS[layout], family))
+            order = rng.permutation(prob.n_groups)[
+                :rng.integers(1, prob.n_groups + 1)].astype(np.int64)
             b_ref, s_ref = beta.copy(), state.copy()
             mu_ref, d_ref = self.reference_sweep(prob, s_ref, mu, b_ref,
                                                  order)
-            mu_k, d_k = _sweep(prob, bound_sweep(prob, state, beta), state,
-                               mu, beta, order)
+            # the change within 1e-12 of the reference's: a block stops
+            # just above that band and not below it
+            slack = 1e-12 * max(1.0, d_ref)
+            assert self.one_sweep_stops(prob, state, mu, beta, order,
+                                        np.nextafter(d_ref + slack, np.inf))
+            assert not self.one_sweep_stops(prob, state, mu, beta, order,
+                                            d_ref - slack)
+            block = bound_block(prob, state, mu, beta, order)
+            assert _solve_block(block, 1, 0.0) == (1, False)
             assert self.close(beta, b_ref) and self.close(state, s_ref)
-            assert abs(mu_k - mu_ref) <= 1e-12 * max(1.0, abs(mu_ref))
-            assert abs(d_k - d_ref) <= 1e-12 * max(1.0, d_ref)
+            assert abs(block.mu.value - mu_ref) <= 1e-12 * max(1.0,
+                                                               abs(mu_ref))
             # a coordinate the reference leaves at zero the kernel does too
             np.testing.assert_array_equal(beta == 0.0, b_ref == 0.0)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_empty_order_moves_only_the_intercept(self, rng, family):
-        from netcov.solver import _fresh_state, _sweep
-
         problem = replace(self.problem(rng, self.LAYOUTS["mixed"], family),
                           lam=0.01)
         beta = rng.standard_normal(problem.U.shape[1])
         state = _fresh_state(problem, 0.3, beta)
         b_ref, s_ref = beta.copy(), state.copy()
         order = np.empty(0, dtype=np.int64)
-        expected = self.reference_sweep(problem, s_ref, 0.3, b_ref, order)
-        got = _sweep(problem, bound_sweep(problem, state, beta), state, 0.3,
-                     beta, order)
-        assert got == expected
+        mu_ref, d_ref = self.reference_sweep(problem, s_ref, 0.3, b_ref,
+                                             order)
+        # the change is |dmu| to the bit
+        assert self.one_sweep_stops(problem, state, 0.3, beta, order,
+                                    np.nextafter(d_ref, np.inf))
+        assert not self.one_sweep_stops(problem, state, 0.3, beta, order,
+                                        d_ref)
+        block = bound_block(problem, state, 0.3, beta, order)
+        assert _solve_block(block, 1, 0.0) == (1, False)
+        assert block.mu.value == mu_ref
         np.testing.assert_array_equal(beta, b_ref)
         np.testing.assert_array_equal(state, s_ref)
+
+    def test_intercept_step_is_numpy_mean(self, rng):
+        # numpy's pairwise sum: a plain sum below 8 elements, eight partial
+        # sums up to 128, halves of a multiple of 8 above (785, 900 and
+        # 1,000 split unevenly and down to each branch)
+        for N in [*range(1, 301), 785, 900, 1000]:
+            problem = PenalizedProblem(
+                U=np.zeros((N, 1)), y=np.zeros(N), family="gaussian",
+                offsets=[0, 1], multipliers=[1.0], names=("g",), lam=1.0)
+            state = (rng.standard_normal(N) * 10.0 ** rng.integers(-3, 4)
+                     + rng.standard_normal())
+            mean = float(np.mean(state))
+            moved = state - mean
+            block = bound_block(problem, state, 0.0, np.zeros(1), [])
+            assert _solve_block(block, 1, 0.0) == (1, False)
+            assert block.mu.value == mean, N
+            assert state.tobytes() == moved.tobytes(), N
+
+    def test_binomial_step_residual_is_expit(self, rng):
+        # the step residual (y - expit(eta)) / 0.25, the logistic bound,
+        # including where exp(-eta) overflows or underflows
+        from netcov.solver import _bind_block, _bind_kernel, _bind_sweep
+
+        N = 1000
+        eta = np.concatenate([8.0 * rng.standard_normal(N - 7),
+                              [-800.0, -40.0, -1e-300, 0.0, 1e-300, 40.0,
+                               800.0]])
+        y = (rng.random(N) < 0.5).astype(float)
+        problem = PenalizedProblem(
+            U=np.zeros((N, 1)), y=y, family="binomial", offsets=[0, 1],
+            multipliers=[1.0], names=("g",), lam=1.0)
+        r = (y - expit(eta)) / 0.25
+        mean = float(r.mean())
+        state = eta.copy()
+        sweep = _bind_sweep(_bind_kernel(problem), problem, state,
+                            np.zeros(1), 0.0)
+        resid = sweep.arrays[-3]  # the binomial step-residual buffer
+        block = _bind_block(sweep, np.empty(0, dtype=np.int64),
+                            np.empty(0, dtype=np.int64))
+        assert _solve_block(block, 1, 0.0) == (1, False)
+        assert resid.tobytes() == (r - mean).tobytes()
+        assert block.mu.value == mean
+        assert state.tobytes() == (eta + mean).tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("width", [1, 3])
     def test_shrunk_group_is_exact_zero(self, rng, family, width):
-        from netcov.solver import _fresh_state, _sweep
-
         problem = self.problem(rng, [2, width, 2], family)
         beta = rng.standard_normal(problem.U.shape[1])
         # targets of both signs, so a zero formed as 0 * z would show -0.0
@@ -732,8 +860,8 @@ class TestSweepKernel:
         # the middle group's threshold beats any target it can reach
         prob = replace(problem, lam=1.0,
                        multipliers=np.array([1e-9, 1e9, 1e-9]))
-        _sweep(prob, bound_sweep(prob, state, beta), state, 0.0, beta,
-               np.arange(3, dtype=np.int64))
+        block = bound_block(prob, state, 0.0, beta, range(3))
+        assert _solve_block(block, 1, 0.0) == (1, False)
         shrunk = beta[2:2 + width]
         assert np.all(shrunk == 0.0) and not np.any(np.signbit(shrunk))
         assert np.all(beta[:2] != 0.0) and np.all(beta[2 + width:] != 0.0)
@@ -742,8 +870,6 @@ class TestSweepKernel:
         # unit-vector columns make every product exact: the target
         # z = U_G^T r + b_G = (0.75, 1.0) has norm 1.25, exactly the
         # threshold N * lam * w_G, so the group leaves as +0.0
-        from netcov.solver import _sweep
-
         problem = PenalizedProblem(
             U=np.eye(4)[:, :2], y=np.zeros(4), family="gaussian",
             offsets=np.array([0, 2]), multipliers=np.array([1.25]),
@@ -751,11 +877,89 @@ class TestSweepKernel:
             lam=0.25)
         beta = np.array([0.25, 0.5])
         state = np.array([0.5, 0.5, -0.5, -0.5])  # mean 0: mu stays put
-        mu, delta = _sweep(problem, bound_sweep(problem, state, beta), state,
-                           0.0, beta, np.zeros(1, dtype=np.int64))
+        order = np.zeros(1, dtype=np.int64)
+        # the change is 0.5, the largest coefficient's
+        assert self.one_sweep_stops(problem, state, 0.0, beta, order,
+                                    np.nextafter(0.5, 1.0))
+        assert not self.one_sweep_stops(problem, state, 0.0, beta, order, 0.5)
+        block = bound_block(problem, state, 0.0, beta, order)
+        assert _solve_block(block, 1, 0.0) == (1, False)
         assert np.all(beta == 0.0) and not np.any(np.signbit(beta))
-        assert mu == 0.0 and delta == 0.5
+        assert block.mu.value == 0.0
         np.testing.assert_array_equal(state, [0.75, 1.0, -0.5, -0.5])
+
+    @pytest.mark.parametrize("which", ["order", "coords"])
+    def test_block_indices_must_be_contiguous_int64(self, rng, which):
+        # the kernel reads both as raw int64 memory
+        from netcov.solver import _bind_block, _bind_kernel, _bind_sweep
+
+        problem = replace(self.problem(rng, [1, 2], "gaussian"), lam=0.1)
+        beta = np.zeros(3)
+        sweep = _bind_sweep(_bind_kernel(problem), problem,
+                            _fresh_state(problem, 0.0, beta), beta, 0.0)
+        good = np.arange(2, dtype=np.int64)
+        for bad in (good.astype(np.int32), np.arange(4)[::2]):
+            indices = {"order": good, "coords": good, which: bad}
+            with pytest.raises(TypeError, match=f"sweep {which} must be "
+                                                "contiguous int64"):
+                _bind_block(sweep, indices["order"], indices["coords"])
+
+    def test_cap_inside_a_window_raises_at_the_cap(self, monkeypatch):
+        # a cap of 7 sweeps, not a multiple of the K+1 window: the last
+        # call runs only the sweeps left, and the fit raises at exactly 7
+        import netcov.solver as solver
+
+        problem, *_ = build_problem(np.random.default_rng(0), N=80, p=24)
+        prob = replace(problem, lam=0.05 * lambda_max(problem))
+        # every group active from the start, so the first window is full
+        start = dict(beta0=np.full(prob.U.shape[1], 0.1), mu0=0.0)
+        assert fit_at_lambda(prob, **start).n_sweeps > 7
+        calls = []
+        solve_block = solver._solve_block
+
+        def counted(block, n_max, tol):
+            n, converged = solve_block(block, n_max, tol)
+            calls.append((n_max, n))
+            return n, converged
+
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 7)
+        monkeypatch.setattr(solver, "_solve_block", counted)
+        with pytest.raises(ConvergenceError) as err:
+            fit_at_lambda(prob, **start)
+        assert err.value.sweeps == 7
+        done = 0
+        for n_max, n in calls:
+            assert n_max == min(ANDERSON_K + 1, 7 - done)
+            done += n
+        assert done == 7 and calls[-1][0] < ANDERSON_K + 1
+
+    def test_exported_prototype_matches_argtypes(self):
+        # a ctypes call whose argtypes disagree with the C prototype is
+        # undefined behaviour, not an error: compare count and kind of
+        # every parameter and the return type.  The source defines one
+        # function that is not static, the entry _load_kernel loads
+        import ctypes
+
+        import netcov.solver as solver
+
+        source = Path(solver._SOURCE).read_text()
+        defined = re.findall(r"^(static\s+)?(\w+)\s+(\w+)\(([^)]*)\)\s*\{",
+                             source, re.M)
+        assert len(defined) > 1
+        exported = [d[1:] for d in defined if not d[0]]
+        assert len(exported) == 1
+        restype, name, params = exported[0]
+
+        def kind(decl):
+            if "*" in decl:
+                return ctypes.c_void_p
+            ctype = decl.split()[-2]
+            return {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[ctype]
+
+        fn = solver._load_kernel()
+        assert fn.__name__ == name
+        assert [kind(p) for p in params.split(",")] == list(fn.argtypes)
+        assert kind(f"{restype} result") == fn.restype
 
     def test_missing_compiler_is_named(self, rng, tmp_path, monkeypatch):
         import netcov.solver as solver
@@ -904,30 +1108,26 @@ class TestStateReuse:
     def test_misshapen_start_state_is_refused(self, rng, shape, monkeypatch):
         # the kernel writes the state as raw memory of N doubles: a state
         # of any other shape is refused before a sweep starts
-        import netcov.solver as solver
-
         problem, *_ = build_problem(rng)
-        swept = []
-        monkeypatch.setattr(solver, "_sweep",
-                            lambda *args: swept.append(args))
+        swept = tap_blocks(monkeypatch)
         with pytest.raises(ValueError, match="start state has shape"):
             fit_at_lambda(problem, state0=np.zeros(shape))
         assert swept == []
+        fit_at_lambda(problem, state0=np.zeros(problem.N))
+        assert swept
 
     @pytest.mark.parametrize("extra", [-1, 1, None])
     def test_misshapen_warm_start_is_refused(self, rng, extra, monkeypatch):
         # the kernel writes beta as raw memory of m doubles, like the state
-        import netcov.solver as solver
-
         problem, *_ = build_problem(rng)
         m = problem.U.shape[1]
         shape = (m, 1) if extra is None else (m + extra,)
-        swept = []
-        monkeypatch.setattr(solver, "_sweep",
-                            lambda *args: swept.append(args))
+        swept = tap_blocks(monkeypatch)
         with pytest.raises(ValueError, match="warm start has shape"):
             fit_at_lambda(problem, beta0=np.zeros(shape))
         assert swept == []
+        fit_at_lambda(problem, beta0=np.zeros(m))
+        assert swept
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_wrong_start_state_still_certified(self, rng, family):
@@ -962,14 +1162,14 @@ class TestStateReuse:
         start = fit_at_lambda(problem)
         state0 = (_fresh_state(problem, start.mu, start.beta_tilde)
                   + 0.01 * rng.standard_normal(problem.N))
-        sweep, gradient = solver._sweep, solver.smooth_gradient
+        solve_block, gradient = solver._solve_block, solver.smooth_gradient
         allowed = set(np.flatnonzero(
             _group_norms(problem, start.beta_tilde)).tolist())
         orders, passes = [], []
 
-        def swept(prob, kernel, state, mu, beta, order):
-            orders.append((order.tolist(), sorted(allowed)))
-            return sweep(prob, kernel, state, mu, beta, order)
+        def swept(block, n_max, tol):
+            orders.append((block.order.tolist(), sorted(allowed)))
+            return solve_block(block, n_max, tol)
 
         def screened(prob, mu, beta, state=None):
             gmu, grad = gradient(prob, mu, beta, state)
@@ -982,13 +1182,15 @@ class TestStateReuse:
             passes.append((bool(violators.any()), certified))
             return gmu, grad
 
-        monkeypatch.setattr(solver, "_sweep", swept)
+        monkeypatch.setattr(solver, "_solve_block", swept)
         monkeypatch.setattr(solver, "smooth_gradient", screened)
         sol = fit_at_lambda(problem, beta0=start.beta_tilde, mu0=start.mu,
                             state0=state0)
         monkeypatch.undo()
         assert passes[0] == (False, False)
         assert passes[-1] == (False, True)
+        # a block before the first pass, and one after the miss
+        assert len(orders) >= 2
         for order, groups in orders:
             assert set(order) <= set(groups)
         assert kkt_residual(problem, sol.mu, sol.beta_tilde) <= 1e-6
@@ -1017,7 +1219,7 @@ class TestStateReuse:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, wrapped)
 
-        for name in ("fit_at_lambda", "_fresh_state", "_sweep"):
+        for name in ("fit_at_lambda", "_fresh_state", "_solve_block"):
             tap(name, getattr(solver, name))
         prep = scheme_problem("ebg", family)
         fit_path(prep.problem, prep.basis, prep.emap,
@@ -1026,7 +1228,7 @@ class TestStateReuse:
         starts = []
         for i, event in enumerate(events):
             if event == "fit_at_lambda":
-                first_sweep = events.index("_sweep", i)
+                first_sweep = events.index("_solve_block", i)
                 starts.append(events[i:first_sweep].count("_fresh_state"))
         assert len(starts) == 20
         assert starts == [1] + [0] * 19
@@ -1146,15 +1348,20 @@ class TestPositiveLambda:
         # PenalizedProblem itself refuses lambda < 0: set it past that
         object.__setattr__(problem, "lam", lam)
         touched = []
-        for name in ("_sweep", "smooth_gradient"):
-            monkeypatch.setattr(solver, name,
-                                lambda *args, name=name: touched.append(name))
+        for name in ("_solve_block", "smooth_gradient"):
+            monkeypatch.setattr(
+                solver, name, lambda *args, name=name, fn=getattr(solver, name):
+                (touched.append(name), fn(*args))[1])
         refused = re.escape(f"lambda must be > 0, got {lam!r}")
         with pytest.raises(ValueError, match=refused):
             fit_at_lambda(problem)
         with pytest.raises(ValueError, match=refused):
             kkt_residual(problem, 0.0, np.zeros(problem.U.shape[1]))
         assert touched == []
+        # the same taps see a positive lambda's sweeps and passes
+        object.__setattr__(problem, "lam", 0.1)
+        fit_at_lambda(problem)
+        assert set(touched) == {"_solve_block", "smooth_gradient"}
 
     @pytest.mark.parametrize("grid", [[0.1, 0.0], [0.1, -0.1], [0.0], []])
     def test_path_grid_must_be_positive(self, rng, grid, monkeypatch):
