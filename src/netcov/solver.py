@@ -59,33 +59,23 @@ that it is ``np.mean`` to the bit; and makes the pass over the active
 groups.  Each sweep that does not stop the window writes its
 ``(mu, beta[coords])`` and its state as one row of two buffers the path
 allocates once, and the Anderson step reads those rows in place.  So
-the paths are bit for bit those of the same loop in numpy.  A path
-binds the kernel once to the group layout that :class:`PenalizedProblem`
-checks when it is built, y and those buffers; each solve binds that to
-its own state, coefficient array and intercept (a ctypes double), and
-each active set to its groups and coordinates.  The kernel is compiled
-with the system C compiler (``gcc``) the first time a solve binds it,
-never at import, and loaded with :mod:`ctypes`; ctypes and a compiler
+the paths are bit for bit those of the same loop in numpy.  A call reads
+and writes one C ``struct block`` (:class:`_Block`), filled in once a
+path, once a solve and once an active set.  The kernel is compiled with
+the system C compiler (``gcc``) the first time a solve calls it, never
+at import, and loaded with :mod:`ctypes`; ctypes and a compiler
 need no package beyond the standard library, where cffi would be an
 undeclared dependency.  The library is cached under the user cache
 directory (``$XDG_CACHE_HOME/netcov``, by default ``~/.cache/netcov``).
 A missing or failing compiler is an error naming the compiler and its
 output; there is no interpreted fallback.  The build uses ``-O3
--march=native -ffp-contract=off`` and never ``-ffast-math``: fast-math
-would let the compiler reassociate sums, fuse multiply-adds and call
-glibc's vector ``exp`` (libmvec), so a result would depend on the vector
-width of the build.  The kernel instead spells out eight independent
-partial sums per dot product, which the compiler vectorizes without
-reordering any of them, so its arithmetic is the same whatever vector
-width the build picks.  A wide group is worked four columns at a time,
-loading each residual element once for four dots and each residual-shift
-element once for four terms.  Each dot keeps its own partial sums and
-each shift element adds its terms in column order, so the result is bit
-for bit that of one column at a time.
+-march=native -ffp-contract=off`` and never ``-ffast-math``, which would
+let the compiler reassociate sums, fuse multiply-adds and call glibc's
+vector ``exp``; the kernel's header says how its dot products and its
+four-column blocks keep the bits the same at any vector width.
 """
 
 import ctypes
-import functools
 import hashlib
 import numbers
 import os
@@ -130,6 +120,7 @@ _CC = "gcc"
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "sweep_kernel.c")
+_CPUINFO = "/proc/cpuinfo"
 _CACHE_DIR = os.path.join(
     os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
     "netcov")
@@ -176,9 +167,10 @@ class PenalizedProblem:
     def __post_init__(self):
         object.__setattr__(self, "U",
                            np.asfortranarray(self.U, dtype=np.float64))
-        if self.U.ndim != 2 or self.U.shape[0] != np.size(self.y):
-            raise ValueError(f"U has shape {self.U.shape}, expected "
-                             f"{np.size(self.y)} rows")
+        y = np.asarray(self.y)
+        if self.U.ndim != 2 or y.ndim != 1 or self.U.shape[0] != y.size:
+            raise ValueError(f"U has shape {self.U.shape} and y {y.shape}: "
+                             "need a 1-D y, one value for each of U's rows")
         if self.family not in ("gaussian", "binomial"):
             raise ValueError(f"unknown family {self.family!r}")
         if not (isinstance(self.lam, numbers.Real) and 0 <= self.lam < np.inf):
@@ -199,9 +191,10 @@ class PenalizedProblem:
                              f"for each of the {n} groups")
         if len(self.names) != n:
             raise ValueError(f"{len(self.names)} group names for {n} groups")
-        y = np.asarray(self.y)
         if self.family == "binomial" and not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError("binomial responses must be coded 0/1")
+        if self.family == "gaussian" and not np.isfinite(y).all():
+            raise ValueError("gaussian responses must be finite")
         offsets = offsets.astype(np.int64)  # a copy the caller cannot change
         offsets.flags.writeable = False  # the kernel indexes U by it
         object.__setattr__(self, "offsets", offsets)
@@ -398,17 +391,19 @@ def lambda_grid(lam_max, grid_size=GRID_SIZE, min_ratio=MIN_RATIO):
 
 def _host_cpu():
     """What ``-march=native`` resolves against: the first CPU's model name
-    and feature flags where the OS lists them, else the machine type."""
+    and flags (x86) or part and features (arm64) where the OS lists them,
+    else the machine type."""
+    fields = {}
     try:
-        with open("/proc/cpuinfo") as fh:
-            fields = {}
+        with open(_CPUINFO) as fh:
             for line in fh:
                 key = line.split(":", 1)[0].strip()
-                if key in ("model name", "flags"):
+                if key in ("model name", "flags", "CPU part", "Features"):
                     fields.setdefault(key, line)
-            return "".join(sorted(fields.values()))
     except OSError:
-        return f"{platform.machine()} {platform.processor()}"
+        pass
+    return ("".join(sorted(fields.values()))
+            or f"{platform.machine()} {platform.processor()}")
 
 
 def _load_kernel():
@@ -446,88 +441,85 @@ def _load_kernel():
                     f"exited {proc.returncode}:\n{proc.stderr}")
             os.replace(built, path)
     fn = ctypes.CDLL(path).netcov_solve_block
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = (ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,  # per path
-                   ptr, ptr, ptr, ptr, f64,  # per solve
-                   ptr, i64, ptr, i64,  # per active set
-                   i64, f64)  # per call
-    fn.restype = i64
+    fn.argtypes = (ctypes.POINTER(_Block), ctypes.c_int64, ctypes.c_double)
+    fn.restype = ctypes.c_int64
     _kernel_fn = fn
     return fn
 
 
-def _bind_kernel(problem):
-    """The compiled entry bound to what a path shares: U.T (a view), the
-    problem's layout, multipliers and y, a work buffer, and the buffers a
-    block records its iterates and states in.  The kernel reads them as
-    raw memory, so the bound call holds them all as ``arrays``."""
-    m, N = problem.U.shape[1], problem.N
-    arrays = (problem.U.T, problem.offsets, problem.multipliers,
-              # the block's residual shift (N), then the widest group's target
-              np.empty(N + int(np.diff(problem.offsets).max())),
-              np.ascontiguousarray(problem.y, dtype=np.float64),
-              # K+1 rows of (mu, beta[coords]), as long as the active set
-              np.empty((ANDERSON_K + 1) * (1 + m)),
-              np.empty((ANDERSON_K + 1, N)))
-    kernel = functools.partial(_load_kernel(), arrays[0].ctypes.data, N,
-                               *(arr.ctypes.data for arr in arrays[1:]))
-    kernel.arrays = arrays
-    return kernel
+_PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
-def _bind_sweep(kernel, problem, state, beta, mu):
-    """One solve's sweeps: ``kernel`` (:func:`_bind_kernel`) bound to the
-    threshold at the problem's lambda and to what the kernel writes as raw
-    memory, checked and their addresses taken once: the step residual,
-    which is the gaussian ``state`` itself or a binomial buffer refilled
-    from ``state`` (eta) each sweep, ``beta``, and the intercept, kept as
-    the ctypes double ``mu`` that starts at the given value."""
-    m, N = kernel.arrays[0].shape
-    for arr, n in ((state, N), (beta, m)):
-        if (arr.dtype != np.float64 or arr.shape != (n,)
-                or not arr.flags.c_contiguous):
-            raise TypeError(f"sweep kernel needs contiguous float64 of shape "
-                            f"({n},), got {arr.dtype} {arr.shape}")
-    gaussian = problem.family == "gaussian"
-    resid = state if gaussian else np.empty(N)
-    box = ctypes.c_double(mu)
-    c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
-    sweep = functools.partial(
-        kernel, resid.ctypes.data, None if gaussian else state.ctypes.data,
-        beta.ctypes.data, ctypes.addressof(box),
-        problem.N * problem.lam / (c * k))
-    sweep.arrays = (*kernel.arrays, resid, state, beta)
-    sweep.mu, sweep.beta = box, beta
-    sweep.record, sweep.states = kernel.arrays[-2:]
-    return sweep
+class _Block(ctypes.Structure):
+    """``struct block`` of ``sweep_kernel.c``, field for field: all one
+    compiled call reads and writes.  ``_Block(problem)`` fills the
+    per-path fields, :meth:`start` one solve's, :meth:`activate` one
+    active set's.  The kernel reads arrays as raw memory, so ``arrays``
+    holds each one a field points at, by the field's name."""
 
+    _fields_ = [("UT", _PTR), ("N", _I64), ("offsets", _PTR),  # per path
+                ("multipliers", _PTR), ("work", _PTR), ("y", _PTR),
+                ("record", _PTR), ("states", _PTR),
+                ("resid", _PTR), ("eta", _PTR), ("beta", _PTR),  # per solve
+                ("mu", _F64), ("thresh_scale", _F64),
+                ("order", _PTR), ("n_order", _I64),  # per active set
+                ("coords", _PTR), ("n_coords", _I64)]
 
-def _bind_block(sweep, order, coords):
-    """``sweep`` (:func:`_bind_sweep`) bound to one active set: the groups
-    ``order`` it visits and the coordinates ``coords`` whose iterates it
-    records.  ``record`` and ``states`` are the rows a block writes,
-    viewed in the path's buffers."""
-    for name, arr in (("order", order), ("coords", coords)):
-        if arr.dtype != np.int64 or not arr.flags.c_contiguous:
-            raise TypeError(f"sweep {name} must be contiguous int64, got "
-                            f"{arr.dtype}")
-    block = functools.partial(sweep, order.ctypes.data, order.size,
-                              coords.ctypes.data, coords.size)
-    block.order, block.coords = order, coords
-    block.mu, block.beta, block.states = sweep.mu, sweep.beta, sweep.states
-    rows = ANDERSON_K + 1
-    block.record = sweep.record[:rows * (1 + coords.size)].reshape(rows, -1)
-    return block
+    def __init__(self, problem):
+        m, N = problem.U.shape[1], problem.N
+        super().__init__(N=N)
+        self.arrays = {}
+        self._point(
+            UT=problem.U.T, offsets=problem.offsets,
+            multipliers=problem.multipliers,
+            # the block's residual shift (N), then the widest group's target
+            work=np.empty(N + int(np.diff(problem.offsets).max())),
+            y=np.ascontiguousarray(problem.y, dtype=np.float64),
+            # K+1 rows of (mu, beta[coords]), as long as the active set
+            record=np.empty((ANDERSON_K + 1) * (1 + m)),
+            states=np.empty((ANDERSON_K + 1, N)))
+
+    def _point(self, **arrays):
+        for name, arr in arrays.items():
+            setattr(self, name, None if arr is None else arr.ctypes.data)
+        self.arrays.update(arrays)
+
+    def start(self, problem, state, beta, mu):
+        """One solve's fields, which the kernel moves in place: ``beta``,
+        the intercept ``mu``, and the gaussian ``state`` as the residual or
+        the binomial one as eta; and the threshold at the problem's lambda."""
+        m, N = self.arrays["UT"].shape
+        for arr, n in ((state, N), (beta, m)):
+            if (arr.dtype != np.float64 or arr.shape != (n,)
+                    or not arr.flags.c_contiguous):
+                raise TypeError(f"sweep kernel needs contiguous float64 of "
+                                f"shape ({n},), got {arr.dtype} {arr.shape}")
+        gaussian = problem.family == "gaussian"
+        c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
+        self._point(resid=state if gaussian else np.empty(N),
+                    eta=None if gaussian else state, beta=beta)
+        self.mu, self.thresh_scale = mu, problem.N * problem.lam / (c * k)
+
+    def activate(self, order, coords):
+        """One active set's fields: the groups ``order`` a sweep visits
+        and the coordinates ``coords`` whose iterates it records.
+        ``rows`` views the rows a block writes in the path's buffer."""
+        for name, arr in (("order", order), ("coords", coords)):
+            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+                raise TypeError(f"sweep {name} must be contiguous int64, got "
+                                f"{arr.dtype}")
+        self._point(order=order, coords=coords)
+        self.n_order, self.n_coords = order.size, coords.size
+        rows = self.arrays["record"][:(ANDERSON_K + 1) * (1 + coords.size)]
+        self.rows = rows.reshape(ANDERSON_K + 1, -1)
 
 
 def _solve_block(block, n_max, tol):
-    """Up to ``n_max`` sweeps in one compiled call (``block``, bound by
-    :func:`_bind_block`), which stops after the first sweep whose change
-    is below ``tol``.  ``block.mu``, ``block.beta`` and the state move in
-    place; each sweep that did not stop the block is a row of
-    ``block.record`` and ``block.states``.  Returns the number of sweeps
-    run and whether the last one stopped the block."""
-    recorded = block(n_max, tol)
+    """Up to ``n_max`` sweeps in one compiled call on ``block``, which
+    stops after the first whose change is below ``tol``; each sweep that
+    does not is a row of ``block.rows`` and of its ``states``.  Returns
+    the sweeps run and whether the last one stopped the block."""
+    recorded = _load_kernel()(block, n_max, tol)
     return (recorded + 1, True) if recorded < n_max else (n_max, False)
 
 
@@ -565,7 +557,7 @@ def _anderson(problem, beta, coords, history, states):
 
 
 def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
-                  _kernel=None):
+                  _block=None):
     """Solve the penalized problem at the problem's lambda.
 
     Lambda must be positive.  Sweeps cycle over the active groups until
@@ -590,8 +582,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
     Raises :class:`ConvergenceError` carrying the last iterate when
     ``MAX_SWEEPS`` sweeps leave the point uncertified.
 
-    ``_kernel`` is internal: :func:`fit_path` binds the compiled entry
-    once (:func:`_bind_kernel`) and hands it to every point.
+    ``_block`` is internal: :func:`fit_path` fills one :class:`_Block`
+    per path and hands it to every point.
     """
     if not problem.lam > 0:
         raise ValueError(f"lambda must be > 0, got {problem.lam!r}")
@@ -607,8 +599,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
         if state.shape != (problem.N,):
             raise ValueError(f"start state has shape {state.shape}, "
                              f"expected ({problem.N},)")
-    sweep = _bind_sweep(_kernel or _bind_kernel(problem), problem, state,
-                        beta, mu)
+    block = _Block(problem) if _block is None else _block
+    block.start(problem, state, beta, mu)
 
     in_active = _group_norms(problem, beta) > 0
     active = np.flatnonzero(in_active)
@@ -618,7 +610,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
     while sweeps < MAX_SWEEPS:
         # converge on the current active set, one Anderson window a call
         coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
-        block = _bind_block(sweep, active, coords)
+        block.activate(active, coords)
         while sweeps < MAX_SWEEPS:
             n, converged = _solve_block(
                 block, min(ANDERSON_K + 1, MAX_SWEEPS - sweeps), tol)
@@ -628,13 +620,13 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
             # extrapolate only where a sweep follows, so that the returned
             # iterate always comes from a sweep
             if n > ANDERSON_K and sweeps < MAX_SWEEPS:
-                step = _anderson(problem, beta, coords, block.record,
-                                 block.states)
+                step = _anderson(problem, beta, coords, block.rows,
+                                 block.arrays["states"])
                 if step is not None:
                     # into the kernel's own intercept and state
-                    sweep.mu.value, state[:] = step
+                    block.mu, state[:] = step
                     n_extrapolated += 1
-        mu = sweep.mu.value
+        mu = block.mu
 
         # full gradient pass: screening + KKT certificate
         state[:] = _fresh_state(problem, mu, beta)  # shed incremental drift
@@ -678,7 +670,7 @@ def fit_path(problem, basis, emap, lambdas):
         raise ValueError("lambda grid must be non-empty, positive and "
                          "strictly decreasing")
 
-    kernel = _bind_kernel(problem)
+    block = _Block(problem)
     entries = []
     last = prev = None  # the last two solutions
     for lam in lambdas:
@@ -696,7 +688,7 @@ def fit_path(problem, basis, emap, lambdas):
                 start = dict(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
                              state0=state_p)
                 predicted = True
-        sol = fit_at_lambda(prob, _kernel=kernel, **start)
+        sol = fit_at_lambda(prob, _block=block, **start)
         prev, last = last, sol
         norms = _group_norms(problem, sol.beta_tilde)
         active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))

@@ -17,13 +17,17 @@
  * the number of rows written: n_max when no sweep stopped the block,
  * else one less than the sweeps run.
  *
- * UT holds the design transposed: column j of U is the contiguous row
- * UT[j*N .. j*N+N).  Group g owns columns offsets[g] .. offsets[g+1]-1
- * and has threshold thresh_scale * multipliers[g].  A width-1 group
- * takes the soft-threshold z -/+ t; a wider group the multiplicative
- * shrinkage max(0, 1 - t/||z||) z, and exactly 0.0 when it is shrunk
- * away.  `work` holds N doubles for the block's residual shift followed
- * by the widest group's width for its target z.
+ * The call reads and writes one struct block, mirrored field for field
+ * by ctypes in solver.py: the per-path layout, y and buffers, one
+ * solve's state, coefficients, intercept and threshold, and one active
+ * set's groups and recorded coordinates, each field 8 bytes, so there is
+ * no padding.  UT holds the design transposed: column j of U is the
+ * contiguous row UT[j*N .. j*N+N).  Group g owns columns offsets[g] ..
+ * offsets[g+1]-1 and has threshold t = thresh_scale * multipliers[g].
+ * A width-1 group takes the soft-threshold z -/+ t; a wider group the
+ * multiplicative shrinkage max(0, 1 - t/||z||) z, and exactly 0.0 when
+ * it is shrunk away.  `work` holds N doubles for the block's residual
+ * shift followed by the widest group's width for its target z.
  *
  * Built without -ffast-math and with -ffp-contract=off: no sum is
  * reassociated, no multiply-add is fused, and exp stays libm's scalar
@@ -44,6 +48,26 @@
 #include <string.h>
 
 #define LANES 8
+
+struct block {
+    const double *UT;           /* per path */
+    int64_t N;
+    const int64_t *offsets;
+    const double *multipliers;
+    double *work;
+    const double *y;
+    double *record;
+    double *states;
+    double *resid;              /* per solve */
+    double *eta;
+    double *beta;
+    double mu;
+    double thresh_scale;
+    const int64_t *order;       /* per active set */
+    int64_t n_order;
+    const int64_t *coords;
+    int64_t n_coords;
+};
 
 static double dot(const double *a, const double *b, int64_t n)
 {
@@ -123,23 +147,20 @@ static double pairwise_sum(const double *a, int64_t n)
 
 /* One cyclic pass over the groups in order; returns the largest
  * absolute coefficient change */
-static double sweep_groups(const double *UT, int64_t N,
-                           const int64_t *offsets, const double *multipliers,
-                           double *work,
-                           double *resid, double *eta, double *beta,
-                           double thresh_scale,
-                           const int64_t *order, int64_t n_order)
+static double sweep_groups(const struct block *bk)
 {
+    const int64_t N = bk->N;
+    double *resid = bk->resid, *eta = bk->eta;
     double max_delta = 0.0;
-    double *shift = work;
-    double *z = work + N;
-    for (int64_t o = 0; o < n_order; o++) {
-        const int64_t g = order[o];
-        const int64_t s0 = offsets[g];
-        const int64_t width = offsets[g + 1] - s0;
-        const double t = thresh_scale * multipliers[g];
-        const double *U = UT + s0 * N;
-        double *b = beta + s0;
+    double *shift = bk->work;
+    double *z = bk->work + N;
+    for (int64_t o = 0; o < bk->n_order; o++) {
+        const int64_t g = bk->order[o];
+        const int64_t s0 = bk->offsets[g];
+        const int64_t width = bk->offsets[g + 1] - s0;
+        const double t = bk->thresh_scale * bk->multipliers[g];
+        const double *U = bk->UT + s0 * N;
+        double *b = bk->beta + s0;
 
         if (width == 1) {
             const double zs = dot(U, resid, N) + b[0];
@@ -231,42 +252,34 @@ static double sweep_groups(const double *UT, int64_t N,
     return max_delta;
 }
 
-int64_t netcov_solve_block(const double *UT, int64_t N,
-                           const int64_t *offsets, const double *multipliers,
-                           double *work, const double *y,
-                           double *record, double *states,
-                           double *resid, double *eta, double *beta,
-                           double *mu, double thresh_scale,
-                           const int64_t *order, int64_t n_order,
-                           const int64_t *coords, int64_t n_coords,
-                           int64_t n_max, double tol)
+int64_t netcov_solve_block(struct block *bk, int64_t n_max, double tol)
 {
+    const int64_t N = bk->N;
+    double *resid = bk->resid, *eta = bk->eta;
     const double *state = eta ? eta : resid;
     for (int64_t s = 0; s < n_max; s++) {
         if (eta)
             for (int64_t i = 0; i < N; i++)
-                resid[i] = (y[i] - 1.0 / (1.0 + exp(-eta[i]))) / 0.25;
+                resid[i] = (bk->y[i] - 1.0 / (1.0 + exp(-eta[i]))) / 0.25;
         /* np.mean: the pairwise sum, from numpy's initial 0.0, over N */
         const double dmu = (0.0 + pairwise_sum(resid, N)) / (double)N;
-        *mu += dmu;
+        bk->mu += dmu;
         for (int64_t i = 0; i < N; i++)
             resid[i] -= dmu;
         if (eta)
             for (int64_t i = 0; i < N; i++)
                 eta[i] += dmu;
         double delta = fabs(dmu);
-        const double step = sweep_groups(UT, N, offsets, multipliers, work,
-                                         resid, eta, beta, thresh_scale,
-                                         order, n_order);
+        const double step = sweep_groups(bk);
         if (step > delta)
             delta = step;
         if (delta < tol)
             return s;
-        double *row = record + s * (1 + n_coords);
-        row[0] = *mu;
-        for (int64_t c = 0; c < n_coords; c++)
-            row[1 + c] = beta[coords[c]];
-        memcpy(states + s * N, state, (size_t)N * sizeof(double));
+        double *row = bk->record + s * (1 + bk->n_coords);
+        row[0] = bk->mu;
+        for (int64_t c = 0; c < bk->n_coords; c++)
+            row[1 + c] = bk->beta[bk->coords[c]];
+        memcpy(bk->states + s * N, state, (size_t)N * sizeof(double));
     }
     return n_max;
 }

@@ -54,15 +54,17 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
 
 
 def bound_block(problem, state, mu, beta, order, coords=None):
-    """The compiled sweeps of one solve over one active set, bound as
-    fit_at_lambda binds them; they record every coordinate unless
+    """The compiled sweeps of one solve over one active set, filled in as
+    fit_at_lambda fills them; they record every coordinate unless
     ``coords`` names some."""
-    from netcov.solver import _bind_block, _bind_kernel, _bind_sweep
+    from netcov.solver import _Block
 
     if coords is None:
         coords = np.arange(problem.U.shape[1])
-    sweep = _bind_sweep(_bind_kernel(problem), problem, state, beta, mu)
-    return _bind_block(sweep, np.asarray(order, dtype=np.int64), coords)
+    block = _Block(problem)
+    block.start(problem, state, beta, mu)
+    block.activate(np.asarray(order, dtype=np.int64), coords)
+    return block
 
 
 def tap_blocks(monkeypatch):
@@ -73,7 +75,7 @@ def tap_blocks(monkeypatch):
     calls, solve_block = [], solver._solve_block
 
     def tapped(block, n_max, tol):
-        calls.append(block.order.tolist())
+        calls.append(block.arrays["order"].tolist())
         return solve_block(block, n_max, tol)
 
     monkeypatch.setattr(solver, "_solve_block", tapped)
@@ -84,6 +86,30 @@ def pairs(problem):
     """The problem's groups as the (start, stop) pairs the oracles take."""
     offsets = problem.offsets.tolist()
     return list(zip(offsets[:-1], offsets[1:]))
+
+
+def struct_fields(source):
+    """(name, kind) of each field of ``struct block`` in the C source, in
+    order; the kind is ``pointer``, ``int64_t`` or ``double``."""
+    body = re.search(r"^struct block \{(.*?)^\};", source, re.M | re.S)[1]
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        match = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)\s*",
+                             decl)
+        assert match, f"unparsed field {decl!r}"
+        ctype, star, name = match.groups()
+        fields.append((name, "pointer" if star else ctype))
+    return fields
+
+
+def ctypes_fields(structure):
+    """(name, kind) of each field of a ctypes structure, as
+    :func:`struct_fields` names them."""
+    import ctypes
+
+    kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t",
+             ctypes.c_double: "double"}
+    return [(name, kinds[ctype]) for name, ctype in structure._fields_]
 
 
 class TestDeviance:
@@ -258,11 +284,11 @@ class TestFitAtLambda:
             for _ in range(10):
                 assert (_solve_block(block, ANDERSON_K + 1, 0.0)
                         == (ANDERSON_K + 1, False))
-                for row in block.record:
+                for row in block.rows:
                     q = objective(prob, row[0], row[1:])
                     assert q <= prev + 1e-12
                     prev = q
-                assert block.record[-1].tolist() == [block.mu.value,
+                assert block.rows[-1].tolist() == [block.mu,
                                                      *beta.tolist()]
 
     def test_penalty_scale_invariance(self, rng):
@@ -448,14 +474,15 @@ class TestAcceleration:
             # the objective at the block's start, after each sweep it
             # records (beta[coords] = row[1:]; the other coordinates do
             # not move) and after a last sweep that stopped it
-            values = [objective(prob, block.mu.value, block.beta)]
+            beta, coords = block.arrays["beta"], block.arrays["coords"]
+            values = [objective(prob, block.mu, beta)]
             n, converged = solve_block(block, n_max, tol)
-            beta = block.beta.copy()
-            for row in block.record[:n - converged]:
-                beta[block.coords] = row[1:]
+            beta = beta.copy()
+            for row in block.rows[:n - converged]:
+                beta[coords] = row[1:]
                 values.append(objective(prob, row[0], beta))
             if converged:
-                values.append(objective(prob, block.mu.value, block.beta))
+                values.append(objective(prob, block.mu, block.arrays["beta"]))
             windows.append(values)
             swept.append(n)
             return n, converged
@@ -722,13 +749,14 @@ class TestSweepKernel:
                 block = bound_block(prob, s, mu, b, order, coords)
                 assert _solve_block(block, n_max, 0.0) == (n_max, False)
                 mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
-                for row, s_row in zip(block.record[:n_max], block.states):
+                states = block.arrays["states"]
+                for row, s_row in zip(block.rows[:n_max], states):
                     mu_ref, _ = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
                                                   order)
                     assert row[0] == mu_ref
                     assert row[1:].tobytes() == b_ref[coords].tobytes()
                     assert s_row.tobytes() == s_ref.tobytes()
-                assert block.mu.value == mu_ref
+                assert block.mu == mu_ref
                 assert b.tobytes() == b_ref.tobytes()
                 assert s.tobytes() == s_ref.tobytes()
 
@@ -757,7 +785,7 @@ class TestSweepKernel:
                     assert _solve_block(block, K1, tol) == (K1, False)
                 else:
                     assert _solve_block(block, K1, tol) == (stop + 1, True)
-                    assert block.mu.value == mus[stop]
+                    assert block.mu == mus[stop]
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("layout", ["singleton", "block", "mixed"])
@@ -780,8 +808,7 @@ class TestSweepKernel:
             block = bound_block(prob, state, mu, beta, order)
             assert _solve_block(block, 1, 0.0) == (1, False)
             assert self.close(beta, b_ref) and self.close(state, s_ref)
-            assert abs(block.mu.value - mu_ref) <= 1e-12 * max(1.0,
-                                                               abs(mu_ref))
+            assert abs(block.mu - mu_ref) <= 1e-12 * max(1.0, abs(mu_ref))
             # a coordinate the reference leaves at zero the kernel does too
             np.testing.assert_array_equal(beta == 0.0, b_ref == 0.0)
 
@@ -802,7 +829,7 @@ class TestSweepKernel:
                                         d_ref)
         block = bound_block(problem, state, 0.3, beta, order)
         assert _solve_block(block, 1, 0.0) == (1, False)
-        assert block.mu.value == mu_ref
+        assert block.mu == mu_ref
         np.testing.assert_array_equal(beta, b_ref)
         np.testing.assert_array_equal(state, s_ref)
 
@@ -820,14 +847,12 @@ class TestSweepKernel:
             moved = state - mean
             block = bound_block(problem, state, 0.0, np.zeros(1), [])
             assert _solve_block(block, 1, 0.0) == (1, False)
-            assert block.mu.value == mean, N
+            assert block.mu == mean, N
             assert state.tobytes() == moved.tobytes(), N
 
     def test_binomial_step_residual_is_expit(self, rng):
         # the step residual (y - expit(eta)) / 0.25, the logistic bound,
         # including where exp(-eta) overflows or underflows
-        from netcov.solver import _bind_block, _bind_kernel, _bind_sweep
-
         N = 1000
         eta = np.concatenate([8.0 * rng.standard_normal(N - 7),
                               [-800.0, -40.0, -1e-300, 0.0, 1e-300, 40.0,
@@ -839,14 +864,11 @@ class TestSweepKernel:
         r = (y - expit(eta)) / 0.25
         mean = float(r.mean())
         state = eta.copy()
-        sweep = _bind_sweep(_bind_kernel(problem), problem, state,
-                            np.zeros(1), 0.0)
-        resid = sweep.arrays[-3]  # the binomial step-residual buffer
-        block = _bind_block(sweep, np.empty(0, dtype=np.int64),
-                            np.empty(0, dtype=np.int64))
+        block = bound_block(problem, state, 0.0, np.zeros(1), [])
+        resid = block.arrays["resid"]  # the binomial step-residual buffer
         assert _solve_block(block, 1, 0.0) == (1, False)
         assert resid.tobytes() == (r - mean).tobytes()
-        assert block.mu.value == mean
+        assert block.mu == mean
         assert state.tobytes() == (eta + mean).tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
@@ -885,24 +907,22 @@ class TestSweepKernel:
         block = bound_block(problem, state, 0.0, beta, order)
         assert _solve_block(block, 1, 0.0) == (1, False)
         assert np.all(beta == 0.0) and not np.any(np.signbit(beta))
-        assert block.mu.value == 0.0
+        assert block.mu == 0.0
         np.testing.assert_array_equal(state, [0.75, 1.0, -0.5, -0.5])
 
     @pytest.mark.parametrize("which", ["order", "coords"])
     def test_block_indices_must_be_contiguous_int64(self, rng, which):
         # the kernel reads both as raw int64 memory
-        from netcov.solver import _bind_block, _bind_kernel, _bind_sweep
-
         problem = replace(self.problem(rng, [1, 2], "gaussian"), lam=0.1)
         beta = np.zeros(3)
-        sweep = _bind_sweep(_bind_kernel(problem), problem,
-                            _fresh_state(problem, 0.0, beta), beta, 0.0)
+        block = bound_block(problem, _fresh_state(problem, 0.0, beta), 0.0,
+                            beta, [])
         good = np.arange(2, dtype=np.int64)
         for bad in (good.astype(np.int32), np.arange(4)[::2]):
             indices = {"order": good, "coords": good, which: bad}
             with pytest.raises(TypeError, match=f"sweep {which} must be "
                                                 "contiguous int64"):
-                _bind_block(sweep, indices["order"], indices["coords"])
+                block.activate(indices["order"], indices["coords"])
 
     def test_cap_inside_a_window_raises_at_the_cap(self, monkeypatch):
         # a cap of 7 sweeps, not a multiple of the K+1 window: the last
@@ -933,16 +953,20 @@ class TestSweepKernel:
             done += n
         assert done == 7 and calls[-1][0] < ANDERSON_K + 1
 
-    def test_exported_prototype_matches_argtypes(self):
-        # a ctypes call whose argtypes disagree with the C prototype is
-        # undefined behaviour, not an error: compare count and kind of
-        # every parameter and the return type.  The source defines one
-        # function that is not static, the entry _load_kernel loads
+    def test_block_struct_matches_ctypes(self):
+        # a ctypes call whose structure or argtypes disagree with the C
+        # source is undefined behaviour, not an error: compare the name,
+        # order and kind of every field of struct block with _Block, then
+        # count and kind of every parameter and the return type.  The
+        # source defines one function that is not static, the entry
+        # _load_kernel loads
         import ctypes
 
         import netcov.solver as solver
 
         source = Path(solver._SOURCE).read_text()
+        assert struct_fields(source) == ctypes_fields(solver._Block)
+        assert ctypes.sizeof(solver._Block) == 8 * len(solver._Block._fields_)
         defined = re.findall(r"^(static\s+)?(\w+)\s+(\w+)\(([^)]*)\)\s*\{",
                              source, re.M)
         assert len(defined) > 1
@@ -952,7 +976,9 @@ class TestSweepKernel:
 
         def kind(decl):
             if "*" in decl:
-                return ctypes.c_void_p
+                return (ctypes.POINTER(solver._Block)
+                        if decl.split()[:2] == ["struct", "block"]
+                        else ctypes.c_void_p)
             ctype = decl.split()[-2]
             return {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[ctype]
 
@@ -961,28 +987,67 @@ class TestSweepKernel:
         assert [kind(p) for p in params.split(",")] == list(fn.argtypes)
         assert kind(f"{restype} result") == fn.restype
 
-    def test_missing_compiler_is_named(self, rng, tmp_path, monkeypatch):
+    def test_the_layout_check_sees_a_mismatch(self):
+        # the parser reads the real struct as _Block's fields and each
+        # doctored copy as a mismatch: two fields of one kind swapped, mu
+        # retyped to int64_t and one field dropped
         import netcov.solver as solver
 
-        problem = self.problem(rng, [1, 2], "gaussian")
+        source = Path(solver._SOURCE).read_text()
+        fields = ctypes_fields(solver._Block)
+        assert struct_fields(source) == fields
+        for old, new in (("double *eta;\n    double *beta;",
+                          "double *beta;\n    double *eta;"),
+                         ("double mu;", "int64_t mu;"),
+                         ("int64_t n_order;\n", "")):
+            assert source.count(old) == 1
+            assert struct_fields(source.replace(old, new)) != fields
+
+    def test_missing_compiler_is_named(self, tmp_path, monkeypatch):
+        import netcov.solver as solver
+
         monkeypatch.setattr(solver, "_kernel_fn", None)
         monkeypatch.setattr(solver, "_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setattr(solver, "_CC", str(tmp_path / "no-such-cc"))
         with pytest.raises(RuntimeError, match="no-such-cc"):
-            solver._bind_kernel(problem)
+            solver._load_kernel()
 
-    def test_failing_compiler_shows_its_output(self, rng, tmp_path,
-                                               monkeypatch):
+    def test_failing_compiler_shows_its_output(self, tmp_path, monkeypatch):
         import netcov.solver as solver
 
-        problem = self.problem(rng, [1, 2], "gaussian")
         monkeypatch.setattr(solver, "_kernel_fn", None)
         monkeypatch.setattr(solver, "_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setattr(solver, "_CFLAGS",
                             solver._CFLAGS + ("-fno-such-flag",))
         with pytest.raises(RuntimeError, match="(?s)gcc.*no-such-flag"):
-            solver._bind_kernel(problem)
+            solver._load_kernel()
         assert os.listdir(tmp_path / "cache") == []
+
+    def test_host_cpu_tells_arm64_cpus_apart(self, tmp_path, monkeypatch):
+        # an arm64 cpuinfo lists no model name or flags; its CPU part and
+        # Features key the cache instead, and a cpuinfo with neither, or
+        # none at all, falls back to the machine type
+        import netcov.solver as solver
+
+        cpu = ("processor\t: {n}\nBogoMIPS\t: 50.00\nFeatures\t: {features}\n"
+               "CPU implementer\t: 0x41\nCPU architecture: 8\n"
+               "CPU variant\t: 0x1\nCPU part\t: 0xd0c\nCPU revision\t: 1\n\n")
+        base = "fp asimd evtstrm aes pmull sha1 sha2 crc32 atomics"
+        keys = []
+        for i, text in enumerate((
+                "".join(cpu.format(n=n, features=base) for n in range(2)),
+                "".join(cpu.format(n=n, features=base + " sve")
+                        for n in range(2)),
+                "processor\t: 0\n\n")):
+            path = tmp_path / f"cpuinfo{i}"
+            path.write_text(text)
+            monkeypatch.setattr(solver, "_CPUINFO", str(path))
+            keys.append(solver._host_cpu())
+        monkeypatch.setattr(solver, "_CPUINFO", str(tmp_path / "missing"))
+        keys.append(solver._host_cpu())
+        assert all(key.strip() for key in keys)
+        assert keys[0] != keys[1]
+        assert keys[2] == keys[3]
 
     def test_concurrent_cold_builds_load_one_library(self, tmp_path):
         # two processes build into one empty cache at once; both must
@@ -1023,13 +1088,13 @@ class TestStateReuse:
     carries must equal a fresh pass over U."""
 
     def test_kernel_reads_prepared_design_in_place(self):
-        # the bound kernel is handed U's own memory, transposed by view
-        from netcov.solver import _bind_kernel
+        # the kernel's block points at U's own memory, transposed by view
+        from netcov.solver import _Block
 
         prep = scheme_problem("ebg", "gaussian")
-        kernel = _bind_kernel(prep.problem)
-        assert kernel.args[0] == prep.problem.U.ctypes.data
-        assert np.shares_memory(kernel.arrays[0], prep.problem.U)
+        block = _Block(prep.problem)
+        assert block.UT == prep.problem.U.ctypes.data
+        assert np.shares_memory(block.arrays["UT"], prep.problem.U)
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_stored_state_pricing_matches_fresh(self, family, monkeypatch):
@@ -1168,7 +1233,7 @@ class TestStateReuse:
         orders, passes = [], []
 
         def swept(block, n_max, tol):
-            orders.append((block.order.tolist(), sorted(allowed)))
+            orders.append((block.arrays["order"].tolist(), sorted(allowed)))
             return solve_block(block, n_max, tol)
 
         def screened(prob, mu, beta, state=None):
@@ -1328,6 +1393,19 @@ class TestGroupLayout:
         y[3] = bad
         with pytest.raises(ValueError, match="coded 0/1"):
             self.build(rng, family="binomial", y=y)
+
+    def test_response_must_be_1d(self, rng):
+        # a column y would broadcast the start state to N x N
+        with pytest.raises(ValueError, match="need a 1-D y"):
+            self.build(rng, y=rng.standard_normal((12, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gaussian_response_must_be_finite(self, rng, bad):
+        # a NaN would give lambda_max nan and a fit that never converges
+        y = rng.standard_normal(12)
+        y[3] = bad
+        with pytest.raises(ValueError, match="responses must be finite"):
+            self.build(rng, y=y)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.1, "0.1", None])
     def test_bad_lambda_is_refused(self, rng, lam):

@@ -7,7 +7,8 @@ tests, its demos or its benchmark use them.  Only ``files.py`` imports
 ``csv``, and only it and ``data.py`` write files with ``open`` or
 ``np.savetxt``, so one module lists every output file.  All are read from
 the syntax tree, so no linter is needed.  The C sweep kernel must compile without a
-warning under the solver's own flags."""
+warning under the solver's own flags, and with ``-Wpadded`` its struct
+has no padding for ctypes to get wrong."""
 
 import ast
 import subprocess
@@ -216,6 +217,7 @@ def test_sweep_kernel_compiles_without_warnings():
     from netcov import solver
 
     proc = subprocess.run(
-        [solver._CC, *solver._CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-fsyntax-only", solver._SOURCE], capture_output=True, text=True)
+        [solver._CC, *solver._CFLAGS, "-Wall", "-Wextra", "-Wpadded",
+         "-Werror", "-fsyntax-only", solver._SOURCE],
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
