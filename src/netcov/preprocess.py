@@ -286,14 +286,20 @@ def back_transform(beta_tilde, basis, emap):
     Per group, ``beta_star_G = V_G diag(1/s_G) beta_tilde_G``; then the
     duplicated coordinates are folded back by summation.  Predictions are
     preserved: ``U @ beta_tilde == Z_std @ beta`` up to rank truncation.
+    Only the groups with a nonzero coefficient are multiplied out: a zero
+    group's product is a signed zero, and the fold-back sum starts from
+    +0.0, so skipping it changes no bit of the result.
     """
     beta_tilde = np.asarray(beta_tilde, dtype=np.float64).ravel()
     if beta_tilde.size != basis.offsets[-1]:
         raise ValueError(f"coefficient vector has length {beta_tilde.size}, "
                          f"expected {basis.offsets[-1]}")
     beta_star = np.zeros(emap.p_star)
+    nonzero = np.logical_or.reduceat(beta_tilde != 0, basis.offsets[:-1])
     starts = emap.offsets.tolist()  # python ints slice faster than numpy's
-    for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
-                                  pairwise(basis.offsets.tolist())):
-        beta_star[starts[gi]:starts[gi + 1]] = V @ (beta_tilde[u0:u1] / s)
+    offsets = basis.offsets.tolist()
+    for i in np.flatnonzero(nonzero).tolist():
+        gi, u0, u1 = basis.kept[i], offsets[i], offsets[i + 1]
+        beta_star[starts[gi]:starts[gi + 1]] = (
+            basis.vs[i] @ (beta_tilde[u0:u1] / basis.sigmas[i]))
     return fold_back(beta_star, emap)

@@ -346,6 +346,43 @@ class TestBackTransform:
             scale = max(1.0, np.linalg.norm(pred_u))
             assert np.max(np.abs(pred_u - pred_z)) / scale < 1e-8
 
+    @pytest.mark.parametrize("scheme", ["lasso", "ebg"])
+    def test_skipping_zero_groups_keeps_every_bit(self, scheme):
+        # every entry of a path, mostly zero groups on the LASSO and
+        # duplicated coordinates on EBG, against the multiply of every
+        # kept group, -0.0 included
+        from netcov.pipeline import make_groups
+        from netcov.solver import fit_path, lambda_grid, lambda_max
+
+        def every_group(beta_tilde, basis, emap):
+            beta_star = np.zeros(emap.p_star)
+            for gi, V, s, (u0, u1) in zip(basis.kept, basis.vs, basis.sigmas,
+                                          pairwise(basis.offsets)):
+                s0, s1 = emap.offsets[gi:gi + 2]
+                beta_star[s0:s1] = V @ (beta_tilde[u0:u1] / s)
+            return fold_back(beta_star, emap)
+
+        rng = np.random.default_rng(5)
+        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2, 3, 3], N=80)
+        spec, _ = make_groups(ds, scheme)
+        prep = prepare(ds, spec)
+        prob = prep.problem
+        pf = fit_path(prob, prep.basis, prep.emap, lambdas=lambda_grid(
+            lambda_max(prob), grid_size=20))
+        zero_share = []
+        for entry in pf.entries:
+            bt = entry.beta_tilde
+            zero_share.append(np.mean([not bt[s0:s1].any() for s0, s1
+                                       in pairwise(prob.offsets)]))
+            expected = every_group(bt, prep.basis, prep.emap)
+            assert entry.beta.tobytes() == expected.tobytes()
+            # signed zeros in the zero groups, and the rest negated
+            signed = np.where(bt == 0, -0.0, -bt)
+            assert (back_transform(signed, prep.basis, prep.emap).tobytes()
+                    == every_group(signed, prep.basis, prep.emap).tobytes())
+        if scheme == "lasso":
+            assert np.mean(zero_share) > 0.5
+
     def test_length_check(self, rng):
         Z_std, spec, emap = toy_expansion(rng)
         U, basis, _ = orthonormalize(Z_std, emap)
