@@ -28,7 +28,11 @@ tolerance, then one full gradient pass screens all groups; violators of
 the zero-group condition join the active set, which never shrinks within
 a point.  That pass is also the exit KKT certificate; one with no
 violators that misses it divides the inner tolerance by 10, tying the
-sweeps' precision to the certificate, as Celer does (ICML 2018).
+sweeps' precision to the certificate, as Celer does (ICML 2018).  A
+path point also starts with the groups that the sequential strong rule
+(Tibshirani et al., JRSS-B 2012) predicts from the last point's
+certificate gradient, ||grad_G|| >= w_G (2 lambda_k - lambda_{k-1});
+a group it misses costs one more screening round, never the answer.
 
 Two objective-guarded extrapolations cut the sweep count without
 changing what is returned.  Every ``ANDERSON_K + 1`` active-set sweeps,
@@ -75,6 +79,7 @@ vector ``exp``; the kernel's header says how its dot products and its
 four-column blocks keep the bits the same at any vector width.
 """
 
+import copy
 import ctypes
 import hashlib
 import numbers
@@ -82,7 +87,7 @@ import os
 import platform
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
@@ -145,11 +150,12 @@ class PenalizedProblem:
     Group g owns columns ``offsets[g]:offsets[g + 1]`` of U,
     ``multipliers`` holds the rank-scaled penalty weights sqrt(r_G), and
     ``names`` the stable group names used in reports.  ``lam`` is the
-    penalty level for :func:`fit_at_lambda`; path drivers swap it with
-    ``dataclasses.replace``.  ``U`` is stored as float64 with contiguous
-    columns, the layout :func:`~netcov.preprocess.orthonormalize` writes
-    (kept without a copy); any other dtype or order is converted once
-    here, so the path does not depend on how U arrived.  ``offsets`` must
+    penalty level for :func:`fit_at_lambda`; a path swaps it with
+    :func:`_with_lambda`, which checks lambda alone.  ``U`` is stored as
+    float64 with contiguous columns, the layout
+    :func:`~netcov.preprocess.orthonormalize` writes (kept without a
+    copy); any other dtype or order is converted once here, so the path
+    does not depend on how U arrived.  ``offsets`` must
     be a 1-D integer array that starts at 0, ends at U's width and rises
     strictly, so no group is empty; each group needs one finite positive
     multiplier and one name.  The offsets are kept as a read-only int64
@@ -173,10 +179,7 @@ class PenalizedProblem:
                              "need a 1-D y, one value for each of U's rows")
         if self.family not in ("gaussian", "binomial"):
             raise ValueError(f"unknown family {self.family!r}")
-        if not (isinstance(self.lam, numbers.Real) and 0 <= self.lam < np.inf):
-            raise ValueError(
-                f"lambda must be a finite number >= 0, got {self.lam!r}")
-        # O(groups) and no pass over U: this runs at every path point
+        _check_lambda(self.lam)
         offsets, m = np.asarray(self.offsets), self.U.shape[1]
         if (offsets.dtype.kind not in "iu" or offsets.ndim != 1
                 or offsets.size < 2 or offsets[0] != 0 or offsets[-1] != m
@@ -209,6 +212,20 @@ class PenalizedProblem:
         return self.offsets.size - 1
 
 
+def _check_lambda(lam):
+    if not (isinstance(lam, numbers.Real) and 0 <= lam < np.inf):
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
+
+
+def _with_lambda(problem, lam):
+    """``problem`` at penalty ``lam``, sharing its arrays, whose checks at
+    construction hold along a path; only lambda is checked."""
+    _check_lambda(lam)
+    swapped = copy.copy(problem)
+    object.__setattr__(swapped, "lam", lam)
+    return swapped
+
+
 @dataclass
 class Solution:
     mu: float
@@ -218,6 +235,7 @@ class Solution:
     deviance: float
     n_extrapolated: int  # accepted Anderson steps
     state: np.ndarray  # work vector at (mu, beta_tilde), as _fresh_state
+    grad: np.ndarray  # of (1/N) deviance in beta_tilde, at the certificate
 
 
 @dataclass
@@ -556,8 +574,8 @@ def _anderson(problem, beta, coords, history, states):
     return float(x[0]), trial_state
 
 
-def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
-                  _block=None):
+def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, lam0=None,
+                  grad0=None, *, _block=None):
     """Solve the penalized problem at the problem's lambda.
 
     Lambda must be positive.  Sweeps cycle over the active groups until
@@ -579,6 +597,12 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
     pass recomputes the state from ``(mu, beta)`` before it certifies
     anything, and every return goes through that fresh-state KKT pass.
 
+    ``lam0`` and ``grad0``, given together, are the last path point's
+    lambda and certificate gradient (:attr:`Solution.grad`): each group
+    with ``||grad0_G|| >= w_G (2 lambda - lam0)`` also starts active, the
+    sequential strong rule.  Screening admits any group it misses, and
+    one it predicts wrongly is swept to an exact zero.
+
     Raises :class:`ConvergenceError` carrying the last iterate when
     ``MAX_SWEEPS`` sweeps leave the point uncertified.
 
@@ -599,10 +623,18 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
         if state.shape != (problem.N,):
             raise ValueError(f"start state has shape {state.shape}, "
                              f"expected ({problem.N},)")
+    if (lam0 is None) != (grad0 is None):
+        raise ValueError("the strong rule needs both lam0 and grad0")
+    if grad0 is not None and np.shape(grad0) != (m,):
+        raise ValueError(f"strong-rule gradient has shape {np.shape(grad0)}, "
+                         f"expected ({m},)")
     block = _Block(problem) if _block is None else _block
     block.start(problem, state, beta, mu)
 
     in_active = _group_norms(problem, beta) > 0
+    if grad0 is not None:  # the sequential strong rule
+        norms = _group_norms(problem, np.asarray(grad0, dtype=np.float64))
+        in_active |= norms >= (2.0 * problem.lam - lam0) * problem.multipliers
     active = np.flatnonzero(in_active)
 
     tol = DEFAULT_TOL
@@ -642,7 +674,8 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, *,
             return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
                             kkt_residual=res,
                             deviance=_state_deviance(problem, state),
-                            n_extrapolated=n_extrapolated, state=state)
+                            n_extrapolated=n_extrapolated, state=state,
+                            grad=grad)
         tol /= 10  # the sweeps stopped short of the certificate
 
     final_res = kkt_residual(problem, mu, beta)
@@ -661,8 +694,10 @@ def fit_path(problem, basis, emap, lambdas):
     last one stopped, handed that solution's state.  When the last two
     solutions share their active set, the next point starts from their
     linear extrapolation instead, with the state ``2 s_k - s_{k-1}``, if
-    that has the lower objective.  Each point is solved once; one left
-    uncertified at ``MAX_SWEEPS`` sweeps raises :class:`ConvergenceError`.
+    that has the lower objective.  Either way it is handed the last
+    point's lambda and gradient for the strong rule.  Each point is solved
+    once; one left uncertified at ``MAX_SWEEPS`` sweeps raises
+    :class:`ConvergenceError`.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if not (lambdas.ndim == 1 and lambdas.size and lambdas[-1] > 0
@@ -673,11 +708,12 @@ def fit_path(problem, basis, emap, lambdas):
     block = _Block(problem)
     entries = []
     last = prev = None  # the last two solutions
-    for lam in lambdas:
-        prob = replace(problem, lam=float(lam))
+    for lam in lambdas.tolist():
+        prob = _with_lambda(problem, lam)
         start, predicted = {}, False
         if last is not None:
-            start = dict(beta0=last.beta_tilde, mu0=last.mu, state0=last.state)
+            start = dict(beta0=last.beta_tilde, mu0=last.mu, state0=last.state,
+                         lam0=entries[-1].lam, grad0=last.grad)
         if (prev is not None and entries[-1].active_groups
                 and entries[-1].active_groups == entries[-2].active_groups):
             beta_p = 2.0 * last.beta_tilde - prev.beta_tilde
@@ -685,7 +721,7 @@ def fit_path(problem, basis, emap, lambdas):
             q_plain = _penalized(prob, last.deviance, last.beta_tilde)
             dev_p = _state_deviance(prob, state_p)
             if _penalized(prob, dev_p, beta_p) < q_plain:
-                start = dict(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
+                start.update(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
                              state0=state_p)
                 predicted = True
         sol = fit_at_lambda(prob, _block=block, **start)
@@ -694,7 +730,7 @@ def fit_path(problem, basis, emap, lambdas):
         active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))
         beta = back_transform(sol.beta_tilde, basis, emap)
         entries.append(PathEntry(
-            lam=float(lam), mu=sol.mu, beta_tilde=sol.beta_tilde,
+            lam=lam, mu=sol.mu, beta_tilde=sol.beta_tilde,
             beta=beta, active_groups=active, deviance=sol.deviance,
             n_sweeps=sol.n_sweeps, kkt_residual=sol.kkt_residual,
             n_extrapolated=sol.n_extrapolated + predicted,

@@ -16,7 +16,8 @@ from netcov.groups import ExpansionMap, normalize_group_name
 from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
 from netcov.solver import (ANDERSON_K, ConvergenceError, PenalizedProblem,
-                           _fresh_state, _solve_block, deviance,
+                           _fresh_state, _group_norms, _intercept_start,
+                           _solve_block, deviance,
                            fit_at_lambda, fit_path, kkt_residual, lambda_grid,
                            lambda_max, objective, smooth_gradient)
 from oracles import (fd_gradient, ista_objective, ista_solve, random_grouping,
@@ -422,7 +423,8 @@ class TestPath:
     def test_entry_counts_one_solve(self):
         # the entry counts the sweeps of one solve, none replayed.  Entry 0
         # (lambda_max) is empty, so no predicted start: the point
-        # warm-starts from entry 1
+        # warm-starts from entry 1, handed its lambda and gradient for the
+        # strong rule
         problem, basis, emap, _ = build_problem(np.random.default_rng(0))
         pf = fit_path(problem, basis, emap,
                       lambdas=lambda_grid(lambda_max(problem), grid_size=3))
@@ -430,8 +432,10 @@ class TestPath:
         assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
         assert pf.entries[0].active_groups == ()
         warm = pf.entries[1]
+        _, grad = smooth_gradient(problem, warm.mu, warm.beta_tilde)
         once = fit_at_lambda(replace(problem, lam=float(pf.lambdas[2])),
-                             beta0=warm.beta_tilde, mu0=warm.mu)
+                             beta0=warm.beta_tilde, mu0=warm.mu,
+                             lam0=warm.lam, grad0=grad)
         assert pf.entries[2].n_sweeps == once.n_sweeps
 
     def test_increasing_grid_rejected(self, rng):
@@ -1140,16 +1144,18 @@ class TestStateReuse:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_plain_warm_starts_are_bit_identical(self, family, monkeypatch):
         # a point that starts where the last one stopped reuses that
-        # point's state; solving it again from a fresh pass gives the
-        # same bits
+        # point's state; solving it again from a fresh pass, handed the
+        # same strong-rule input, gives the same bits
         import netcov.solver as solver
 
         solve = solver.fit_at_lambda
         calls = []
 
-        def recorded(problem, beta0=None, mu0=None, **kwargs):
-            sol = solve(problem, beta0=beta0, mu0=mu0, **kwargs)
-            calls.append((problem, mu0, beta0, sol))
+        def recorded(problem, beta0=None, mu0=None, lam0=None, grad0=None,
+                     **kwargs):
+            sol = solve(problem, beta0=beta0, mu0=mu0, lam0=lam0,
+                        grad0=grad0, **kwargs)
+            calls.append((problem, mu0, beta0, (lam0, grad0), sol))
             return sol
 
         monkeypatch.setattr(solver, "fit_at_lambda", recorded)
@@ -1158,11 +1164,13 @@ class TestStateReuse:
                  lambdas=lambda_grid(lambda_max(prep.problem), grid_size=20))
         monkeypatch.undo()
         plain = 0
-        for (_, _, _, last), (at, mu0, beta0, sol) in zip(calls, calls[1:]):
+        for (*_, last), (at, mu0, beta0, (lam0, grad0), sol) in zip(
+                calls, calls[1:]):
             if mu0 != last.mu or not np.array_equal(beta0, last.beta_tilde):
                 continue
             plain += 1
-            again = fit_at_lambda(at, beta0=beta0, mu0=mu0)
+            again = fit_at_lambda(at, beta0=beta0, mu0=mu0, lam0=lam0,
+                                  grad0=grad0)
             assert again.mu == sol.mu
             np.testing.assert_array_equal(again.beta_tilde, sol.beta_tilde)
             assert again.n_sweeps == sol.n_sweeps
@@ -1297,6 +1305,145 @@ class TestStateReuse:
                 starts.append(events[i:first_sweep].count("_fresh_state"))
         assert len(starts) == 20
         assert starts == [1] + [0] * 19
+
+
+class TestStrongRule:
+    """The sequential strong rule picks a point's starting active set from
+    the last point's lambda and gradient; the screening pass stays the
+    check, so what it predicts moves the route, never the answer."""
+
+    @staticmethod
+    def screened(monkeypatch):
+        """The certificate passes fit_at_lambda runs from here on, as a
+        list of whether each found a violator."""
+        import netcov.solver as solver
+
+        passes, gradient = [], solver.smooth_gradient
+
+        def tapped(prob, mu, beta, state=None):
+            gmu, grad = gradient(prob, mu, beta, state)
+            zero = _group_norms(prob, beta) == 0
+            passes.append(bool((zero & (_group_norms(prob, grad)
+                                        > prob.lam * prob.multipliers)).any()))
+            return gmu, grad
+
+        monkeypatch.setattr(solver, "smooth_gradient", tapped)
+        return passes
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_predicting_nothing_is_caught_by_screening(self, family,
+                                                       monkeypatch):
+        # a zero gradient at lam0 = lambda passes no group, so a cold
+        # start begins empty: the screening pass admits the joiners and
+        # the point is the one solved without the rule, certified
+        prep = scheme_problem("ebg", family)
+        prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
+        m = prob.U.shape[1]
+        passes = self.screened(monkeypatch)
+        sol = fit_at_lambda(prob, lam0=prob.lam, grad0=np.zeros(m))
+        monkeypatch.undo()
+        assert passes[0] and not passes[-1]
+        assert kkt_residual(prob, sol.mu, sol.beta_tilde) <= 1e-6
+        plain = fit_at_lambda(prob)
+        assert sol.mu == plain.mu and sol.n_sweeps == plain.n_sweeps
+        np.testing.assert_array_equal(sol.beta_tilde, plain.beta_tilde)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_predicting_every_group_keeps_exact_zeros(self, family,
+                                                      monkeypatch):
+        # lam0 = 3 lambda makes the rule's bound negative, so every group
+        # starts active: the first block sweeps them all, no screening
+        # round finds a violator, and the groups the ISTA oracle zeroes
+        # come back as exact zeros
+        prep = scheme_problem("ebg", family)
+        prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
+        _, grad = smooth_gradient(prob, _intercept_start(prob),
+                                  np.zeros(prob.U.shape[1]))
+        swept = tap_blocks(monkeypatch)
+        passes = self.screened(monkeypatch)
+        sol = fit_at_lambda(prob, lam0=3.0 * prob.lam, grad0=grad)
+        monkeypatch.undo()
+        assert swept[0] == list(range(prob.n_groups))
+        assert not any(passes)
+        assert kkt_residual(prob, sol.mu, sol.beta_tilde) <= 1e-6
+        _, beta_o = ista_solve(prob.U, prob.y, family, pairs(prob),
+                               prob.multipliers, prob.lam)
+        zero = [not sol.beta_tilde[s0:s1].any() for s0, s1 in pairs(prob)]
+        assert zero == [not beta_o[s0:s1].any() for s0, s1 in pairs(prob)]
+        assert any(zero) and not all(zero)
+        for (s0, s1), z in zip(pairs(prob), zero):
+            if z:
+                assert sol.beta_tilde[s0:s1].tobytes() == bytes(8 * (s1 - s0))
+
+    def test_rule_input_is_checked(self, rng, monkeypatch):
+        # half an input, or a gradient of the wrong length, is refused
+        # before a sweep starts
+        problem, *_ = build_problem(rng)
+        m = problem.U.shape[1]
+        swept = tap_blocks(monkeypatch)
+        for given in (dict(lam0=problem.lam), dict(grad0=np.zeros(m))):
+            with pytest.raises(ValueError, match="both lam0 and grad0"):
+                fit_at_lambda(problem, **given)
+        for shape in ((m - 1,), (m, 1)):
+            with pytest.raises(ValueError, match="gradient has shape"):
+                fit_at_lambda(problem, lam0=problem.lam,
+                              grad0=np.zeros(shape))
+        assert swept == []
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_path_wires_the_rule(self, family, monkeypatch):
+        # on a 20-point LASSO path the rule predicts the joiners, so about
+        # one certificate pass a point is left; starting each point from
+        # the last one's nonzero groups alone took 34 (gaussian) and 36
+        # (binomial) passes here
+        prep = scheme_problem("lasso", family)
+        grid = lambda_grid(lambda_max(prep.problem), grid_size=20)
+        passes = self.screened(monkeypatch)
+        pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
+        monkeypatch.undo()
+        assert len(passes) <= grid.size + 2
+        assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
+
+    @pytest.mark.parametrize("scheme,family", [("lasso", "gaussian"),
+                                               ("ebg", "binomial")])
+    def test_path_reruns_are_byte_identical(self, scheme, family):
+        prep = scheme_problem(scheme, family)
+        grid = lambda_grid(lambda_max(prep.problem), grid_size=30)
+        runs = [fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
+                for _ in range(2)]
+        for a, b in zip(*(pf.entries for pf in runs)):
+            assert (a.mu, a.active_groups, a.deviance, a.n_sweeps,
+                    a.kkt_residual, a.n_extrapolated) == (
+                b.mu, b.active_groups, b.deviance, b.n_sweeps,
+                b.kkt_residual, b.n_extrapolated)
+            assert a.beta_tilde.tobytes() == b.beta_tilde.tobytes()
+            assert a.beta.tobytes() == b.beta.tobytes()
+
+    def test_path_swaps_lambda_without_rechecking_the_layout(self,
+                                                             monkeypatch):
+        # the grid's lambdas are checked, each point's problem shares the
+        # path's arrays, and the layout checks run at construction only
+        import netcov.solver as solver
+
+        prep = scheme_problem("ebg", "gaussian")
+        grid = lambda_grid(lambda_max(prep.problem), grid_size=5)
+        problems = []
+        solve = solver.fit_at_lambda
+        monkeypatch.setattr(solver, "fit_at_lambda", lambda prob, *a, **k: (
+            problems.append(prob), solve(prob, *a, **k))[1])
+        checks = []
+        post_init = PenalizedProblem.__post_init__
+        monkeypatch.setattr(PenalizedProblem, "__post_init__",
+                            lambda self: (checks.append(1), post_init(self)))
+        fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
+        assert checks == []
+        assert [p.lam for p in problems] == grid.tolist()
+        for prob in problems:
+            assert prob.U is prep.problem.U and prob.y is prep.problem.y
+            assert prob.offsets is prep.problem.offsets
+        with pytest.raises(ValueError, match="finite number"):
+            fit_path(prep.problem, prep.basis, prep.emap,
+                     lambdas=np.array([np.inf, 1.0]))
 
 
 class TestDesignLayout:
