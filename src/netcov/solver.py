@@ -155,11 +155,11 @@ class PenalizedProblem:
     float64 with contiguous columns, the layout
     :func:`~netcov.preprocess.orthonormalize` writes (kept without a
     copy); any other dtype or order is converted once here, so the path
-    does not depend on how U arrived.  ``offsets`` must
-    be a 1-D integer array that starts at 0, ends at U's width and rises
-    strictly, so no group is empty; each group needs one finite positive
-    multiplier and one name.  The offsets are kept as a read-only int64
-    copy, the multipliers as contiguous float64.
+    does not depend on how U arrived.  ``offsets`` must be a 1-D integer
+    array that starts at 0, ends at U's width and rises strictly, so no
+    group is empty; each group needs one finite positive multiplier and
+    one name.  The offsets are kept as a read-only int64 copy, the
+    multipliers as contiguous float64.
     """
 
     U: np.ndarray
