@@ -52,31 +52,35 @@ hands each point its start state as an argument (the last solution's
 state, or the same extrapolation of the last two) and solves each point
 once, under the one sweep cap ``MAX_SWEEPS``.
 
-The sweeps run in C, ``sweep_kernel.c`` beside this module, one call
-per Anderson window: :func:`_solve_block` runs up to ``ANDERSON_K + 1``
-sweeps (fewer where ``MAX_SWEEPS`` comes first) and stops after the
-first whose change is below the inner tolerance.  Each sweep re-takes
+A path point runs in C, ``sweep_kernel.c`` beside this module, in one
+call: the sweeps in windows of ``ANDERSON_K + 1``, each Anderson step
+(the Gram of the iterate differences solved by LU with partial
+pivoting, then the guard), and each certificate pass, which sums the
+fresh state over the nonzero groups only and screens every group.
+:func:`fit_at_lambda` keeps the argument checks, the strong-rule
+prediction and building the :class:`Solution`.  Each sweep re-takes
 the binomial step residual as ``(y - 1/(1 + exp(-eta))) / 0.25``, the
-form scipy's ``expit`` computes with the same libm ``exp``; moves the
-intercept by the residual's mean, summed in numpy's pairwise order so
-that it is ``np.mean`` to the bit; and makes the pass over the active
-groups.  Each sweep that does not stop the window writes its
-``(mu, beta[coords])`` and its state as one row of two buffers the path
-allocates once, and the Anderson step reads those rows in place.  So
-the paths are bit for bit those of the same loop in numpy.  A call reads
-and writes one C ``struct block`` (:class:`_Block`), filled in once a
-path, once a solve and once an active set.  The kernel is compiled with
-the system C compiler (``gcc``) the first time a solve calls it, never
-at import, and loaded with :mod:`ctypes`; ctypes and a compiler
-need no package beyond the standard library, where cffi would be an
-undeclared dependency.  The library is cached under the user cache
-directory (``$XDG_CACHE_HOME/netcov``, by default ``~/.cache/netcov``).
-A missing or failing compiler is an error naming the compiler and its
-output; there is no interpreted fallback.  The build uses ``-O3
--march=native -ffp-contract=off`` and never ``-ffast-math``, which would
-let the compiler reassociate sums, fuse multiply-adds and call glibc's
-vector ``exp``; the kernel's header says how its dot products and its
-four-column blocks keep the bits the same at any vector width.
+form scipy's ``expit`` computes with the same libm ``exp``, and moves
+the intercept by the residual's mean, summed in numpy's pairwise order
+so that it is ``np.mean`` to the bit.  The certificate's sums follow
+the kernel's own fixed order, not numpy's or BLAS's, so its gradient
+and KKT residual agree with :func:`smooth_gradient` and
+:func:`kkt_residual`, which stay numpy as the independent check, to
+rounding.  A call reads and writes one C ``struct block``
+(:class:`_Block`), filled in once a path and once a solve; the
+solver's constants reach the kernel through it.  The kernel is
+compiled with the system C compiler (``gcc``) the first time a solve
+calls it, never at import, and loaded with :mod:`ctypes`; ctypes and a
+compiler need no package beyond the standard library, where cffi would
+be an undeclared dependency.  The library is cached under the user
+cache directory (``$XDG_CACHE_HOME/netcov``, by default
+``~/.cache/netcov``).  A missing or failing compiler is an error naming
+the compiler and its output; there is no interpreted fallback.  The
+build uses ``-O3 -march=native -ffp-contract=off`` and never
+``-ffast-math``, which would let the compiler reassociate sums, fuse
+multiply-adds and call glibc's vector ``exp``; the kernel's header says
+how its dot products and its four-column blocks keep the bits the same
+at any vector width.
 """
 
 import copy
@@ -236,6 +240,10 @@ class Solution:
     n_extrapolated: int  # accepted Anderson steps
     state: np.ndarray  # work vector at (mu, beta_tilde), as _fresh_state
     grad: np.ndarray  # of (1/N) deviance in beta_tilde, at the certificate
+    n_passes: int  # certificate passes
+    n_violators: int  # groups the screening admitted
+    n_tried: int  # Anderson steps tried
+    n_tightened: int  # inner-tolerance tightenings
 
 
 @dataclass
@@ -331,25 +339,20 @@ def _group_norms(problem, vec):
 def _kkt_from_gradient(problem, beta_tilde, grad):
     """Max stationarity violation, relative to lambda*w_G.
 
-    Active groups use the identity ||g + s*b/||b||||^2 =
-    ||g||^2 + 2 s <g, b>/||b|| + s^2, so everything reduces to per-group
-    norms and inner products computed in one pass.
+    A nonzero group's is ``||g_G + lambda w_G b_G / ||b_G|| ||``, summed
+    from the vector itself: at a near-stationary point its two terms
+    nearly cancel, and the expanded form ``||g||^2 + 2 s <g, b>/||b|| +
+    s^2`` would leave only rounding noise of order sqrt(eps) s.  A zero
+    group's is ``max(0, ||g_G|| - lambda w_G)``.
     """
-    starts = problem.offsets[:-1]
-    gnorms2 = np.add.reduceat(grad * grad, starts)
-    bnorms = np.sqrt(np.maximum(
-        np.add.reduceat(beta_tilde * beta_tilde, starts), 0.0))
-    dots = np.add.reduceat(grad * beta_tilde, starts)
     scale = problem.lam * problem.multipliers
+    bnorms = _group_norms(problem, beta_tilde)
     active = bnorms > 0
-    res = np.empty(problem.n_groups)
-    gnorms = np.sqrt(np.maximum(gnorms2, 0.0))
-    res[~active] = np.maximum(0.0, gnorms[~active] - scale[~active])
     with np.errstate(invalid="ignore", divide="ignore"):
-        inner = (gnorms2[active]
-                 + 2.0 * scale[active] * dots[active] / bnorms[active]
-                 + scale[active] ** 2)
-    res[active] = np.sqrt(np.maximum(inner, 0.0))
+        shrink = np.where(active, scale / bnorms, 0.0)
+    norms = _group_norms(problem, grad + np.repeat(
+        shrink, np.diff(problem.offsets)) * beta_tilde)
+    res = np.where(active, norms, np.maximum(0.0, norms - scale))
     return float((res / scale).max())
 
 
@@ -458,8 +461,8 @@ def _load_kernel():
                     f"cannot build the sweep kernel: C compiler {_CC!r} "
                     f"exited {proc.returncode}:\n{proc.stderr}")
             os.replace(built, path)
-    fn = ctypes.CDLL(path).netcov_solve_block
-    fn.argtypes = (ctypes.POINTER(_Block), ctypes.c_int64, ctypes.c_double)
+    fn = ctypes.CDLL(path).netcov_solve_point
+    fn.argtypes = (ctypes.POINTER(_Block),)
     fn.restype = ctypes.c_int64
     _kernel_fn = fn
     return fn
@@ -471,107 +474,83 @@ _PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 class _Block(ctypes.Structure):
     """``struct block`` of ``sweep_kernel.c``, field for field: all one
     compiled call reads and writes.  ``_Block(problem)`` fills the
-    per-path fields, :meth:`start` one solve's, :meth:`activate` one
-    active set's.  The kernel reads arrays as raw memory, so ``arrays``
-    holds each one a field points at, by the field's name."""
+    per-path fields, the solver's constants among them, and :meth:`start`
+    one solve's; the call writes the counts, the certificate's intercept
+    gradient ``gmu`` and its KKT residual ``kkt``.  The kernel reads
+    arrays as raw memory, so ``arrays`` holds each one a field points at,
+    by the field's name."""
 
-    _fields_ = [("UT", _PTR), ("N", _I64), ("offsets", _PTR),  # per path
-                ("multipliers", _PTR), ("work", _PTR), ("y", _PTR),
-                ("record", _PTR), ("states", _PTR),
+    _fields_ = [("UT", _PTR), ("N", _I64), ("n_groups", _I64),  # per path
+                ("offsets", _PTR), ("multipliers", _PTR), ("y", _PTR),
+                ("work", _PTR), ("record", _PTR), ("states", _PTR),
+                ("diffs", _PTR), ("gram", _PTR), ("order", _PTR),
+                ("in_active", _PTR), ("anderson_k", _I64),
+                ("max_sweeps", _I64), ("tol", _F64), ("kkt_tol", _F64),
+                ("eta_clip", _F64), ("curvature", _F64),
+                ("grad_scale", _F64),
                 ("resid", _PTR), ("eta", _PTR), ("beta", _PTR),  # per solve
-                ("mu", _F64), ("thresh_scale", _F64),
-                ("order", _PTR), ("n_order", _I64),  # per active set
-                ("coords", _PTR), ("n_coords", _I64)]
+                ("grad", _PTR), ("mu", _F64), ("lam", _F64),
+                ("thresh_scale", _F64), ("n_order", _I64),
+                ("start_fresh", _I64),
+                ("sweeps", _I64), ("passes", _I64),  # written by the call
+                ("violators", _I64), ("tried", _I64), ("accepted", _I64),
+                ("tightened", _I64), ("gmu", _F64), ("kkt", _F64)]
 
     def __init__(self, problem):
-        m, N = problem.U.shape[1], problem.N
-        super().__init__(N=N)
+        m, N, n = problem.U.shape[1], problem.N, problem.n_groups
+        K = ANDERSON_K
+        super().__init__(
+            N=N, n_groups=n, anderson_k=K, max_sweeps=MAX_SWEEPS,
+            tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, eta_clip=ETA_CLIP,
+            curvature=_CURVATURE[problem.family],
+            grad_scale=_GRAD_SCALE[problem.family])
         self.arrays = {}
         self._point(
             UT=problem.U.T, offsets=problem.offsets,
             multipliers=problem.multipliers,
-            # the block's residual shift (N), then the widest group's target
+            # a residual shift, trial state or certificate sum (N), then
+            # the widest group's target
             work=np.empty(N + int(np.diff(problem.offsets).max())),
             y=np.ascontiguousarray(problem.y, dtype=np.float64),
-            # K+1 rows of (mu, beta[coords]), as long as the active set
-            record=np.empty((ANDERSON_K + 1) * (1 + m)),
-            states=np.empty((ANDERSON_K + 1, N)))
+            # K+1 rows of (mu, the active coefficients) and of the state,
+            # the K differences of the rows, the K x K Gram and its solution
+            record=np.empty((K + 1) * (1 + m)), states=np.empty((K + 1) * N),
+            diffs=np.empty(K * (1 + m)), gram=np.empty(K * (K + 1)),
+            order=np.empty(n, dtype=np.int64),
+            in_active=np.empty(n, dtype=np.uint8))
 
     def _point(self, **arrays):
         for name, arr in arrays.items():
             setattr(self, name, None if arr is None else arr.ctypes.data)
         self.arrays.update(arrays)
 
-    def start(self, problem, state, beta, mu):
+    def start(self, problem, state, beta, mu, order):
         """One solve's fields, which the kernel moves in place: ``beta``,
         the intercept ``mu``, and the gaussian ``state`` as the residual or
-        the binomial one as eta; and the threshold at the problem's lambda."""
+        the binomial one as eta, or None for the kernel to compute it from
+        ``(mu, beta)`` first; the penalty at the problem's lambda; a fresh
+        certificate gradient; and the distinct groups ``order`` that the
+        first sweep visits, copied into the block's own buffer.  Returns
+        the state array."""
         m, N = self.arrays["UT"].shape
+        self.start_fresh = state is None
+        if state is None:
+            state = np.empty(N)
         for arr, n in ((state, N), (beta, m)):
             if (arr.dtype != np.float64 or arr.shape != (n,)
                     or not arr.flags.c_contiguous):
                 raise TypeError(f"sweep kernel needs contiguous float64 of "
                                 f"shape ({n},), got {arr.dtype} {arr.shape}")
         gaussian = problem.family == "gaussian"
-        c, k = _GRAD_SCALE[problem.family], _CURVATURE[problem.family]
         self._point(resid=state if gaussian else np.empty(N),
-                    eta=None if gaussian else state, beta=beta)
-        self.mu, self.thresh_scale = mu, problem.N * problem.lam / (c * k)
-
-    def activate(self, order, coords):
-        """One active set's fields: the groups ``order`` a sweep visits
-        and the coordinates ``coords`` whose iterates it records.
-        ``rows`` views the rows a block writes in the path's buffer."""
-        for name, arr in (("order", order), ("coords", coords)):
-            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
-                raise TypeError(f"sweep {name} must be contiguous int64, got "
-                                f"{arr.dtype}")
-        self._point(order=order, coords=coords)
-        self.n_order, self.n_coords = order.size, coords.size
-        rows = self.arrays["record"][:(ANDERSON_K + 1) * (1 + coords.size)]
-        self.rows = rows.reshape(ANDERSON_K + 1, -1)
-
-
-def _solve_block(block, n_max, tol):
-    """Up to ``n_max`` sweeps in one compiled call on ``block``, which
-    stops after the first whose change is below ``tol``; each sweep that
-    does not is a row of ``block.rows`` and of its ``states``.  Returns
-    the sweeps run and whether the last one stopped the block."""
-    recorded = _load_kernel()(block, n_max, tol)
-    return (recorded + 1, True) if recorded < n_max else (n_max, False)
-
-
-def _anderson(problem, beta, coords, history, states):
-    """Anderson extrapolation of the (mu, beta[coords]) iterates, the rows
-    of ``history``.
-
-    Solves the K x K system on the iterate differences for the affine
-    weights, which sum to 1.  The state is affine in (mu, beta), so the
-    extrapolated point's state is the same combination of ``states``, the
-    states stored at those iterates; the last row of both is the current
-    point.  Returns ``(mu, state)`` at the extrapolated point, with
-    ``beta`` updated in place, when it lowers the objective; otherwise
-    None, and ``beta`` and ``states`` are left as they are.
-    """
-    D = np.diff(history, axis=0)
-    try:
-        z = np.linalg.solve(D @ D.T, np.ones(len(D)))
-    except np.linalg.LinAlgError:
-        return None
-    total = z.sum()
-    if not np.isfinite(total) or total == 0.0:
-        return None
-    w = z / total
-    x = w @ history[1:]
-    trial = beta.copy()
-    trial[coords] = x[1:]
-    trial_state = w @ states[1:]
-    q_now = _penalized(problem, _state_deviance(problem, states[-1]), beta)
-    q_new = _penalized(problem, _state_deviance(problem, trial_state), trial)
-    if not q_new < q_now:
-        return None
-    beta[coords] = x[1:]
-    return float(x[0]), trial_state
+                    eta=None if gaussian else state, beta=beta,
+                    grad=np.empty(m))
+        self.n_order = len(order)
+        self.arrays["order"][:self.n_order] = order
+        self.mu, self.lam = mu, problem.lam
+        self.thresh_scale = problem.N * problem.lam / (
+            self.grad_scale * self.curvature)
+        return state
 
 
 def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, lam0=None,
@@ -587,6 +566,7 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, lam0=None,
     violators that misses divides the inner tolerance by 10.  Every
     ``ANDERSON_K + 1`` sweeps on one active set, an Anderson step is tried
     and kept only if it lowers the objective (active coordinates only).
+    All of that is one compiled call.
 
     The fit starts at ``(mu0, beta0)`` (default: the intercept-only fit).
     ``state0`` is the work vector of :func:`_fresh_state` there, when the
@@ -603,8 +583,9 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, lam0=None,
     sequential strong rule.  Screening admits any group it misses, and
     one it predicts wrongly is swept to an exact zero.
 
-    Raises :class:`ConvergenceError` carrying the last iterate when
-    ``MAX_SWEEPS`` sweeps leave the point uncertified.
+    A start that is not finite is refused before any sweep, naming the
+    argument.  Raises :class:`ConvergenceError` carrying the last iterate
+    when ``MAX_SWEEPS`` sweeps leave the point uncertified.
 
     ``_block`` is internal: :func:`fit_path` fills one :class:`_Block`
     per path and hands it to every point.
@@ -616,72 +597,43 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, lam0=None,
     if beta.shape != (m,):
         raise ValueError(f"warm start has shape {beta.shape}, expected ({m},)")
     mu = _intercept_start(problem) if mu0 is None else float(mu0)
-    if state0 is None:
-        state = _fresh_state(problem, mu, beta)
-    else:
-        state = np.array(state0, dtype=np.float64)
-        if state.shape != (problem.N,):
-            raise ValueError(f"start state has shape {state.shape}, "
+    if state0 is not None:
+        state0 = np.array(state0, dtype=np.float64)
+        if state0.shape != (problem.N,):
+            raise ValueError(f"start state has shape {state0.shape}, "
                              f"expected ({problem.N},)")
     if (lam0 is None) != (grad0 is None):
         raise ValueError("the strong rule needs both lam0 and grad0")
-    if grad0 is not None and np.shape(grad0) != (m,):
-        raise ValueError(f"strong-rule gradient has shape {np.shape(grad0)}, "
-                         f"expected ({m},)")
-    block = _Block(problem) if _block is None else _block
-    block.start(problem, state, beta, mu)
+    if grad0 is not None:
+        grad0 = np.asarray(grad0, dtype=np.float64)
+        if grad0.shape != (m,):
+            raise ValueError(f"strong-rule gradient has shape {grad0.shape}, "
+                             f"expected ({m},)")
+    for name, value in (("beta0", beta), ("mu0", mu), ("state0", state0),
+                        ("lam0", lam0), ("grad0", grad0)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
 
     in_active = _group_norms(problem, beta) > 0
     if grad0 is not None:  # the sequential strong rule
-        norms = _group_norms(problem, np.asarray(grad0, dtype=np.float64))
-        in_active |= norms >= (2.0 * problem.lam - lam0) * problem.multipliers
-    active = np.flatnonzero(in_active)
-
-    tol = DEFAULT_TOL
-    sweeps = n_extrapolated = 0
-    while sweeps < MAX_SWEEPS:
-        # converge on the current active set, one Anderson window a call
-        coords = np.flatnonzero(np.repeat(in_active, np.diff(problem.offsets)))
-        block.activate(active, coords)
-        while sweeps < MAX_SWEEPS:
-            n, converged = _solve_block(
-                block, min(ANDERSON_K + 1, MAX_SWEEPS - sweeps), tol)
-            sweeps += n
-            if converged:
-                break
-            # extrapolate only where a sweep follows, so that the returned
-            # iterate always comes from a sweep
-            if n > ANDERSON_K and sweeps < MAX_SWEEPS:
-                step = _anderson(problem, beta, coords, block.rows,
-                                 block.arrays["states"])
-                if step is not None:
-                    # into the kernel's own intercept and state
-                    block.mu, state[:] = step
-                    n_extrapolated += 1
-        mu = block.mu
-
-        # full gradient pass: screening + KKT certificate
-        state[:] = _fresh_state(problem, mu, beta)  # shed incremental drift
-        gmu, grad = smooth_gradient(problem, mu, beta, state)
-        violators = ~in_active & (_group_norms(problem, grad)
-                                  > problem.lam * problem.multipliers)
-        if violators.any():
-            in_active |= violators
-            active = np.flatnonzero(in_active)
-            continue
-        res = _kkt_from_gradient(problem, beta, grad)
-        if res <= DEFAULT_KKT_TOL and abs(gmu) <= DEFAULT_KKT_TOL:
-            return Solution(mu=mu, beta_tilde=beta, n_sweeps=sweeps,
-                            kkt_residual=res,
-                            deviance=_state_deviance(problem, state),
-                            n_extrapolated=n_extrapolated, state=state,
-                            grad=grad)
-        tol /= 10  # the sweeps stopped short of the certificate
-
-    final_res = kkt_residual(problem, mu, beta)
+        in_active |= (_group_norms(problem, grad0)
+                      >= (2.0 * problem.lam - lam0) * problem.multipliers)
+    block = _Block(problem) if _block is None else _block
+    state = block.start(problem, state0, beta, mu, np.flatnonzero(in_active))
+    if _load_kernel()(block):
+        return Solution(mu=block.mu, beta_tilde=beta, n_sweeps=block.sweeps,
+                        kkt_residual=block.kkt,
+                        deviance=_state_deviance(problem, state),
+                        n_extrapolated=block.accepted, state=state,
+                        grad=block.arrays["grad"], n_passes=block.passes,
+                        n_violators=block.violators, n_tried=block.tried,
+                        n_tightened=block.tightened)
+    final_res = kkt_residual(problem, block.mu, beta)
     raise ConvergenceError(
-        f"no convergence after {sweeps} sweeps (KKT residual {final_res:.3e})",
-        mu=mu, beta_tilde=beta, kkt_residual=final_res, sweeps=sweeps,
+        f"no convergence after {block.sweeps} sweeps "
+        f"(KKT residual {final_res:.3e})",
+        mu=block.mu, beta_tilde=beta, kkt_residual=final_res,
+        sweeps=block.sweeps,
     )
 
 

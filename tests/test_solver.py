@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -15,9 +16,10 @@ from netcov import CommunityMap, FeatureIndex, ebg_groups, make_beta
 from netcov.groups import ExpansionMap, normalize_group_name
 from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
-from netcov.solver import (ANDERSON_K, ConvergenceError, PenalizedProblem,
+from netcov.solver import (ANDERSON_K, ETA_CLIP, ConvergenceError,
+                           PenalizedProblem,
                            _fresh_state, _group_norms, _intercept_start,
-                           _solve_block, deviance,
+                           deviance,
                            fit_at_lambda, fit_path, kkt_residual, lambda_grid,
                            lambda_max, objective, smooth_gradient)
 from oracles import (fd_gradient, ista_objective, ista_solve, random_grouping,
@@ -54,32 +56,57 @@ def build_problem(rng, N=50, p=12, family="gaussian", kind="partition",
     return problem, basis, emap, Zs
 
 
-def bound_block(problem, state, mu, beta, order, coords=None):
-    """The compiled sweeps of one solve over one active set, filled in as
-    fit_at_lambda fills them; they record every coordinate unless
-    ``coords`` names some."""
+def bound_block(problem, state, mu, beta, order, **fields):
+    """One solve's compiled point loop, filled in as fit_at_lambda fills it
+    from this point, with the groups ``order`` active first; ``fields``
+    set the struct's own, such as ``max_sweeps``, ``tol`` or ``kkt_tol``.
+    The record starts as NaN, so a row that no sweep wrote shows."""
     from netcov.solver import _Block
 
-    if coords is None:
-        coords = np.arange(problem.U.shape[1])
     block = _Block(problem)
-    block.start(problem, state, beta, mu)
-    block.activate(np.asarray(order, dtype=np.int64), coords)
+    block.start(problem, state, beta, mu, np.asarray(order, dtype=np.int64))
+    block.arrays["record"][:] = np.nan
+    for name, value in fields.items():
+        setattr(block, name, value)
     return block
 
 
-def tap_blocks(monkeypatch):
-    """The compiled blocks fit_at_lambda runs from here on, as a list of
-    the groups each one sweeps."""
+def run(block):
+    """The compiled point on ``block``; whether it certified."""
     import netcov.solver as solver
 
-    calls, solve_block = [], solver._solve_block
+    return bool(solver._load_kernel()(block))
 
-    def tapped(block, n_max, tol):
-        calls.append(block.arrays["order"].tolist())
-        return solve_block(block, n_max, tol)
 
-    monkeypatch.setattr(solver, "_solve_block", tapped)
+def columns(problem, order):
+    """The coordinates a record row holds after mu, group by group in
+    ``order``."""
+    return np.concatenate([np.arange(problem.offsets[g],
+                                     problem.offsets[g + 1])
+                           for g in order] or [np.empty(0, dtype=int)])
+
+
+def window(block, problem, order):
+    """The record rows and the state rows of the block's last window, its
+    active set ``order``."""
+    width = 1 + columns(problem, order).size
+    rows = block.arrays["record"][:(ANDERSON_K + 1) * width]
+    return (rows.reshape(ANDERSON_K + 1, width),
+            block.arrays["states"].reshape(ANDERSON_K + 1, problem.N))
+
+
+def tap_points(monkeypatch):
+    """The compiled points fit_at_lambda runs from here on, as a list of
+    the groups each one starts with and its block."""
+    import netcov.solver as solver
+
+    calls, kernel = [], solver._load_kernel()
+
+    def tapped(block):
+        calls.append((block.arrays["order"][:block.n_order].tolist(), block))
+        return kernel(block)
+
+    monkeypatch.setattr(solver, "_kernel_fn", tapped)
     return calls
 
 
@@ -272,25 +299,31 @@ class TestFitAtLambda:
         assert np.isfinite(err.value.kkt_residual)
 
     def test_objective_never_increases(self, rng):
-        # 60 sweeps over every group in ten full blocks, read off the rows
-        # each block records
+        # 60 sweeps over every group in ten full windows, read off the rows
+        # each window records: the point run to 6, 12, ..., 60 sweeps at
+        # inner tolerance 0, so no window stops.  Between two windows sits
+        # an Anderson step, kept only where it lowers the objective
+        K1 = ANDERSON_K + 1
         for family in ("gaussian", "binomial"):
             problem, *_ = build_problem(rng, family=family)
             prob = replace(problem, lam=0.2 * lambda_max(problem))
             mu = float(prob.y.mean()) if family == "gaussian" else 0.0
             beta = np.zeros(prob.U.shape[1])
             state = _fresh_state(prob, mu, beta)
-            block = bound_block(prob, state, mu, beta, range(prob.n_groups))
+            order = range(prob.n_groups)
             prev = objective(prob, mu, beta)
-            for _ in range(10):
-                assert (_solve_block(block, ANDERSON_K + 1, 0.0)
-                        == (ANDERSON_K + 1, False))
-                for row in block.rows:
+            for n in range(1, 11):
+                block = bound_block(prob, state.copy(), mu, beta.copy(),
+                                    order, max_sweeps=n * K1, tol=0.0)
+                run(block)
+                assert block.sweeps == n * K1
+                rows, _ = window(block, prob, order)
+                for row in rows:
                     q = objective(prob, row[0], row[1:])
                     assert q <= prev + 1e-12
                     prev = q
-                assert block.rows[-1].tolist() == [block.mu,
-                                                     *beta.tolist()]
+                assert rows[-1].tolist() == [block.mu,
+                                             *block.arrays["beta"].tolist()]
 
     def test_penalty_scale_invariance(self, rng):
         problem, *_ = build_problem(rng)
@@ -444,6 +477,136 @@ class TestPath:
             fit_path(problem, basis, emap, lambdas=np.array([0.1, 0.2]))
 
 
+def kernel_dot(u, r):
+    """The kernel's dot in numpy: eight lane sums, each a left-to-right sum
+    from 0.0 over every eighth product, its combine tree, then the tail."""
+    n8 = u.size - u.size % 8
+    prod = u * r
+
+    def plain_sum(x):
+        return np.cumsum(np.concatenate(([0.0], x)))[-1]
+
+    a = [plain_sum(prod[lane:n8:8]) for lane in range(8)]
+    return (((a[0] + a[1]) + (a[2] + a[3]))
+            + ((a[4] + a[5]) + (a[6] + a[7]))) + plain_sum(prod[n8:])
+
+
+def kernel_sweep(problem, state, mu, beta, order):
+    """One sweep in numpy with the kernel's own order of every sum, one
+    column at a time; returns (mu, the sweep's largest change)."""
+    gaussian = problem.family == "gaussian"
+    c, k = (1.0, 1.0) if gaussian else (2.0, 0.25)
+    resid = state if gaussian else (problem.y - expit(state)) / k
+    dmu = float(resid.mean())
+    resid -= dmu
+    if not gaussian:
+        state += dmu
+    max_delta = abs(dmu)
+    thresh_scale = problem.N * problem.lam / (c * k)
+    for g in order:
+        s0, s1 = problem.offsets[g], problem.offsets[g + 1]
+        t = thresh_scale * problem.multipliers[g]
+        U, b = problem.U.T[s0:s1], beta[s0:s1]
+        if s1 - s0 == 1:
+            zs = kernel_dot(U[0], resid) + b[0]
+            z = np.array([zs - t if zs > t else zs + t if zs < -t
+                          else 0.0])
+        else:
+            z = np.array([kernel_dot(u, resid) for u in U]) + b
+            nz2 = 0.0
+            for zk in z:
+                nz2 += zk * zk
+            nz = np.sqrt(nz2)
+            if nz <= t and not b.any():
+                continue
+            z = np.zeros_like(z) if nz <= t else (1.0 - t / nz) * z
+        step = float(np.abs(z - b).max())
+        if not step > 0.0:
+            continue
+        shift = (z[0] - b[0]) * U[0]
+        for zk, bk, u in zip(z[1:], b[1:], U[1:]):
+            shift = shift + (zk - bk) * u
+        resid -= shift
+        if not gaussian:
+            state += shift
+        max_delta = max(max_delta, step)
+        b[:] = z
+    return mu + dmu, max_delta
+
+
+def kernel_anderson(rows, states):
+    """The kernel's Anderson step on a window's K + 1 rows and states, in
+    Python floats with the kernel's order of every operation: the Gram of
+    the row differences by kernel_dot, LU with partial pivoting, and the
+    trial as the last row less the differences weighted by the running
+    sums of the weights.  Returns the trial row and state, or None where
+    the kernel finds no weights."""
+    K = len(rows) - 1
+    D = rows[1:] - rows[:-1]
+    G = [[kernel_dot(D[a], D[b]) for b in range(K)] for a in range(K)]
+    z = [1.0] * K
+    for c in range(K):
+        p = c
+        for r in range(c + 1, K):
+            if abs(G[r][c]) > abs(G[p][c]):
+                p = r
+        if G[p][c] == 0.0:
+            return None
+        G[c], G[p], z[c], z[p] = G[p], G[c], z[p], z[c]
+        for r in range(c + 1, K):
+            f = G[r][c] / G[c][c]
+            for k in range(c + 1, K):
+                G[r][k] -= f * G[c][k]
+            z[r] -= f * z[c]
+    for c in reversed(range(K)):
+        acc = z[c]
+        for k in range(c + 1, K):
+            acc -= G[c][k] * z[k]
+        z[c] = acc / G[c][c]
+    total = 0.0
+    for v in z:
+        total += v
+    if not np.isfinite(total) or total == 0.0:
+        return None
+    W, running = [], 0.0
+    for v in z:
+        W.append(running)
+        running += v / total
+
+    def extrapolate(x):
+        out = np.zeros_like(x[K])
+        for c in range(1, K):
+            out = out + W[c] * (x[c + 1] - x[c])
+        return x[K] - out
+
+    return extrapolate(rows), extrapolate(states)
+
+
+def kernel_objective(problem, state, row):
+    """The objective as the kernel prices an Anderson step, in Python
+    floats with its order of every sum: the deviance from a state, the
+    penalty from a record row over every group."""
+    if problem.family == "gaussian":
+        dev = 0.5 * kernel_dot(state, state)
+    else:
+        terms = []
+        for y, e in zip(problem.y.tolist(), state.tolist()):
+            e = min(max(e, -ETA_CLIP), ETA_CLIP)
+            soft = (0.693147180559945309417232121458176568 if e == 0.0
+                    else math.log1p(math.exp(e)) if e < 0.0
+                    else e + math.log1p(math.exp(-e)))
+            terms.append(y * e - soft)
+        dev = -2.0 * float(np.sum(terms))
+    pen = 0.0
+    for w, s0, s1 in zip(problem.multipliers, problem.offsets[:-1],
+                         problem.offsets[1:]):
+        nb2 = 0.0
+        for v in row[1 + s0:1 + s1]:
+            nb2 += v * v
+        pen += w * math.sqrt(nb2)
+    return dev / problem.N + problem.lam * pen
+
+
 def scheme_problem(scheme, family, seed=3, N=60):
     """Small real NBG / EBG / LASSO problem with one signal group."""
     rng = np.random.default_rng(seed)
@@ -461,45 +624,89 @@ class TestAcceleration:
     """Anderson steps and the path predictor change the route, never the
     certified answer."""
 
+    @staticmethod
+    def window_ends(prob, n_windows=12, beta=None):
+        """A point over every group from ``beta`` (default: a cold start)
+        and the intercept-only mu, at inner tolerance 0, so that each
+        window runs its K + 1 sweeps.  At each window end: the rows and
+        states of the point run to it, and the first row and state of the
+        point run one sweep further, with whether the Anderson step
+        between them was kept."""
+        K1 = ANDERSON_K + 1
+        order = range(prob.n_groups)
+        mu = _intercept_start(prob)
+        if beta is None:
+            beta = np.zeros(prob.U.shape[1])
+        state = _fresh_state(prob, mu, beta)
+
+        def point(n):
+            block = bound_block(prob, state.copy(), mu, beta.copy(), order,
+                                max_sweeps=n, tol=0.0)
+            run(block)
+            assert block.sweeps == n
+            return block
+
+        ends = []
+        for j in range(1, n_windows + 1):
+            at, after = point(j * K1), point(j * K1 + 1)
+            assert (at.tried, after.tried) == (j - 1, j)
+            rows, states = window(at, prob, order)
+            first, first_state = (x[0] for x in window(after, prob, order))
+            ends.append(dict(rows=rows.copy(), states=states.copy(),
+                             kept=after.accepted - at.accepted,
+                             next_row=first.copy(),
+                             next_state=first_state.copy()))
+        return ends
+
+    @staticmethod
+    def sweeps_on(prob, row, state, end):
+        """Whether the point run one sweep past a window end started that
+        sweep from ``row`` and ``state``, to the bit."""
+        beta, state = row[1:].copy(), state.copy()
+        mu, _ = kernel_sweep(prob, state, row[0], beta, range(prob.n_groups))
+        return (end["next_row"].tolist() == [mu, *beta.tolist()]
+                and end["next_state"].tobytes() == state.tobytes())
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_objective_never_increases_across_iterates(self, rng, family,
                                                        monkeypatch):
-        # objective before and after every sweep: the gap between one
-        # sweep's end and the next sweep's start is where an Anderson step
-        # or a screening pass sits
+        # the objective after every sweep of a cold solve, each read from
+        # the solve capped at that sweep: between two sits one sweep and
+        # any Anderson step or screening pass before it
         import netcov.solver as solver
 
         problem, *_ = build_problem(rng, N=80, p=24, family=family)
         prob = replace(problem, lam=0.05 * lambda_max(problem))
-        windows, swept = [], []
-        solve_block = solver._solve_block
-
-        def recorded(block, n_max, tol):
-            # the objective at the block's start, after each sweep it
-            # records (beta[coords] = row[1:]; the other coordinates do
-            # not move) and after a last sweep that stopped it
-            beta, coords = block.arrays["beta"], block.arrays["coords"]
-            values = [objective(prob, block.mu, beta)]
-            n, converged = solve_block(block, n_max, tol)
-            beta = beta.copy()
-            for row in block.rows[:n - converged]:
-                beta[coords] = row[1:]
-                values.append(objective(prob, row[0], beta))
-            if converged:
-                values.append(objective(prob, block.mu, block.arrays["beta"]))
-            windows.append(values)
-            swept.append(n)
-            return n, converged
-
-        monkeypatch.setattr(solver, "_solve_block", recorded)
         sol = fit_at_lambda(prob)
-        assert sol.n_extrapolated > 0 and sum(swept) == sol.n_sweeps
-        values = [q for window in windows for q in window]
+        assert sol.n_extrapolated > 0
+        values = [objective(prob, _intercept_start(prob),
+                            np.zeros(prob.U.shape[1]))]
+        for n in range(1, sol.n_sweeps + 1):
+            monkeypatch.setattr(solver, "MAX_SWEEPS", n)
+            try:
+                capped = fit_at_lambda(prob)
+            except ConvergenceError as err:
+                capped = err
+            values.append(objective(prob, capped.mu, capped.beta_tilde))
+        assert capped.beta_tilde.tobytes() == sol.beta_tilde.tobytes()
         for prev, q in zip(values, values[1:]):
             assert q <= prev + 1e-12 * max(1.0, abs(prev))
-        # every accepted step shows as a strict drop between two blocks
-        drops = sum(b[0] < a[-1] for a, b in zip(windows, windows[1:]))
-        assert drops >= sol.n_extrapolated
+        # every accepted step alone: the next sweep starts from
+        # kernel_anderson's trial, a strict drop as the guard prices it and
+        # no rise in the objective
+        kept = 0
+        for end in self.window_ends(prob):
+            if end["kept"]:
+                kept += 1
+                row, state = kernel_anderson(end["rows"], end["states"])
+                assert self.sweeps_on(prob, row, state, end)
+                last = end["rows"][-1]
+                assert (kernel_objective(prob, state, row)
+                        < kernel_objective(prob, end["states"][-1], last))
+                q = objective(prob, last[0], last[1:])
+                assert (objective(prob, row[0], row[1:])
+                        <= q + 1e-12 * max(1.0, abs(q)))
+        assert kept > 0
 
     @pytest.mark.parametrize("scheme,family", [
         ("nbg", "gaussian"), ("ebg", "gaussian"), ("lasso", "gaussian"),
@@ -545,25 +752,28 @@ class TestAcceleration:
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_worse_extrapolation_is_rejected(self, rng, family):
-        # the current iterate is the solution and the rest of the history
-        # lies far from it: their affine combinations cannot lower the
-        # objective, so the step is refused and nothing moves
-        from netcov.solver import ANDERSON_K, _anderson, _fresh_state
-
+        # a step that is refused leaves mu, beta and the state as they
+        # were: the next sweep starts from the window's last row and state,
+        # to the bit.  From a start far from the solution, some steps find
+        # no weights and some are refused by the guard, their trial
+        # (kernel_anderson's) no lower than the window's last row as the
+        # guard prices both
         problem, *_ = build_problem(rng, family=family)
-        prob = replace(problem, lam=0.2 * lambda_max(problem))
-        sol = fit_at_lambda(prob)
-        coords = np.arange(prob.U.shape[1])
-        point = np.concatenate(([sol.mu], sol.beta_tilde[coords]))
-        history = [point + 50.0 * rng.standard_normal(point.size)
-                   for _ in range(ANDERSON_K)] + [point]
-        states = [_fresh_state(prob, x[0], x[1:]) for x in history]
-        beta = sol.beta_tilde.copy()
-        kept = [state.copy() for state in states]
-        assert _anderson(prob, beta, coords, history, states) is None
-        np.testing.assert_array_equal(beta, sol.beta_tilde)
-        for state, was in zip(states, kept):
-            np.testing.assert_array_equal(state, was)
+        prob = replace(problem, lam=0.05 * lambda_max(problem))
+        far = 50.0 * rng.standard_normal(prob.U.shape[1])
+        guarded = 0
+        for end in self.window_ends(prob, n_windows=20, beta=far):
+            if end["kept"]:
+                continue
+            rows, states = end["rows"], end["states"]
+            assert self.sweeps_on(prob, rows[-1], states[-1], end)
+            trial = kernel_anderson(rows, states)
+            if trial is not None:
+                guarded += 1
+                row, state = trial
+                assert not (kernel_objective(prob, state, row)
+                            < kernel_objective(prob, states[-1], rows[-1]))
+        assert guarded > 0
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_zero_groups_are_exact_zeros(self, family):
@@ -663,63 +873,6 @@ class TestSweepKernel:
             1.0, np.max(np.abs(b), initial=0.0))
 
     @staticmethod
-    def kernel_dot(u, r):
-        # the kernel's dot: eight lane sums, each a left-to-right sum from
-        # 0.0 over every eighth product, its combine tree, then the tail
-        n8 = u.size - u.size % 8
-        prod = u * r
-
-        def plain_sum(x):
-            return np.cumsum(np.concatenate(([0.0], x)))[-1]
-
-        a = [plain_sum(prod[lane:n8:8]) for lane in range(8)]
-        return (((a[0] + a[1]) + (a[2] + a[3]))
-                + ((a[4] + a[5]) + (a[6] + a[7]))) + plain_sum(prod[n8:])
-
-    @classmethod
-    def kernel_sweep(cls, problem, state, mu, beta, order):
-        # one sweep in numpy with the kernel's own order of every sum, one
-        # column at a time; returns (mu, the sweep's largest change)
-        gaussian = problem.family == "gaussian"
-        c, k = (1.0, 1.0) if gaussian else (2.0, 0.25)
-        resid = state if gaussian else (problem.y - expit(state)) / k
-        dmu = float(resid.mean())
-        resid -= dmu
-        if not gaussian:
-            state += dmu
-        max_delta = abs(dmu)
-        thresh_scale = problem.N * problem.lam / (c * k)
-        for g in order:
-            s0, s1 = problem.offsets[g], problem.offsets[g + 1]
-            t = thresh_scale * problem.multipliers[g]
-            U, b = problem.U.T[s0:s1], beta[s0:s1]
-            if s1 - s0 == 1:
-                zs = cls.kernel_dot(U[0], resid) + b[0]
-                z = np.array([zs - t if zs > t else zs + t if zs < -t
-                              else 0.0])
-            else:
-                z = np.array([cls.kernel_dot(u, resid) for u in U]) + b
-                nz2 = 0.0
-                for zk in z:
-                    nz2 += zk * zk
-                nz = np.sqrt(nz2)
-                if nz <= t and not b.any():
-                    continue
-                z = np.zeros_like(z) if nz <= t else (1.0 - t / nz) * z
-            step = float(np.abs(z - b).max())
-            if not step > 0.0:
-                continue
-            shift = (z[0] - b[0]) * U[0]
-            for zk, bk, u in zip(z[1:], b[1:], U[1:]):
-                shift = shift + (zk - bk) * u
-            resid -= shift
-            if not gaussian:
-                state += shift
-            max_delta = max(max_delta, step)
-            b[:] = z
-        return mu + dmu, max_delta
-
-    @staticmethod
     def start(rng, problem):
         # a random point with some zero coefficients and a lambda at which
         # some groups move and some are shrunk
@@ -735,45 +888,61 @@ class TestSweepKernel:
 
     @staticmethod
     def one_sweep_stops(problem, state, mu, beta, order, tol):
-        # whether one sweep from copies of this point stops a block at tol
-        block = bound_block(problem, state.copy(), mu, beta.copy(), order)
-        return _solve_block(block, 1, tol)[1]
+        # whether one sweep from copies of this point stops its window at
+        # tol: a sweep that stops one records no row
+        block = bound_block(problem, state.copy(), mu, beta.copy(), order,
+                            max_sweeps=1, tol=tol)
+        run(block)
+        return bool(np.isnan(block.arrays["record"][0]))
+
+    @staticmethod
+    def one_sweep(problem, state, mu, beta, order):
+        # one sweep on this point, in place; returns its block and the
+        # state the sweep left, which the cap's certificate pass refreshes
+        block = bound_block(problem, state, mu, beta, order, max_sweeps=1,
+                            tol=0.0)
+        run(block)
+        assert block.sweeps == 1
+        return block, window(block, problem, order)[1][0]
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("N", [37, 64])
     def test_sweeps_equal_the_kernel_arithmetic(self, rng, N, family):
-        # blocks of 1 to K+1 sweeps over every width from a singleton to
-        # three four-column blocks plus one, at an N with a dot tail and
-        # one without: the blocked kernel must give exactly the bits of
-        # one column at a time, in the iterate, the state and every row
-        # it records
+        # points capped at 1 to K+1 sweeps over every width from a
+        # singleton to three four-column blocks plus one, at an N with a
+        # dot tail and one without: the blocked kernel must give exactly
+        # the bits of one column at a time, in the iterate and every row
+        # and state it records
         for trial in range(4):
             widths = rng.permutation([1, 2, 4, 5, 7, 8, 9, 13]).tolist()
             prob, mu, beta, state = self.start(
                 rng, self.problem(rng, widths, family, N=N))
             order = rng.permutation(prob.n_groups).astype(np.int64)
-            coords = np.flatnonzero(rng.random(beta.size) < 0.5)
+            cols = columns(prob, order)
             for n_max in range(1, ANDERSON_K + 2):
-                b, s = beta.copy(), state.copy()
-                block = bound_block(prob, s, mu, b, order, coords)
-                assert _solve_block(block, n_max, 0.0) == (n_max, False)
+                b = beta.copy()
+                block = bound_block(prob, state.copy(), mu, b, order,
+                                    max_sweeps=n_max, tol=0.0)
+                run(block)
+                assert block.sweeps == n_max and block.tried == 0
                 mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
-                states = block.arrays["states"]
-                for row, s_row in zip(block.rows[:n_max], states):
-                    mu_ref, _ = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
-                                                  order)
+                rows, states = window(block, prob, order)
+                for row, s_row in zip(rows[:n_max], states):
+                    mu_ref, _ = kernel_sweep(prob, s_ref, mu_ref, b_ref,
+                                             order)
                     assert row[0] == mu_ref
-                    assert row[1:].tobytes() == b_ref[coords].tobytes()
+                    assert row[1:].tobytes() == b_ref[cols].tobytes()
                     assert s_row.tobytes() == s_ref.tobytes()
                 assert block.mu == mu_ref
                 assert b.tobytes() == b_ref.tobytes()
-                assert s.tobytes() == s_ref.tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_block_stops_after_the_first_small_change(self, rng, family):
-        # with tol just above one sweep's change, and at it, the block
+        # with tol just above one sweep's change, and at it, the window
         # stops after the first sweep whose change is below tol: the
-        # kernel's changes are the reference's to the bit
+        # kernel's changes are the reference's to the bit.  Any KKT
+        # residual certifies, so the point returns at the first stop; with
+        # none, the window's K+1 sweeps and one more run to the cap
         K1 = ANDERSON_K + 1
         for trial in range(6):
             prob, mu, beta, state = self.start(
@@ -782,18 +951,20 @@ class TestSweepKernel:
             mus, deltas = [], []
             mu_ref, b_ref, s_ref = mu, beta.copy(), state.copy()
             for _ in range(K1):
-                mu_ref, d = self.kernel_sweep(prob, s_ref, mu_ref, b_ref,
-                                              order)
+                mu_ref, d = kernel_sweep(prob, s_ref, mu_ref, b_ref, order)
                 mus.append(mu_ref)
                 deltas.append(d)
             j = int(rng.integers(K1))
             for tol in (np.nextafter(deltas[j], np.inf), deltas[j]):
                 stop = next((i for i, d in enumerate(deltas) if d < tol), None)
-                block = bound_block(prob, state.copy(), mu, beta.copy(), order)
+                block = bound_block(prob, state.copy(), mu, beta.copy(), order,
+                                    max_sweeps=K1 + 1, tol=tol,
+                                    kkt_tol=np.inf)
+                assert run(block) and block.passes == 1
                 if stop is None:
-                    assert _solve_block(block, K1, tol) == (K1, False)
+                    assert block.sweeps == K1 + 1
                 else:
-                    assert _solve_block(block, K1, tol) == (stop + 1, True)
+                    assert block.sweeps == stop + 1
                     assert block.mu == mus[stop]
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
@@ -807,16 +978,15 @@ class TestSweepKernel:
             b_ref, s_ref = beta.copy(), state.copy()
             mu_ref, d_ref = self.reference_sweep(prob, s_ref, mu, b_ref,
                                                  order)
-            # the change within 1e-12 of the reference's: a block stops
+            # the change within 1e-12 of the reference's: a window stops
             # just above that band and not below it
             slack = 1e-12 * max(1.0, d_ref)
             assert self.one_sweep_stops(prob, state, mu, beta, order,
                                         np.nextafter(d_ref + slack, np.inf))
             assert not self.one_sweep_stops(prob, state, mu, beta, order,
                                             d_ref - slack)
-            block = bound_block(prob, state, mu, beta, order)
-            assert _solve_block(block, 1, 0.0) == (1, False)
-            assert self.close(beta, b_ref) and self.close(state, s_ref)
+            block, swept = self.one_sweep(prob, state, mu, beta, order)
+            assert self.close(beta, b_ref) and self.close(swept, s_ref)
             assert abs(block.mu - mu_ref) <= 1e-12 * max(1.0, abs(mu_ref))
             # a coordinate the reference leaves at zero the kernel does too
             np.testing.assert_array_equal(beta == 0.0, b_ref == 0.0)
@@ -836,11 +1006,10 @@ class TestSweepKernel:
                                     np.nextafter(d_ref, np.inf))
         assert not self.one_sweep_stops(problem, state, 0.3, beta, order,
                                         d_ref)
-        block = bound_block(problem, state, 0.3, beta, order)
-        assert _solve_block(block, 1, 0.0) == (1, False)
+        block, swept = self.one_sweep(problem, state, 0.3, beta, order)
         assert block.mu == mu_ref
         np.testing.assert_array_equal(beta, b_ref)
-        np.testing.assert_array_equal(state, s_ref)
+        np.testing.assert_array_equal(swept, s_ref)
 
     def test_intercept_step_is_numpy_mean(self, rng):
         # numpy's pairwise sum: a plain sum below 8 elements, eight partial
@@ -854,10 +1023,10 @@ class TestSweepKernel:
                      + rng.standard_normal())
             mean = float(np.mean(state))
             moved = state - mean
-            block = bound_block(problem, state, 0.0, np.zeros(1), [])
-            assert _solve_block(block, 1, 0.0) == (1, False)
+            block, swept = self.one_sweep(problem, state, 0.0, np.zeros(1),
+                                          [])
             assert block.mu == mean, N
-            assert state.tobytes() == moved.tobytes(), N
+            assert swept.tobytes() == moved.tobytes(), N
 
     def test_binomial_step_residual_is_expit(self, rng):
         # the step residual (y - expit(eta)) / 0.25, the logistic bound,
@@ -872,13 +1041,13 @@ class TestSweepKernel:
             multipliers=[1.0], names=("g",), lam=1.0)
         r = (y - expit(eta)) / 0.25
         mean = float(r.mean())
-        state = eta.copy()
-        block = bound_block(problem, state, 0.0, np.zeros(1), [])
-        resid = block.arrays["resid"]  # the binomial step-residual buffer
-        assert _solve_block(block, 1, 0.0) == (1, False)
-        assert resid.tobytes() == (r - mean).tobytes()
+        block, swept = self.one_sweep(problem, eta.copy(), 0.0, np.zeros(1),
+                                      [])
+        # the binomial step-residual buffer, which the certificate pass
+        # leaves alone
+        assert block.arrays["resid"].tobytes() == (r - mean).tobytes()
         assert block.mu == mean
-        assert state.tobytes() == (eta + mean).tobytes()
+        assert swept.tobytes() == (eta + mean).tobytes()
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     @pytest.mark.parametrize("width", [1, 3])
@@ -891,8 +1060,7 @@ class TestSweepKernel:
         # the middle group's threshold beats any target it can reach
         prob = replace(problem, lam=1.0,
                        multipliers=np.array([1e-9, 1e9, 1e-9]))
-        block = bound_block(prob, state, 0.0, beta, range(3))
-        assert _solve_block(block, 1, 0.0) == (1, False)
+        self.one_sweep(prob, state, 0.0, beta, range(3))
         shrunk = beta[2:2 + width]
         assert np.all(shrunk == 0.0) and not np.any(np.signbit(shrunk))
         assert np.all(beta[:2] != 0.0) and np.all(beta[2 + width:] != 0.0)
@@ -913,29 +1081,33 @@ class TestSweepKernel:
         assert self.one_sweep_stops(problem, state, 0.0, beta, order,
                                     np.nextafter(0.5, 1.0))
         assert not self.one_sweep_stops(problem, state, 0.0, beta, order, 0.5)
-        block = bound_block(problem, state, 0.0, beta, order)
-        assert _solve_block(block, 1, 0.0) == (1, False)
+        block, swept = self.one_sweep(problem, state, 0.0, beta, order)
         assert np.all(beta == 0.0) and not np.any(np.signbit(beta))
         assert block.mu == 0.0
-        np.testing.assert_array_equal(state, [0.75, 1.0, -0.5, -0.5])
+        np.testing.assert_array_equal(swept, [0.75, 1.0, -0.5, -0.5])
 
-    @pytest.mark.parametrize("which", ["order", "coords"])
-    def test_block_indices_must_be_contiguous_int64(self, rng, which):
-        # the kernel reads both as raw int64 memory
-        problem = replace(self.problem(rng, [1, 2], "gaussian"), lam=0.1)
-        beta = np.zeros(3)
-        block = bound_block(problem, _fresh_state(problem, 0.0, beta), 0.0,
-                            beta, [])
-        good = np.arange(2, dtype=np.int64)
-        for bad in (good.astype(np.int32), np.arange(4)[::2]):
-            indices = {"order": good, "coords": good, which: bad}
-            with pytest.raises(TypeError, match=f"sweep {which} must be "
-                                                "contiguous int64"):
-                block.activate(indices["order"], indices["coords"])
+    def test_start_copies_the_active_order(self, rng):
+        # the kernel reads the order as raw int64 memory: an int32 or a
+        # strided order is copied into the block's own buffer, and sweeps
+        # as the same groups given as contiguous int64
+        problem = replace(self.problem(rng, [1, 2, 3], "gaussian"), lam=0.1)
+        beta = rng.standard_normal(6)
+        state = _fresh_state(problem, 0.0, beta)
+        swept = []
+        for order in (np.array([2, 0], dtype=np.int64),
+                      np.array([2, 0], dtype=np.int32),
+                      np.array([2, 1, 0, 1])[::2]):
+            b = beta.copy()
+            block, s = self.one_sweep(problem, state.copy(), 0.0, b, order)
+            assert block.arrays["order"].dtype == np.int64
+            swept.append((block.mu, b.tobytes(), s.tobytes()))
+        assert swept[1] == swept[0] and swept[2] == swept[0]
 
     def test_cap_inside_a_window_raises_at_the_cap(self, monkeypatch):
-        # a cap of 7 sweeps, not a multiple of the K+1 window: the last
-        # call runs only the sweeps left, and the fit raises at exactly 7
+        # a cap of 7 sweeps, not a multiple of the K+1 window: the fit
+        # raises at exactly 7, and the point capped there runs one full
+        # window, one Anderson step, and one sweep of the next window, which
+        # rewrites only that window's first row
         import netcov.solver as solver
 
         problem, *_ = build_problem(np.random.default_rng(0), N=80, p=24)
@@ -943,24 +1115,26 @@ class TestSweepKernel:
         # every group active from the start, so the first window is full
         start = dict(beta0=np.full(prob.U.shape[1], 0.1), mu0=0.0)
         assert fit_at_lambda(prob, **start).n_sweeps > 7
-        calls = []
-        solve_block = solver._solve_block
-
-        def counted(block, n_max, tol):
-            n, converged = solve_block(block, n_max, tol)
-            calls.append((n_max, n))
-            return n, converged
-
         monkeypatch.setattr(solver, "MAX_SWEEPS", 7)
-        monkeypatch.setattr(solver, "_solve_block", counted)
         with pytest.raises(ConvergenceError) as err:
             fit_at_lambda(prob, **start)
         assert err.value.sweeps == 7
-        done = 0
-        for n_max, n in calls:
-            assert n_max == min(ANDERSON_K + 1, 7 - done)
-            done += n
-        assert done == 7 and calls[-1][0] < ANDERSON_K + 1
+        monkeypatch.undo()
+        beta = start["beta0"]
+        state = _fresh_state(prob, 0.0, beta)
+        order = range(prob.n_groups)
+        full, capped = (bound_block(prob, state.copy(), 0.0, beta.copy(),
+                                    order, max_sweeps=n)
+                        for n in (ANDERSON_K + 1, 7))
+        assert not run(full) and not run(capped)
+        assert (full.sweeps, full.tried) == (ANDERSON_K + 1, 0)
+        assert (capped.sweeps, capped.tried) == (7, 1)
+        rows_full, rows_capped = (window(b, prob, order)[0]
+                                  for b in (full, capped))
+        assert rows_capped[1:].tobytes() == rows_full[1:].tobytes()
+        assert rows_capped[0].tobytes() != rows_full[0].tobytes()
+        assert rows_capped[0].tolist() == [capped.mu,
+                                           *capped.arrays["beta"].tolist()]
 
     def test_block_struct_matches_ctypes(self):
         # a ctypes call whose structure or argtypes disagree with the C
@@ -1092,6 +1266,45 @@ class TestSweepKernel:
         assert f"['{cache / libraries[0]}']" in outputs[0][0]
 
 
+    def test_points_run_clean_under_asan_and_ubsan(self, tmp_path):
+        # short LASSO, NBG and EBG paths in both families with the kernel
+        # built for AddressSanitizer and UndefinedBehaviorSanitizer, in a
+        # process that preloads the ASan runtime: a read or write past a
+        # buffer, or undefined behaviour, aborts it
+        import netcov.solver as solver
+
+        asan = subprocess.run([solver._CC, "-print-file-name=libasan.so"],
+                              capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(asan) or not os.path.exists(asan):
+            pytest.skip(f"{solver._CC} has no libasan")
+        script = (
+            "import sys\n"
+            "from netcov import solver\n"
+            "solver._CFLAGS += ('-g', '-fsanitize=address,undefined',\n"
+            "                   '-fno-sanitize-recover=all')\n"
+            "from test_solver import scheme_problem\n"
+            "for scheme in ('lasso', 'nbg', 'ebg'):\n"
+            "    for family in ('gaussian', 'binomial'):\n"
+            "        prep = scheme_problem(scheme, family)\n"
+            "        grid = solver.lambda_grid(\n"
+            "            solver.lambda_max(prep.problem), grid_size=8)\n"
+            "        pf = solver.fit_path(prep.problem, prep.basis, prep.emap,\n"
+            "                             grid)\n"
+            "        assert all(e.kkt_residual <= 1e-6 for e in pf.entries)\n"
+            "print('clean')\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert proc.stdout.strip() == "clean"
+        built = os.listdir(tmp_path / "cache" / "netcov")
+        assert len(built) == 1 and built[0].endswith(".so")
+
+
 class TestStateReuse:
     """The solver's work vector is carried instead of recomputed; what it
     carries must equal a fresh pass over U."""
@@ -1108,21 +1321,14 @@ class TestStateReuse:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_stored_state_pricing_matches_fresh(self, family, monkeypatch):
         # the state an accepted Anderson step combines from the stored
-        # states, and the state 2*s_k - s_{k-1} a predicted start takes,
-        # each equal a fresh pass over U at that point
+        # states (kernel_anderson's, from which the next sweep starts), and
+        # the state 2*s_k - s_{k-1} a predicted start takes, each equal a
+        # fresh pass over U at that point
         import netcov.solver as solver
         from netcov.solver import _fresh_state
 
-        anderson = solver._anderson
         solve = solver.fit_at_lambda
         priced, solutions = [], []
-
-        def accepted(problem, beta, coords, history, states):
-            step = anderson(problem, beta, coords, history, states)
-            if step is not None:
-                priced.append(("anderson", problem, step[0], beta.copy(),
-                               step[1].copy()))
-            return step
 
         def started(problem, beta0=None, mu0=None, state0=None, **kwargs):
             if solutions and not np.array_equal(beta0,
@@ -1133,12 +1339,17 @@ class TestStateReuse:
                                    state0=state0, **kwargs))
             return solutions[-1]
 
-        monkeypatch.setattr(solver, "_anderson", accepted)
         monkeypatch.setattr(solver, "fit_at_lambda", started)
         prep = scheme_problem("ebg", family)
         fit_path(prep.problem, prep.basis, prep.emap,
                  lambdas=lambda_grid(lambda_max(prep.problem), grid_size=30))
         monkeypatch.undo()
+        prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
+        for end in TestAcceleration.window_ends(prob):
+            if end["kept"]:
+                row, state = kernel_anderson(end["rows"], end["states"])
+                assert TestAcceleration.sweeps_on(prob, row, state, end)
+                priced.append(("anderson", prob, row[0], row[1:], state))
         assert {kind for kind, *_ in priced} == {"anderson", "predicted"}
         for _, problem, mu, beta, state in priced:
             fresh = _fresh_state(problem, mu, beta)
@@ -1187,7 +1398,7 @@ class TestStateReuse:
         # the kernel writes the state as raw memory of N doubles: a state
         # of any other shape is refused before a sweep starts
         problem, *_ = build_problem(rng)
-        swept = tap_blocks(monkeypatch)
+        swept = tap_points(monkeypatch)
         with pytest.raises(ValueError, match="start state has shape"):
             fit_at_lambda(problem, state0=np.zeros(shape))
         assert swept == []
@@ -1200,12 +1411,34 @@ class TestStateReuse:
         problem, *_ = build_problem(rng)
         m = problem.U.shape[1]
         shape = (m, 1) if extra is None else (m + extra,)
-        swept = tap_blocks(monkeypatch)
+        swept = tap_points(monkeypatch)
         with pytest.raises(ValueError, match="warm start has shape"):
             fit_at_lambda(problem, beta0=np.zeros(shape))
         assert swept == []
         fit_at_lambda(problem, beta0=np.zeros(m))
         assert swept
+
+    @pytest.mark.parametrize("name", ["beta0", "mu0", "state0", "lam0",
+                                      "grad0"])
+    def test_non_finite_start_is_refused(self, rng, name, monkeypatch):
+        # a NaN start would sweep to the cap and fail on a NaN KKT
+        # residual: it is refused, naming the argument, before a sweep
+        problem, *_ = build_problem(rng)
+        m = problem.U.shape[1]
+        start = dict(beta0=np.zeros(m), mu0=0.0,
+                     state0=_fresh_state(problem, 0.0, np.zeros(m)),
+                     lam0=2.0 * problem.lam, grad0=np.zeros(m))
+        swept = tap_points(monkeypatch)
+        fit_at_lambda(problem, **start)
+        assert len(swept) == 1
+        if np.ndim(start[name]):
+            start[name] = start[name].copy()
+            start[name][1] = np.nan
+        else:
+            start[name] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fit_at_lambda(problem, **start)
+        assert len(swept) == 1
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_wrong_start_state_still_certified(self, rng, family):
@@ -1233,44 +1466,26 @@ class TestStateReuse:
         # group for gaussian, on the intercept for binomial).  The point
         # goes on over the groups nonzero at its start or admitted as
         # violators, never over every group, and returns certified
-        import netcov.solver as solver
-        from netcov.solver import _fresh_state, _group_norms, _kkt_from_gradient
+        from netcov.solver import _group_norms
 
         problem, *_ = build_problem(rng, family=family, lam=0.05)
         start = fit_at_lambda(problem)
         state0 = (_fresh_state(problem, start.mu, start.beta_tilde)
                   + 0.01 * rng.standard_normal(problem.N))
-        solve_block, gradient = solver._solve_block, solver.smooth_gradient
-        allowed = set(np.flatnonzero(
-            _group_norms(problem, start.beta_tilde)).tolist())
-        orders, passes = [], []
-
-        def swept(block, n_max, tol):
-            orders.append((block.arrays["order"].tolist(), sorted(allowed)))
-            return solve_block(block, n_max, tol)
-
-        def screened(prob, mu, beta, state=None):
-            gmu, grad = gradient(prob, mu, beta, state)
-            zero = _group_norms(prob, beta) == 0
-            violators = zero & (_group_norms(prob, grad)
-                                > prob.lam * prob.multipliers)
-            allowed.update(np.flatnonzero(violators).tolist())
-            certified = (_kkt_from_gradient(prob, beta, grad) <= 1e-6
-                         and abs(gmu) <= 1e-6)
-            passes.append((bool(violators.any()), certified))
-            return gmu, grad
-
-        monkeypatch.setattr(solver, "_solve_block", swept)
-        monkeypatch.setattr(solver, "smooth_gradient", screened)
+        allowed = np.flatnonzero(
+            _group_norms(problem, start.beta_tilde)).tolist()
+        points = tap_points(monkeypatch)
         sol = fit_at_lambda(problem, beta0=start.beta_tilde, mu0=start.mu,
                             state0=state0)
         monkeypatch.undo()
-        assert passes[0] == (False, False)
-        assert passes[-1] == (False, True)
-        # a block before the first pass, and one after the miss
-        assert len(orders) >= 2
-        for order, groups in orders:
-            assert set(order) <= set(groups)
+        # a pass with no violator that missed, then the certified one
+        assert (sol.n_passes, sol.n_violators, sol.n_tightened) == (2, 0, 1)
+        # the active set only grows, so the one it ends with holds every
+        # group swept
+        (order, block), = points
+        assert order == allowed
+        ended = block.arrays["order"][:block.n_order].tolist()
+        assert ended == allowed and len(ended) < problem.n_groups
         assert kkt_residual(problem, sol.mu, sol.beta_tilde) <= 1e-6
         mu_o, beta_o = ista_solve(problem.U, problem.y, family,
                                   pairs(problem), problem.multipliers,
@@ -1285,8 +1500,9 @@ class TestStateReuse:
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_path_starts_need_no_pass_over_u(self, family, monkeypatch):
         # after the first point, every point of a path starts from the
-        # state it is handed: no _fresh_state call comes between a fit's
-        # start and its first sweep
+        # state it is handed: the kernel computes a start state for the
+        # first point only, and no _fresh_state call comes between a
+        # fit's start and its compiled point
         import netcov.solver as solver
 
         events = []
@@ -1297,8 +1513,16 @@ class TestStateReuse:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, wrapped)
 
-        for name in ("fit_at_lambda", "_fresh_state", "_solve_block"):
+        for name in ("fit_at_lambda", "_fresh_state"):
             tap(name, getattr(solver, name))
+        kernel, fresh = solver._load_kernel(), []
+
+        def point(block):
+            events.append("point")
+            fresh.append(block.start_fresh)
+            return kernel(block)
+
+        monkeypatch.setattr(solver, "_kernel_fn", point)
         prep = scheme_problem("ebg", family)
         fit_path(prep.problem, prep.basis, prep.emap,
                  lambdas=lambda_grid(lambda_max(prep.problem), grid_size=20))
@@ -1306,34 +1530,16 @@ class TestStateReuse:
         starts = []
         for i, event in enumerate(events):
             if event == "fit_at_lambda":
-                first_sweep = events.index("_solve_block", i)
-                starts.append(events[i:first_sweep].count("_fresh_state"))
-        assert len(starts) == 20
-        assert starts == [1] + [0] * 19
+                starts.append(events[i:events.index("point", i)].count(
+                    "_fresh_state"))
+        assert starts == [0] * 20
+        assert fresh == [1] + [0] * 19
 
 
 class TestStrongRule:
     """The sequential strong rule picks a point's starting active set from
     the last point's lambda and gradient; the screening pass stays the
     check, so what it predicts moves the route, never the answer."""
-
-    @staticmethod
-    def screened(monkeypatch):
-        """The certificate passes fit_at_lambda runs from here on, as a
-        list of whether each found a violator."""
-        import netcov.solver as solver
-
-        passes, gradient = [], solver.smooth_gradient
-
-        def tapped(prob, mu, beta, state=None):
-            gmu, grad = gradient(prob, mu, beta, state)
-            zero = _group_norms(prob, beta) == 0
-            passes.append(bool((zero & (_group_norms(prob, grad)
-                                        > prob.lam * prob.multipliers)).any()))
-            return gmu, grad
-
-        monkeypatch.setattr(solver, "smooth_gradient", tapped)
-        return passes
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_predicting_nothing_is_caught_by_screening(self, family,
@@ -1344,10 +1550,10 @@ class TestStrongRule:
         prep = scheme_problem("ebg", family)
         prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
         m = prob.U.shape[1]
-        passes = self.screened(monkeypatch)
+        swept = tap_points(monkeypatch)
         sol = fit_at_lambda(prob, lam0=prob.lam, grad0=np.zeros(m))
         monkeypatch.undo()
-        assert passes[0] and not passes[-1]
+        assert swept[0][0] == [] and sol.n_violators > 0
         assert kkt_residual(prob, sol.mu, sol.beta_tilde) <= 1e-6
         plain = fit_at_lambda(prob)
         assert sol.mu == plain.mu and sol.n_sweeps == plain.n_sweeps
@@ -1357,19 +1563,18 @@ class TestStrongRule:
     def test_predicting_every_group_keeps_exact_zeros(self, family,
                                                       monkeypatch):
         # lam0 = 3 lambda makes the rule's bound negative, so every group
-        # starts active: the first block sweeps them all, no screening
+        # starts active: the first sweep visits them all, no screening
         # round finds a violator, and the groups the ISTA oracle zeroes
         # come back as exact zeros
         prep = scheme_problem("ebg", family)
         prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
         _, grad = smooth_gradient(prob, _intercept_start(prob),
                                   np.zeros(prob.U.shape[1]))
-        swept = tap_blocks(monkeypatch)
-        passes = self.screened(monkeypatch)
+        swept = tap_points(monkeypatch)
         sol = fit_at_lambda(prob, lam0=3.0 * prob.lam, grad0=grad)
         monkeypatch.undo()
-        assert swept[0] == list(range(prob.n_groups))
-        assert not any(passes)
+        assert swept[0][0] == list(range(prob.n_groups))
+        assert sol.n_violators == 0
         assert kkt_residual(prob, sol.mu, sol.beta_tilde) <= 1e-6
         _, beta_o = ista_solve(prob.U, prob.y, family, pairs(prob),
                                prob.multipliers, prob.lam)
@@ -1385,7 +1590,7 @@ class TestStrongRule:
         # before a sweep starts
         problem, *_ = build_problem(rng)
         m = problem.U.shape[1]
-        swept = tap_blocks(monkeypatch)
+        swept = tap_points(monkeypatch)
         for given in (dict(lam0=problem.lam), dict(grad0=np.zeros(m))):
             with pytest.raises(ValueError, match="both lam0 and grad0"):
                 fit_at_lambda(problem, **given)
@@ -1401,12 +1606,22 @@ class TestStrongRule:
         # one certificate pass a point is left; starting each point from
         # the last one's nonzero groups alone took 34 (gaussian) and 36
         # (binomial) passes here
+        import netcov.solver as solver
+
         prep = scheme_problem("lasso", family)
         grid = lambda_grid(lambda_max(prep.problem), grid_size=20)
-        passes = self.screened(monkeypatch)
+        solve, passes = solver.fit_at_lambda, []
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            passes.append(sol.n_passes)
+            return sol
+
+        monkeypatch.setattr(solver, "fit_at_lambda", counted)
         pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
         monkeypatch.undo()
-        assert len(passes) <= grid.size + 2
+        assert len(passes) == grid.size
+        assert sum(passes) <= grid.size + 2
         assert all(e.kkt_residual <= 1e-6 for e in pf.entries)
 
     def test_path_swaps_lambda_without_rechecking_the_layout(self,
@@ -1434,6 +1649,103 @@ class TestStrongRule:
         with pytest.raises(ValueError, match="finite number"):
             fit_path(prep.problem, prep.basis, prep.emap,
                      lambdas=np.array([np.inf, 1.0]))
+
+
+def record_points(monkeypatch):
+    """The points fit_at_lambda solves from here on, as a list of
+    (problem, Solution, groups active at its start, groups active at its
+    end)."""
+    import netcov.solver as solver
+
+    solve, kernel = solver.fit_at_lambda, solver._load_kernel()
+    solved, points = [], []
+
+    def recorded(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        solved.append((problem, sol, *points.pop()))
+        return sol
+
+    def point(block):
+        started = block.arrays["order"][:block.n_order].tolist()
+        certified = kernel(block)
+        points.append((started, block.arrays["order"][:block.n_order]
+                       .tolist()))
+        return certified
+
+    monkeypatch.setattr(solver, "fit_at_lambda", recorded)
+    monkeypatch.setattr(solver, "_kernel_fn", point)
+    return solved
+
+
+def path_points(monkeypatch, scheme, family, grid_size=20):
+    """:func:`record_points` of a path on scheme_problem."""
+    solved = record_points(monkeypatch)
+    prep = scheme_problem(scheme, family)
+    fit_path(prep.problem, prep.basis, prep.emap, lambdas=lambda_grid(
+        lambda_max(prep.problem), grid_size=grid_size))
+    monkeypatch.undo()
+    assert len(solved) == grid_size
+    return solved
+
+
+class TestCompiledCertificate:
+    """The kernel's certificate pass against the public numpy functions,
+    which stay the independent check, and the counts a point reports."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    @pytest.mark.parametrize("scheme", ["lasso", "nbg", "ebg"])
+    def test_agrees_with_numpy(self, scheme, family, monkeypatch):
+        # every entry of a path: the KKT residual (itself relative to
+        # lambda w_G) within 1e-12 of kkt_residual's, the certificate
+        # gradient and the state within 1e-12 of smooth_gradient's and
+        # _fresh_state's, relative to their largest entry
+        for prob, sol, *_ in path_points(monkeypatch, scheme, family):
+            kkt = kkt_residual(prob, sol.mu, sol.beta_tilde)
+            assert abs(sol.kkt_residual - kkt) <= 1e-12 * max(1.0, kkt)
+            _, grad = smooth_gradient(prob, sol.mu, sol.beta_tilde)
+            state = _fresh_state(prob, sol.mu, sol.beta_tilde)
+            for got, want in ((sol.grad, grad), (sol.state, state)):
+                assert (np.max(np.abs(got - want))
+                        <= 1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("family", ["gaussian", "binomial"])
+    def test_counts_add_up(self, rng, family, monkeypatch):
+        # a certificate pass admits violators, or misses and tightens the
+        # inner tolerance, or certifies, once, last; the violators are
+        # the groups the active set gained; Anderson steps are tried only
+        # after full windows and kept at most as often.  On a path, a
+        # cold point started empty and a point started from a noisy state
+        import netcov.solver as solver
+
+        solved = record_points(monkeypatch)
+        prep = scheme_problem("ebg", family)
+        fit_path(prep.problem, prep.basis, prep.emap, lambdas=lambda_grid(
+            lambda_max(prep.problem), grid_size=20))
+        prob = replace(prep.problem, lam=0.2 * lambda_max(prep.problem))
+        solver.fit_at_lambda(prob, lam0=prob.lam,
+                             grad0=np.zeros(prob.U.shape[1]))
+        # the noisy start of test_certificate_miss_sweeps_only_the_active_set
+        problem, *_ = build_problem(rng, family=family, lam=0.05)
+        start = solver.fit_at_lambda(problem)
+        solver.fit_at_lambda(
+            problem, beta0=start.beta_tilde, mu0=start.mu,
+            state0=(_fresh_state(problem, start.mu, start.beta_tilde)
+                    + 0.01 * rng.standard_normal(problem.N)))
+        monkeypatch.undo()
+        assert len(solved) == 23
+        for _, sol, started, ended in solved:
+            rounds = sol.n_passes - 1 - sol.n_tightened
+            assert 0 <= rounds <= sol.n_violators
+            assert (rounds > 0) == (sol.n_violators > 0)
+            assert set(started) <= set(ended)
+            assert len(ended) == len(started) + sol.n_violators
+            assert (sol.n_extrapolated <= sol.n_tried
+                    <= sol.n_sweeps // (ANDERSON_K + 1))
+        total = {name: sum(getattr(sol, name) for _, sol, *_ in solved)
+                 for name in ("n_violators", "n_tightened", "n_tried",
+                              "n_extrapolated")}
+        assert total["n_violators"] > 0 and total["n_tightened"] > 0, total
+        assert total["n_tried"] >= total["n_extrapolated"] > 0
 
 
 class TestDesignLayout:
@@ -1563,7 +1875,8 @@ class TestPositiveLambda:
         # PenalizedProblem itself refuses lambda < 0: set it past that
         object.__setattr__(problem, "lam", lam)
         touched = []
-        for name in ("_solve_block", "smooth_gradient"):
+        solver._load_kernel()
+        for name in ("_kernel_fn", "smooth_gradient"):
             monkeypatch.setattr(
                 solver, name, lambda *args, name=name, fn=getattr(solver, name):
                 (touched.append(name), fn(*args))[1])
@@ -1573,10 +1886,11 @@ class TestPositiveLambda:
         with pytest.raises(ValueError, match=refused):
             kkt_residual(problem, 0.0, np.zeros(problem.U.shape[1]))
         assert touched == []
-        # the same taps see a positive lambda's sweeps and passes
+        # the same taps see a positive lambda's compiled point and pass
         object.__setattr__(problem, "lam", 0.1)
-        fit_at_lambda(problem)
-        assert set(touched) == {"_solve_block", "smooth_gradient"}
+        sol = fit_at_lambda(problem)
+        kkt_residual(problem, sol.mu, sol.beta_tilde)
+        assert touched == ["_kernel_fn", "smooth_gradient"]
 
     @pytest.mark.parametrize("grid", [[0.1, 0.0], [0.1, -0.1], [0.0], []])
     def test_path_grid_must_be_positive(self, rng, grid, monkeypatch):
