@@ -1086,21 +1086,39 @@ class TestSweepKernel:
         assert block.mu == 0.0
         np.testing.assert_array_equal(swept, [0.75, 1.0, -0.5, -0.5])
 
-    def test_start_copies_the_active_order(self, rng):
-        # the kernel reads the order as raw int64 memory: an int32 or a
-        # strided order is copied into the block's own buffer, and sweeps
-        # as the same groups given as contiguous int64
-        problem = replace(self.problem(rng, [1, 2, 3], "gaussian"), lam=0.1)
+    @pytest.mark.parametrize("which", ["order", "coords"])
+    def test_block_indices_must_be_contiguous_int64(self, rng, which):
+        # the kernel reads both as raw int64 memory: the order each solve
+        # starts from, and the offsets it derives each record row's
+        # coordinates from.  An int32 or a strided one is copied into a
+        # contiguous int64 buffer, and sweeps and records the same bits as
+        # the same indices given as contiguous int64
+        widths = [1, 2, 3]
+        problem = replace(self.problem(rng, widths, "gaussian"), lam=0.1)
         beta = rng.standard_normal(6)
         state = _fresh_state(problem, 0.0, beta)
+        order = np.array([2, 0], dtype=np.int64)
+        offsets = np.cumsum([0] + widths).astype(np.int64)
         swept = []
-        for order in (np.array([2, 0], dtype=np.int64),
-                      np.array([2, 0], dtype=np.int32),
-                      np.array([2, 1, 0, 1])[::2]):
+        for bad in (None, np.int32, "strided"):
+            indices = {"order": order, "coords": offsets}
+            if bad is np.int32:
+                indices[which] = indices[which].astype(np.int32)
+            elif bad == "strided":
+                indices[which] = np.repeat(indices[which], 2)[::2]
+            given = indices[which]
+            assert (bad is None) == (given.dtype == np.int64
+                                     and given.flags.c_contiguous)
+            prob = replace(problem, offsets=indices["coords"])
             b = beta.copy()
-            block, s = self.one_sweep(problem, state.copy(), 0.0, b, order)
-            assert block.arrays["order"].dtype == np.int64
-            swept.append((block.mu, b.tobytes(), s.tobytes()))
+            block, s = self.one_sweep(prob, state.copy(), 0.0, b,
+                                      indices["order"])
+            for name in ("order", "offsets"):
+                arr = block.arrays[name]
+                assert arr.dtype == np.int64 and arr.flags.c_contiguous
+                assert getattr(block, name) == arr.ctypes.data
+            row = window(block, prob, order)[0][0]
+            swept.append((block.mu, b.tobytes(), s.tobytes(), row.tobytes()))
         assert swept[1] == swept[0] and swept[2] == swept[0]
 
     def test_cap_inside_a_window_raises_at_the_cap(self, monkeypatch):
