@@ -53,10 +53,12 @@ state, or the same extrapolation of the last two) and solves each point
 once, under the one sweep cap ``MAX_SWEEPS``.
 
 A path point runs in C, ``sweep_kernel.c`` beside this module, in one
-call: the sweeps in windows of ``ANDERSON_K + 1``, each Anderson step
-(the Gram of the iterate differences solved by LU with partial
-pivoting, then the guard), and each certificate pass, which sums the
-fresh state over the nonzero groups only and screens every group.
+call and one loop over sweeps: each sweep that does not stop is
+recorded, every ``ANDERSON_K + 1`` recorded sweeps an Anderson step is
+tried (the Gram of the iterate differences solved by LU with partial
+pivoting, then the guard), and a sweep that stops, or the cap, leads to
+the certificate pass, which sums the fresh state over the nonzero groups
+only, screens every group and starts the record again.
 :func:`fit_at_lambda` keeps the argument checks, the strong-rule
 prediction and building the :class:`Solution`.  Each sweep re-takes
 the binomial step residual as ``(y - 1/(1 + exp(-eta))) / 0.25``, the

@@ -3,36 +3,35 @@
  * loop and returns 1 when the point is certified, 0 when it reaches the
  * sweep cap uncertified.
  *
- * The loop sweeps the active groups in windows of up to K + 1 sweeps
- * (K = anderson_k); a window stops after the first sweep whose largest
- * change (intercept or coefficient) is below the inner tolerance.  A
- * window that runs all K + 1 sweeps, with a sweep still to follow under
- * the cap, ends in an Anderson step on its rows: the K x K Gram of the
- * iterate differences, solved for the affine weights by LU with partial
- * pivoting, and the trial point kept only if its penalized objective is
- * below the current one.  A stopped window, or the cap, ends in the
- * certificate pass: the fresh state from the nonzero groups alone, the
- * working residual, U^T r for every group and the intercept gradient.
- * Zero groups whose gradient norm exceeds their threshold join the active
- * set, which never shrinks, and the loop goes on; a pass with no joiner
- * returns if the KKT residual and the intercept gradient are within
- * kkt_tol, else divides the inner tolerance by 10.  The call writes the
- * counts, the certificate gradient, its intercept part and the KKT
- * residual of the last pass into the struct.
+ * The loop runs one sweep at a time over the active groups, up to the
+ * cap.  A sweep whose largest change (intercept or coefficient) is not
+ * below the inner tolerance becomes row `rows` of `record` (mu, then beta
+ * of the active groups, group by group in `order`) and of `states` (eta,
+ * or the gaussian resid).  When rows reaches K + 1 (K = anderson_k) it
+ * goes back to 0, and if the cap leaves a sweep to run the Anderson step
+ * is tried on the K + 1 rows: the K x K Gram of the iterate differences,
+ * solved for the affine weights by LU with partial pivoting, and the
+ * trial point kept only if its penalized objective is below the current
+ * one.  Its trial state is the same combination of the stored states,
+ * since the state is affine in (mu, beta).  A sweep that stops, or the
+ * cap, leads to the certificate pass, which also sets rows back to 0: the
+ * fresh state from the nonzero groups alone, the working residual, U^T r
+ * for every group and the intercept gradient.  Zero groups whose gradient
+ * norm exceeds their threshold join the active set, which never shrinks,
+ * and the loop goes on with rows as wide as the new active set; a pass
+ * with no joiner returns if the KKT residual and the intercept gradient
+ * are within kkt_tol, else divides the inner tolerance by 10.  The call
+ * writes the counts, the certificate gradient, its intercept part and the
+ * KKT residual of the last pass into the struct.
  *
- * A sweep takes the intercept step, then one cyclic pass over the
- * groups in `order`.  For the binomial family (eta not NULL) the step
- * residual is first re-taken from eta as (y - 1/(1 + exp(-eta))) / k,
- * k the logistic curvature bound; for the gaussian family it is the
- * state itself.  The intercept moves by the residual's mean, summed in
- * numpy's pairwise order, so mu takes the bits np.mean gives; resid and
- * eta move with it.  Each group then takes its exact block minimizer
- * given the residual, which is updated in place, and eta with it.
- * Every sweep that does not stop its window writes (mu, beta of the
- * active groups, group by group in `order`) as a row of `record` and the
- * state (eta, or the gaussian resid) as a row of `states`; the Anderson
- * step reads those rows, and its trial state is the same combination of
- * the stored states, since the state is affine in (mu, beta).
+ * A sweep takes the intercept step, then one cyclic pass over the groups
+ * in `order`.  For the binomial family (eta not NULL) the step residual
+ * is first re-taken from eta as (y - 1/(1 + exp(-eta))) / k, k the
+ * logistic curvature bound; for the gaussian family it is the state
+ * itself.  The intercept moves by the residual's mean, summed in numpy's
+ * pairwise order, so mu takes the bits np.mean gives; resid and eta move
+ * with it.  Each group then takes its exact block minimizer given the
+ * residual, which is updated in place, and eta with it.
  *
  * The call reads and writes one struct block, mirrored field for field
  * by ctypes in solver.py: the per-path layout, buffers and the solver's
@@ -62,7 +61,8 @@
  * independent sums: each dot keeps its own partial sums, combine tree
  * and tail, and each shift element takes its terms in column order, so
  * the results are bit for bit those of one column at a time.  The
- * certificate's U beta and U^T r are blocked the same way.
+ * certificate's U^T r and U beta go through the same two routines, dots
+ * and add_columns.
  */
 #include <math.h>
 #include <stdint.h>
@@ -146,15 +146,36 @@ static void dot4(const double *U, const double *r, int64_t N, double *out)
     }
 }
 
-/* resid -= shift, and eta += shift unless eta is NULL */
-static void apply_shift(const double *shift, double *resid, double *eta,
-                        int64_t N)
+/* out[j] = dot(U + j*N, r, N) for m consecutive columns, four at a time */
+static void dots(const double *U, const double *r, int64_t N, int64_t m,
+                 double *out)
 {
-    for (int64_t i = 0; i < N; i++)
-        resid[i] -= shift[i];
-    if (eta)
+    int64_t j = 0;
+    for (; j + 4 <= m; j += 4)
+        dot4(U + j * N, r, N, out + j);
+    for (; j < m; j++)
+        out[j] = dot(U + j * N, r, N);
+}
+
+/* out[i] += sum_k c[k] U_k[i] over `width` columns, each element taking
+ * its terms in column order, four columns a pass */
+static void add_columns(const double *U, const double *c, int64_t width,
+                        int64_t N, double *out)
+{
+    int64_t k = 0;
+    for (; k + 4 <= width; k += 4) {
+        const double c0 = c[k], c1 = c[k + 1], c2 = c[k + 2], c3 = c[k + 3];
+        const double *V0 = U + k * N, *V1 = V0 + N, *V2 = V1 + N,
+                     *V3 = V2 + N;
         for (int64_t i = 0; i < N; i++)
-            eta[i] += shift[i];
+            out[i] = (((out[i] + c0 * V0[i]) + c1 * V1[i]) + c2 * V2[i])
+                   + c3 * V3[i];
+    }
+    for (; k < width; k++) {
+        const double ck = c[k];
+        for (int64_t i = 0; i < N; i++)
+            out[i] += ck * U[k * N + i];
+    }
 }
 
 /* numpy's pairwise sum of a[0..n): eight partial sums up to 128
@@ -186,15 +207,50 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* One cyclic pass over the groups in order; returns the largest
- * absolute coefficient change */
-static double sweep_groups(const struct block *bk)
+/* r = (y - 1/(1 + exp(-eta))) / k, the binomial working residual over k;
+ * k = 1.0 divides exactly */
+static void logistic_resid(const struct block *bk, double k, double *r)
+{
+    for (int64_t i = 0; i < bk->N; i++)
+        r[i] = (bk->y[i] - 1.0 / (1.0 + exp(-bk->eta[i]))) / k;
+}
+
+/* Copies (mu, then the active groups' coefficients in `order`) into a
+ * record row, or back from the row when to_row is 0 */
+static void copy_row(struct block *bk, double *row, int to_row)
+{
+    if (to_row)
+        *row = bk->mu;
+    else
+        bk->mu = *row;
+    row++;
+    for (int64_t o = 0; o < bk->n_order; o++) {
+        const int64_t g = bk->order[o];
+        const int64_t w = bk->offsets[g + 1] - bk->offsets[g];
+        double *b = bk->beta + bk->offsets[g];
+        memcpy(to_row ? row : b, to_row ? b : row, (size_t)w * sizeof(double));
+        row += w;
+    }
+}
+
+/* One sweep: the intercept step, then one cyclic pass over the groups in
+ * order; returns the largest absolute change, the intercept's included */
+static double sweep(struct block *bk)
 {
     const int64_t N = bk->N;
     double *resid = bk->resid, *eta = bk->eta;
-    double max_delta = 0.0;
-    double *shift = bk->work;
-    double *z = bk->work + N;
+    double *shift = bk->work, *z = bk->work + N;
+    if (eta)
+        logistic_resid(bk, bk->curvature, resid);
+    /* np.mean: the pairwise sum, from numpy's initial 0.0, over N */
+    const double dmu = (0.0 + pairwise_sum(resid, N)) / (double)N;
+    bk->mu += dmu;
+    for (int64_t i = 0; i < N; i++)
+        resid[i] -= dmu;
+    if (eta)
+        for (int64_t i = 0; i < N; i++)
+            eta[i] += dmu;
+    double max_delta = fabs(dmu);
     for (int64_t o = 0; o < bk->n_order; o++) {
         const int64_t g = bk->order[o];
         const int64_t s0 = bk->offsets[g];
@@ -228,13 +284,10 @@ static double sweep_groups(const struct block *bk)
             continue;
         }
 
-        int64_t k = 0;
-        for (; k + 4 <= width; k += 4)
-            dot4(U + k * N, resid, N, z + k);
-        for (; k < width; k++)
-            z[k] = dot(U + k * N, resid, N);
+        dots(U, resid, N, width, z);
         double nz2 = 0.0;
         int any_old = 0;
+        int64_t k;
         for (k = 0; k < width; k++) {
             z[k] += b[k];
             nz2 += z[k] * z[k];
@@ -258,81 +311,24 @@ static double sweep_groups(const struct block *bk)
                 step = fabs(z[k] - b[k]);
         if (!(step > 0.0))
             continue;
-        /* shift = sum_k (z[k] - b[k]) U_k, each element summed in k order
-         * from the first term; the width mod 4 left over goes one by one */
-        for (k = 0; k + 4 <= width; k += 4) {
-            const double e0 = z[k] - b[k], e1 = z[k + 1] - b[k + 1];
-            const double e2 = z[k + 2] - b[k + 2], e3 = z[k + 3] - b[k + 3];
-            const double *V0 = U + k * N, *V1 = V0 + N, *V2 = V1 + N,
-                         *V3 = V2 + N;
-            if (k == 0)
-                for (int64_t i = 0; i < N; i++)
-                    shift[i] = ((e0 * V0[i] + e1 * V1[i]) + e2 * V2[i])
-                             + e3 * V3[i];
-            else
-                for (int64_t i = 0; i < N; i++)
-                    shift[i] = (((shift[i] + e0 * V0[i]) + e1 * V1[i])
-                                + e2 * V2[i]) + e3 * V3[i];
-        }
-        for (; k < width; k++) {
-            const double dk = z[k] - b[k];
-            const double *Uk = U + k * N;
-            if (k == 0)
-                for (int64_t i = 0; i < N; i++)
-                    shift[i] = dk * Uk[i];
-            else
-                for (int64_t i = 0; i < N; i++)
-                    shift[i] += dk * Uk[i];
-        }
-        apply_shift(shift, resid, eta, N);
-        for (k = 0; k < width; k++)
+        for (k = 0; k < width; k++) {
+            const double e = z[k] - b[k];
             b[k] = z[k];
+            z[k] = e;
+        }
+        /* -0.0 + x is x bit for bit: the sum keeps its first term's bits */
+        for (int64_t i = 0; i < N; i++)
+            shift[i] = -0.0;
+        add_columns(U, z, width, N, shift);
+        for (int64_t i = 0; i < N; i++)
+            resid[i] -= shift[i];
+        if (eta)
+            for (int64_t i = 0; i < N; i++)
+                eta[i] += shift[i];
         if (step > max_delta)
             max_delta = step;
     }
     return max_delta;
-}
-
-/* Up to n_max sweeps over the active groups, stopping after the first
- * whose change is below tol; each sweep that does not stop writes its
- * row of `record` (`width` = 1 + the active coordinates) and of
- * `states`.  Returns the rows written: n_max when no sweep stopped. */
-static int64_t run_window(struct block *bk, int64_t n_max, double tol,
-                          int64_t width)
-{
-    const int64_t N = bk->N;
-    double *resid = bk->resid, *eta = bk->eta;
-    const double *state = eta ? eta : resid;
-    for (int64_t s = 0; s < n_max; s++) {
-        if (eta)
-            for (int64_t i = 0; i < N; i++)
-                resid[i] = (bk->y[i] - 1.0 / (1.0 + exp(-eta[i])))
-                         / bk->curvature;
-        /* np.mean: the pairwise sum, from numpy's initial 0.0, over N */
-        const double dmu = (0.0 + pairwise_sum(resid, N)) / (double)N;
-        bk->mu += dmu;
-        for (int64_t i = 0; i < N; i++)
-            resid[i] -= dmu;
-        if (eta)
-            for (int64_t i = 0; i < N; i++)
-                eta[i] += dmu;
-        double delta = fabs(dmu);
-        const double step = sweep_groups(bk);
-        if (step > delta)
-            delta = step;
-        if (delta < tol)
-            return s;
-        double *row = bk->record + s * width;
-        *row++ = bk->mu;
-        for (int64_t o = 0; o < bk->n_order; o++) {
-            const int64_t g = bk->order[o];
-            const int64_t w = bk->offsets[g + 1] - bk->offsets[g];
-            memcpy(row, bk->beta + bk->offsets[g], (size_t)w * sizeof(double));
-            row += w;
-        }
-        memcpy(bk->states + s * N, state, (size_t)N * sizeof(double));
-    }
-    return n_max;
 }
 
 /* numpy's logaddexp(0, e) */
@@ -435,8 +431,8 @@ static void extrapolate(const double *a, const double *rows, int64_t n,
         out[i] = last[i] - out[i];
 }
 
-/* The Anderson step on the window's K + 1 rows; returns 1 when the trial
- * point lowers the objective and replaces mu, beta and the state */
+/* The Anderson step on the K + 1 rows; returns 1 when the trial point
+ * lowers the objective and replaces mu, beta and the state */
 static int anderson(struct block *bk, int64_t width)
 {
     const int64_t K = bk->anderson_k, N = bk->N;
@@ -475,34 +471,9 @@ static int anderson(struct block *bk, int64_t width)
     extrapolate(z, bk->states, K, N, N, state, trial);
     if (!(objective(bk, trial, x) < objective(bk, state, h + K * width)))
         return 0;
-    bk->mu = *x++;
-    for (int64_t o = 0; o < bk->n_order; o++) {
-        const int64_t g = bk->order[o];
-        const int64_t w = bk->offsets[g + 1] - bk->offsets[g];
-        memcpy(bk->beta + bk->offsets[g], x, (size_t)w * sizeof(double));
-        x += w;
-    }
+    copy_row(bk, x, 0);
     memcpy(state, trial, (size_t)N * sizeof(double));
     return 1;
-}
-
-/* out[i] += sum_k c[k] U_k[i] over `width` columns, each element taking
- * its terms in column order, four columns a pass */
-static void add_columns(const double *U, const double *c, int64_t width,
-                        int64_t N, double *out)
-{
-    int64_t k = 0;
-    for (; k + 4 <= width; k += 4) {
-        const double c0 = c[k], c1 = c[k + 1], c2 = c[k + 2], c3 = c[k + 3];
-        const double *V0 = U + k * N, *V1 = V0 + N, *V2 = V1 + N,
-                     *V3 = V2 + N;
-        for (int64_t i = 0; i < N; i++)
-            out[i] = (((out[i] + c0 * V0[i]) + c1 * V1[i]) + c2 * V2[i])
-                   + c3 * V3[i];
-    }
-    for (; k < width; k++)
-        for (int64_t i = 0; i < N; i++)
-            out[i] += c[k] * U[k * N + i];
 }
 
 static double nonneg(double x)
@@ -547,17 +518,12 @@ static int64_t certify(struct block *bk)
     double *r = bk->resid;
     if (bk->eta) {
         r = bk->work;  /* the binomial step residual is re-taken */
-        for (int64_t i = 0; i < N; i++)
-            r[i] = bk->y[i] - 1.0 / (1.0 + exp(-bk->eta[i]));
+        logistic_resid(bk, 1.0, r);
     }
     const double c = bk->grad_scale;
     bk->gmu = -c * ((0.0 + pairwise_sum(r, N)) / (double)N);
-    int64_t j = 0;
-    for (; j + 4 <= m; j += 4)
-        dot4(bk->UT + j * N, r, N, bk->grad + j);
-    for (; j < m; j++)
-        bk->grad[j] = dot(bk->UT + j * N, r, N);
-    for (j = 0; j < m; j++)
+    dots(bk->UT, r, N, m, bk->grad);
+    for (int64_t j = 0; j < m; j++)
         bk->grad[j] = -c * bk->grad[j] / (double)N;
 
     int64_t joined = 0;
@@ -601,9 +567,19 @@ static int64_t certify(struct block *bk)
     return joined;
 }
 
+/* The length of a record row: mu, then the active coordinates */
+static int64_t row_width(const struct block *bk)
+{
+    int64_t width = 1;
+    for (int64_t o = 0; o < bk->n_order; o++)
+        width += bk->offsets[bk->order[o] + 1] - bk->offsets[bk->order[o]];
+    return width;
+}
+
 int64_t netcov_solve_point(struct block *bk)
 {
-    const int64_t K1 = bk->anderson_k + 1, cap = bk->max_sweeps;
+    const int64_t K1 = bk->anderson_k + 1, cap = bk->max_sweeps, N = bk->N;
+    const double *state = bk->eta ? bk->eta : bk->resid;
     double tol = bk->tol;
     if (bk->start_fresh)
         fresh_state(bk);
@@ -612,31 +588,31 @@ int64_t netcov_solve_point(struct block *bk)
     memset(bk->in_active, 0, (size_t)bk->n_groups);
     for (int64_t o = 0; o < bk->n_order; o++)
         bk->in_active[bk->order[o]] = 1;
+    int64_t rows = 0, width = row_width(bk);
     while (bk->sweeps < cap) {
-        /* converge on the active set, one window at a time */
-        int64_t width = 1;
-        for (int64_t o = 0; o < bk->n_order; o++)
-            width += bk->offsets[bk->order[o] + 1] - bk->offsets[bk->order[o]];
-        while (bk->sweeps < cap) {
-            const int64_t n_max = cap - bk->sweeps < K1 ? cap - bk->sweeps
-                                                        : K1;
-            const int64_t rows = run_window(bk, n_max, tol, width);
-            if (rows < n_max) {
-                bk->sweeps += rows + 1;
-                break;
-            }
-            bk->sweeps += n_max;
+        bk->sweeps++;
+        if (!(sweep(bk) < tol)) {
+            copy_row(bk, bk->record + rows * width, 1);
+            memcpy(bk->states + rows * N, state, (size_t)N * sizeof(double));
             /* extrapolate only where a sweep follows, so that the
              * returned iterate always comes from a sweep */
-            if (n_max == K1 && bk->sweeps < cap) {
-                bk->tried++;
-                bk->accepted += anderson(bk, width);
+            if (++rows == K1) {
+                rows = 0;
+                if (bk->sweeps < cap) {
+                    bk->tried++;
+                    bk->accepted += anderson(bk, width);
+                }
             }
+            if (bk->sweeps < cap)
+                continue;
         }
+        /* a sweep that stopped, or the cap */
+        rows = 0;
         bk->passes++;
         const int64_t joined = certify(bk);
         if (joined) {
             bk->violators += joined;
+            width = row_width(bk);
             continue;
         }
         if (bk->kkt <= bk->kkt_tol && fabs(bk->gmu) <= bk->kkt_tol)

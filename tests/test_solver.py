@@ -1154,6 +1154,56 @@ class TestSweepKernel:
         assert rows_capped[0].tolist() == [capped.mu,
                                            *capped.arrays["beta"].tolist()]
 
+    @pytest.mark.parametrize("family, lead", [("gaussian", 1),
+                                              ("binomial", 1),
+                                              ("gaussian", 2)])
+    def test_window_restarts_on_the_admitted_set(self, family, lead):
+        # a point from the intercept-only fit with no group active (lead 1)
+        # or the strongest group alone (lead 2): its sweep `lead` is the
+        # first that stops, after lead - 1 rows, and the first pass admits
+        # some groups.  The K+1 sweeps that follow must write the rows and
+        # states, from row 0 and as wide as the admitted set, that a point
+        # started where that pass left off, on the admitted groups, writes
+        K1 = ANDERSON_K + 1
+        problem, *_ = build_problem(np.random.default_rng(0), N=80, p=24,
+                                    family=family, signal_groups=2)
+        mu0, zero = _intercept_start(problem), np.zeros(problem.U.shape[1])
+        _, grad = smooth_gradient(problem, mu0, zero,
+                                  _fresh_state(problem, mu0, zero))
+        ratios = _group_norms(problem, grad) / problem.multipliers
+        # between the third and fourth largest: three of the five groups
+        # join, two of them carrying signal, so no sweep on them stops
+        # within K+1
+        low, high = np.sort(ratios)[-4:-2]
+        prob = replace(problem, lam=float(np.sqrt(low * high)))
+        order = np.argsort(ratios)[::-1][:lead - 1].astype(np.int64)
+        first = bound_block(prob, None, mu0, zero.copy(), order,
+                            max_sweeps=lead)
+        run(first)
+        assert (first.sweeps, first.passes) == (lead, 1)
+        width = 1 + columns(prob, order).size
+        record = first.arrays["record"]
+        assert not np.isnan(record[:(lead - 1) * width]).any()
+        assert np.isnan(record[(lead - 1) * width])
+        admitted = np.flatnonzero(first.arrays["in_active"])
+        assert order.size < admitted.size < prob.n_groups
+        point = bound_block(prob, None, mu0, zero.copy(), order,
+                            max_sweeps=lead + K1)
+        again = bound_block(prob, None, first.mu, first.arrays["beta"].copy(),
+                            admitted, max_sweeps=K1)
+        assert run(point) == run(again)
+        assert (point.sweeps, point.passes, point.tried) == (lead + K1, 2, 0)
+        assert (again.sweeps, again.passes, again.tried) == (K1, 1, 0)
+        for block in (point, again):
+            assert block.arrays["order"][:block.n_order].tolist() == (
+                admitted.tolist())
+        rows, states = window(point, prob, admitted)
+        rows_again, states_again = window(again, prob, admitted)
+        assert not np.isnan(rows).any()
+        assert rows.tobytes() == rows_again.tobytes()
+        assert states.tobytes() == states_again.tobytes()
+        assert point.mu == again.mu
+
     def test_block_struct_matches_ctypes(self):
         # a ctypes call whose structure or argtypes disagree with the C
         # source is undefined behaviour, not an error: compare the name,
@@ -1288,7 +1338,9 @@ class TestSweepKernel:
         # short LASSO, NBG and EBG paths in both families with the kernel
         # built for AddressSanitizer and UndefinedBehaviorSanitizer, in a
         # process that preloads the ASan runtime: a read or write past a
-        # buffer, or undefined behaviour, aborts it
+        # buffer, or undefined behaviour, aborts it.  Each problem also
+        # runs one point capped at 7 sweeps, inside its second window, from
+        # the start test_cap_inside_a_window_raises_at_the_cap takes
         import netcov.solver as solver
 
         asan = subprocess.run([solver._CC, "-print-file-name=libasan.so"],
@@ -1296,11 +1348,13 @@ class TestSweepKernel:
         if not os.path.isabs(asan) or not os.path.exists(asan):
             pytest.skip(f"{solver._CC} has no libasan")
         script = (
-            "import sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
             "from netcov import solver\n"
             "solver._CFLAGS += ('-g', '-fsanitize=address,undefined',\n"
             "                   '-fno-sanitize-recover=all')\n"
             "from test_solver import scheme_problem\n"
+            "cap = solver.MAX_SWEEPS\n"
             "for scheme in ('lasso', 'nbg', 'ebg'):\n"
             "    for family in ('gaussian', 'binomial'):\n"
             "        prep = scheme_problem(scheme, family)\n"
@@ -1309,6 +1363,17 @@ class TestSweepKernel:
             "        pf = solver.fit_path(prep.problem, prep.basis, prep.emap,\n"
             "                             grid)\n"
             "        assert all(e.kkt_residual <= 1e-6 for e in pf.entries)\n"
+            "        prob = replace(prep.problem,\n"
+            "                       lam=0.05 * solver.lambda_max(prep.problem))\n"
+            "        solver.MAX_SWEEPS = 7\n"
+            "        try:\n"
+            "            solver.fit_at_lambda(\n"
+            "                prob, beta0=np.full(prob.U.shape[1], 0.1), mu0=0.0)\n"
+            "        except solver.ConvergenceError as err:\n"
+            "            assert err.sweeps == 7, err.sweeps\n"
+            "        else:\n"
+            "            raise AssertionError(f'{scheme} {family}: certified')\n"
+            "        solver.MAX_SWEEPS = cap\n"
             "print('clean')\n")
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
