@@ -9,10 +9,12 @@ evaluate   score a fit directory against a dataset (metrics.csv, roc.csv)
 sweep      simulate + fit + evaluate over a whole grid
 
 Configs are flat ``key = value`` files with dotted keys; command-line
-flags override file values; every run writes a ``run_manifest`` with all
-defaults materialized, which can itself be passed back as ``--config``
-to reproduce the outputs byte-for-byte.  ``NETCOV_THREADS`` (a positive
-integer, default 1) caps the worker pool used for independent grid cells.
+flags override file values; ``simulate``, ``fit``, ``cpm`` and ``sweep``
+write a ``run_manifest`` with all defaults materialized, and that of
+``simulate`` or ``sweep`` passed back as ``--config`` reproduces the
+outputs byte-for-byte.
+``NETCOV_THREADS`` (a positive integer, default 1) caps the worker pool
+that ``simulate`` and ``sweep`` run independent grid cells on.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -236,6 +238,36 @@ def write_run_manifest(path, subcommand, cfg, extra):
     write_manifest(path, entries, header=header)
 
 
+def _worker_count(cells):
+    """``NETCOV_THREADS`` (a positive integer, default 1), capped at the
+    number of cells: the fork start method launches every worker of a
+    pool at its first submit."""
+    value = os.environ.get("NETCOV_THREADS", "1")
+    if not value.isdigit() or int(value) < 1:
+        raise ConfigError(
+            f"NETCOV_THREADS must be a positive integer, got {value!r}")
+    return min(int(value), cells)
+
+
+def _run_cells(args, job):
+    """``simulate`` and ``sweep``: ``job((cfg, cell, cell_dir))`` on each
+    cell of the grid, on :func:`_worker_count` workers.  Returns the
+    config, the cells, the jobs' rows in cell order and the start time."""
+    cfg = load_config(args.config, _flag_overrides(args))
+    cells = enumerate_cells(cfg)
+    workers = _worker_count(len(cells))
+    started = time.time()
+    os.makedirs(args.out, exist_ok=True)
+    payloads = [(cfg, cell, os.path.join(args.out, "cells", cell.cell_id))
+                for cell in cells]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, payloads))
+    else:
+        results = [job(p) for p in payloads]
+    return cfg, cells, [row for rows in results for row in rows], started
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -275,13 +307,13 @@ def _simulate_cell(cfg, cell, cell_dir):
     return dataset, truth, scenario
 
 
+def _simulate_cell_job(payload):
+    _simulate_cell(*payload)
+    return []
+
+
 def cmd_simulate(args):
-    cfg = load_config(args.config, _flag_overrides(args))
-    cells = enumerate_cells(cfg)
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    for cell in cells:
-        _simulate_cell(cfg, cell, os.path.join(args.out, "cells", cell.cell_id))
+    cfg, cells, _, started = _run_cells(args, _simulate_cell_job)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "simulate", cfg,
         extra={"out": args.out, "cells": len(cells),
@@ -440,9 +472,8 @@ def cmd_evaluate(args):
 # sweep
 
 def _sweep_cell_job(payload):
-    cfg, cell, out_dir = payload
+    cfg, cell, cell_dir = payload
     s = cfg.settings
-    cell_dir = os.path.join(out_dir, "cells", cell.cell_id)
     dataset, truth, scenario = _simulate_cell(cfg, cell, cell_dir)
     seed = _cell_seed(s.seed, cell.index)
     rows = []
@@ -462,30 +493,8 @@ def _sweep_cell_job(payload):
     return rows
 
 
-def _worker_count(cells):
-    """``NETCOV_THREADS`` (a positive integer, default 1), capped at the
-    number of cells: the fork start method launches every worker of a
-    pool at its first submit."""
-    value = os.environ.get("NETCOV_THREADS", "1")
-    if not value.isdigit() or int(value) < 1:
-        raise ConfigError(
-            f"NETCOV_THREADS must be a positive integer, got {value!r}")
-    return min(int(value), cells)
-
-
 def cmd_sweep(args):
-    cfg = load_config(args.config, _flag_overrides(args))
-    cells = enumerate_cells(cfg)
-    workers = _worker_count(len(cells))
-    started = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    payloads = [(cfg, cell, args.out) for cell in cells]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell_job, payloads))
-    else:
-        results = [_sweep_cell_job(p) for p in payloads]
-    table = [row for rows in results for row in rows]
+    cfg, cells, table, started = _run_cells(args, _sweep_cell_job)
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), table)
     write_run_manifest(
         os.path.join(args.out, "run_manifest"), "sweep", cfg,

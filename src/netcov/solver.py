@@ -116,7 +116,6 @@ __all__ = [
     "fit_path",
 ]
 
-ETA_CLIP = 30.0  # linear-predictor threshold guarding exp/log1p overflow
 MAX_SWEEPS = 100_000  # per solve; reaching it raises ConvergenceError
 DEFAULT_TOL = 1e-7
 DEFAULT_KKT_TOL = 1e-6
@@ -279,8 +278,7 @@ def deviance(family, y, eta):
         resid = y - eta
         return 0.5 * float(resid @ resid)
     if family == "binomial":
-        e = np.clip(eta, -ETA_CLIP, ETA_CLIP)
-        return -2.0 * float(np.sum(y * e - np.logaddexp(0.0, e)))
+        return -2.0 * float(np.sum(y * eta - np.logaddexp(0.0, eta)))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -304,9 +302,6 @@ def smooth_gradient(problem, mu, beta_tilde, state=None):
 
     Returns (d/dmu, d/dbeta_tilde).  ``state`` is the work vector of
     :func:`_fresh_state` at the same point, when the caller holds one.
-    The binomial gradient uses the exact logistic mean, not the clipped
-    deviance, so it is the analytic derivative everywhere the clip is
-    inactive.
     """
     if state is None:
         state = _fresh_state(problem, mu, beta_tilde)
@@ -334,8 +329,7 @@ def objective(problem, mu, beta_tilde):
 
 
 def _group_norms(problem, vec):
-    sq = np.add.reduceat(vec * vec, problem.offsets[:-1])
-    return np.sqrt(np.maximum(sq, 0.0))
+    return np.sqrt(np.add.reduceat(vec * vec, problem.offsets[:-1]))
 
 
 def _kkt_from_gradient(problem, beta_tilde, grad):
@@ -488,8 +482,7 @@ class _Block(ctypes.Structure):
                 ("diffs", _PTR), ("gram", _PTR), ("order", _PTR),
                 ("in_active", _PTR), ("anderson_k", _I64),
                 ("max_sweeps", _I64), ("tol", _F64), ("kkt_tol", _F64),
-                ("eta_clip", _F64), ("curvature", _F64),
-                ("grad_scale", _F64),
+                ("curvature", _F64), ("grad_scale", _F64),
                 ("resid", _PTR), ("eta", _PTR), ("beta", _PTR),  # per solve
                 ("grad", _PTR), ("mu", _F64), ("lam", _F64),
                 ("thresh_scale", _F64), ("n_order", _I64),
@@ -503,7 +496,7 @@ class _Block(ctypes.Structure):
         K = ANDERSON_K
         super().__init__(
             N=N, n_groups=n, anderson_k=K, max_sweeps=MAX_SWEEPS,
-            tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL, eta_clip=ETA_CLIP,
+            tol=DEFAULT_TOL, kkt_tol=DEFAULT_KKT_TOL,
             curvature=_CURVATURE[problem.family],
             grad_scale=_GRAD_SCALE[problem.family])
         self.arrays = {}
@@ -630,11 +623,10 @@ def fit_at_lambda(problem, beta0=None, mu0=None, state0=None, lam0=None,
                         grad=block.arrays["grad"], n_passes=block.passes,
                         n_violators=block.violators, n_tried=block.tried,
                         n_tightened=block.tightened)
-    final_res = kkt_residual(problem, block.mu, beta)
     raise ConvergenceError(
         f"no convergence after {block.sweeps} sweeps "
-        f"(KKT residual {final_res:.3e})",
-        mu=block.mu, beta_tilde=beta, kkt_residual=final_res,
+        f"(KKT residual {block.kkt:.3e})",
+        mu=block.mu, beta_tilde=beta, kkt_residual=block.kkt,
         sweeps=block.sweeps,
     )
 

@@ -88,7 +88,6 @@ struct block {
     int64_t max_sweeps;
     double tol;
     double kkt_tol;
-    double eta_clip;
     double curvature;
     double grad_scale;
     double *resid;              /* per solve */
@@ -340,8 +339,8 @@ static double softplus(double e)
 }
 
 /* Q = deviance / N + lam sum_G w_G ||b_G|| at a state and a record row
- * (mu, then the active groups' coefficients in `order`); the binomial
- * deviance clips eta to +/- eta_clip */
+ * (mu, then the active groups' coefficients in `order`); softplus is
+ * finite at every finite eta, so eta is priced as it stands */
 static double objective(const struct block *bk, const double *state,
                         const double *row)
 {
@@ -351,14 +350,8 @@ static double objective(const struct block *bk, const double *state,
         /* the step residual is re-taken at each sweep: free to hold the
          * terms, summed as np.sum sums them */
         double *terms = bk->resid;
-        for (int64_t i = 0; i < N; i++) {
-            double e = state[i];
-            if (e < -bk->eta_clip)
-                e = -bk->eta_clip;
-            else if (e > bk->eta_clip)
-                e = bk->eta_clip;
-            terms[i] = bk->y[i] * e - softplus(e);
-        }
+        for (int64_t i = 0; i < N; i++)
+            terms[i] = bk->y[i] * state[i] - softplus(state[i]);
         dev = -2.0 * (0.0 + pairwise_sum(terms, N));
     } else {
         dev = 0.5 * dot(state, state, N);
@@ -476,11 +469,6 @@ static int anderson(struct block *bk, int64_t width)
     return 1;
 }
 
-static double nonneg(double x)
-{
-    return x < 0.0 ? 0.0 : x;
-}
-
 /* The state at (mu, beta), U beta summed over the nonzero groups only */
 static void fresh_state(struct block *bk)
 {
@@ -537,7 +525,7 @@ static int64_t certify(struct block *bk)
             gn2 += gr[k] * gr[k];
             bn2 += b[k] * b[k];
         }
-        const double gn = sqrt(nonneg(gn2)), bn = sqrt(nonneg(bn2));
+        const double gn = sqrt(gn2), bn = sqrt(bn2);
         if (!bk->in_active[g] && gn > scale) {
             bk->in_active[g] = 1;
             joined++;
@@ -551,7 +539,7 @@ static int64_t certify(struct block *bk)
                 const double v = gr[k] + shrink * b[k];
                 r2 += v * v;
             }
-            res = sqrt(nonneg(r2));
+            res = sqrt(r2);
         }
         const double q = res / scale;
         if (kkt == kkt && !(q <= kkt))

@@ -1251,29 +1251,35 @@ class TestSweep:
         b = (out2 / "metrics.csv").read_bytes()
         assert a == b
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        # simulate and sweep share one cell driver: each writes at 2
+        # workers the tree it writes at 1, its run_manifest aside
         cfg = sweep_config(tmp_path / "c.cfg")
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        os.environ["NETCOV_THREADS"] = "2"
-        try:
-            assert cli.main(["sweep", "--config", cfg,
-                             "--out", str(out2)]) == 0
-        finally:
-            del os.environ["NETCOV_THREADS"]
-        assert ((out1 / "metrics.csv").read_bytes()
-                == (out2 / "metrics.csv").read_bytes())
+        for command in ("simulate", "sweep"):
+            trees = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("NETCOV_THREADS", threads)
+                out = tmp_path / f"{command}-{threads}"
+                assert cli.main([command, "--config", cfg,
+                                 "--out", str(out)]) == 0
+                trees.append({str(f.relative_to(out)): f.read_bytes()
+                              for f in out.rglob("*") if f.is_file()
+                              and f != out / "run_manifest"})
+            assert trees[0] == trees[1]
+            assert any(name.startswith("cells/") for name in trees[0])
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
     def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch,
                                               capsys, value):
         monkeypatch.setenv("NETCOV_THREADS", value)
         cfg = sweep_config(tmp_path / "c.cfg")
-        out = tmp_path / "out"
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-        assert "NETCOV_THREADS must be a positive integer" in (
-            capsys.readouterr().err)
-        assert not out.exists()
+        for command in ("simulate", "sweep"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg,
+                             "--out", str(out)]) == 2
+            assert "NETCOV_THREADS must be a positive integer" in (
+                capsys.readouterr().err)
+            assert not out.exists()
 
     def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
         # a recorder in place of the pool: no worker process is started
@@ -1295,6 +1301,7 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
         monkeypatch.setenv("NETCOV_THREADS", "5000")
         cfg = sweep_config(tmp_path / "c.cfg")
-        assert cli.main(["sweep", "--config", cfg,
-                         "--out", str(tmp_path / "out")]) == 0
-        assert started == [2]
+        for command in ("simulate", "sweep"):
+            assert cli.main([command, "--config", cfg,
+                             "--out", str(tmp_path / command)]) == 0
+        assert started == [2, 2]

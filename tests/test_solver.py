@@ -16,7 +16,7 @@ from netcov import CommunityMap, FeatureIndex, ebg_groups, make_beta
 from netcov.groups import ExpansionMap, normalize_group_name
 from netcov.pipeline import make_groups, prepare
 from netcov.preprocess import orthonormalize, standardize
-from netcov.solver import (ANDERSON_K, ETA_CLIP, ConvergenceError,
+from netcov.solver import (ANDERSON_K, ConvergenceError,
                            PenalizedProblem,
                            _fresh_state, _group_norms, _intercept_start,
                            deviance,
@@ -155,8 +155,18 @@ class TestDeviance:
         assert abs(val) < 1e-8
 
     def test_binomial_clip_guards_overflow(self):
+        # no clip: logaddexp is finite at every finite eta, so a far wrong
+        # prediction costs its full loss
         val = deviance("binomial", np.array([0.0]), np.array([1e6]))
         assert np.isfinite(val)
+        assert val == 2e6
+
+    def test_binomial_is_uncapped_beyond_30(self):
+        assert deviance("binomial", np.array([0.0]), np.array([40.0])) == 80.0
+        y, eta = np.array([0.0, 1.0]), np.array([40.0, -40.0])
+        assert deviance("binomial", y, eta) == -2.0 * float(
+            np.sum(y * eta - np.logaddexp(0.0, eta)))
+        assert deviance("binomial", y, eta) == 160.0
 
 
 class TestLambdaMax:
@@ -297,6 +307,9 @@ class TestFitAtLambda:
             fit_at_lambda(prob)
         assert err.value.beta_tilde is not None
         assert np.isfinite(err.value.kkt_residual)
+        # the kernel's last certificate pass ran on the returned iterate
+        assert err.value.kkt_residual == pytest.approx(
+            kkt_residual(prob, err.value.mu, err.value.beta_tilde), rel=1e-9)
 
     def test_objective_never_increases(self, rng):
         # 60 sweeps over every group in ten full windows, read off the rows
@@ -591,7 +604,6 @@ def kernel_objective(problem, state, row):
     else:
         terms = []
         for y, e in zip(problem.y.tolist(), state.tolist()):
-            e = min(max(e, -ETA_CLIP), ETA_CLIP)
             soft = (0.693147180559945309417232121458176568 if e == 0.0
                     else math.log1p(math.exp(e)) if e < 0.0
                     else e + math.log1p(math.exp(-e)))
@@ -774,6 +786,31 @@ class TestAcceleration:
                 assert not (kernel_objective(prob, state, row)
                             < kernel_objective(prob, states[-1], rows[-1]))
         assert guarded > 0
+
+    @pytest.mark.parametrize("seed,n_windows", [(3, 1), (0, 5)])
+    def test_guard_prices_eta_beyond_30_uncapped(self, seed, n_windows):
+        # a binomial start 200x a standard normal away: the Anderson trials
+        # hold rows with |eta| far beyond 30.  Each step is kept or refused
+        # as the unclamped pricing says, and one window's decision (seed 3:
+        # refused, seed 0: kept) goes the other way with eta clamped at 30
+        rng = np.random.default_rng(seed)
+        problem, *_ = build_problem(rng, family="binomial")
+        prob = replace(problem, lam=0.05 * lambda_max(problem))
+        far = 200.0 * rng.standard_normal(prob.U.shape[1])
+        flipped = 0
+        for end in self.window_ends(prob, n_windows=n_windows, beta=far):
+            rows, states = end["rows"], end["states"]
+            row, state = kernel_anderson(rows, states)
+            assert np.abs(state).max() > 30.0
+            trial, last = (row, state), (rows[-1], states[-1])
+            q = [kernel_objective(prob, s, r) for r, s in (trial, last)]
+            assert end["kept"] == (q[0] < q[1])
+            assert self.sweeps_on(prob, *(trial if q[0] < q[1] else last),
+                                  end)
+            capped = [kernel_objective(prob, np.clip(s, -30.0, 30.0), r)
+                      for r, s in (trial, last)]
+            flipped += (capped[0] < capped[1]) != (q[0] < q[1])
+        assert flipped == 1
 
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_zero_groups_are_exact_zeros(self, family):

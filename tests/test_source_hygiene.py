@@ -11,6 +11,7 @@ warning under the solver's own flags, and with ``-Wpadded`` its struct
 has no padding for ctypes to get wrong."""
 
 import ast
+import os
 import subprocess
 from pathlib import Path
 
@@ -214,10 +215,13 @@ def test_every_public_method_is_read():
 
 
 def test_sweep_kernel_compiles_without_warnings():
+    # a full compile with the cache's flags: warnings such as
+    # -Wmaybe-uninitialized at -O3 need code generation
     from netcov import solver
 
     proc = subprocess.run(
         [solver._CC, *solver._CFLAGS, "-Wall", "-Wextra", "-Wpadded",
-         "-Werror", "-fsyntax-only", solver._SOURCE],
+         "-Wshadow", "-Wconversion", "-Wdouble-promotion", "-Werror", "-c",
+         "-o", os.devnull, solver._SOURCE],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
