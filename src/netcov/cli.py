@@ -243,7 +243,7 @@ def _worker_count(cells):
     number of cells: the fork start method launches every worker of a
     pool at its first submit."""
     value = os.environ.get("NETCOV_THREADS", "1")
-    if not value.isdigit() or int(value) < 1:
+    if not value.isdecimal() or int(value) < 1:
         raise ConfigError(
             f"NETCOV_THREADS must be a positive integer, got {value!r}")
     return min(int(value), cells)
@@ -362,8 +362,8 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
         "y_sd": "NA" if model.y_sd is None else repr(float(model.y_sd)),
         "deviance": repr(float(fit.deviance)),
         "kkt_residual": repr(float(fit.kkt_residual)),
-        "seed": seed, "folds": s.folds, "grid_size": s.grid_size,
-        "min_ratio": repr(s.min_ratio),
+        "seed": seed, "folds": s.folds, "folds_redrawn": int(cv.redrawn),
+        "grid_size": s.grid_size, "min_ratio": repr(s.min_ratio),
         "split_communities": ("" if s.split_communities is None
                               else s.split_communities),
         "version": __version__,

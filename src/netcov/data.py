@@ -399,11 +399,10 @@ def parse_row_spec(text, N=None):
             raise ValueError(f"bad row range {part!r}") from None
         if lo < 1 or hi < lo:
             raise ValueError(f"bad row range {part!r}")
+        if N is not None and hi > N:  # before a range of hi rows is built
+            raise ValueError(f"row spec {text!r} exceeds N={N}")
         out.extend(range(lo - 1, hi))
-    rows = np.array(out, dtype=np.int64)
-    if N is not None and rows.size and rows.max() >= N:
-        raise ValueError(f"row spec {text!r} exceeds N={N}")
-    return rows
+    return np.array(out, dtype=np.int64)
 
 
 def format_row_spec(rows):

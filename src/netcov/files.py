@@ -11,14 +11,15 @@ scores and the next three as the fitted model.  ``simulate`` writes
 ``cpm_edges.csv``.  The blocks of a dataset directory and the
 ``key = value`` files (``manifest``, ``fit_info``, ``run_manifest``) belong
 to :mod:`netcov.data`.  Numbers are written with ``repr`` (``%.17g`` in
-the coef files), which round-trips float64 exactly.  A reader refuses
+the coef files), which round-trips float64 exactly.  The group norms in
+``path.csv`` and ``active_groups.csv`` are the solver's own, so a group
+is active there exactly when its path entry lists it.  A reader refuses
 what no writer writes with a ValueError naming the file.
 """
 
 import csv
 import glob
 import os
-from itertools import pairwise
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from .data import (CSV_FMT, parse_int, parse_number, read_manifest,
 from .pipeline import FittedModel
 from .preprocess import NuisanceModel
 from .simulate import GroundTruth
+from .solver import _group_norms
 
 __all__ = [
     "write_groups_csv", "write_cv_csv", "write_path_csv",
@@ -172,29 +174,19 @@ def write_cv_csv(cv, path):
                for i, lam in enumerate(cv.lambdas)))
 
 
-def _group_norms(path_fit, entry):
-    """Each group's coefficient norm at a path entry: one
-    ``np.linalg.norm`` per group, whose last bit can differ from the
-    solver's reduceat norms."""
-    return [float(np.linalg.norm(entry.beta_tilde[s0:s1]))
-            for s0, s1 in pairwise(path_fit.offsets.tolist())]
-
-
 def write_path_csv(path_fit, directory):
-    """``path.csv``, each group's norm at each path point, and one
-    ``coef_<i>.csv`` per point; another run's coef files go first."""
+    """``path.csv``, each group's norm at each path point (active when
+    above 0), and one ``coef_<i>.csv`` per point; another run's coef
+    files go first."""
     for stale in glob.glob(os.path.join(glob.escape(directory),
                                         COEF_NAME.format("[0-9]" * 3 + "*"))):
         os.remove(stale)
 
     def rows():
         for i, entry in enumerate(path_fit.entries):
-            # a set: a test on the tuple would be quadratic in the groups
-            active = set(entry.active_groups)
-            for name, norm in zip(path_fit.group_names,
-                                  _group_norms(path_fit, entry)):
-                yield [i, repr(entry.lam), name, int(name in active),
-                       repr(norm)]
+            norms = _group_norms(path_fit, entry.beta_tilde).tolist()
+            for name, norm in zip(path_fit.group_names, norms):
+                yield [i, repr(entry.lam), name, int(norm > 0), repr(norm)]
 
     write_csv(os.path.join(directory, "path.csv"),
               ["lambda_index", "lambda", "group", "active", "group_norm"],
@@ -207,8 +199,9 @@ def write_path_csv(path_fit, directory):
 def read_roc_path(fit_dir, p):
     """The fitted path as ROC input: the lambda grid from ``cv.csv`` (one
     row per point, the values ``path.csv`` repeats per group) and each
-    point's coefficients from its ``coef_<i>.csv``.  Every ``cv.csv`` line
-    has as many fields as its header."""
+    point's coefficients from its ``coef_<i>.csv``, one value per line.
+    Every ``cv.csv`` line has as many fields as its header, and no coef
+    file follows the last point it lists."""
     cv_path = os.path.join(fit_dir, "cv.csv")
     header, rows = _read_rows(cv_path)
     require_keys(cv_path, header, ("lambda",))
@@ -220,14 +213,21 @@ def read_roc_path(fit_dir, p):
     for i, lam in enumerate(lams):
         path = os.path.join(fit_dir, COEF_NAME.format(f"{i:03d}"))
         try:
-            coef = read_number_csv(path).reshape(-1)
+            coef = read_number_csv(path, ndmin=2)
         except ValueError:
             raise ValueError(f"{path} holds a value that is not a "
                              "number") from None
-        if coef.size != p:
-            raise ValueError(f"{path} has {coef.size} rows, expected {p}")
+        if coef.shape[1] != 1:
+            raise ValueError(f"{path} has {coef.shape[1]} values per line, "
+                             "expected 1")
+        if coef.shape[0] != p:
+            raise ValueError(f"{path} has {coef.shape[0]} rows, expected {p}")
         _require_finite(path, "beta", coef)
-        entries.append(SimpleNamespace(lam=lam, beta=coef))
+        entries.append(SimpleNamespace(lam=lam, beta=coef[:, 0]))
+    extra = os.path.join(fit_dir, COEF_NAME.format(f"{len(lams):03d}"))
+    if os.path.exists(extra):
+        raise ValueError(f"{extra} exists, but {cv_path} lists "
+                         f"{len(lams)} lambdas")
     return SimpleNamespace(entries=entries)
 
 
@@ -312,10 +312,10 @@ def read_fit(fit_dir, dataset):
 
 def write_active_groups_csv(path_fit, entry, path):
     """``active_groups.csv``: each group with a nonzero norm at ``entry``."""
+    norms = _group_norms(path_fit, entry.beta_tilde).tolist()
     write_csv(path, ["group", "norm"],
               ([name, repr(norm)] for name, norm in
-               zip(path_fit.group_names, _group_norms(path_fit, entry))
-               if norm > 0))
+               zip(path_fit.group_names, norms) if norm > 0))
 
 
 # ---------------------------------------------------------------------------

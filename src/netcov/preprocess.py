@@ -165,7 +165,8 @@ def residualize_nuisance(Z, y, nuisance, residualize_y=True):
 def apply_nuisance(model, Z_new, nuisance_new, y_new=None):
     """Residualize new rows with a training-fitted nuisance model."""
     M = _design_with_intercept(np.atleast_2d(nuisance_new))
-    Z_corr = Z_new - M @ model.feature_coefs
+    Z_corr = M @ model.feature_coefs
+    np.subtract(Z_new, Z_corr, out=Z_corr)  # no second full-size array
     if y_new is None or model.y_coefs is None:
         return Z_corr, y_new
     return Z_corr, np.asarray(y_new, dtype=np.float64) - M @ model.y_coefs

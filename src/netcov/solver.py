@@ -34,23 +34,24 @@ path point also starts with the groups that the sequential strong rule
 certificate gradient, ||grad_G|| >= w_G (2 lambda_k - lambda_{k-1});
 a group it misses costs one more screening round, never the answer.
 
-Two objective-guarded extrapolations cut the sweep count without
-changing what is returned.  Every ``ANDERSON_K + 1`` active-set sweeps,
-Anderson extrapolation of the iterates (Bertrand & Massias, "Anderson
+Two extrapolations cut the sweep count without changing what is
+returned.  Every ``ANDERSON_K + 1`` active-set sweeps, Anderson
+extrapolation of the iterates (Bertrand & Massias, "Anderson
 acceleration of coordinate descent", AISTATS 2021) proposes a point
 that is kept only if it lowers the objective.  Along a path, once two
-consecutive solutions share their active set, the next point starts from
-their linear extrapolation if that beats the plain warm start.  Either
-way descent continues from the kept point, and the returned iterate
-always comes from a sweep, so zero groups are exact zeros and the KKT
-certificate is unchanged.  The solver's state (the gaussian residual
-y - mu - U b, or the binomial linear predictor mu + U b) is affine in
-(mu, b), and both extrapolations are affine combinations whose weights
-sum to 1.  So a trial point is priced from the same combination of the
-states stored at the points it combines, with no pass over U.  A path
-hands each point its start state as an argument (the last solution's
-state, or the same extrapolation of the last two) and solves each point
-once, under the one sweep cap ``MAX_SWEEPS``.
+consecutive solutions share a non-empty active set, the next point
+starts from their linear extrapolation, unpriced: a poor start can only
+cost sweeps.  Either way descent continues from that point, and the
+returned iterate always comes from a sweep, so zero groups are exact
+zeros and the KKT certificate is unchanged.  The solver's state (the
+gaussian residual y - mu - U b, or the binomial linear predictor
+mu + U b) is affine in (mu, b), and both extrapolations are affine
+combinations whose weights sum to 1.  So an extrapolated point's state
+is the same combination of the states stored at the points it combines,
+with no pass over U.  A path hands each point its start state as an
+argument (the last solution's state, or the same extrapolation of the
+last two) and solves each point once, under the one sweep cap
+``MAX_SWEEPS``.
 
 A path point runs in C, ``sweep_kernel.c`` beside this module, in one
 call and one loop over sweeps: each sweep that does not stop is
@@ -310,12 +311,6 @@ def smooth_gradient(problem, mu, beta_tilde, state=None):
     return -c * float(r.mean()), -c * (problem.U.T @ r) / problem.N
 
 
-def _penalized(problem, dev, beta_tilde):
-    """Q from a deviance in hand: dev/N + lambda * sum_G w_G ||b_G||."""
-    pen = float(_group_norms(problem, beta_tilde) @ problem.multipliers)
-    return dev / problem.N + problem.lam * pen
-
-
 def _state_deviance(problem, state):
     if problem.family == "gaussian":
         return 0.5 * float(state @ state)
@@ -324,11 +319,14 @@ def _state_deviance(problem, state):
 
 def objective(problem, mu, beta_tilde):
     """Penalized objective Q at (mu, beta_tilde)."""
-    state = _fresh_state(problem, mu, beta_tilde)
-    return _penalized(problem, _state_deviance(problem, state), beta_tilde)
+    dev = _state_deviance(problem, _fresh_state(problem, mu, beta_tilde))
+    pen = float(_group_norms(problem, beta_tilde) @ problem.multipliers)
+    return dev / problem.N + problem.lam * pen
 
 
 def _group_norms(problem, vec):
+    """Each group's norm in ``vec``.  Only ``problem.offsets`` is read, so
+    a :class:`PathFit` serves too: ``files`` writes these norms."""
     return np.sqrt(np.add.reduceat(vec * vec, problem.offsets[:-1]))
 
 
@@ -638,12 +636,12 @@ def fit_path(problem, basis, emap, lambdas):
     and the folded-back original space, active group names, training
     deviance, sweep count and KKT residual.  Each point starts where the
     last one stopped, handed that solution's state.  When the last two
-    solutions share their active set, the next point starts from their
-    linear extrapolation instead, with the state ``2 s_k - s_{k-1}``, if
-    that has the lower objective.  Either way it is handed the last
-    point's lambda and gradient for the strong rule.  Each point is solved
-    once; one left uncertified at ``MAX_SWEEPS`` sweeps raises
-    :class:`ConvergenceError`.
+    solutions share a non-empty active set, the next point starts from
+    their linear extrapolation ``2 b_k - b_{k-1}`` instead, the same for
+    the intercept and the state, with no objective comparison.  Either
+    way it is handed the last point's lambda and gradient for the strong
+    rule.  Each point is solved once; one left uncertified at
+    ``MAX_SWEEPS`` sweeps raises :class:`ConvergenceError`.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if not (lambdas.ndim == 1 and lambdas.size and lambdas[-1] > 0
@@ -655,22 +653,17 @@ def fit_path(problem, basis, emap, lambdas):
     entries = []
     last = prev = None  # the last two solutions
     for lam in lambdas.tolist():
-        prob = _with_lambda(problem, lam)
-        start, predicted = {}, False
+        start = {}
         if last is not None:
             start = dict(beta0=last.beta_tilde, mu0=last.mu, state0=last.state,
                          lam0=entries[-1].lam, grad0=last.grad)
-        if (prev is not None and entries[-1].active_groups
-                and entries[-1].active_groups == entries[-2].active_groups):
-            beta_p = 2.0 * last.beta_tilde - prev.beta_tilde
-            state_p = 2.0 * last.state - prev.state
-            q_plain = _penalized(prob, last.deviance, last.beta_tilde)
-            dev_p = _state_deviance(prob, state_p)
-            if _penalized(prob, dev_p, beta_p) < q_plain:
-                start.update(beta0=beta_p, mu0=2.0 * last.mu - prev.mu,
-                             state0=state_p)
-                predicted = True
-        sol = fit_at_lambda(prob, _block=block, **start)
+        held = entries[-1].active_groups if prev is not None else ()
+        predicted = held != () and held == entries[-2].active_groups
+        if predicted:
+            start.update(beta0=2.0 * last.beta_tilde - prev.beta_tilde,
+                         mu0=2.0 * last.mu - prev.mu,
+                         state0=2.0 * last.state - prev.state)
+        sol = fit_at_lambda(_with_lambda(problem, lam), _block=block, **start)
         prev, last = last, sol
         norms = _group_norms(problem, sol.beta_tilde)
         active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))

@@ -113,7 +113,8 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
     Deterministic given ``seed``: the fold assignment is a seeded
     round-robin over a random permutation.  Under the binomial family an
     assignment leaving some fold's training part with constant response
-    is redrawn once from a derived seed; a second failure is an error.
+    is redrawn once, as the next draw of the same seeded stream; a second
+    failure is an error.
     """
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
@@ -125,12 +126,12 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
     grid = lambda_grid(lambda_max(prep_full.problem), grid_size=grid_size,
                        min_ratio=min_ratio)
 
-    assignment = _fold_assignment(rows.size, folds, _seeded_rng(seed, 0))
+    rng = _seeded_rng(seed, 0)
+    assignment = _fold_assignment(rows.size, folds, rng)
     redrawn = False
     if dataset.family == "binomial" and _constant_y_fold(
             dataset.y, rows, assignment, folds):
-        assignment = _fold_assignment(rows.size, folds,
-                                      _seeded_rng(seed, 1))
+        assignment = _fold_assignment(rows.size, folds, rng)
         redrawn = True
         if _constant_y_fold(dataset.y, rows, assignment, folds):
             raise ValueError(

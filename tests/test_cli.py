@@ -278,6 +278,58 @@ class TestFit:
         assert any(r["group"] == "(1,1)" for r in active)
 
 
+class TestFitRecords:
+    """What a fit writes beside its coefficients says how it got them."""
+
+    def test_fit_info_records_a_fold_redraw(self, fit_dir, tmp_path):
+        from conftest import redraw_case
+        from netcov import save_dataset
+        from netcov.data import read_manifest
+
+        ds, seed, _ = redraw_case()
+        save_dataset(ds, str(tmp_path / "data"))
+        out = tmp_path / "fit"
+        assert cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(out), "--folds", "10",
+                         "--grid-size", "8", "--seed", str(seed)]) == 0
+        assert read_manifest(out / "fit_info")["folds_redrawn"] == "1"
+        assert read_manifest(fit_dir / "fit_info")["folds_redrawn"] == "0"
+
+    @pytest.mark.parametrize("scheme", ["nbg", "ebg"])
+    def test_path_files_hold_the_solvers_norms(self, tmp_path, scheme):
+        # each written norm is the solver's, to the bit, and a group is
+        # active exactly when its norm is above 0, as in the path entry
+        from conftest import make_dataset
+        from netcov.files import write_active_groups_csv, write_path_csv
+        from netcov.pipeline import make_groups, prepare
+        from netcov.solver import (_group_norms, fit_path, lambda_grid,
+                                   lambda_max)
+
+        ds = make_dataset(np.random.default_rng(4), [1] * 6 + [2] * 6, N=60)
+        spec, _ = make_groups(ds, scheme)
+        prep = prepare(ds, spec)
+        pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=lambda_grid(
+            lambda_max(prep.problem), grid_size=20))
+        write_path_csv(pf, str(tmp_path))
+        rows = read_rows(tmp_path / "path.csv")
+        expected = []
+        for entry in pf.entries:
+            norms = _group_norms(pf, entry.beta_tilde).tolist()
+            assert [name for name, norm in zip(pf.group_names, norms)
+                    if norm > 0] == list(entry.active_groups)
+            expected += [(name, str(int(norm > 0)), repr(norm))
+                         for name, norm in zip(pf.group_names, norms)]
+        assert [(r["group"], r["active"], r["group_norm"])
+                for r in rows] == expected
+        last = pf.entries[-1]
+        write_active_groups_csv(pf, last, tmp_path / "active_groups.csv")
+        assert [(r["group"], r["norm"])
+                for r in read_rows(tmp_path / "active_groups.csv")] == [
+            (name, repr(norm)) for name, norm in zip(
+                pf.group_names, _group_norms(pf, last.beta_tilde).tolist())
+            if norm > 0]
+
+
 class TestSplitCommunities:
     def test_thirteen_community_layout_splits_to_fifty(self, tmp_path):
         # dataset with the 13-community atlas layout, tiny sample size
@@ -574,6 +626,36 @@ class TestEvaluate:
                 in capsys.readouterr().err)
         assert not (tmp_path / "eval").exists()
 
+    def test_coefficient_file_is_one_value_per_line(self, sim_dir, fit_dir,
+                                                    tmp_path, capsys):
+        # p = 21 values as 7 lines of 3, which flattened would pass for p
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        coef = fit_copy / "coef_000.csv"
+        values = coef.read_text().split()
+        coef.write_text("".join(",".join(values[i:i + 3]) + "\n"
+                                for i in range(0, 21, 3)))
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         sim_dir, "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"{coef} has 3 values per line, expected 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "eval").exists()
+
+    def test_cv_short_of_the_path_is_data_error(self, sim_dir, fit_dir,
+                                                tmp_path, capsys):
+        # a cv.csv that lost its last row would score 7 of the 8 points
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        cv = fit_copy / "cv.csv"
+        cv.write_text("\n".join(cv.read_text().splitlines()[:-1]) + "\n")
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         sim_dir, "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"{fit_copy / 'coef_007.csv'} exists, but {cv} lists 7 "
+                "lambdas" in capsys.readouterr().err)
+        assert not (tmp_path / "eval").exists()
+
 
 class TestRerunIntoSameOut:
     """A rerun into an existing --out replaces netcov's own files there."""
@@ -841,7 +923,7 @@ class TestFitFileNumbers:
             "fit_info: intercept must be a number, got 'abc'"),
         "repeated_intercept": (
             lambda f: _repeat_manifest_key(f / "fit_info", "intercept", "0.5"),
-            "fit_info:20: key 'intercept' repeats line 7"),
+            "fit_info:21: key 'intercept' repeats line 7"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -1268,7 +1350,7 @@ class TestSweep:
             assert trees[0] == trees[1]
             assert any(name.startswith("cells/") for name in trees[0])
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "²"])
     def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch,
                                               capsys, value):
         monkeypatch.setenv("NETCOV_THREADS", value)

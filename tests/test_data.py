@@ -261,6 +261,9 @@ class TestDiskLayout:
         ("q", "two", "q must be an integer, got 'two'"),
         ("train_rows", "1-x", "train_rows: bad row range '1-x'"),
         ("test_rows", "2,y", "test_rows: bad row range 'y'"),
+        # refused before a list of 10^12 rows is built
+        ("train_rows", "1-1000000000000",
+         "train_rows: row spec '1-1000000000000' exceeds N=3"),
     ])
     def test_bad_manifest_value_names_file_and_key(self, rng, tmp_path, key,
                                                    value, message):

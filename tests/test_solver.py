@@ -762,6 +762,53 @@ class TestAcceleration:
             pred_o = mu_o + prob.U @ beta_o
             assert np.max(np.abs(pred - pred_o)) < 1e-5
 
+    @pytest.mark.parametrize("scheme,family,grid_size,min_ratio", [
+        ("nbg", "gaussian", 4, 0.01), ("lasso", "gaussian", 30, 0.05),
+        ("ebg", "binomial", 30, 0.05)])
+    def test_predicted_start_whenever_the_active_set_held(
+            self, scheme, family, grid_size, min_ratio, monkeypatch):
+        # each point whose last two entries share a non-empty active set
+        # starts from 2 b_k - b_{k-1}, for mu and the state alike, and every
+        # other point from the last solution.  On the first two grids one
+        # such start has a higher objective than the plain warm start;
+        # it is taken all the same and the point still ends certified
+        import netcov.solver as solver
+
+        solve = solver.fit_at_lambda
+        starts, sols = [], []
+
+        def started(problem, beta0=None, mu0=None, state0=None, **kwargs):
+            starts.append((mu0, beta0, state0))
+            sols.append(solve(problem, beta0=beta0, mu0=mu0, state0=state0,
+                              **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(solver, "fit_at_lambda", started)
+        prep = scheme_problem(scheme, family)
+        pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=lambda_grid(
+            lambda_max(prep.problem), grid_size, min_ratio))
+        held = 0
+        for k in range(1, len(pf.entries)):
+            mu0, beta0, state0 = starts[k]
+            last, prev = sols[k - 1], sols[k - 2] if k > 1 else None
+            predicted = (k > 1 and pf.entries[k - 1].active_groups != ()
+                         and pf.entries[k - 1].active_groups
+                         == pf.entries[k - 2].active_groups)
+            if predicted:
+                held += 1
+                want = (2.0 * last.mu - prev.mu,
+                        2.0 * last.beta_tilde - prev.beta_tilde,
+                        2.0 * last.state - prev.state)
+            else:
+                want = (last.mu, last.beta_tilde, last.state)
+            assert mu0 == want[0]
+            assert beta0.tobytes() == want[1].tobytes()
+            assert state0.tobytes() == want[2].tobytes()
+            assert (pf.entries[k].n_extrapolated
+                    == sols[k].n_extrapolated + predicted)
+            assert pf.entries[k].kkt_residual <= 1e-6
+        assert held > 0
+
     @pytest.mark.parametrize("family", ["gaussian", "binomial"])
     def test_worse_extrapolation_is_rejected(self, rng, family):
         # a step that is refused leaves mu, beta and the state as they

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import make_dataset
+from conftest import make_dataset, redraw_case
 from netcov import (CommunityMap, FeatureIndex, cross_validate, ebg_groups,
                     make_beta, one_se_select, select_and_refit)
 from netcov.pipeline import holdout_deviance, prepare
@@ -139,24 +139,18 @@ class TestCrossValidate:
             cross_validate(ds, spec, folds=10, seed=0, grid_size=10)
 
     def test_binomial_redraw_once_succeeds(self):
-        rng = np.random.default_rng(9)
-        base = make_dataset(rng, [1, 1, 2, 2], d=1, N=20, family="binomial")
-        y = np.zeros(20)
-        y[[2, 11]] = 1.0
-        ds = replace(base, y=y)
+        ds, chosen, _ = redraw_case()
         spec, _ = _groups(ds)
-        rows = np.arange(20)
-        chosen = None
-        for seed in range(500):
-            first = _fold_assignment(20, 10, _seeded_rng(seed, 0))
-            second = _fold_assignment(20, 10, _seeded_rng(seed, 1))
-            if (_constant_y_fold(y, rows, first, 10)
-                    and not _constant_y_fold(y, rows, second, 10)):
-                chosen = seed
-                break
-        assert chosen is not None
         cv = cross_validate(ds, spec, folds=10, seed=chosen, grid_size=10)
         assert cv.redrawn
+
+    def test_redraw_is_the_fold_streams_second_draw(self):
+        # not a stream of its own: (seed, 1) is the one a simulated cell's
+        # responses are drawn from
+        ds, seed, second = redraw_case()
+        spec, _ = _groups(ds)
+        cv = cross_validate(ds, spec, folds=10, seed=seed, grid_size=10)
+        np.testing.assert_array_equal(cv.fold_assignment, second)
 
     def test_no_leakage_from_held_out_rows(self):
         # mutating a fold's held-out rows leaves that fold's training-side
