@@ -295,6 +295,8 @@ def _simulate_cell(cfg, cell, cell_dir):
         dataset = dc_replace(dataset, communities=communities)
 
     tmp = cell_dir + ".tmp"
+    if os.path.exists(tmp):  # left by a killed run: its files are not ours
+        shutil.rmtree(tmp)
     save_dataset(dataset, tmp)
     write_truth_csv(truth, os.path.join(tmp, "truth.csv"))
     metric, value = scenario_difficulty(dataset, truth, cell.family)
@@ -362,7 +364,7 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
         "y_sd": "NA" if model.y_sd is None else repr(float(model.y_sd)),
         "deviance": repr(float(fit.deviance)),
         "kkt_residual": repr(float(fit.kkt_residual)),
-        "seed": seed, "folds": s.folds, "folds_redrawn": int(cv.redrawn),
+        "seed": seed, "folds": s.folds,
         "grid_size": s.grid_size, "min_ratio": repr(s.min_ratio),
         "split_communities": ("" if s.split_communities is None
                               else s.split_communities),

@@ -482,7 +482,10 @@ def write_manifest(path, entries, header=None):
 
 
 def _seeded_rng(seed, *tags):
-    """The generator of stream (seed, *tags); there is no unseeded one."""
+    """The generator of stream (seed, *tags); there is no unseeded one.
+    ``SeedSequence`` pads its entropy with zeros, so ``(seed, 0)`` is
+    ``(seed, 0, 0)``: each stream's tags must differ from every other
+    stream's in a non-zero place."""
     return np.random.default_rng((int(seed),) + tuple(int(t) for t in tags))
 
 

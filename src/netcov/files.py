@@ -277,8 +277,8 @@ def _read_nuisance_model(path, p, family):
 def read_fit(fit_dir, dataset):
     """The method and FittedModel that ``netcov fit`` wrote to ``fit_dir``,
     to score on ``dataset``.  A missing ``fit_info`` key, a fit of another
-    p or family, a value that is not a finite number, a negative sd or a
-    y_sd not above 0 is a data error."""
+    p or family, a value that is not a finite number, a negative sd, a
+    y_sd not above 0 or a y scale the family does not write is a data error."""
     info_path = os.path.join(fit_dir, "fit_info")
     info = read_manifest(info_path)
     require_keys(info_path, info, ("family", "p", "intercept", "y_mean",
@@ -296,10 +296,15 @@ def read_fit(fit_dir, dataset):
     if np.any(sds < 0.0):
         raise ValueError(f"{std_path}: sd is negative")
     mu = parse_number(f"{info_path}: intercept", info["intercept"])
-    y_mean, y_sd = (None if info[key] == "NA"
-                    else parse_number(f"{info_path}: {key}", info[key])
-                    for key in ("y_mean", "y_sd"))
-    if y_sd is not None and y_sd <= 0.0:
+    scaled = dataset.family == "gaussian"  # only its response is scaled
+    for key in ("y_mean", "y_sd"):
+        if (info[key] == "NA") == scaled:
+            raise ValueError(
+                f"{info_path}: {key} is {info[key]!r}, but a {dataset.family} "
+                f"fit writes {'a number' if scaled else 'NA'}")
+    y_mean, y_sd = (parse_number(f"{info_path}: {key}", info[key])
+                    if scaled else None for key in ("y_mean", "y_sd"))
+    if scaled and y_sd <= 0.0:
         raise ValueError(f"{info_path}: y_sd is not positive")
     nm_path = os.path.join(fit_dir, "nuisance_model.csv")
     return info["method"], FittedModel(

@@ -40,7 +40,6 @@ class CVResult:
     index_one_se: int
     seed: object
     folds: int
-    redrawn: bool
     prepared: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -88,20 +87,16 @@ def one_se_select(mean_deviance, se):
     return idx_min, idx_one_se
 
 
-def _fold_assignment(n, folds, rng):
-    """Seeded round-robin assignment; fold sizes differ by at most one."""
-    fold = np.empty(n, dtype=np.int64)
-    fold[rng.permutation(n)] = np.arange(n) % folds
+def _fold_assignment(y, folds, rng, family):
+    """Round-robin deal of one seeded permutation of ``y``'s rows, class
+    by class (stably) under the binomial family: fold sizes differ by at
+    most one, and a class of two rows or more reaches two folds or more."""
+    order = rng.permutation(y.size)
+    if family == "binomial":
+        order = order[np.argsort(y[order], kind="stable")]
+    fold = np.empty(y.size, dtype=np.int64)
+    fold[order] = np.arange(y.size) % folds
     return fold
-
-
-def _constant_y_fold(y, rows, assignment, folds):
-    """True if any fold's training part has a constant response."""
-    for f in range(folds):
-        y_tr = y[rows[assignment != f]]
-        if y_tr.size == 0 or np.all(y_tr == y_tr[0]):
-            return True
-    return False
 
 
 def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
@@ -110,34 +105,29 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
 
     The folds split the dataset's training rows, and the grid is
     ``lambda_grid(lambda_max(...), grid_size, min_ratio)`` on all of them.
-    Deterministic given ``seed``: the fold assignment is a seeded
-    round-robin over a random permutation.  Under the binomial family an
-    assignment leaving some fold's training part with constant response
-    is redrawn once, as the next draw of the same seeded stream; a second
-    failure is an error.
+    Deterministic given ``seed``: the folds deal one permutation from the
+    fold stream ``(seed, 2)`` round robin, class by class under the
+    binomial family.  A binomial class of fewer than two training rows is
+    refused before any fit.
     """
     if folds < 2:
         raise ValueError(f"folds must be at least 2, got {folds}")
     rows = dataset.training_rows()
     if rows.size < folds:
         raise ValueError(f"{rows.size} training rows cannot fill {folds} folds")
+    y = dataset.y[rows]
+    if dataset.family == "binomial":
+        counts = np.bincount(y.astype(np.int64), minlength=2)
+        if counts.min() < 2:
+            raise ValueError(f"the binomial training rows hold {counts[0]} "
+                             f"of class 0 and {counts[1]} of class 1; "
+                             "cross-validation needs 2 of each")
 
     prep_full = prepare(dataset, spec, rows)
     grid = lambda_grid(lambda_max(prep_full.problem), grid_size=grid_size,
                        min_ratio=min_ratio)
-
-    rng = _seeded_rng(seed, 0)
-    assignment = _fold_assignment(rows.size, folds, rng)
-    redrawn = False
-    if dataset.family == "binomial" and _constant_y_fold(
-            dataset.y, rows, assignment, folds):
-        assignment = _fold_assignment(rows.size, folds, rng)
-        redrawn = True
-        if _constant_y_fold(dataset.y, rows, assignment, folds):
-            raise ValueError(
-                "fold assignment leaves a constant binary response in some "
-                "fold's training part even after one redraw"
-            )
+    assignment = _fold_assignment(y, folds, _seeded_rng(seed, 2),
+                                  dataset.family)
 
     fold_dev = np.empty((folds, grid.size))
     for f in range(folds):
@@ -152,8 +142,7 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
     return CVResult(
         lambdas=grid, mean_deviance=mean_dev, se=se, fold_deviance=fold_dev,
         fold_assignment=assignment, index_min=idx_min,
-        index_one_se=idx_one_se, seed=seed, folds=folds, redrawn=redrawn,
-        prepared=prep_full,
+        index_one_se=idx_one_se, seed=seed, folds=folds, prepared=prep_full,
     )
 
 

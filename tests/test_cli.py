@@ -221,8 +221,47 @@ class TestSimulate:
             b = next((out2 / "cells").glob(f"*/{name}")).read_bytes()
             assert a == b
 
+    def test_stale_tmp_cell_is_cleared(self, tmp_path):
+        # a killed run's cells/<id>.tmp holds files this cell does not write:
+        # under d = 0 and q = 0 either would make the cell unloadable
+        from netcov import load_dataset
+
+        cfg = tmp_path / "c.cfg"
+        write_config(cfg)
+        cfg.write_text(cfg.read_text().replace("data.d = 1", "data.d = 0"))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        cell, = (out / "cells").iterdir()
+        stale = out / "cells" / f"{cell.name}.tmp"
+        stale.mkdir()
+        (stale / "X.csv").write_text("1.0\n")
+        (stale / "nuisance.csv").write_text("1.0\n")
+        assert cli.main(["simulate", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+        assert sorted(p.name for p in (out / "cells").iterdir()) == [cell.name]
+        assert load_dataset(str(cell)).index.d == 0
+        assert not {"X.csv", "nuisance.csv"} & set(os.listdir(cell))
+
 
 class TestFit:
+    def test_binomial_one_row_class_exits_3(self, tmp_path, capsys):
+        # no deal of the folds can train every fold on the single positive
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        ds = make_dataset(np.random.default_rng(8), [1, 1, 2, 2], d=1, N=20,
+                          family="binomial")
+        y = np.zeros(20)
+        y[3] = 1.0
+        save_dataset(replace(ds, y=y), str(tmp_path / "data"))
+        code = cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
+                         "ebg", "--out", str(tmp_path / "fit"), "--folds",
+                         "10", "--grid-size", "8", "--seed", "1"])
+        assert code == 3
+        assert ("the binomial training rows hold 19 of class 0 and 1 of "
+                "class 1" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("scheme", ["ebg", "nbg", "lasso"])
     def test_fit_writes_artifacts(self, sim_dir, tmp_path, scheme):
         out = tmp_path / f"fit_{scheme}"
@@ -280,20 +319,6 @@ class TestFit:
 
 class TestFitRecords:
     """What a fit writes beside its coefficients says how it got them."""
-
-    def test_fit_info_records_a_fold_redraw(self, fit_dir, tmp_path):
-        from conftest import redraw_case
-        from netcov import save_dataset
-        from netcov.data import read_manifest
-
-        ds, seed, _ = redraw_case()
-        save_dataset(ds, str(tmp_path / "data"))
-        out = tmp_path / "fit"
-        assert cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
-                         "ebg", "--out", str(out), "--folds", "10",
-                         "--grid-size", "8", "--seed", str(seed)]) == 0
-        assert read_manifest(out / "fit_info")["folds_redrawn"] == "1"
-        assert read_manifest(fit_dir / "fit_info")["folds_redrawn"] == "0"
 
     @pytest.mark.parametrize("scheme", ["nbg", "ebg"])
     def test_path_files_hold_the_solvers_norms(self, tmp_path, scheme):
@@ -764,29 +789,52 @@ class TestNuisanceEvaluate:
         assert (f"dataset has {q} nuisance columns but the fit was trained "
                 "with 2" in capsys.readouterr().err)
 
-    def test_binomial_fit_refuses_a_y_row(self, tmp_path, capsys):
+    def test_binomial_fit_refuses_a_y_row(self, binomial_fit, tmp_path,
+                                          capsys):
         # the binomial response is never corrected, so its fit has no y row
-        from conftest import make_dataset
-        from netcov import save_dataset
-
-        rng = np.random.default_rng(6)
-        ds = make_dataset(rng, [1, 1, 1, 2, 2, 2], d=1, N=40, nuisance_q=1)
-        ds = replace(ds, y=(ds.y > np.median(ds.y)).astype(float),
-                     family="binomial", train_rows=np.arange(30),
-                     test_rows=np.arange(30, 40))
-        save_dataset(ds, str(tmp_path / "data"))
-        fit_dir = tmp_path / "fit"
-        assert cli.main(["fit", "--data", str(tmp_path / "data"), "--scheme",
-                         "ebg", "--out", str(fit_dir), "--folds", "3",
-                         "--grid-size", "6", "--seed", "3"]) == 0
-        path = fit_dir / "nuisance_model.csv"
+        data_dir, fit_dir = binomial_fit
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        path = fit_copy / "nuisance_model.csv"
         path.write_text(path.read_text() + "y,0.5,0.25\n")
-        code = cli.main(["evaluate", "--fit", str(fit_dir), "--data",
-                         str(tmp_path / "data"), "--out",
-                         str(tmp_path / "eval")])
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         str(data_dir), "--out", str(tmp_path / "eval")])
         assert code == 3
         assert ("nuisance_model.csv: 22 rows, expected 21: f0 to f20"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ["y_mean", "y_sd"])
+    def test_binomial_fit_refuses_a_y_scale(self, binomial_fit, tmp_path,
+                                            capsys, key):
+        # nor scaled: run_fit writes NA for both
+        data_dir, fit_dir = binomial_fit
+        fit_copy = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit_copy)
+        _edit_manifest(fit_copy / "fit_info", key, "1.5")
+        code = cli.main(["evaluate", "--fit", str(fit_copy), "--data",
+                         str(data_dir), "--out", str(tmp_path / "eval")])
+        assert code == 3
+        assert (f"fit_info: {key} is '1.5', but a binomial fit writes NA"
+                in capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def binomial_fit(tmp_path_factory):
+    """(data dir, fit dir) of a binomial EBG fit with one nuisance column."""
+    from conftest import make_dataset
+    from netcov import save_dataset
+
+    root = tmp_path_factory.mktemp("binomial_fit")
+    ds = make_dataset(np.random.default_rng(6), [1, 1, 1, 2, 2, 2], d=1,
+                      N=40, nuisance_q=1)
+    ds = replace(ds, y=(ds.y > np.median(ds.y)).astype(float),
+                 family="binomial", train_rows=np.arange(30),
+                 test_rows=np.arange(30, 40))
+    save_dataset(ds, str(root / "data"))
+    assert cli.main(["fit", "--data", str(root / "data"), "--scheme", "ebg",
+                     "--out", str(root / "fit"), "--folds", "3",
+                     "--grid-size", "6", "--seed", "3"]) == 0
+    return root / "data", root / "fit"
 
 
 @pytest.fixture(scope="module")
@@ -850,6 +898,13 @@ class TestFitFileNumbers:
         "negative_y_sd": (lambda f: _edit_manifest(f / "fit_info", "y_sd",
                                                    "-1.0"),
                           "fit_info: y_sd is not positive"),
+        # run_fit writes NA only for the binomial family's unscaled response
+        "na_y_mean": (lambda f: _edit_manifest(f / "fit_info", "y_mean", "NA"),
+                      "fit_info: y_mean is 'NA', but a gaussian fit writes "
+                      "a number"),
+        "na_y_sd": (lambda f: _edit_manifest(f / "fit_info", "y_sd", "NA"),
+                    "fit_info: y_sd is 'NA', but a gaussian fit writes a "
+                    "number"),
         "nan_nuisance_coefficient": (
             lambda f: _set_field(f / "nuisance_model.csv", 1, 2, "nan"),
             "nuisance_model.csv: row f0 is not finite"),
@@ -923,7 +978,7 @@ class TestFitFileNumbers:
             "fit_info: intercept must be a number, got 'abc'"),
         "repeated_intercept": (
             lambda f: _repeat_manifest_key(f / "fit_info", "intercept", "0.5"),
-            "fit_info:21: key 'intercept' repeats line 7"),
+            "fit_info:20: key 'intercept' repeats line 7"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from conftest import make_dataset
@@ -2088,30 +2088,36 @@ class TestCommunityRelabelling:
     @pytest.mark.parametrize("scheme,family", [
         ("nbg", "gaussian"), ("ebg", "gaussian"), ("nbg", "binomial"),
         ("ebg", "binomial")])
-    @settings(max_examples=4, deadline=None)
-    @given(perm=st.permutations([1, 2, 3, 4]))
-    def test_fit_does_not_depend_on_labels(self, scheme, family, perm):
+    def test_fit_does_not_depend_on_labels(self, scheme, family):
+        # all 24 label permutations on every run: the worst of them is the
+        # margin the 1e-6 bound is read against
         cm = CommunityMap(assignments=self.COMMUNITIES)
         idx = FeatureIndex(n=cm.n, d=1)
         truth = make_beta(ebg_groups(cm, idx), ("(1,2)",), 0.6)
         ds = make_dataset(np.random.default_rng(5), self.COMMUNITIES, d=1,
                           N=60, family=family, beta=truth.beta)
-        moved = replace(ds, communities=CommunityMap(
-            assignments=np.asarray(perm)[self.COMMUNITIES - 1]))
-        (spec, _), (spec_m, _) = (make_groups(d, scheme) for d in (ds, moved))
-        renamed = {name: self.relabelled(name, perm) for name in spec.names}
-        members_m = dict(zip(spec_m.names, spec_m.members))
-        for name, members in zip(spec.names, spec.members):
-            np.testing.assert_array_equal(members, members_m[renamed[name]])
-
-        preps = [prepare(ds, spec), prepare(moved, spec_m)]
-        lambdas = lambda_grid(lambda_max(preps[0].problem), grid_size=12,
+        spec, _ = make_groups(ds, scheme)
+        prep = prepare(ds, spec)
+        lambdas = lambda_grid(lambda_max(prep.problem), grid_size=12,
                               min_ratio=0.1)
-        paths = [fit_path(p.problem, p.basis, p.emap, lambdas=lambdas)
-                 for p in preps]
-        for a, b in zip(*(pf.entries for pf in paths)):
-            eta_a = a.mu + preps[0].problem.U @ a.beta_tilde
-            eta_b = b.mu + preps[1].problem.U @ b.beta_tilde
-            assert np.max(np.abs(eta_a - eta_b)) < 1e-6
-            assert {renamed[g] for g in a.active_groups} == set(
-                b.active_groups)
+        path = fit_path(prep.problem, prep.basis, prep.emap, lambdas=lambdas)
+        for perm in itertools.permutations([1, 2, 3, 4]):
+            moved = replace(ds, communities=CommunityMap(
+                assignments=np.asarray(perm)[self.COMMUNITIES - 1]))
+            spec_m, _ = make_groups(moved, scheme)
+            renamed = {name: self.relabelled(name, perm)
+                       for name in spec.names}
+            members_m = dict(zip(spec_m.names, spec_m.members))
+            for name, members in zip(spec.names, spec.members):
+                np.testing.assert_array_equal(members,
+                                              members_m[renamed[name]])
+
+            prep_m = prepare(moved, spec_m)
+            path_m = fit_path(prep_m.problem, prep_m.basis, prep_m.emap,
+                              lambdas=lambdas)
+            for a, b in zip(path.entries, path_m.entries):
+                eta_a = a.mu + prep.problem.U @ a.beta_tilde
+                eta_b = b.mu + prep_m.problem.U @ b.beta_tilde
+                assert np.max(np.abs(eta_a - eta_b)) < 1e-6, perm
+                assert {renamed[g] for g in a.active_groups} == set(
+                    b.active_groups), perm

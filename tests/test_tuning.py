@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_dataset, redraw_case
+from conftest import make_dataset
 from netcov import (CommunityMap, FeatureIndex, cross_validate, ebg_groups,
                     make_beta, one_se_select, select_and_refit)
 from netcov.pipeline import holdout_deviance, prepare
 from netcov.solver import deviance, fit_path, lambda_grid, lambda_max
 from netcov.data import _seeded_rng
-from netcov.tuning import _constant_y_fold, _fold_assignment
+from netcov.tuning import _fold_assignment
 
 
 def noise_dataset(seed, N=60, communities=(1, 1, 2, 2, 3, 3, 4, 4)):
@@ -54,23 +55,38 @@ class TestOneSeRule:
 
 class TestFoldAssignment:
     def test_balanced(self):
-        fold = _fold_assignment(23, 10, np.random.default_rng(0))
+        fold = _fold_assignment(np.zeros(23), 10, np.random.default_rng(0),
+                                "gaussian")
         sizes = np.bincount(fold, minlength=10)
         assert sizes.max() - sizes.min() <= 1
 
     def test_deterministic(self):
-        a = _fold_assignment(40, 10, _seeded_rng(7, 0))
-        b = _fold_assignment(40, 10, _seeded_rng(7, 0))
+        y = np.tile([0.0, 1.0], 20)
+        a, b = (_fold_assignment(y, 10, _seeded_rng(7, 2), "binomial")
+                for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
-    def test_constant_fold_detector(self):
-        y = np.zeros(20)
-        y[0] = 1.0
-        rows = np.arange(20)
-        fold = _fold_assignment(20, 10, _seeded_rng(1, 0))
-        assert _constant_y_fold(y, rows, fold, 10)
-        y2 = np.tile([0.0, 1.0], 10)
-        assert not _constant_y_fold(y2, rows, fold, 10)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stratified_round_robin(self, data):
+        # any 0/1 response with two rows of each class, any 2 <= folds <= n
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=4, max_size=60)))
+        assume(2 <= y.sum() <= y.size - 2)
+        folds = data.draw(st.integers(2, y.size))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        fold = _fold_assignment(y, folds, _seeded_rng(seed, 2), "binomial")
+        sizes = np.bincount(fold, minlength=folds)
+        assert sizes.max() - sizes.min() <= 1
+        for f in range(folds):
+            assert set(y[fold != f]) == {0.0, 1.0}
+        # the gaussian deal is the fold stream's one permutation, unsorted
+        dealt = np.empty(y.size, dtype=np.int64)
+        dealt[_seeded_rng(seed, 2).permutation(y.size)] = (
+            np.arange(y.size) % folds)
+        np.testing.assert_array_equal(
+            _fold_assignment(y, folds, _seeded_rng(seed, 2), "gaussian"),
+            dealt)
 
 
 class TestCrossValidate:
@@ -128,36 +144,53 @@ class TestCrossValidate:
         with pytest.raises(TypeError, match="seed"):
             cross_validate(ds, spec, folds=5)
 
-    def test_binomial_redraw_gives_up_after_two(self):
+    def test_binomial_redraw_gives_up_after_two(self, monkeypatch):
+        # a one-row class leaves some fold's training part without it
+        # whatever the deal, so it is refused before anything is fitted
+        import netcov.tuning as tuning
+
         rng = np.random.default_rng(8)
         ds = make_dataset(rng, [1, 1, 2, 2], d=1, N=20, family="binomial")
         y = np.zeros(20)
         y[3] = 1.0  # any assignment strands the single positive
         ds = replace(ds, y=y)
         spec, _ = _groups(ds)
-        with pytest.raises(ValueError, match="redraw"):
+        monkeypatch.setattr(tuning, "prepare", None)  # a fit would call it
+        with pytest.raises(ValueError,
+                           match="hold 19 of class 0 and 1 of class 1"):
             cross_validate(ds, spec, folds=10, seed=0, grid_size=10)
 
-    def test_binomial_redraw_once_succeeds(self):
-        ds, chosen, _ = redraw_case()
+    def test_binomial_two_row_class_tunes(self):
+        # two positives among 20 rows: every one of 10 folds trains on one
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng, [1, 1, 2, 2], d=1, N=20, family="binomial")
+        y = np.zeros(20)
+        y[[2, 11]] = 1.0
+        ds = replace(ds, y=y)
         spec, _ = _groups(ds)
-        cv = cross_validate(ds, spec, folds=10, seed=chosen, grid_size=10)
-        assert cv.redrawn
+        cv = cross_validate(ds, spec, folds=10, seed=0, grid_size=10)
+        assert cv.fold_assignment[2] != cv.fold_assignment[11]
+        assert np.all(np.isfinite(cv.mean_deviance))
 
-    def test_redraw_is_the_fold_streams_second_draw(self):
-        # not a stream of its own: (seed, 1) is the one a simulated cell's
-        # responses are drawn from
-        ds, seed, second = redraw_case()
+    def test_fold_stream_is_its_own(self):
+        # (seed, 0) would be (seed, 0, 0), the stream a simulated cell's
+        # design is drawn from: the folds deal a permutation of (seed, 2)
+        ds = noise_dataset(6, N=40)
         spec, _ = _groups(ds)
-        cv = cross_validate(ds, spec, folds=10, seed=seed, grid_size=10)
-        np.testing.assert_array_equal(cv.fold_assignment, second)
+        cv = cross_validate(ds, spec, folds=5, seed=4, grid_size=8)
+        np.testing.assert_array_equal(
+            cv.fold_assignment,
+            _fold_assignment(ds.y, 5, _seeded_rng(4, 2), "gaussian"))
+        design = np.empty(40, dtype=np.int64)
+        design[_seeded_rng(4, 0, 0).permutation(40)] = np.arange(40) % 5
+        assert not np.array_equal(cv.fold_assignment, design)
 
     def test_no_leakage_from_held_out_rows(self):
         # mutating a fold's held-out rows leaves that fold's training-side
         # artifacts (standardization, orthonormalization, fitted path) intact
         ds = noise_dataset(11, N=40)
         spec, _ = _groups(ds)
-        assignment = _fold_assignment(40, 5, _seeded_rng(2, 0))
+        assignment = _fold_assignment(ds.y, 5, _seeded_rng(2, 0), "gaussian")
         held = np.flatnonzero(assignment == 0)
         train = np.flatnonzero(assignment != 0)
 
