@@ -26,7 +26,6 @@ class CpmModel:
     intercept: float
     slope_pos: float
     slope_neg: float
-    threshold: float
     r_values: np.ndarray
     p_values: np.ndarray
 
@@ -93,8 +92,7 @@ def cpm_fit(Z, y, idx, alpha=CPM_ALPHA):
     slope_neg = float(coefs[-1]) if neg.size else 0.0
     return CpmModel(
         positive_edges=pos, negative_edges=neg, intercept=intercept,
-        slope_pos=slope_pos, slope_neg=slope_neg, threshold=float(alpha),
-        r_values=r, p_values=p,
+        slope_pos=slope_pos, slope_neg=slope_neg, r_values=r, p_values=p,
     )
 
 

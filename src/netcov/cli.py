@@ -66,10 +66,8 @@ CONFIG_DEFAULTS = {
     "experiment.schemes": "ebg",
     "experiment.families": "gaussian",
     "experiment.n_active": "1",
-    "experiment.alphas": "",
-    "experiment.alpha_min": "0.01",
-    "experiment.alpha_max": "0.5",
-    "experiment.alpha_count": "20",
+    "experiment.alphas": ",".join(
+        map(repr, np.geomspace(0.01, 0.5, 20).tolist())),
     "experiment.replicates": "10",
     "data.N": "1000",
     "data.K": "10",
@@ -151,15 +149,13 @@ def _cfg_list(cfg, key, allowed=None):
     return values
 
 
-def _alpha_levels(cfg):
-    if cfg["experiment.alphas"]:
-        return [parse_number("experiment.alphas", v, 0.0)
-                for v in _cfg_list(cfg, "experiment.alphas")]
-    lo, hi = (parse_number(key, cfg[key], 0.0)
-              for key in ("experiment.alpha_min", "experiment.alpha_max"))
-    count = parse_int("experiment.alpha_count",
-                      cfg["experiment.alpha_count"], 1)
-    return [float(a) for a in np.geomspace(lo, hi, count)]
+def _distinct(key, values):
+    """``values`` if none repeats, else an error naming ``key``: a value
+    listed twice would run its cells or fits twice into one directory."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{key}: {v!r} is listed twice")
+    return values
 
 
 def _convert(cfg):
@@ -170,12 +166,15 @@ def _convert(cfg):
 
     s = SimpleNamespace(
         seed=integer("seed", 0),
-        schemes=_cfg_list(cfg, "experiment.schemes", {"nbg", "ebg"}),
-        families=_cfg_list(cfg, "experiment.families",
-                           {"gaussian", "binomial"}),
-        n_active=[parse_int("experiment.n_active", v, 1)
-                  for v in _cfg_list(cfg, "experiment.n_active")],
-        alphas=_alpha_levels(cfg),
+        schemes=_distinct("experiment.schemes", _cfg_list(
+            cfg, "experiment.schemes", {"nbg", "ebg"})),
+        families=_distinct("experiment.families", _cfg_list(
+            cfg, "experiment.families", {"gaussian", "binomial"})),
+        n_active=_distinct("experiment.n_active", [
+            parse_int("experiment.n_active", v, 1)
+            for v in _cfg_list(cfg, "experiment.n_active")]),
+        alphas=[parse_number("experiment.alphas", v, 0.0)
+                for v in _cfg_list(cfg, "experiment.alphas")],
         replicates=integer("experiment.replicates", 1),
         design=cfg["data.design"],
         split_communities=(integer("data.split_communities", 2)
@@ -184,14 +183,17 @@ def _convert(cfg):
         min_ratio=parse_number("solver.min_ratio", cfg["solver.min_ratio"],
                                0.0, 1.0),
         folds=integer("solver.folds", 2),
-        methods=_cfg_list(cfg, "sweep.methods",
-                          {"scheme", "nbg", "ebg", "lasso", "cpm"}),
+        methods=_distinct("sweep.methods", _cfg_list(
+            cfg, "sweep.methods", {"scheme", "nbg", "ebg", "lasso", "cpm"})),
         N=integer("data.N", 1),
         K=integer("data.K", 1),
         nodes_per_community=integer("data.nodes_per_community", 1),
         d=integer("data.d", 0),
     )
     for scheme in s.schemes:
+        if "scheme" in s.methods and scheme in s.methods:
+            raise ConfigError(f"sweep.methods: {scheme!r} is listed twice, "
+                              f"as itself and as 'scheme'")
         for k in s.n_active:
             if (scheme.upper(), k) not in PRESET_ACTIVE_GROUPS:
                 raise ConfigError(
@@ -275,24 +277,23 @@ def _simulate_cell(cfg, cell, cell_dir):
     s = cfg.settings
     seed = _cell_seed(s.seed, cell.index)
     active = PRESET_ACTIVE_GROUPS[(cell.scheme.upper(), cell.n_active)]
-    split = s.split_communities
     exp = ExperimentConfig(
         scheme=cell.scheme.upper(), active_groups=active, alpha=cell.alpha,
         family=cell.family, N=s.N, K=s.K,
         nodes_per_community=s.nodes_per_community, d=s.d, seed=seed)
     if s.design == "synthetic":
         dataset = gen_design_synthetic(exp)
-        communities = dataset.communities
-        if split is not None:
-            communities = split_communities(communities, split, (seed, 97))
-        spec = groups_for(exp, communities)
-        truth = make_beta(spec, active, cell.alpha)
-        y = draw_response(dataset, truth, cell.family, seed, tag=1)
-        dataset = dc_replace(dataset, y=y, communities=communities)
     else:
-        dataset, truth, communities = gen_semisynthetic(
-            s.design, exp, split_target=split)
-        dataset = dc_replace(dataset, communities=communities)
+        dataset = gen_semisynthetic(s.design)
+        exp = dc_replace(exp, d=dataset.index.d)  # the source's coordinates
+    communities = dataset.communities
+    if s.split_communities is not None:
+        communities = split_communities(communities, s.split_communities,
+                                        (seed, 97))
+    truth = make_beta(groups_for(exp, communities), active, cell.alpha)
+    y = draw_response(dataset, truth, cell.family, seed, tag=1)
+    dataset = dc_replace(dataset, y=y, family=cell.family,
+                         communities=communities)
 
     tmp = cell_dir + ".tmp"
     if os.path.exists(tmp):  # left by a killed run: its files are not ours
@@ -334,11 +335,8 @@ def _method_name(scheme):
 def run_fit(dataset, scheme, out_dir, settings, seed):
     """Fit ``scheme`` to ``dataset`` with a config's settings and seed."""
     s = settings
-    spec, communities = make_groups(dataset, scheme,
-                                    split_target=s.split_communities,
-                                    seed=(int(seed), 11))
-    if s.split_communities is not None:
-        dataset = dc_replace(dataset, communities=communities)
+    spec, _ = make_groups(dataset, scheme, split_target=s.split_communities,
+                          seed=(int(seed), 11))
     cv = cross_validate(dataset, spec, folds=s.folds, seed=seed,
                         grid_size=s.grid_size, min_ratio=s.min_ratio)
     fit = select_and_refit(cv)

@@ -8,8 +8,9 @@ built:
 * node-based groups (NBG): K groups; group k is community k's block
   together with every cell touching community k.  Within-community edges
   land in exactly one group, cross-community edges in exactly two.
-* edge-based groups (EBG): K(K+1)/2 groups; group (k, k') is the cell
-  linking communities k and k' together with both communities' blocks.
+* edge-based groups (EBG): K(K+1)/2 groups; group (k, k'), k <= k' and
+  named ``(k,k')``, is the cell linking communities k and k' together
+  with both communities' blocks.
   Each edge lands in exactly one group, each node covariate in K groups.
 
 A SINGLETON scheme with one group per coordinate reduces the group
@@ -39,25 +40,7 @@ __all__ = [
     "expand",
     "fold_back",
     "split_communities",
-    "normalize_group_name",
 ]
-
-
-def normalize_group_name(name):
-    """Canonicalize a group name; pair names are sorted, e.g. ``(3,1)`` -> ``(1,3)``.
-
-    Community-pair groups are sometimes written with the larger label
-    first; both spellings denote the same group, so lookups accept either.
-    """
-    name = str(name).strip()
-    if name.startswith("(") and name.endswith(")"):
-        parts = name[1:-1].split(",")
-        if len(parts) == 2:
-            a, b = int(parts[0]), int(parts[1])
-            if a > b:
-                a, b = b, a
-            return f"({a},{b})"
-    return name
 
 
 @dataclass(frozen=True)
@@ -111,12 +94,11 @@ class GroupSpec:
         return np.array([g.size for g in self.members])
 
     def lookup(self, name):
-        """Index of a group by (normalized) name."""
-        target = normalize_group_name(name)
-        for i, nm in enumerate(self.names):
-            if normalize_group_name(nm) == target:
-                return i
-        raise KeyError(f"no group named {name!r} in scheme {self.scheme}")
+        """Index of the group named exactly ``name``: a pair group is
+        ``(k,k')`` with k <= k', as :func:`ebg_groups` names it."""
+        if name not in self.names:
+            raise KeyError(f"no group named {name!r} in scheme {self.scheme}")
+        return self.names.index(name)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ drawn independently; on disk this is stored as the design rows repeated,
 with the manifest recording which rows are which.
 
 Semi-synthetic experiments re-use a supplied design (real data loaded
-from a dataset directory), center its columns by the training means, and
-draw responses from the same generative model, so support recovery can
-be scored against known coefficients on real covariance structure.
+from a dataset directory) with its columns centered by the training
+means.  Both generators return a design with zero responses; a cell's
+truth and responses are then drawn over it by :func:`make_beta` and
+:func:`draw_response` alike, so support recovery can be scored against
+known coefficients on real covariance structure.
 
 Coefficients are built by choosing active feature groups and setting
 every coordinate of their union to one constant; the intercept is
@@ -26,7 +28,7 @@ from scipy.special import expit
 
 from .data import (CommunityMap, Dataset, FeatureIndex, _seeded_rng,
                    build_design, load_dataset)
-from .groups import scheme_groups, split_communities
+from .groups import scheme_groups
 
 __all__ = [
     "ExperimentConfig",
@@ -48,7 +50,7 @@ PRESET_ACTIVE_GROUPS = {
     ("NBG", 1): ("1",),
     ("NBG", 5): ("1", "2", "3", "4", "5"),
     ("EBG", 1): ("(1,1)",),
-    ("EBG", 5): ("(1,1)", "(3,1)", "(3,2)", "(4,4)", "(6,5)"),
+    ("EBG", 5): ("(1,1)", "(1,3)", "(2,3)", "(4,4)", "(5,6)"),
 }
 
 
@@ -165,33 +167,22 @@ def scenario_difficulty(dataset, truth, family):
     return "bayes_error", float(np.mean(np.minimum(pi, 1.0 - pi)))
 
 
-def gen_semisynthetic(files_path, config, split_target=None):
-    """Semi-synthetic data: supplied design, centered, with drawn responses.
+def gen_semisynthetic(files_path):
+    """Semi-synthetic design: a supplied design, centered, zero responses.
 
     The design is loaded from a dataset directory whose manifest must
     declare disjoint train and test rows.  Training column means are
     subtracted from both splits (centering only, keeping the generative
-    intercept at zero); responses are then drawn exactly as in the fully
-    synthetic experiment.  Returns (dataset, truth, communities) where
-    the communities reflect an optional seeded split of large ones.
+    intercept at zero).  Responses are drawn over it by
+    :func:`draw_response`, as over a :func:`gen_design_synthetic` design.
     """
     ds = load_dataset(files_path)
     if ds.train_rows is None or ds.test_rows is None:
         raise ValueError("semi-synthetic source manifest must declare "
                          "train_rows and test_rows")
-    communities = ds.communities
-    if split_target is not None:
-        communities = split_communities(communities, split_target,
-                                        (config.seed, 97))
-    centered = replace(
+    return replace(
         ds,
         edges=ds.edges - ds.edges[ds.train_rows].mean(axis=0),
         node_covs=ds.node_covs - ds.node_covs[ds.train_rows].mean(axis=0),
-        family=config.family,
         y=np.zeros(ds.N),
     )
-    # groups over the source's coordinates, whatever config.d says
-    spec = scheme_groups(config.scheme, communities, centered.index)
-    truth = make_beta(spec, config.active_groups, config.alpha)
-    y = draw_response(centered, truth, config.family, config.seed, tag=1)
-    return replace(centered, y=y), truth, communities

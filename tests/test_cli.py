@@ -75,11 +75,18 @@ class TestConfig:
         ("experiment.n_active", "x"), ("experiment.alphas", "abc"),
         ("experiment.alphas", "-1"), ("solver.folds", "abc"),
         ("sweep.methods", "foo"), ("solver.min_ratio", "2"),
-        ("data.N", "-5"), ("experiment.replicates", "0")])
+        ("data.N", "-5"), ("experiment.replicates", "0"),
+        ("experiment.alphas", ""), ("experiment.schemes", "ebg,ebg"),
+        ("experiment.families", "gaussian,gaussian"),
+        ("experiment.n_active", "1,01"),
+        ("sweep.methods", "scheme,lasso,lasso"),
+        ("sweep.methods", "scheme,ebg")])
     def test_bad_value_refused_before_any_cell(self, tmp_path, capsys, key,
                                                value):
         # every key is converted and range-checked at load, so a bad
-        # value is a config error naming its key and nothing is written
+        # value is a config error naming its key and nothing is written;
+        # a value listed twice (the config's scheme is ebg) would run its
+        # cells or fits twice into one directory
         cfg = write_config(tmp_path / "c.cfg")
         out = tmp_path / "out"
         code = cli.main(["sweep", "--config", cfg, "--out", str(out),

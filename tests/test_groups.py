@@ -6,7 +6,7 @@ from netcov import (CommunityMap, FeatureIndex, blocks, cells, ebg_groups,
                     expand, fold_back, nbg_groups, singleton_groups,
                     split_communities)
 from netcov.files import write_groups_csv
-from netcov.groups import normalize_group_name, scheme_groups
+from netcov.groups import scheme_groups
 from oracles import expand_design
 
 # 13-community, 236-node reference layout used by the acceptance checks
@@ -180,13 +180,13 @@ class TestEbg:
         assert np.all(counts[:idx.n_edges] == 1)
         assert np.all(counts[idx.n_edges:] == cm.K)
 
-    def test_name_normalization(self):
-        assert normalize_group_name("(3,1)") == "(1,3)"
-        assert normalize_group_name("(6,5)") == "(5,6)"
-        assert normalize_group_name("7") == "7"
+    def test_reversed_pair_spelling_is_key_error(self):
+        # a pair group is named (k,k') with k <= k' and looked up exactly
         cm = CommunityMap(assignments=[1, 1, 2, 2, 3, 3])
         spec = ebg_groups(cm, FeatureIndex(n=6, d=1))
-        assert spec.lookup("(3,1)") == spec.lookup("(1,3)")
+        assert spec.names[spec.lookup("(1,3)")] == "(1,3)"
+        with pytest.raises(KeyError, match=r"no group named '\(3,1\)'"):
+            spec.lookup("(3,1)")
 
 
 class TestCoverage:

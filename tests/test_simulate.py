@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from netcov import (CommunityMap, FeatureIndex, build_design, ebg_groups,
-                    gen_design_synthetic, gen_semisynthetic, make_beta,
-                    nbg_groups, save_dataset, scenario_difficulty,
+                    gen_design_synthetic, gen_semisynthetic, load_dataset,
+                    make_beta, nbg_groups, save_dataset, scenario_difficulty,
                     draw_response)
+from netcov import cli
 from netcov.files import load_truth_csv, write_truth_csv
 from netcov.simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS,
                              default_communities)
@@ -43,13 +44,6 @@ class TestMakeBeta:
         spec = ebg_groups(cm, FeatureIndex(n=3, d=1))
         with pytest.raises(KeyError, match="no group"):
             make_beta(spec, ("(7,7)",), 0.2)
-
-    def test_reversed_pair_names_accepted(self):
-        cm = default_communities(6, 2)
-        spec = ebg_groups(cm, FeatureIndex(n=12, d=1))
-        a = make_beta(spec, ("(3,1)",), 0.1)
-        b = make_beta(spec, ("(1,3)",), 0.1)
-        np.testing.assert_array_equal(a.beta, b.beta)
 
     def test_support_matches_groups_csv_union(self, tmp_path):
         # independent oracle: re-derive the support from the exported file
@@ -204,13 +198,36 @@ class TestSemiSynthetic:
         save_dataset(ds, str(src))
         return str(src)
 
+    def simulate(self, tmp_path, src, extra=""):
+        """``netcov simulate`` of one EBG cell per family over ``src``,
+        whose config says d = 1; returns {family: (dataset, truth)}."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "seed = 12\n"
+            "experiment.schemes = ebg\n"
+            "experiment.families = gaussian,binomial\n"
+            "experiment.alphas = 0.2\n"
+            "experiment.replicates = 1\n"
+            "data.d = 1\n"
+            f"data.design = {src}\n" + extra)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        cells = {}
+        for family in ("gaussian", "binomial"):
+            cell = out / "cells" / f"ebg_{family}_k1_a00_r00"
+            ds = load_dataset(str(cell))
+            cells[family] = ds, load_truth_csv(str(cell / "truth.csv"),
+                                               ds.index.p)
+        return cells
+
     def test_training_columns_centered(self, tmp_path, rng):
         src = self.make_source(tmp_path, rng)
-        cfg = small_config(K=3, nodes_per_community=3)
-        ds, truth, communities = gen_semisynthetic(src, cfg)
+        ds = gen_semisynthetic(src)
         Z = build_design(ds)
         assert np.max(np.abs(Z[ds.train_rows].mean(axis=0))) < 1e-12
         assert np.max(np.abs(Z[ds.test_rows].mean(axis=0))) > 1e-6
+        np.testing.assert_array_equal(ds.y, 0.0)
 
     def test_manifest_split_sizes_accepted(self, tmp_path):
         # the published split declares 785 train / 96 test rows
@@ -223,29 +240,33 @@ class TestSemiSynthetic:
 
     def test_truth_and_response_drawn(self, tmp_path, rng):
         src = self.make_source(tmp_path, rng)
-        cfg = small_config()
-        ds, truth, _ = gen_semisynthetic(src, cfg)
-        assert np.sum(truth.beta != 0) > 0
-        assert not np.allclose(ds.y, 0.0)
+        cells = self.simulate(tmp_path, src)
+        for family, (ds, truth) in cells.items():
+            assert ds.family == family
+            assert np.sum(truth.beta != 0) > 0
+        assert not np.allclose(cells["gaussian"][0].y, 0.0)
+        assert set(cells["binomial"][0].y) == {0.0, 1.0}
 
     def test_community_split_applied(self, tmp_path, rng):
+        # the truth is drawn over the split communities the cell saves
         src = self.make_source(tmp_path, rng, n=20, K=2)
-        cfg = small_config()
-        _, _, communities = gen_semisynthetic(src, cfg, split_target=5)
-        assert communities.K > 2
+        for ds, truth in self.simulate(
+                tmp_path, src, "data.split_communities = 5\n").values():
+            assert ds.communities.K > 2
+            spec = ebg_groups(ds.communities, ds.index)
+            np.testing.assert_array_equal(
+                truth.active_features, spec.members[spec.lookup("(1,1)")])
 
     def test_groups_follow_source_index(self, tmp_path, rng):
         # the source has d=2 while the config says d=1: groups and truth
         # must be built over the source's coordinates
         src = self.make_source(tmp_path, rng, d=2)
-        cfg = small_config(d=1)
-        ds, truth, communities = gen_semisynthetic(src, cfg)
         idx = FeatureIndex(n=8, d=2)
-        assert ds.index == idx
-        assert truth.beta.size == idx.p
-        spec = ebg_groups(communities, idx)
-        np.testing.assert_array_equal(truth.active_features,
-                                      spec.members[spec.lookup("(1,1)")])
+        for ds, truth in self.simulate(tmp_path, src).values():
+            assert ds.index == idx
+            spec = ebg_groups(ds.communities, idx)
+            np.testing.assert_array_equal(
+                truth.active_features, spec.members[spec.lookup("(1,1)")])
 
     def test_overlapping_split_rejected(self, tmp_path, rng):
         src = self.make_source(tmp_path, rng)
@@ -254,7 +275,7 @@ class TestSemiSynthetic:
                                             "test_rows = 30-40")
         manifest.write_text(text)
         with pytest.raises(ValueError, match="overlap"):
-            gen_semisynthetic(str(tmp_path / "source"), small_config())
+            gen_semisynthetic(str(tmp_path / "source"))
 
 
 class TestTruthCsv:

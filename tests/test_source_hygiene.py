@@ -1,14 +1,14 @@
 """Dead code in ``src/netcov`` fails the suite: an import that nothing
 uses, a module-level private name that nothing references, a
 module-level UPPER_CASE constant that no module reads, a public function
-or class that nothing names and a public method or property that nothing
-reads as an attribute.  Public names count as used when the package, its
-tests, its demos or its benchmark use them.  Only ``files.py`` imports
-``csv``, and only it and ``data.py`` write files with ``open`` or
-``np.savetxt``, so one module lists every output file.  All are read from
-the syntax tree, so no linter is needed.  The C sweep kernel must compile without a
-warning under the solver's own flags, and with ``-Wpadded`` its struct
-has no padding for ctypes to get wrong."""
+or class that nothing names, and a public method or property or a class
+field that nothing reads as an attribute.  Public names count as used
+when the package, its tests, its demos or its benchmark use them.  Only
+``files.py`` imports ``csv``, and only it and ``data.py`` write files
+with ``open`` or ``np.savetxt``, so one module lists every output file.
+All are read from the syntax tree, so no linter is needed.  The C sweep
+kernel must compile without a warning under the solver's own flags, and
+with ``-Wpadded`` its struct has no padding for ctypes to get wrong."""
 
 import ast
 import os
@@ -86,6 +86,14 @@ def public_methods(source):
             and not item.name.startswith("_")]
 
 
+def class_fields(source):
+    """``Class.name`` for each annotated field of a module's classes."""
+    return [f"{node.name}.{item.target.id}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
 def attribute_reads(source):
     """Every name a module reads as an attribute."""
     return {node.attr for node in ast.walk(ast.parse(source))
@@ -117,6 +125,8 @@ def test_the_checks_see_dead_code():
               "def _helper():\n"
               "    return dataclass\n"
               "class Path:\n"
+              "    entries: list\n"
+              "    size: int = 0\n"
               "    @property\n"
               "    def betas(self):\n"
               "        return self.entries\n"
@@ -127,11 +137,14 @@ def test_the_checks_see_dead_code():
     assert unused_imports(source) == ["field"]
     assert private_definitions(source) == ["_SIZE", "_helper"]
     assert constant_definitions(source) == ["ZERO_GRAD_TOL"]
-    assert references(source) == {"dataclass", "field", "dict", "property",
-                                  "entries", "betas", "size", "self"}
+    assert references(source) == {"dataclass", "field", "dict", "list",
+                                  "int", "property", "entries", "betas",
+                                  "size", "self"}
     assert public_definitions(source) == ["Path"]
     assert public_methods(source) == ["Path.betas", "Path.norms"]
-    # a store is not a read, and ``norms`` is never read as an attribute
+    assert class_fields(source) == ["Path.entries", "Path.size"]
+    # a store is not a read, and neither ``norms`` nor ``size`` is ever
+    # read as an attribute
     assert attribute_reads(source) == {"entries", "betas"}
 
 
@@ -212,6 +225,11 @@ def test_every_public_definition_is_named():
 
 def test_every_public_method_is_read():
     assert unreferenced(public_methods, attribute_reads, CALLERS) == []
+
+
+def test_every_class_field_is_read():
+    # a field that is written and never read is state nothing uses
+    assert unreferenced(class_fields, attribute_reads, CALLERS) == []
 
 
 def test_sweep_kernel_compiles_without_warnings():
