@@ -34,12 +34,12 @@ print(f"one-SE lambda:      {cv.lambda_one_se:.4f} "
       f"(mean deviance {cv.mean_deviance[cv.index_one_se]:.4f})")
 
 fit = select_and_refit(cv)
-print(f"\nactive groups at the one-SE fit: {list(fit.active_groups)}")
+print(f"\nactive groups at the one-SE fit: {list(fit.entry.active_groups)}")
 
-report = support_metrics(fit.beta, truth)
+report = support_metrics(fit.model.beta, truth.beta)
 print(f"support recovery: recall={report.recall:.2f} "
       f"precision={report.precision:.2f}")
 
 yhat, y_test = fit.model.predict(ds, ds.test_rows)
 pred = prediction_metrics(yhat, y_test, "gaussian")
-print(f"held-out correlation: {pred.correlation:.3f}")
+print(f"held-out correlation: {pred['correlation']:.3f}")

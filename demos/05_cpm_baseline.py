@@ -34,7 +34,7 @@ print(f"regression: intercept={model.intercept:.3f} "
 
 yhat = cpm_predict(model, Z[test], idx)
 print("held-out correlation:",
-      f"{prediction_metrics(yhat, y[test], 'gaussian').correlation:.3f}")
+      f"{prediction_metrics(yhat, y[test], 'gaussian')['correlation']:.3f}")
 
 # at the conventional 0.01 threshold, chance alone admits about 1% of edges
 loose = cpm_fit(Z[train], rng.standard_normal(400), idx, alpha=0.01)

@@ -19,8 +19,8 @@ from .data import (CommunityMap, Dataset, FeatureIndex, Observation,
 from .groups import (ExpansionMap, GroupSpec, blocks, cells, ebg_groups,
                      expand, fold_back, nbg_groups, singleton_groups,
                      split_communities)
-from .metrics import (PredictionReport, SupportReport, prediction_metrics,
-                      roc_along_path, roc_dominance, support_metrics)
+from .metrics import (SupportReport, prediction_metrics, roc_along_path,
+                      roc_dominance, support_metrics)
 from .pipeline import make_groups, prepare
 from .preprocess import (NuisanceModel, OrthoBasis, back_transform,
                          orthonormalize, residualize_nuisance, standardize)
@@ -60,6 +60,6 @@ __all__ = [
     "gen_design_synthetic", "gen_semisynthetic", "draw_response",
     "scenario_difficulty",
     # metrics
-    "SupportReport", "PredictionReport", "support_metrics",
-    "prediction_metrics", "roc_along_path", "roc_dominance",
+    "SupportReport", "support_metrics", "prediction_metrics",
+    "roc_along_path", "roc_dominance",
 ]

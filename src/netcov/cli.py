@@ -35,19 +35,20 @@ from .baselines import CPM_ALPHA, check_cpm_alpha, cpm_fit, cpm_predict
 # build_design is unused here but stays importable as netcov.cli.build_design:
 # the benchmark's traced run (benchmarks/spans.py) wraps it there, as it wraps
 # each writer this module calls
-from .data import (build_design, load_dataset, parse_int,  # noqa: F401
-                   parse_number, read_manifest, save_dataset, write_manifest)
+from .data import (FeatureIndex, build_design,  # noqa: F401
+                   load_dataset, parse_int, parse_number, read_manifest,
+                   save_dataset, write_manifest)
 from .files import (load_truth_csv, read_fit, read_roc_path, read_scenario,
                     write_active_groups_csv, write_cpm_edges, write_cv_csv,
                     write_groups_csv, write_metrics_csv, write_model,
                     write_path_csv, write_roc_csv, write_scenario_csv,
                     write_truth_csv)
-from .groups import split_communities
+from .groups import scheme_groups, split_communities
 from .metrics import prediction_metrics, roc_along_path, support_metrics
 from .pipeline import corrected_rows, make_groups, nuisance_corrected
-from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, draw_response,
-                       gen_design_synthetic, gen_semisynthetic, groups_for,
-                       make_beta, scenario_difficulty)
+from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, groups_for,
+                       default_communities, draw_response, gen_semisynthetic,
+                       gen_design_synthetic, make_beta, scenario_difficulty)
 from .solver import GRID_SIZE, MIN_RATIO, ConvergenceError
 from .tuning import cross_validate, select_and_refit
 
@@ -194,11 +195,6 @@ def _convert(cfg):
         if "scheme" in s.methods and scheme in s.methods:
             raise ConfigError(f"sweep.methods: {scheme!r} is listed twice, "
                               f"as itself and as 'scheme'")
-        for k in s.n_active:
-            if (scheme.upper(), k) not in PRESET_ACTIVE_GROUPS:
-                raise ConfigError(
-                    f"no active-group preset for scheme={scheme}, "
-                    f"n_active={k} (available: 1 or 5)")
     return s
 
 
@@ -251,11 +247,37 @@ def _worker_count(cells):
     return min(int(value), cells)
 
 
+def _check_presets(s):
+    """Each listed preset, and each group it names over the communities the
+    cells will use, split as they split them (a split's sizes do not depend
+    on its seed); a missing one is an error naming ``experiment.n_active``."""
+    if s.design == "synthetic":
+        cm, d = default_communities(s.K, s.nodes_per_community), s.d
+    else:
+        source = load_dataset(s.design)
+        cm, d = source.communities, source.index.d
+    if s.split_communities is not None:
+        cm = split_communities(cm, s.split_communities, (s.seed, 97))
+    for scheme in s.schemes:
+        spec = scheme_groups(scheme, cm, FeatureIndex(n=cm.n, d=d))
+        for k in s.n_active:
+            try:
+                for name in PRESET_ACTIVE_GROUPS[(scheme.upper(), k)]:
+                    spec.lookup(name)
+            except KeyError:
+                raise ConfigError(f"experiment.n_active: no {scheme} preset "
+                                  f"of {k} groups (1 or 5)") from None
+            except ValueError as exc:
+                raise ConfigError(f"experiment.n_active: {exc}, named by "
+                                  f"the {k}-group preset") from None
+
+
 def _run_cells(args, job):
     """``simulate`` and ``sweep``: ``job((cfg, cell, cell_dir))`` on each
     cell of the grid, on :func:`_worker_count` workers.  Returns the
     config, the cells, the jobs' rows in cell order and the start time."""
     cfg = load_config(args.config, _flag_overrides(args))
+    _check_presets(cfg.settings)
     cells = enumerate_cells(cfg)
     workers = _worker_count(len(cells))
     started = time.time()
@@ -340,14 +362,14 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
     cv = cross_validate(dataset, spec, folds=s.folds, seed=seed,
                         grid_size=s.grid_size, min_ratio=s.min_ratio)
     fit = select_and_refit(cv)
-    model = fit.model
+    model, entry = fit.model, fit.entry
 
     os.makedirs(out_dir, exist_ok=True)
     write_groups_csv(spec, os.path.join(out_dir, "groups.csv"))
     write_cv_csv(cv, os.path.join(out_dir, "cv.csv"))
     write_path_csv(fit.path, out_dir)
     write_model(model, out_dir)
-    write_active_groups_csv(fit.path, fit.path.entries[fit.index_hat],
+    write_active_groups_csv(fit.path, entry,
                             os.path.join(out_dir, "active_groups.csv"))
     idx = dataset.index
     info = {
@@ -356,12 +378,12 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
         "method": _method_name(scheme),
         "n": idx.n, "d": idx.d, "p": idx.p,
         "intercept": repr(float(model.mu)),
-        "lambda_hat": repr(float(fit.lambda_hat)),
+        "lambda_hat": repr(float(entry.lam)),
         "lambda_index": fit.index_hat,
         "y_mean": "NA" if model.y_mean is None else repr(float(model.y_mean)),
         "y_sd": "NA" if model.y_sd is None else repr(float(model.y_sd)),
-        "deviance": repr(float(fit.deviance)),
-        "kkt_residual": repr(float(fit.kkt_residual)),
+        "deviance": repr(float(entry.deviance)),
+        "kkt_residual": repr(float(entry.kkt_residual)),
         "seed": seed, "folds": s.folds,
         "grid_size": s.grid_size, "min_ratio": repr(s.min_ratio),
         "split_communities": ("" if s.split_communities is None
@@ -403,9 +425,8 @@ def run_cpm(dataset, scenario, out_dir, alpha):
     rows_te = dataset.test_rows
     if rows_te is not None and rows_te.size >= 2:
         Z_te, y_te = corrected_rows(nuisance_model, dataset, rows_te)
-        yhat = cpm_predict(model, Z_te, idx)
-        pred = prediction_metrics(yhat, y_te, "gaussian")
-        row["correlation"] = pred.correlation
+        row.update(prediction_metrics(cpm_predict(model, Z_te, idx), y_te,
+                                      "gaussian"))
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
     return row
 
@@ -434,22 +455,20 @@ def run_evaluate(method, model, path, dataset, truth, scenario, out_dir):
     its support and each point of ``path``, whose entries carry lam and beta."""
     row = {"method": method, **scenario}
     if truth is not None:
-        report = support_metrics(model.beta, truth)
+        report = support_metrics(model.beta, truth.beta)
         row["recall"] = report.recall
         row["precision"] = report.precision
 
     rows_te = dataset.test_rows
     if rows_te is not None and rows_te.size >= 2:
-        pred = prediction_metrics(*model.predict(dataset, rows_te),
-                                  model.family)
-        key = "correlation" if model.family == "gaussian" else "accuracy"
-        row[key] = getattr(pred, key)
+        row.update(prediction_metrics(*model.predict(dataset, rows_te),
+                                      model.family))
 
     os.makedirs(out_dir, exist_ok=True)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), [row])
     roc = os.path.join(out_dir, "roc.csv")
     if truth is not None:
-        write_roc_csv(roc, [(method, roc_along_path(path, truth))])
+        write_roc_csv(roc, [(method, roc_along_path(path, truth.beta))])
     elif os.path.exists(roc):
         os.remove(roc)  # another run's, with a truth this dataset lacks
     return row

@@ -481,7 +481,7 @@ def write_manifest(path, entries, header=None):
             fh.write(f"{key} = {value}\n")
 
 
-def _seeded_rng(seed, *tags):
+def seeded_rng(seed, *tags):
     """The generator of stream (seed, *tags); there is no unseeded one.
     ``SeedSequence`` pads its entropy with zeros, so ``(seed, 0)`` is
     ``(seed, 0, 0)``: each stream's tags must differ from every other

@@ -29,7 +29,6 @@ from .data import (CSV_FMT, parse_int, parse_number, read_manifest,
 from .pipeline import FittedModel
 from .preprocess import NuisanceModel
 from .simulate import GroundTruth
-from .solver import _group_norms
 
 __all__ = [
     "write_groups_csv", "write_cv_csv", "write_path_csv",
@@ -151,8 +150,7 @@ def write_truth_csv(truth, path):
 def load_truth_csv(path, p):
     """The ground truth :func:`write_truth_csv` wrote."""
     beta, = _read_feature_csv(path, p, 1, sparse=True)
-    return GroundTruth(beta=beta, mu=0.0, active_features=np.flatnonzero(beta),
-                       active_groups=())
+    return GroundTruth(beta=beta, active_groups=())
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +182,8 @@ def write_path_csv(path_fit, directory):
 
     def rows():
         for i, entry in enumerate(path_fit.entries):
-            norms = _group_norms(path_fit, entry.beta_tilde).tolist()
-            for name, norm in zip(path_fit.group_names, norms):
+            for name, norm in zip(path_fit.group_names,
+                                  entry.group_norms.tolist()):
                 yield [i, repr(entry.lam), name, int(norm > 0), repr(norm)]
 
     write_csv(os.path.join(directory, "path.csv"),
@@ -317,10 +315,10 @@ def read_fit(fit_dir, dataset):
 
 def write_active_groups_csv(path_fit, entry, path):
     """``active_groups.csv``: each group with a nonzero norm at ``entry``."""
-    norms = _group_norms(path_fit, entry.beta_tilde).tolist()
     write_csv(path, ["group", "norm"],
               ([name, repr(norm)] for name, norm in
-               zip(path_fit.group_names, norms) if norm > 0))
+               zip(path_fit.group_names, entry.group_norms.tolist())
+               if norm > 0))
 
 
 # ---------------------------------------------------------------------------

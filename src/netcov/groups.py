@@ -97,7 +97,8 @@ class GroupSpec:
         """Index of the group named exactly ``name``: a pair group is
         ``(k,k')`` with k <= k', as :func:`ebg_groups` names it."""
         if name not in self.names:
-            raise KeyError(f"no group named {name!r} in scheme {self.scheme}")
+            raise ValueError(
+                f"no group named {name!r} in scheme {self.scheme}")
         return self.names.index(name)
 
 
@@ -248,10 +249,12 @@ def split_communities(cm, target_size, seed):
     count is the smallest that keeps chunks at or below ``target_size``,
     reduced if necessary so no chunk falls below ``target_size - 1``;
     communities too small to split are left intact.  Chunks are relabeled
-    1..K' in (original community, chunk) order.
+    1..K' in (original community, chunk) order.  ``seed`` is required.
     """
     if target_size < 2:
         raise ValueError("target_size must be at least 2")
+    if seed is None:
+        raise ValueError("split_communities needs a seed")
     rng = np.random.default_rng(seed)
     new_labels = np.zeros(cm.n, dtype=np.int64)
     next_label = 1

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "SupportReport",
-    "PredictionReport",
     "support_metrics",
     "prediction_metrics",
     "roc_along_path",
@@ -47,12 +46,6 @@ class SupportReport:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class PredictionReport:
-    correlation: float = None
-    accuracy: float = None
-
-
 def _safe_ratio(num, den):
     return float(num) / float(den) if den > 0 else float("nan")
 
@@ -65,12 +58,10 @@ def _counts(selected, true):
     return tp, fp, fn, tn
 
 
-def support_metrics(beta_hat, truth):
-    """Feature-level confusion counts of an estimate against ground truth,
-    a GroundTruth or a coefficient vector."""
+def support_metrics(beta_hat, true_beta):
+    """Feature-level confusion counts of an estimate against true beta."""
     beta_hat = np.asarray(beta_hat, dtype=np.float64).ravel()
-    true_beta = np.asarray(getattr(truth, "beta", truth),
-                           dtype=np.float64).ravel()
+    true_beta = np.asarray(true_beta, dtype=np.float64).ravel()
     if beta_hat.size != true_beta.size:
         raise ValueError(
             f"lengths differ: estimate {beta_hat.size}, truth {true_beta.size}"
@@ -84,29 +75,28 @@ def support_metrics(beta_hat, truth):
 
 
 def prediction_metrics(y_hat, y_test, family):
-    """Out-of-sample performance: Pearson correlation or 0.5-threshold accuracy."""
+    """Out-of-sample performance as a metrics-row entry: the Pearson
+    ``{"correlation": r}`` (gaussian) or 0.5-threshold ``{"accuracy": a}``."""
     y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
     y_test = np.asarray(y_test, dtype=np.float64).ravel()
     if y_hat.size != y_test.size or y_hat.size < 2:
         raise ValueError("need two aligned vectors of length >= 2")
     if family == "gaussian":
         if _is_constant(y_hat) or _is_constant(y_test):
-            return PredictionReport(correlation=float("nan"))
-        r = float(np.corrcoef(y_hat, y_test)[0, 1])
-        return PredictionReport(correlation=r)
+            return {"correlation": float("nan")}
+        return {"correlation": float(np.corrcoef(y_hat, y_test)[0, 1])}
     if family == "binomial":
-        acc = float(np.mean((y_hat > 0.5) == (y_test > 0.5)))
-        return PredictionReport(accuracy=acc)
+        return {"accuracy": float(np.mean((y_hat > 0.5) == (y_test > 0.5)))}
     raise ValueError(f"unknown family {family!r}")
 
 
-def roc_along_path(path, truth):
+def roc_along_path(path, true_beta):
     """Per-lambda (FPR, TPR, FDR) of the estimated support, lambda descending.
 
     TPR = TP/(TP+FN), FPR = FP/(FP+TN), FDR = FP/(TP+FP); the FDR is NaN
     when nothing is selected.
     """
-    true = np.asarray(getattr(truth, "beta", truth), dtype=np.float64) != 0.0
+    true = np.asarray(true_beta, dtype=np.float64) != 0.0
     points = []
     for entry in path.entries:
         if entry.beta.size != true.size:

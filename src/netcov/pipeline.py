@@ -74,7 +74,7 @@ def make_groups(dataset, scheme, split_target=None, seed=None):
     """Build the GroupSpec for a scheme, optionally after community splitting.
 
     Returns (spec, community_map_used); the community map differs from
-    the dataset's only when ``split_target`` is given.
+    the dataset's only when ``split_target`` is given, with a ``seed``.
     """
     cm = dataset.communities
     if split_target is not None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import (CommunityMap, Dataset, FeatureIndex, _seeded_rng,
+from .data import (CommunityMap, Dataset, FeatureIndex, seeded_rng,
                    build_design, load_dataset)
 from .groups import scheme_groups
 
@@ -83,8 +83,6 @@ class GroundTruth:
     """Generative coefficients: support is the union of the named groups."""
 
     beta: np.ndarray
-    mu: float
-    active_features: np.ndarray
     active_groups: tuple
 
 
@@ -93,12 +91,9 @@ def make_beta(spec, active_names, alpha):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     indices = [spec.lookup(name) for name in active_names]
-    union = np.unique(np.concatenate([spec.members[i] for i in indices]))
     beta = np.zeros(spec.p)
-    beta[union] = alpha
-    names = tuple(spec.names[i] for i in indices)
-    return GroundTruth(beta=beta, mu=0.0, active_features=union,
-                       active_groups=names)
+    beta[np.concatenate([spec.members[i] for i in indices])] = alpha
+    return GroundTruth(beta=beta, active_groups=tuple(active_names))
 
 
 def default_communities(K, nodes_per_community):
@@ -123,7 +118,7 @@ def gen_design_synthetic(config):
     communities = default_communities(config.K, config.nodes_per_community)
     n = communities.n
     n_edges = n * (n - 1) // 2
-    rng = _seeded_rng(config.seed, 0, 0)
+    rng = seeded_rng(config.seed, 0, 0)
     edges = rng.standard_normal((config.N, n_edges))
     covs = rng.standard_normal((config.N, n * config.d))
     N2 = 2 * config.N
@@ -141,13 +136,13 @@ def gen_design_synthetic(config):
 def draw_response(dataset, truth, family, seed, tag=1):
     """Draw responses from the generative model over the dataset's design.
 
-    gaussian: y = mu + Z beta + eps with unit-variance normal errors;
+    gaussian: y = Z beta + eps with unit-variance normal errors;
     binomial: independent Bernoulli with success probability
-    logit^{-1}(mu + Z beta).
+    logit^{-1}(Z beta).
     """
     Z = build_design(dataset)
-    eta = truth.mu + Z @ truth.beta
-    rng = _seeded_rng(seed, tag)
+    eta = Z @ truth.beta
+    rng = seeded_rng(seed, tag)
     if family == "gaussian":
         return eta + NOISE_SD * rng.standard_normal(eta.size)
     return (rng.random(eta.size) < expit(eta)).astype(np.float64)
@@ -160,7 +155,7 @@ def scenario_difficulty(dataset, truth, family):
     E[min(pi, 1 - pi)].  Exact at beta = 0: SNR 0 and BE 0.5.
     """
     Z = build_design(dataset, dataset.training_rows())
-    eta = truth.mu + Z @ truth.beta
+    eta = Z @ truth.beta
     if family == "gaussian":
         return "snr", float(np.var(eta) / NOISE_SD**2)
     pi = expit(eta)

@@ -254,7 +254,8 @@ class PathEntry:
     mu: float
     beta_tilde: np.ndarray
     beta: np.ndarray
-    active_groups: tuple
+    group_norms: np.ndarray  # of beta_tilde, one per group of the problem
+    active_groups: tuple  # names of the groups whose norm is above 0
     deviance: float
     n_sweeps: int
     kkt_residual: float
@@ -268,7 +269,6 @@ class PathFit:
     lambdas: np.ndarray
     entries: list
     group_names: tuple
-    offsets: np.ndarray
 
 
 def deviance(family, y, eta):
@@ -325,8 +325,7 @@ def objective(problem, mu, beta_tilde):
 
 
 def _group_norms(problem, vec):
-    """Each group's norm in ``vec``.  Only ``problem.offsets`` is read, so
-    a :class:`PathFit` serves too: ``files`` writes these norms."""
+    """Each group's norm in ``vec``."""
     return np.sqrt(np.add.reduceat(vec * vec, problem.offsets[:-1]))
 
 
@@ -633,12 +632,12 @@ def fit_path(problem, basis, emap, lambdas):
     """Fit along the descending lambda grid ``lambdas`` with warm starts.
 
     Each entry records the intercept, coefficients in both the orthonormal
-    and the folded-back original space, active group names, training
-    deviance, sweep count and KKT residual.  Each point starts where the
-    last one stopped, handed that solution's state.  When the last two
-    solutions share a non-empty active set, the next point starts from
-    their linear extrapolation ``2 b_k - b_{k-1}`` instead, the same for
-    the intercept and the state, with no objective comparison.  Either
+    and the folded-back original space, group norms, active group names,
+    training deviance, sweep count and KKT residual.  Each point starts
+    where the last one stopped, handed that solution's state.  When the
+    last two solutions share a non-empty active set, the next point starts
+    from their linear extrapolation ``2 b_k - b_{k-1}`` instead, the same
+    for the intercept and the state, with no objective comparison.  Either
     way it is handed the last point's lambda and gradient for the strong
     rule.  Each point is solved once; one left uncertified at
     ``MAX_SWEEPS`` sweeps raises :class:`ConvergenceError`.
@@ -669,10 +668,9 @@ def fit_path(problem, basis, emap, lambdas):
         active = tuple(problem.names[gi] for gi in np.flatnonzero(norms > 0))
         beta = back_transform(sol.beta_tilde, basis, emap)
         entries.append(PathEntry(
-            lam=lam, mu=sol.mu, beta_tilde=sol.beta_tilde,
-            beta=beta, active_groups=active, deviance=sol.deviance,
+            lam=lam, mu=sol.mu, beta_tilde=sol.beta_tilde, beta=beta,
+            group_norms=norms, active_groups=active, deviance=sol.deviance,
             n_sweeps=sol.n_sweeps, kkt_residual=sol.kkt_residual,
             n_extrapolated=sol.n_extrapolated + predicted,
         ))
-    return PathFit(lambdas=lambdas, entries=entries, group_names=problem.names,
-                   offsets=problem.offsets)
+    return PathFit(lambdas=lambdas, entries=entries, group_names=problem.names)

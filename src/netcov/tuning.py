@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import _seeded_rng
+from .data import seeded_rng
 from .pipeline import FittedModel, holdout_deviance, prepare
 from .solver import GRID_SIZE, MIN_RATIO, fit_path, lambda_grid, lambda_max
 
@@ -38,8 +38,6 @@ class CVResult:
     fold_assignment: np.ndarray
     index_min: int
     index_one_se: int
-    seed: object
-    folds: int
     prepared: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -56,21 +54,13 @@ class FitResult:
     """A tuned fit: the refit model plus the whole path and CV summary."""
 
     model: FittedModel  # at the one-SE point
-    active_groups: tuple
-    lambda_hat: float
     index_hat: int
     path: object
     cv: CVResult
-    deviance: float
-    kkt_residual: float
 
     @property
-    def mu(self):
-        return self.model.mu
-
-    @property
-    def beta(self):
-        return self.model.beta
+    def entry(self):
+        return self.path.entries[self.index_hat]
 
 
 def one_se_select(mean_deviance, se):
@@ -126,7 +116,7 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
     prep_full = prepare(dataset, spec, rows)
     grid = lambda_grid(lambda_max(prep_full.problem), grid_size=grid_size,
                        min_ratio=min_ratio)
-    assignment = _fold_assignment(y, folds, _seeded_rng(seed, 2),
+    assignment = _fold_assignment(y, folds, seeded_rng(seed, 2),
                                   dataset.family)
 
     fold_dev = np.empty((folds, grid.size))
@@ -142,7 +132,7 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
     return CVResult(
         lambdas=grid, mean_deviance=mean_dev, se=se, fold_deviance=fold_dev,
         fold_assignment=assignment, index_min=idx_min,
-        index_one_se=idx_one_se, seed=seed, folds=folds, prepared=prep_full,
+        index_one_se=idx_one_se, prepared=prep_full,
     )
 
 
@@ -162,7 +152,4 @@ def select_and_refit(cv):
     entry = pf.entries[cv.index_one_se]
     return FitResult(
         model=replace(prep.model, mu=entry.mu, beta=entry.beta),
-        active_groups=entry.active_groups, lambda_hat=entry.lam,
-        index_hat=cv.index_one_se, path=pf, cv=replace(cv, prepared=None),
-        deviance=entry.deviance, kkt_residual=entry.kkt_residual,
-    )
+        index_hat=cv.index_one_se, path=pf, cv=replace(cv, prepared=None))

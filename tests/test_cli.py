@@ -71,7 +71,7 @@ class TestConfig:
         resolved = cli.load_config(cfg, {"seed": "99"})
         assert resolved["seed"] == "99"
 
-    @pytest.mark.parametrize("key,value", [
+    @pytest.mark.parametrize("case", [
         ("experiment.n_active", "x"), ("experiment.alphas", "abc"),
         ("experiment.alphas", "-1"), ("solver.folds", "abc"),
         ("sweep.methods", "foo"), ("solver.min_ratio", "2"),
@@ -80,20 +80,42 @@ class TestConfig:
         ("experiment.families", "gaussian,gaussian"),
         ("experiment.n_active", "1,01"),
         ("sweep.methods", "scheme,lasso,lasso"),
-        ("sweep.methods", "scheme,ebg")])
-    def test_bad_value_refused_before_any_cell(self, tmp_path, capsys, key,
-                                               value):
+        ("sweep.methods", "scheme,ebg"), ("experiment.n_active", "3"),
+        ("experiment.n_active", "5", "data.K=3", "experiment.schemes=nbg"),
+        ("experiment.n_active", "5", "data.K=3", "experiment.schemes=ebg")],
+        ids="-".join)
+    def test_bad_value_refused_before_any_cell(self, tmp_path, capsys, case):
         # every key is converted and range-checked at load, so a bad
         # value is a config error naming its key and nothing is written;
         # a value listed twice (the config's scheme is ebg) would run its
-        # cells or fits twice into one directory
+        # cells or fits twice into one directory; there is no 3-group
+        # preset, and one naming a group the communities lack (3 have no
+        # group 4 or (4,4)) would stop the run after its first cells
+        key, value, *others = case
         cfg = write_config(tmp_path / "c.cfg")
         out = tmp_path / "out"
-        code = cli.main(["sweep", "--config", cfg, "--out", str(out),
-                         "--set", f"{key}={value}"])
+        sets = [f"--set={item}" for item in (f"{key}={value}", *others)]
+        code = cli.main(["sweep", "--config", cfg, "--out", str(out), *sets])
         assert code == 2
         assert f"config error: {key}" in capsys.readouterr().err
-        assert not (out / "cells").exists()
+        assert not out.exists()
+
+    def test_five_group_presets_resolve_after_a_split(self, tmp_path):
+        # 3 communities of 10 split to 6 of 5: both five-group presets
+        # name groups of the split, which the check sees before any cell
+        from netcov import load_dataset
+
+        cfg = write_config(tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                         "--set", "data.K=3",
+                         "--set", "data.nodes_per_community=10",
+                         "--set", "data.split_communities=5",
+                         "--set", "experiment.schemes=nbg,ebg",
+                         "--set", "experiment.n_active=5"]) == 0
+        for scheme in ("nbg", "ebg"):
+            cell = out / "cells" / f"{scheme}_gaussian_k5_a00_r00"
+            assert load_dataset(str(cell)).communities.K == 6
 
     def test_repeated_key_is_config_error(self, tmp_path, capsys):
         # a key listed twice would let the later line win unseen
@@ -346,7 +368,10 @@ class TestFitRecords:
         rows = read_rows(tmp_path / "path.csv")
         expected = []
         for entry in pf.entries:
-            norms = _group_norms(pf, entry.beta_tilde).tolist()
+            np.testing.assert_array_equal(
+                entry.group_norms,
+                _group_norms(prep.problem, entry.beta_tilde), strict=True)
+            norms = entry.group_norms.tolist()
             assert [name for name, norm in zip(pf.group_names, norms)
                     if norm > 0] == list(entry.active_groups)
             expected += [(name, str(int(norm > 0)), repr(norm))
@@ -358,8 +383,7 @@ class TestFitRecords:
         assert [(r["group"], r["norm"])
                 for r in read_rows(tmp_path / "active_groups.csv")] == [
             (name, repr(norm)) for name, norm in zip(
-                pf.group_names, _group_norms(pf, last.beta_tilde).tolist())
-            if norm > 0]
+                pf.group_names, last.group_norms.tolist()) if norm > 0]
 
 
 class TestSplitCommunities:
@@ -769,9 +793,9 @@ class TestNuisanceEvaluate:
         cv = cross_validate(ds, spec, folds=3, seed=3, grid_size=8,
                             min_ratio=0.05)
         fit = select_and_refit(cv)
-        assert np.any(fit.beta != 0.0)
+        assert np.any(fit.model.beta != 0.0)
         yhat, y = fit.model.predict(ds, ds.test_rows)
-        expected = prediction_metrics(yhat, y, ds.family).correlation
+        expected = prediction_metrics(yhat, y, ds.family)["correlation"]
         assert float(row["correlation"]) == expected
 
     @pytest.mark.parametrize("q", [0, 1])

@@ -180,12 +180,12 @@ class TestEbg:
         assert np.all(counts[:idx.n_edges] == 1)
         assert np.all(counts[idx.n_edges:] == cm.K)
 
-    def test_reversed_pair_spelling_is_key_error(self):
+    def test_reversed_pair_spelling_names_no_group(self):
         # a pair group is named (k,k') with k <= k' and looked up exactly
         cm = CommunityMap(assignments=[1, 1, 2, 2, 3, 3])
         spec = ebg_groups(cm, FeatureIndex(n=6, d=1))
         assert spec.names[spec.lookup("(1,3)")] == "(1,3)"
-        with pytest.raises(KeyError, match=r"no group named '\(3,1\)'"):
+        with pytest.raises(ValueError, match=r"no group named '\(3,1\)'"):
             spec.lookup("(3,1)")
 
 
@@ -331,6 +331,22 @@ class TestSplitCommunities:
     def test_target_too_small(self):
         with pytest.raises(ValueError, match="target_size"):
             split_communities(atlas_map(), 1, seed=0)
+
+    def test_seed_required(self, rng):
+        # an unseeded split would draw OS entropy: a new map on each call
+        from conftest import make_dataset
+        from netcov.pipeline import make_groups
+
+        with pytest.raises(ValueError, match="needs a seed"):
+            split_communities(atlas_map(), 5, seed=None)
+        ds = make_dataset(rng, [1] * 11 + [2] * 3, d=1, N=4)
+        with pytest.raises(ValueError, match="needs a seed"):
+            make_groups(ds, "ebg", split_target=5)
+        (a, cm_a), (b, cm_b) = (make_groups(ds, "ebg", split_target=5,
+                                            seed=(3, 11)) for _ in range(2))
+        assert cm_a.K == 3
+        np.testing.assert_array_equal(cm_a.assignments, cm_b.assignments)
+        assert_same_spec(a, b)
 
 
 class TestGroupsCsv:

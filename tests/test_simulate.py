@@ -27,10 +27,9 @@ class TestMakeBeta:
             spec = (nbg_groups if scheme == "NBG" else ebg_groups)(cm, idx)
             truth = make_beta(spec, names, 0.2)
             assert len(truth.active_groups) == k
-            assert truth.mu == 0.0
             union = np.unique(np.concatenate(
                 [spec.members[spec.lookup(n)] for n in names]))
-            np.testing.assert_array_equal(truth.active_features, union)
+            np.testing.assert_array_equal(np.flatnonzero(truth.beta), union)
 
     def test_toy_counts(self):
         cm = CommunityMap(assignments=[1, 1, 2])
@@ -42,7 +41,7 @@ class TestMakeBeta:
     def test_unknown_group_rejected(self):
         cm = CommunityMap(assignments=[1, 1, 2])
         spec = ebg_groups(cm, FeatureIndex(n=3, d=1))
-        with pytest.raises(KeyError, match="no group"):
+        with pytest.raises(ValueError, match="no group"):
             make_beta(spec, ("(7,7)",), 0.2)
 
     def test_support_matches_groups_csv_union(self, tmp_path):
@@ -62,7 +61,7 @@ class TestMakeBeta:
             for row in csv.DictReader(fh):
                 if row["group"] in names:
                     union.add(int(row["feature_index"]))
-        assert union == set(truth.active_features.tolist())
+        assert union == set(np.flatnonzero(truth.beta).tolist())
 
 
 class TestSyntheticDesign:
@@ -113,12 +112,12 @@ class TestDrawResponse:
         ds = gen_design_synthetic(cfg)
         spec = ebg_groups(ds.communities, ds.index)
         truth = make_beta(spec, ("(1,1)",), 1e-12)
-        truth = type(truth)(beta=np.zeros(ds.index.p), mu=0.0,
-                            active_features=np.array([], dtype=int),
-                            active_groups=())
+        truth = type(truth)(beta=np.zeros(ds.index.p), active_groups=())
         y = draw_response(ds, truth, "gaussian", seed=3)
         v = y[ds.train_rows].var()
         assert 0.85 <= v <= 1.15
+        # no intercept: the null responses are the noise alone
+        assert abs(y[ds.train_rows].mean()) < 0.15  # 4 / sqrt(1000)
 
     def test_null_binomial_rate(self):
         cfg = small_config(N=1000, family="binomial", seed=4)
@@ -149,9 +148,7 @@ class TestDifficulty:
     def test_exact_at_null(self):
         ds = gen_design_synthetic(small_config())
         zero = make_beta(ebg_groups(ds.communities, ds.index), ("(1,1)",), 1.0)
-        null = type(zero)(beta=np.zeros(ds.index.p), mu=0.0,
-                          active_features=np.array([], dtype=int),
-                          active_groups=())
+        null = type(zero)(beta=np.zeros(ds.index.p), active_groups=())
         metric, snr = scenario_difficulty(ds, null, "gaussian")
         assert (metric, snr) == ("snr", 0.0)
         metric, be = scenario_difficulty(ds, null, "binomial")
@@ -173,8 +170,7 @@ class TestDifficulty:
         beta[0] = 0.2
         truth = type(make_beta(ebg_groups(ds.communities, ds.index),
                                ("(1,1)",), 1.0))(
-            beta=beta, mu=0.0, active_features=np.array([0]),
-            active_groups=())
+            beta=beta, active_groups=())
         _, snr = scenario_difficulty(ds, truth, "gaussian")
         assert 0.03 <= snr <= 0.05
 
@@ -255,7 +251,7 @@ class TestSemiSynthetic:
             assert ds.communities.K > 2
             spec = ebg_groups(ds.communities, ds.index)
             np.testing.assert_array_equal(
-                truth.active_features, spec.members[spec.lookup("(1,1)")])
+                np.flatnonzero(truth.beta), spec.members[spec.lookup("(1,1)")])
 
     def test_groups_follow_source_index(self, tmp_path, rng):
         # the source has d=2 while the config says d=1: groups and truth
@@ -266,7 +262,21 @@ class TestSemiSynthetic:
             assert ds.index == idx
             spec = ebg_groups(ds.communities, idx)
             np.testing.assert_array_equal(
-                truth.active_features, spec.members[spec.lookup("(1,1)")])
+                np.flatnonzero(truth.beta), spec.members[spec.lookup("(1,1)")])
+
+    def test_presets_checked_over_source_communities(self, tmp_path, rng,
+                                                     capsys):
+        # data.K says 10, but the source has 2 communities: no group (1,3)
+        src = self.make_source(tmp_path, rng, K=2)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed = 1\nexperiment.n_active = 5\n"
+                       f"data.design = {src}\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert ("config error: experiment.n_active: no group named '(1,3)'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_overlapping_split_rejected(self, tmp_path, rng):
         src = self.make_source(tmp_path, rng)

@@ -423,6 +423,9 @@ class TestPath:
             assert entry.n_sweeps >= 1
             assert entry.deviance >= 0
             assert entry.beta.shape == (emap.p,)
+            assert entry.active_groups == tuple(
+                name for name, norm in zip(pf.group_names, entry.group_norms)
+                if norm > 0)
 
     def test_folded_back_beta_matches_invariance(self, rng):
         problem, basis, emap, Zs = build_problem(rng, N=40, p=10,

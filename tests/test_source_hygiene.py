@@ -3,12 +3,14 @@ uses, a module-level private name that nothing references, a
 module-level UPPER_CASE constant that no module reads, a public function
 or class that nothing names, and a public method or property or a class
 field that nothing reads as an attribute.  Public names count as used
-when the package, its tests, its demos or its benchmark use them.  Only
-``files.py`` imports ``csv``, and only it and ``data.py`` write files
-with ``open`` or ``np.savetxt``, so one module lists every output file.
-All are read from the syntax tree, so no linter is needed.  The C sweep
-kernel must compile without a warning under the solver's own flags, and
-with ``-Wpadded`` its struct has no padding for ctypes to get wrong."""
+when the package, its tests, its demos or its benchmark use them.  A
+module that imports another module's private name fails too: what
+another module needs is public.  Only ``files.py`` imports ``csv``, and
+only it and ``data.py`` write files with ``open`` or ``np.savetxt``, so
+one module lists every output file.  All are read from the syntax tree,
+so no linter is needed.  The C sweep kernel must compile without a
+warning under the solver's own flags, and with ``-Wpadded`` its struct
+has no padding for ctypes to get wrong."""
 
 import ast
 import os
@@ -170,6 +172,27 @@ def file_writes(source):
         if name == "savetxt" or name == "open" and writes:
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def private_imports(source):
+    """Each private name (dunders aside) a module imports from another."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def test_the_check_sees_private_imports():
+    source = ("from .solver import _group_norms, fit_path\n"
+              "from . import __version__\n"
+              "from .data import seeded_rng as _rng\n"
+              "def f():\n"
+              "    from .files import _read_rows\n")
+    assert private_imports(source) == ["_group_norms", "_read_rows"]
+
+
+def test_no_module_imports_a_private_name():
+    assert [f"{path.name}: {name}" for path in MODULES
+            for name in private_imports(path.read_text())] == []
 
 
 def test_the_checks_see_csv_and_file_writes():

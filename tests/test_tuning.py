@@ -8,7 +8,7 @@ from netcov import (CommunityMap, FeatureIndex, cross_validate, ebg_groups,
                     make_beta, one_se_select, select_and_refit)
 from netcov.pipeline import holdout_deviance, prepare
 from netcov.solver import deviance, fit_path, lambda_grid, lambda_max
-from netcov.data import _seeded_rng
+from netcov.data import seeded_rng
 from netcov.tuning import _fold_assignment
 
 
@@ -62,7 +62,7 @@ class TestFoldAssignment:
 
     def test_deterministic(self):
         y = np.tile([0.0, 1.0], 20)
-        a, b = (_fold_assignment(y, 10, _seeded_rng(7, 2), "binomial")
+        a, b = (_fold_assignment(y, 10, seeded_rng(7, 2), "binomial")
                 for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
@@ -75,17 +75,17 @@ class TestFoldAssignment:
         assume(2 <= y.sum() <= y.size - 2)
         folds = data.draw(st.integers(2, y.size))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        fold = _fold_assignment(y, folds, _seeded_rng(seed, 2), "binomial")
+        fold = _fold_assignment(y, folds, seeded_rng(seed, 2), "binomial")
         sizes = np.bincount(fold, minlength=folds)
         assert sizes.max() - sizes.min() <= 1
         for f in range(folds):
             assert set(y[fold != f]) == {0.0, 1.0}
         # the gaussian deal is the fold stream's one permutation, unsorted
         dealt = np.empty(y.size, dtype=np.int64)
-        dealt[_seeded_rng(seed, 2).permutation(y.size)] = (
+        dealt[seeded_rng(seed, 2).permutation(y.size)] = (
             np.arange(y.size) % folds)
         np.testing.assert_array_equal(
-            _fold_assignment(y, folds, _seeded_rng(seed, 2), "gaussian"),
+            _fold_assignment(y, folds, seeded_rng(seed, 2), "gaussian"),
             dealt)
 
 
@@ -180,9 +180,9 @@ class TestCrossValidate:
         cv = cross_validate(ds, spec, folds=5, seed=4, grid_size=8)
         np.testing.assert_array_equal(
             cv.fold_assignment,
-            _fold_assignment(ds.y, 5, _seeded_rng(4, 2), "gaussian"))
+            _fold_assignment(ds.y, 5, seeded_rng(4, 2), "gaussian"))
         design = np.empty(40, dtype=np.int64)
-        design[_seeded_rng(4, 0, 0).permutation(40)] = np.arange(40) % 5
+        design[seeded_rng(4, 0, 0).permutation(40)] = np.arange(40) % 5
         assert not np.array_equal(cv.fold_assignment, design)
 
     def test_no_leakage_from_held_out_rows(self):
@@ -190,7 +190,7 @@ class TestCrossValidate:
         # artifacts (standardization, orthonormalization, fitted path) intact
         ds = noise_dataset(11, N=40)
         spec, _ = _groups(ds)
-        assignment = _fold_assignment(ds.y, 5, _seeded_rng(2, 0), "gaussian")
+        assignment = _fold_assignment(ds.y, 5, seeded_rng(2, 0), "gaussian")
         held = np.flatnonzero(assignment == 0)
         train = np.flatnonzero(assignment != 0)
 
@@ -236,7 +236,7 @@ class TestSelectAndRefit:
             ds, spec, truth = signal_dataset(seed, alpha=0.5)
             cv = cross_validate(ds, spec, folds=10, seed=seed, grid_size=50)
             fit = select_and_refit(cv)
-            if set(truth.active_groups) <= set(fit.active_groups):
+            if set(truth.active_groups) <= set(fit.entry.active_groups):
                 hits += 1
         assert hits >= 9
 
@@ -246,7 +246,7 @@ class TestSelectAndRefit:
         cv = cross_validate(ds, spec, folds=5, seed=3, grid_size=15)
         rigged = replace(cv, index_one_se=0)
         fit = select_and_refit(rigged)
-        assert np.all(fit.beta == 0.0)
+        assert np.all(fit.model.beta == 0.0)
         preds, _ = fit.model.predict(ds, np.arange(ds.N))
         assert np.allclose(preds, preds[0])
 
@@ -256,15 +256,16 @@ class TestSelectAndRefit:
         y = cv.prepared.problem.y
         fit = select_and_refit(cv)
         zero_dev = deviance(ds.family, y, np.full(y.size, y.mean()))
-        assert fit.deviance <= zero_dev + 1e-12
+        assert fit.entry.deviance <= zero_dev + 1e-12
 
     def test_lambda_hat_on_grid(self):
         ds = noise_dataset(41)
         spec, _ = _groups(ds)
         cv = cross_validate(ds, spec, folds=5, seed=5, grid_size=12)
         fit = select_and_refit(cv)
-        assert fit.lambda_hat == cv.lambdas[cv.index_one_se]
-        assert fit.lambda_hat == cv.lambda_one_se
+        assert fit.entry is fit.path.entries[cv.index_one_se]
+        assert fit.entry.lam == cv.lambdas[cv.index_one_se]
+        assert fit.entry.lam == cv.lambda_one_se
 
 
 class TestRefitReuse:
@@ -304,12 +305,12 @@ class TestOnePredictionPath:
         cv = cross_validate(ds, spec, folds=3, seed=6, grid_size=10)
         U = cv.prepared.problem.U
         fit = select_and_refit(cv)
-        assert np.any(fit.beta != 0.0)
+        assert np.any(fit.model.beta != 0.0)
 
         # training rows: mu + Z beta equals the solver's mu + U beta_tilde
-        entry = fit.path.entries[fit.index_hat]
+        entry = fit.entry
         Z, _ = fit.model.transform(ds, np.arange(ds.N))
-        eta_model = fit.mu + Z @ fit.beta
+        eta_model = fit.model.mu + Z @ fit.model.beta
         eta_solver = entry.mu + U @ entry.beta_tilde
         scale = max(1.0, np.abs(eta_solver).max())
         assert np.abs(eta_model - eta_solver).max() <= 1e-10 * scale
