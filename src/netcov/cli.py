@@ -247,14 +247,14 @@ def _worker_count(cells):
     return min(int(value), cells)
 
 
-def _check_presets(s):
+def _check_presets(s, source):
     """Each listed preset, and each group it names over the communities the
-    cells will use, split as they split them (a split's sizes do not depend
-    on its seed); a missing one is an error naming ``experiment.n_active``."""
-    if s.design == "synthetic":
+    cells will use (the semi-synthetic ``source``'s, if given), split as
+    they split them (a split's sizes do not depend on its seed); a missing
+    one is an error naming ``experiment.n_active``."""
+    if source is None:
         cm, d = default_communities(s.K, s.nodes_per_community), s.d
     else:
-        source = load_dataset(s.design)
         cm, d = source.communities, source.index.d
     if s.split_communities is not None:
         cm = split_communities(cm, s.split_communities, (s.seed, 97))
@@ -273,17 +273,25 @@ def _check_presets(s):
 
 
 def _run_cells(args, job):
-    """``simulate`` and ``sweep``: ``job((cfg, cell, cell_dir))`` on each
-    cell of the grid, on :func:`_worker_count` workers.  Returns the
-    config, the cells, the jobs' rows in cell order and the start time."""
+    """``simulate`` and ``sweep``: ``job((cfg, cell, cell_dir, source))``
+    on each cell of the grid, on :func:`_worker_count` workers.  A
+    semi-synthetic ``source`` is loaded once and shared, read-only, by
+    every cell (None for a synthetic design).  Returns the config, the
+    cells, the jobs' rows in cell order and the start time."""
     cfg = load_config(args.config, _flag_overrides(args))
-    _check_presets(cfg.settings)
+    source = None
+    if cfg.settings.design != "synthetic":
+        source = gen_semisynthetic(cfg.settings.design)
+        for values in (source.edges, source.node_covs, source.nuisance):
+            if values is not None:
+                values.flags.writeable = False
+    _check_presets(cfg.settings, source)
     cells = enumerate_cells(cfg)
     workers = _worker_count(len(cells))
     started = time.time()
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(cfg, cell, os.path.join(args.out, "cells", cell.cell_id))
-                for cell in cells]
+    payloads = [(cfg, cell, os.path.join(args.out, "cells", cell.cell_id),
+                 source) for cell in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, payloads))
@@ -295,7 +303,7 @@ def _run_cells(args, job):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_cell(cfg, cell, cell_dir):
+def _simulate_cell(cfg, cell, cell_dir, source):
     s = cfg.settings
     seed = _cell_seed(s.seed, cell.index)
     active = PRESET_ACTIVE_GROUPS[(cell.scheme.upper(), cell.n_active)]
@@ -303,10 +311,10 @@ def _simulate_cell(cfg, cell, cell_dir):
         scheme=cell.scheme.upper(), active_groups=active, alpha=cell.alpha,
         family=cell.family, N=s.N, K=s.K,
         nodes_per_community=s.nodes_per_community, d=s.d, seed=seed)
-    if s.design == "synthetic":
+    if source is None:
         dataset = gen_design_synthetic(exp)
     else:
-        dataset = gen_semisynthetic(s.design)
+        dataset = source
         exp = dc_replace(exp, d=dataset.index.d)  # the source's coordinates
     communities = dataset.communities
     if s.split_communities is not None:
@@ -491,9 +499,9 @@ def cmd_evaluate(args):
 # sweep
 
 def _sweep_cell_job(payload):
-    cfg, cell, cell_dir = payload
+    cfg, cell, cell_dir, _ = payload
     s = cfg.settings
-    dataset, truth, scenario = _simulate_cell(cfg, cell, cell_dir)
+    dataset, truth, scenario = _simulate_cell(*payload)
     seed = _cell_seed(s.seed, cell.index)
     rows = []
     for method in s.methods:

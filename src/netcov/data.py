@@ -34,6 +34,9 @@ A dataset directory contains headerless, comma-separated CSVs:
 * ``manifest``        key = value lines: n, d, N, family, optional q,
                       train_rows, test_rows (1-based inclusive ranges,
                       e.g. ``1-785`` or ``1-5,7,9-12``)
+
+The numeric blocks are written by :func:`write_numbers` with ``%.17g``
+(``%d`` for ``communities.csv``), which round-trips float64 exactly.
 """
 
 import os
@@ -58,6 +61,8 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 CSV_FMT = "%.17g"  # round-trips float64 exactly
+# values formatted per write of write_numbers: few calls, a small buffer
+CHUNK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -497,6 +502,23 @@ def read_number_csv(path, ndmin=0):
         return np.loadtxt(path, delimiter=",", ndmin=ndmin)
 
 
+def write_numbers(path, values, fmt=CSV_FMT):
+    """A headerless comma-separated file of a 1-D (one value per line) or
+    2-D array, the bytes ``np.savetxt(path, values, fmt=fmt,
+    delimiter=",")`` writes: one row template, %-formatted over about
+    ``CHUNK_VALUES`` values (whole rows) per ``write``."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values.reshape(-1, 1)
+    rows, cols = values.shape
+    step = max(1, CHUNK_VALUES // max(cols, 1))
+    line = ",".join([fmt] * cols) + "\n"
+    with open(path, "w") as fh:
+        for r0 in range(0, rows, step):
+            chunk = values[r0:r0 + step]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def _load_matrix(path, N, cols, block):
     """The N x cols matrix in ``path``, which must not exist when cols is 0."""
     if cols == 0:
@@ -553,25 +575,21 @@ def save_dataset(dataset, directory):
     """Write a dataset directory (headerless CSVs plus a manifest)."""
     os.makedirs(directory, exist_ok=True)
     idx = dataset.index
-    np.savetxt(os.path.join(directory, "A.csv"), dataset.edges,
-               fmt=CSV_FMT, delimiter=",")
+    write_numbers(os.path.join(directory, "A.csv"), dataset.edges)
     if idx.d > 0:
-        np.savetxt(os.path.join(directory, "X.csv"), dataset.node_covs,
-                   fmt=CSV_FMT, delimiter=",")
-    np.savetxt(os.path.join(directory, "y.csv"),
-               dataset.y.reshape(-1, 1), fmt=CSV_FMT, delimiter=",")
+        write_numbers(os.path.join(directory, "X.csv"), dataset.node_covs)
+    write_numbers(os.path.join(directory, "y.csv"), dataset.y)
     comm = np.column_stack([
         np.arange(1, idx.n + 1),
         dataset.communities.assignments,
     ])
-    np.savetxt(os.path.join(directory, "communities.csv"), comm,
-               fmt="%d", delimiter=",")
+    write_numbers(os.path.join(directory, "communities.csv"), comm, "%d")
     entries = {
         "n": idx.n, "d": idx.d, "N": dataset.N, "family": dataset.family,
     }
     if dataset.nuisance is not None:
-        np.savetxt(os.path.join(directory, "nuisance.csv"), dataset.nuisance,
-                   fmt=CSV_FMT, delimiter=",")
+        write_numbers(os.path.join(directory, "nuisance.csv"),
+                      dataset.nuisance)
         entries["q"] = dataset.nuisance.shape[1]
     if dataset.train_rows is not None:
         entries["train_rows"] = format_row_spec(dataset.train_rows)

@@ -10,8 +10,9 @@ scores and the next three as the fitted model.  ``simulate`` writes
 ``evaluate`` and ``cpm`` write ``metrics.csv``, ``roc.csv`` and
 ``cpm_edges.csv``.  The blocks of a dataset directory and the
 ``key = value`` files (``manifest``, ``fit_info``, ``run_manifest``) belong
-to :mod:`netcov.data`.  Numbers are written with ``repr`` (``%.17g`` in
-the coef files), which round-trips float64 exactly.  The group norms in
+to :mod:`netcov.data`.  Numbers are written with ``repr``, and the coef
+files with ``%.17g`` by :func:`netcov.data.write_numbers`, the writer of
+every numeric block; both round-trip float64 exactly.  The group norms in
 ``path.csv`` and ``active_groups.csv`` are the solver's own, so a group
 is active there exactly when its path entry lists it.  A reader refuses
 what no writer writes with a ValueError naming the file.
@@ -24,8 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import (CSV_FMT, parse_int, parse_number, read_manifest,
-                   read_number_csv, require_keys)
+from .data import (parse_int, parse_number, read_manifest, read_number_csv,
+                   require_keys, write_numbers)
 from .pipeline import FittedModel
 from .preprocess import NuisanceModel
 from .simulate import GroundTruth
@@ -190,8 +191,8 @@ def write_path_csv(path_fit, directory):
               ["lambda_index", "lambda", "group", "active", "group_norm"],
               rows())
     for i, entry in enumerate(path_fit.entries):
-        np.savetxt(os.path.join(directory, COEF_NAME.format(f"{i:03d}")),
-                   entry.beta.reshape(-1, 1), fmt=CSV_FMT, delimiter=",")
+        write_numbers(os.path.join(directory, COEF_NAME.format(f"{i:03d}")),
+                      entry.beta)
 
 
 def read_roc_path(fit_dir, p):

@@ -18,6 +18,9 @@ map, so the expanded design is never built.  A block is factored by an
 eigendecomposition of its smaller Gram matrix, ``B^T B`` or ``B B^T``,
 truncated at numerical rank; only a block whose dropped directions are
 not null directions of the block itself falls back to a thin SVD.
+A group of one column, each group of the LASSO, skips the eigensolver:
+its orthonormal basis is the column scaled by its norm (Simon and
+Tibshirani, Stat. Sinica 2012), and it maps back by that one division.
 Rank-deficient groups get their penalty multiplier scaled by sqrt(rank)
 instead of sqrt(size).
 :func:`back_transform` inverts both the orthonormalization and the
@@ -26,6 +29,7 @@ variable duplication; the linear predictor is preserved exactly.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 
 import numpy as np
@@ -193,6 +197,16 @@ class OrthoBasis:
     def ranks(self):
         return np.diff(self.offsets)
 
+    @cached_property
+    def _singles(self):
+        """(columns, groups, sigmas, wide): the orthonormal column, the
+        expansion map's group and the sigma of each kept group of one
+        column, whose V is ``[[1.0]]``, and a mask of the other groups."""
+        single = np.array([V.shape[0] == 1 for V in self.vs], dtype=bool)
+        at = np.flatnonzero(single)
+        return (self.offsets[at], np.asarray(self.kept, dtype=np.int64)[at],
+                np.array([self.sigmas[i][0] for i in at.tolist()]), ~single)
+
 
 def _factor_block(B, out):
     """Orthonormal basis of B's column space, written as rows of ``out``.
@@ -206,8 +220,22 @@ def _factor_block(B, out):
     itself, ``|B x| <= RANK_TOL * s_max`` over them all, so the SVD would
     drop them too; where they are not, the block is factored by a thin SVD
     truncated at ``RANK_TOL``.  Either way the rank is the SVD's.
+
+    A block of one column skips ``eigh``: LAPACK returns a 1 x 1 matrix's
+    entry and the eigenvector 1.0 exactly, so the same Gram product, its
+    square root and the same product with V give the general route's bits.
+    A column whose Gram entry is not positive (all zero) has rank 0.
     """
     N, m = B.shape
+    if m == 1:
+        lam = (B.T @ B)[0]
+        if not lam[0] > 0:
+            return 0, np.empty((1, 0)), np.empty(0)
+        s, V = np.sqrt(lam), np.ones((1, 1))
+        # the product, not a copy of B: BLAS writes 1.0 * -0.0 as +0.0
+        np.dot(V, B.T, out=out[:1])
+        out[:1] /= s
+        return 1, V, s
     wide = m > N
     lam, E = np.linalg.eigh(B @ B.T if wide else B.T @ B)
     lam, E = lam[::-1], E[:, ::-1]
@@ -287,20 +315,24 @@ def back_transform(beta_tilde, basis, emap):
     Per group, ``beta_star_G = V_G diag(1/s_G) beta_tilde_G``; then the
     duplicated coordinates are folded back by summation.  Predictions are
     preserved: ``U @ beta_tilde == Z_std @ beta`` up to rank truncation.
-    Only the groups with a nonzero coefficient are multiplied out: a zero
-    group's product is a signed zero, and the fold-back sum starts from
-    +0.0, so skipping it changes no bit of the result.
+    The groups of one column (V is 1.0) map in one vectorized division;
+    of the others, only those with a nonzero coefficient are multiplied
+    out.  A zero group's product is a signed zero, and the fold-back sum
+    starts from +0.0, so neither shortcut changes a bit of the result.
     """
     beta_tilde = np.asarray(beta_tilde, dtype=np.float64).ravel()
     if beta_tilde.size != basis.offsets[-1]:
         raise ValueError(f"coefficient vector has length {beta_tilde.size}, "
                          f"expected {basis.offsets[-1]}")
     beta_star = np.zeros(emap.p_star)
-    nonzero = np.logical_or.reduceat(beta_tilde != 0, basis.offsets[:-1])
-    starts = emap.offsets.tolist()  # python ints slice faster than numpy's
-    offsets = basis.offsets.tolist()
-    for i in np.flatnonzero(nonzero).tolist():
-        gi, u0, u1 = basis.kept[i], offsets[i], offsets[i + 1]
-        beta_star[starts[gi]:starts[gi + 1]] = (
-            basis.vs[i] @ (beta_tilde[u0:u1] / basis.sigmas[i]))
+    columns, groups, sigmas, wide = basis._singles
+    beta_star[emap.offsets[groups]] = beta_tilde[columns] / sigmas
+    if wide.any():
+        nonzero = np.logical_or.reduceat(beta_tilde != 0, basis.offsets[:-1])
+        starts = emap.offsets.tolist()  # python ints slice faster than numpy's
+        offsets = basis.offsets.tolist()
+        for i in np.flatnonzero(nonzero & wide).tolist():
+            gi, u0, u1 = basis.kept[i], offsets[i], offsets[i + 1]
+            beta_star[starts[gi]:starts[gi + 1]] = (
+                basis.vs[i] @ (beta_tilde[u0:u1] / basis.sigmas[i]))
     return fold_back(beta_star, emap)

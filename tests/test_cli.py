@@ -273,6 +273,55 @@ class TestSimulate:
         assert not {"X.csv", "nuisance.csv"} & set(os.listdir(cell))
 
 
+    def test_semisynthetic_source_is_loaded_once(self, tmp_path,
+                                                 monkeypatch):
+        # four cells share one load of the source, in the process and
+        # pickled to a pool; every cell holds the design a fresh load
+        # gives, so no cell changed the arrays the next one reads
+        from conftest import make_dataset
+        from netcov import gen_semisynthetic, save_dataset
+        from netcov import simulate as simulate_module
+
+        ds = make_dataset(np.random.default_rng(9), [1, 1, 1, 2, 2, 2], d=1,
+                          N=40, nuisance_q=2)
+        source = tmp_path / "source"
+        save_dataset(replace(ds, train_rows=np.arange(30),
+                             test_rows=np.arange(30, 40)), str(source))
+        fresh = tmp_path / "fresh"
+        save_dataset(gen_semisynthetic(str(source)), str(fresh))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 11\n"
+                       "experiment.schemes = ebg,nbg\n"
+                       "experiment.alphas = 0.3,0.6\n"
+                       "experiment.replicates = 1\n"
+                       f"data.design = {source}\n")
+        loads, load = [], simulate_module.load_dataset
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(simulate_module, "load_dataset", counted)
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETCOV_THREADS", threads)
+            out = tmp_path / f"out-{threads}"
+            assert cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            trees.append({str(f.relative_to(out)): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()
+                          and f != out / "run_manifest"})
+        assert loads == [str(source)] * 2  # one per run
+        assert trees[0] == trees[1]
+        cells = sorted({name.split("/")[1] for name in trees[0]})
+        assert len(cells) == 4
+        for cell in cells:
+            for name in ("A.csv", "X.csv", "nuisance.csv"):
+                assert (trees[0][f"cells/{cell}/{name}"]
+                        == (fresh / name).read_bytes())
+
+
 class TestFit:
     def test_binomial_one_row_class_exits_3(self, tmp_path, capsys):
         # no deal of the folds can train every fold on the single positive

@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netcov import (CommunityMap, Dataset, FeatureIndex, Observation,
                     build_design, devectorize, load_dataset, save_dataset,
                     vectorize)
-from netcov.data import format_row_spec, parse_row_spec, read_manifest
+from netcov.data import (CHUNK_VALUES, format_row_spec, parse_row_spec,
+                         read_manifest, write_numbers)
 
 
 def sym(n, entries):
@@ -305,3 +307,86 @@ class TestDiskLayout:
             Dataset(edges=ds.edges, node_covs=ds.node_covs,
                     y=np.array([0.0, 1.0, 2.0, 0.0]),
                     communities=ds.communities, family="binomial")
+
+
+# signed zeros, the smallest subnormal and a larger one, the extremes and
+# the non-finite values
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, -1.5e-310, 1e308, -1e308,
+                  np.finfo(np.float64).max, np.nan, np.inf, -np.inf)
+
+
+def savetxt_bytes(path, values, fmt):
+    np.savetxt(path, values, fmt=fmt, delimiter=",")
+    return path.read_bytes()
+
+
+class TestWriteNumbers:
+    """``write_numbers`` writes what ``np.savetxt`` wrote, byte for byte,
+    across its chunks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.one_of(
+               # many rows of a few columns: several chunks
+               st.tuples(st.integers(1, 3 * CHUNK_VALUES), st.integers(1, 3)),
+               st.tuples(st.integers(1, 60), st.integers(1, 200)),
+               # one row wider than a chunk
+               st.tuples(st.integers(1, 3), st.integers(CHUNK_VALUES,
+                                                        CHUNK_VALUES + 50))),
+           flat=st.booleans(),
+           specials=st.lists(st.tuples(st.integers(0), st.sampled_from(
+               SPECIAL_VALUES)), max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, 1), flat=False, specials=[], seed=0)
+    @example(shape=(CHUNK_VALUES + 1, 1), flat=True, specials=[(0, -0.0)],
+             seed=1)
+    def test_bytes_of_savetxt(self, tmp_path_factory, shape, flat, specials,
+                              seed):
+        rng = np.random.default_rng(seed)
+        values = (rng.standard_normal(shape)
+                  * 10.0 ** rng.integers(-320, 300, size=shape))
+        for position, value in specials:
+            values.flat[position % values.size] = value
+        if flat:  # a 1-D array is one value per line
+            values = values[:, 0]
+        root = tmp_path_factory.mktemp("numbers")
+        write_numbers(root / "mine.csv", values)
+        assert ((root / "mine.csv").read_bytes()
+                == savetxt_bytes(root / "numpy.csv", values, "%.17g"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 3 * CHUNK_VALUES), K=st.integers(1, 400),
+           as_float=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_integer_columns(self, tmp_path_factory, n, K, as_float, seed):
+        # communities.csv: node ids and community ids, stored as int64 or,
+        # as load_dataset reads them, float64
+        rng = np.random.default_rng(seed)
+        comm = np.column_stack([np.arange(1, n + 1),
+                                rng.integers(1, K + 1, size=n)])
+        if as_float:
+            comm = comm.astype(np.float64)
+        root = tmp_path_factory.mktemp("communities")
+        write_numbers(root / "mine.csv", comm, "%d")
+        assert ((root / "mine.csv").read_bytes()
+                == savetxt_bytes(root / "numpy.csv", comm, "%d"))
+
+    def test_save_dataset_reads_back_exactly(self, rng, tmp_path):
+        from conftest import make_dataset
+
+        ds = make_dataset(rng, [1, 1, 2, 2, 3], d=2, N=12, nuisance_q=2)
+        finite = [v for v in SPECIAL_VALUES if np.isfinite(v)]
+        blocks = {}
+        for name in ("edges", "node_covs", "y", "nuisance"):
+            values = getattr(ds, name).copy()
+            values.flat[:len(finite)] = finite
+            blocks[name] = values
+        ds = replace(ds, **blocks, communities=CommunityMap(
+            assignments=[3, 1, 2, 1, 3]), train_rows=np.arange(9),
+            test_rows=np.arange(9, 12))
+        save_dataset(ds, str(tmp_path / "d"))
+        back = load_dataset(str(tmp_path / "d"))
+        for name in blocks:
+            assert getattr(back, name).tobytes() == blocks[name].tobytes()
+        assert (back.communities.assignments.tolist()
+                == ds.communities.assignments.tolist())
+        assert back.train_rows.tolist() == list(range(9))
+        assert back.test_rows.tolist() == list(range(9, 12))

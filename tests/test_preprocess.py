@@ -313,6 +313,66 @@ class TestGramRoute:
             assert not np.signbit(V[zero]).any() and not V[zero].any()
 
 
+class TestWidthOneRoute:
+    """A group of one column skips ``eigh`` and keeps its bits."""
+
+    @staticmethod
+    def eigh_route(B, out):
+        # the general route's steps for a one-column block
+        lam, E = np.linalg.eigh(B.T @ B)
+        lam, E = lam[::-1], E[:, ::-1]
+        s = np.sqrt(lam[:1])
+        V = np.ascontiguousarray(E[:, :1])
+        np.dot(V.T, B.T, out=out[:1])
+        out[:1] /= s[:, None]
+        return V, s
+
+    def test_default_cell_columns_match_the_eigh_route(self):
+        from netcov.data import build_design
+        from netcov.preprocess import _factor_block
+        from netcov.simulate import (PRESET_ACTIVE_GROUPS, ExperimentConfig,
+                                     gen_design_synthetic)
+
+        cfg = ExperimentConfig(
+            scheme="EBG", active_groups=PRESET_ACTIVE_GROUPS[("EBG", 1)],
+            alpha=0.1, family="gaussian", seed=7)
+        ds = gen_design_synthetic(cfg)
+        Z = standardized(build_design(ds, ds.train_rows))
+        assert Z.shape == (1000, 1275)
+        # and a column holding -0.0, which the product writes as +0.0
+        signed = np.where(Z[:, :1] > 1.0, -0.0, Z[:, :1])
+        got, ref = np.empty((1, Z.shape[0])), np.empty((1, Z.shape[0]))
+        for j in range(Z.shape[1] + 1):
+            B = Z[:, j:j + 1] if j < Z.shape[1] else signed
+            r, V, s = _factor_block(B, got)
+            V_ref, s_ref = self.eigh_route(B, ref)
+            assert r == 1
+            assert got.tobytes() == ref.tobytes()
+            assert s.tobytes() == s_ref.tobytes()
+            assert V.tobytes() == V_ref.tobytes()
+        # the last block is the signed column: its -0.0 entries read +0.0
+        assert np.signbit(signed).any()
+        assert not np.signbit(got[0][signed[:, 0] == 0]).any()
+
+    def test_constant_training_column_dropped_with_its_warning(self, rng):
+        from netcov.pipeline import make_groups
+
+        ds = make_dataset(rng, [1, 1, 2, 2], N=30)
+        edges = ds.edges.copy()
+        edges[:20, 2] = 1.5  # constant on the training rows only
+        ds = replace(ds, edges=edges, train_rows=np.arange(20),
+                     test_rows=np.arange(20, 30))
+        spec, _ = make_groups(ds, "lasso")
+        with pytest.warns(UserWarning,
+                          match="dropping group 'f2': column block has rank 0"):
+            prep = prepare(ds, spec)
+        assert 2 not in prep.basis.kept and len(prep.basis.kept) == spec.p - 1
+        beta = back_transform(np.ones(len(prep.basis.kept)), prep.basis,
+                              prep.emap)
+        assert beta[2] == 0.0 and not np.signbit(beta[2])
+        assert np.all(beta[np.arange(spec.p) != 2] != 0.0)
+
+
 class TestBackTransform:
     def test_zero_maps_to_zero(self, rng):
         Z_std, spec, emap = toy_expansion(rng)

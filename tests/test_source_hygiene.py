@@ -7,7 +7,8 @@ when the package, its tests, its demos or its benchmark use them.  A
 module that imports another module's private name fails too: what
 another module needs is public.  Only ``files.py`` imports ``csv``, and
 only it and ``data.py`` write files with ``open`` or ``np.savetxt``, so
-one module lists every output file.  All are read from the syntax tree,
+one module lists every output file, and no module calls ``savetxt``: every
+numeric file goes through ``data.write_numbers``.  All are read from the syntax tree,
 so no linter is needed.  The C sweep kernel must compile without a
 warning under the solver's own flags, and with ``-Wpadded`` its struct
 has no padding for ctypes to get wrong."""
@@ -174,6 +175,15 @@ def file_writes(source):
     return sorted(lines)
 
 
+def savetxt_calls(source):
+    """The line of each call of a function named ``savetxt``, however it
+    is reached."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and "savetxt" in (
+                      getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None)))
+
+
 def private_imports(source):
     """Each private name (dunders aside) a module imports from another."""
     return [alias.name for node in ast.walk(ast.parse(source))
@@ -206,6 +216,21 @@ def test_the_checks_see_csv_and_file_writes():
     assert imports_csv(source) and imports_csv("import os, csv\n")
     assert not imports_csv("import csvkit\n")
     assert file_writes(source) == [2, 4, 6, 7]
+
+
+def test_the_check_sees_savetxt_calls():
+    source = ("np.savetxt(path, values)\n"
+              "numpy.lib.npyio.savetxt(path, values, fmt='%d')\n"
+              "from numpy import savetxt\n"
+              "savetxt(path, values)\n"
+              "write_numbers(path, values)\n"
+              "np.loadtxt(path)\n")
+    assert savetxt_calls(source) == [1, 2, 4]
+
+
+def test_no_module_calls_savetxt():
+    assert [f"{path.name}:{line}" for path in MODULES
+            for line in savetxt_calls(path.read_text())] == []
 
 
 def test_only_files_imports_csv():
