@@ -13,8 +13,6 @@ flags override file values; ``simulate``, ``fit``, ``cpm`` and ``sweep``
 write a ``run_manifest`` with all defaults materialized, and that of
 ``simulate`` or ``sweep`` passed back as ``--config`` reproduces the
 outputs byte-for-byte.
-``NETCOV_THREADS`` (a positive integer, default 1) caps the worker pool
-that ``simulate`` and ``sweep`` run independent grid cells on.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -25,7 +23,6 @@ import shutil
 import sys
 import time
 from dataclasses import replace as dc_replace
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +41,7 @@ from .files import (load_truth_csv, read_fit, read_roc_path, read_scenario,
                     write_path_csv, write_roc_csv, write_scenario_csv,
                     write_truth_csv)
 from .groups import scheme_groups, split_communities
+from .jobs import ConfigError, run_jobs, worker_budget
 from .metrics import prediction_metrics, roc_along_path, support_metrics
 from .pipeline import corrected_rows, make_groups, nuisance_corrected
 from .simulate import (ExperimentConfig, PRESET_ACTIVE_GROUPS, groups_for,
@@ -53,10 +51,6 @@ from .solver import GRID_SIZE, MIN_RATIO, ConvergenceError
 from .tuning import cross_validate, select_and_refit
 
 __all__ = ["main", "ConfigError"]
-
-
-class ConfigError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +230,6 @@ def write_run_manifest(path, subcommand, cfg, extra):
     write_manifest(path, entries, header=header)
 
 
-def _worker_count(cells):
-    """``NETCOV_THREADS`` (a positive integer, default 1), capped at the
-    number of cells: the fork start method launches every worker of a
-    pool at its first submit."""
-    value = os.environ.get("NETCOV_THREADS", "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise ConfigError(
-            f"NETCOV_THREADS must be a positive integer, got {value!r}")
-    return min(int(value), cells)
-
-
 def _check_presets(s, source):
     """Each listed preset, and each group it names over the communities the
     cells will use (the semi-synthetic ``source``'s, if given), split as
@@ -274,29 +257,30 @@ def _check_presets(s, source):
 
 def _run_cells(args, job):
     """``simulate`` and ``sweep``: ``job((cfg, cell, cell_dir, source))``
-    on each cell of the grid, on :func:`_worker_count` workers.  A
+    on each cell of the grid, by :func:`netcov.jobs.run_jobs`.  A
     semi-synthetic ``source`` is loaded once and shared, read-only, by
     every cell (None for a synthetic design).  Returns the config, the
     cells, the jobs' rows in cell order and the start time."""
     cfg = load_config(args.config, _flag_overrides(args))
+    s = cfg.settings
     source = None
-    if cfg.settings.design != "synthetic":
-        source = gen_semisynthetic(cfg.settings.design)
+    if s.design != "synthetic":
+        source = gen_semisynthetic(s.design)
         for values in (source.edges, source.node_covs, source.nuisance):
             if values is not None:
                 values.flags.writeable = False
-    _check_presets(cfg.settings, source)
+    _check_presets(s, source)
+    train = s.N if source is None else source.training_rows().size
+    if job is _sweep_cell_job and set(s.methods) - {"cpm"} and s.folds > train:
+        raise ConfigError(f"solver.folds: {train} training rows cannot fill "
+                          f"{s.folds} folds")
     cells = enumerate_cells(cfg)
-    workers = _worker_count(len(cells))
+    worker_budget()  # a bad NETCOV_THREADS is refused before --out is made
     started = time.time()
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(cfg, cell, os.path.join(args.out, "cells", cell.cell_id),
-                 source) for cell in cells]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, payloads))
-    else:
-        results = [job(p) for p in payloads]
+    results = run_jobs(job, [
+        (cfg, cell, os.path.join(args.out, "cells", cell.cell_id), source)
+        for cell in cells])
     return cfg, cells, [row for rows in results for row in rows], started
 
 
@@ -405,6 +389,7 @@ def run_fit(dataset, scheme, out_dir, settings, seed):
 def cmd_fit(args):
     started = time.time()
     cfg = resolve_config({}, _flag_overrides(args))
+    worker_budget()  # a bad NETCOV_THREADS is refused before any read
     run_fit(load_dataset(args.data), args.scheme, args.out, cfg.settings,
             cfg.settings.seed)
     write_run_manifest(

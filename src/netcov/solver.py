@@ -148,6 +148,10 @@ class ConvergenceError(RuntimeError):
         self.kkt_residual = kkt_residual
         self.sweeps = sweeps
 
+    def __reduce__(self):  # rebuilt whole from a pool; the default breaks it
+        return type(self), (*self.args, self.mu, self.beta_tilde,
+                            self.kkt_residual, self.sweeps)
+
 
 @dataclass(frozen=True)
 class PenalizedProblem:

@@ -4,11 +4,12 @@ The lambda grid is computed once from the full training set and reused
 across folds.  Every fold re-runs the whole preparation chain
 (residualization, standardization, orthonormalization) on its own
 training part, so held-out rows never influence the transformations
-they are evaluated under.  Out-of-fold deviances are averaged per
-observation; the selected penalty is the largest grid value whose mean
-deviance is within one standard error of the minimum, and the model is
-then refit on the full training set at that value, reusing the
-preparation that gave the grid.
+they are evaluated under.  The folds run as independent jobs on one
+worker budget (:mod:`netcov.jobs`).  Their out-of-fold deviances, stacked
+in fold order, are averaged per observation; the selected penalty is the
+largest grid value whose mean deviance is within one standard error of
+the minimum, and the model is then refit on the full training set at
+that value, reusing the preparation that gave the grid.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import seeded_rng
+from .jobs import run_jobs
 from .pipeline import FittedModel, holdout_deviance, prepare
 from .solver import GRID_SIZE, MIN_RATIO, fit_path, lambda_grid, lambda_max
 
@@ -89,6 +91,14 @@ def _fold_assignment(y, folds, rng, family):
     return fold
 
 
+def _fold_deviance(job):
+    """One fold job: the held-out deviance along a path fit on ``train``."""
+    dataset, spec, train, held_out, grid = job
+    prep = prepare(dataset, spec, train)
+    pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
+    return holdout_deviance(prep.model, dataset, held_out, pf.entries)
+
+
 def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
                    min_ratio=MIN_RATIO):
     """K-fold cross-validation of the penalty level over one lambda grid.
@@ -119,12 +129,9 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
     assignment = _fold_assignment(y, folds, seeded_rng(seed, 2),
                                   dataset.family)
 
-    fold_dev = np.empty((folds, grid.size))
-    for f in range(folds):
-        prep = prepare(dataset, spec, rows[assignment != f])
-        pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
-        fold_dev[f] = holdout_deviance(prep.model, dataset,
-                                       rows[assignment == f], pf.entries)
+    fold_dev = np.vstack(run_jobs(_fold_deviance, [
+        (dataset, spec, rows[assignment != f], rows[assignment == f], grid)
+        for f in range(folds)]))
 
     mean_dev = fold_dev.mean(axis=0)
     se = fold_dev.std(axis=0, ddof=1) / np.sqrt(folds)

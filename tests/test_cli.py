@@ -26,6 +26,12 @@ def write_config(path, extra=""):
     return str(path)
 
 
+def read_tree(out):
+    """Every file under ``out`` but its run_manifest, by relative path."""
+    return {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*")
+            if f.is_file() and f != out / "run_manifest"}
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -309,9 +315,7 @@ class TestSimulate:
             out = tmp_path / f"out-{threads}"
             assert cli.main(["simulate", "--config", str(cfg),
                              "--out", str(out)]) == 0
-            trees.append({str(f.relative_to(out)): f.read_bytes()
-                          for f in out.rglob("*") if f.is_file()
-                          and f != out / "run_manifest"})
+            trees.append(read_tree(out))
         assert loads == [str(source)] * 2  # one per run
         assert trees[0] == trees[1]
         cells = sorted({name.split("/")[1] for name in trees[0]})
@@ -355,6 +359,20 @@ class TestFit:
         assert (out / "coef_007.csv").exists()
         coef = read_rows(out / "coefficients.csv")
         assert len(coef) == 21  # p = 15 edges + 6 covariates
+
+    def test_fit_matches_at_one_and_two_workers(self, sim_dir, tmp_path,
+                                                monkeypatch):
+        # the folds run in a pool of 2 at NETCOV_THREADS=2
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETCOV_THREADS", threads)
+            out = tmp_path / threads
+            assert cli.main(["fit", "--data", sim_dir, "--scheme", "ebg",
+                             "--out", str(out), "--folds", "3",
+                             "--grid-size", "5", "--seed", "3"]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
+        assert "cv.csv" in trees[0] and "coef_004.csv" in trees[0]
 
     def test_split_order_changes_no_output(self, sim_dir, tmp_path):
         # a split is a set of rows: listed backwards in the manifest, it
@@ -1479,27 +1497,57 @@ class TestSweep:
                 out = tmp_path / f"{command}-{threads}"
                 assert cli.main([command, "--config", cfg,
                                  "--out", str(out)]) == 0
-                trees.append({str(f.relative_to(out)): f.read_bytes()
-                              for f in out.rglob("*") if f.is_file()
-                              and f != out / "run_manifest"})
+                trees.append(read_tree(out))
             assert trees[0] == trees[1]
             assert any(name.startswith("cells/") for name in trees[0])
 
+    def test_fit_in_a_pooled_cell_starts_no_pool(self, tmp_path,
+                                                 monkeypatch):
+        # one budget: 2 workers run the 2 cells, and each cell's 3 folds
+        # run serially in its worker.  Forked workers inherit the logging
+        # pool class, so a pool started in a cell would log a line too.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from netcov import jobs
+
+        log = tmp_path / "pools"
+
+        class Logged(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {max_workers}\n")
+                fork = multiprocessing.get_context("fork")
+                super().__init__(max_workers, mp_context=fork)
+
+        monkeypatch.setattr(jobs, "ProcessPoolExecutor", Logged)
+        monkeypatch.setenv("NETCOV_THREADS", "2")
+        cfg = sweep_config(tmp_path / "c.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert log.read_text() == f"{os.getpid()} 2\n"
+        assert len(read_rows(out / "metrics.csv")) == 4
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "²"])
-    def test_bad_thread_count_is_config_error(self, tmp_path, monkeypatch,
-                                              capsys, value):
+    def test_bad_thread_count_is_config_error(self, sim_dir, tmp_path,
+                                              monkeypatch, capsys, value):
         monkeypatch.setenv("NETCOV_THREADS", value)
         cfg = sweep_config(tmp_path / "c.cfg")
-        for command in ("simulate", "sweep"):
+        inputs = {"simulate": ["--config", cfg], "sweep": ["--config", cfg],
+                  "fit": ["--data", sim_dir, "--scheme", "ebg", "--folds",
+                          "3", "--grid-size", "5", "--seed", "3"]}
+        for command, argv in inputs.items():
             out = tmp_path / command
-            assert cli.main([command, "--config", cfg,
-                             "--out", str(out)]) == 2
+            assert cli.main([command, *argv, "--out", str(out)]) == 2
             assert "NETCOV_THREADS must be a positive integer" in (
                 capsys.readouterr().err)
             assert not out.exists()
 
-    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
-        # a recorder in place of the pool: no worker process is started
+    def test_pool_capped_at_cell_count(self, sim_dir, tmp_path,
+                                       monkeypatch):
+        # a recorder in place of the pool runs each job here as a worker
+        # would run it: no worker process is started
+        from netcov import jobs
+
         started = []
 
         class Recorder:
@@ -1513,12 +1561,48 @@ class TestSweep:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                with monkeypatch.context() as worker:
+                    worker.setattr(jobs.multiprocessing, "parent_process",
+                                   object)
+                    return [fn(item) for item in items]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(jobs, "ProcessPoolExecutor", Recorder)
         monkeypatch.setenv("NETCOV_THREADS", "5000")
         cfg = sweep_config(tmp_path / "c.cfg")
         for command in ("simulate", "sweep"):
             assert cli.main([command, "--config", cfg,
                              "--out", str(tmp_path / command)]) == 0
-        assert started == [2, 2]
+        assert started == [2, 2]  # the sweep's folds ran in its cells
+        assert cli.main(["fit", "--data", sim_dir, "--scheme", "ebg",
+                         "--out", str(tmp_path / "fit"), "--folds", "3",
+                         "--grid-size", "5", "--seed", "3"]) == 0
+        assert started == [2, 2, 3]  # a lone fit's folds: one each
+
+    @pytest.mark.parametrize("design", ["synthetic", "semi-synthetic"])
+    def test_unfillable_folds_refused_before_any_cell(
+            self, tmp_path, capsys, design):
+        # 6 training rows (data.N, or the source's train_rows rather than
+        # its 40 rows) cannot fill 10 folds; simulate fits nothing
+        from conftest import make_dataset
+        from netcov import save_dataset
+
+        cfg = sweep_config(tmp_path / "c.cfg")
+        flags = ["--set", "solver.folds=10", "--set", "data.N=6"]
+        if design != "synthetic":
+            ds = make_dataset(np.random.default_rng(9), [1, 1, 1, 2, 2, 2],
+                              d=1, N=40)
+            source = tmp_path / "source"
+            save_dataset(replace(ds, train_rows=np.arange(6),
+                                 test_rows=np.arange(6, 40)), str(source))
+            flags = ["--set", "solver.folds=10",
+                     "--set", f"data.design={source}"]
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         *flags]) == 2
+        assert ("config error: solver.folds: 6 training rows cannot fill "
+                "10 folds" in capsys.readouterr().err)
+        assert not out.exists()
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), *flags,
+                         "--set", "solver.folds=6"]) == 0
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / "sim"), *flags]) == 0

@@ -290,6 +290,53 @@ class TestRefitReuse:
         assert fit.cv.prepared is None and fit.cv == cv
 
 
+class TestFoldJobs:
+    """The folds run as jobs of :func:`netcov.jobs.run_jobs`."""
+
+    def test_folds_match_at_one_and_two_workers(self, monkeypatch):
+        ds, spec, _ = signal_dataset(12, alpha=0.6, N=80)
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETCOV_THREADS", threads)
+            results.append(cross_validate(ds, spec, folds=3, seed=5,
+                                          grid_size=6))
+        for name in ("fold_deviance", "mean_deviance", "se",
+                     "fold_assignment"):
+            np.testing.assert_array_equal(getattr(results[0], name),
+                                          getattr(results[1], name))
+        assert results[0].index_one_se == results[1].index_one_se
+
+    def test_traced_fit_sees_every_fold_layer(self, tmp_path, monkeypatch):
+        # the benchmark traces the fold job's prepare, fit_path and
+        # holdout_deviance at their netcov.tuning names: a job bound to
+        # them at import would leave the traced fold layers at zero
+        import importlib.util
+        from pathlib import Path
+        from netcov import cli, save_dataset
+
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+        spec = importlib.util.spec_from_file_location("netcov_fold_spans",
+                                                      path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        save_dataset(noise_dataset(21, N=40), str(tmp_path / "data"))
+        monkeypatch.delenv("NETCOV_THREADS", raising=False)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(["fit", "--data", str(tmp_path / "data"),
+                             "--scheme", "ebg", "--out", str(tmp_path / "fit"),
+                             "--seed", "3", "--folds", "3",
+                             "--grid-size", "5"]) == 0
+        finally:
+            tracer.uninstall()
+        metrics = tracer.metrics()
+        assert metrics["pipeline.prepare_calls"] == 4  # the grid's, 3 folds
+        assert metrics["solver.points"] == 20  # 4 paths of 5 points
+        assert metrics["preprocess.back_transform_calls"] == 20
+        assert metrics["pipeline.holdout_deviance_s"] > 0
+
+
 class TestOnePredictionPath:
     """The training transforms of a preparation reproduce the solver's
     linear predictor and score held-out rows as a hand computation does."""
