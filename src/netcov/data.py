@@ -231,8 +231,9 @@ class Dataset:
     test_rows: np.ndarray = None
 
     def __post_init__(self):
-        edges = np.atleast_2d(np.asarray(self.edges, dtype=np.float64))
-        covs = np.asarray(self.node_covs, dtype=np.float64)
+        # C-contiguous blocks, so that build_design can take by flat index
+        edges = np.atleast_2d(np.ascontiguousarray(self.edges, dtype=np.float64))
+        covs = np.ascontiguousarray(self.node_covs, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64).ravel()
         n = self.communities.n
         ne = n * (n - 1) // 2
@@ -364,15 +365,34 @@ def devectorize(z, idx, y=0.0):
 _GATHER_ELEMENTS = 1 << 20  # elements build_design gathers per step (8 MB)
 
 
-def build_design(dataset, rows=None):
+def build_design(dataset, rows=None, columns=None):
     """A dataset's vectorized rows (all, or ``rows`` in that order) as one
-    N x p array in canonical feature order.
+    C-ordered array in canonical feature order: all p columns, or the
+    ascending design columns ``columns``.
 
-    Rows go straight into the output a few at a time, so a row subset is
-    never copied whole before it lands there.
+    Whole rows go straight into the output a few at a time, so a row
+    subset is never copied whole before it lands there.  Selected
+    columns are copied row by row when they form a range, and are
+    otherwise taken one value at a time by flat index.
     """
     blocks = (dataset.edges, dataset.node_covs)
     n = blocks[0].shape[0] if rows is None else len(rows)
+    if columns is not None:
+        if np.any(columns[1:] < columns[:-1]):
+            raise ValueError("design columns must be given in ascending order")
+        rows = np.arange(blocks[0].shape[0]) if rows is None else rows
+        n_edges = blocks[0].shape[1]
+        k = int(np.searchsorted(columns, n_edges))
+        out = np.empty((n, columns.size))
+        for part, block, cols in ((out[:, :k], blocks[0], columns[:k]),
+                                  (out[:, k:], blocks[1],
+                                   columns[k:] - n_edges)):
+            if cols.size and cols[-1] - cols[0] == cols.size - 1:
+                part[...] = block[rows, cols[0]:cols[-1] + 1]
+            elif cols.size:  # the blocks are C-contiguous (Dataset)
+                part[...] = np.take(block.reshape(-1),
+                                    (rows * block.shape[1])[:, None] + cols)
+        return out
     out = np.empty((n, sum(b.shape[1] for b in blocks)),
                    dtype=np.result_type(*blocks))
     step = max(1, _GATHER_ELEMENTS // max(1, out.shape[1]))

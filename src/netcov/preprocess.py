@@ -12,14 +12,18 @@ standardized the same way; binary responses are left untouched.
 Groupwise orthonormalization replaces each group's column block by an
 orthonormal basis of its column space, which turns the group penalty
 into a penalty on each group's contribution to the linear predictor and
-makes the per-group solver update a closed-form shrinkage.  Each block
-is gathered from the standardized design through the overlap expansion
-map, so the expanded design is never built.  A block is factored by an
-eigendecomposition of its smaller Gram matrix, ``B^T B`` or ``B B^T``,
-truncated at numerical rank; only a block whose dropped directions are
-not null directions of the block itself falls back to a thin SVD.
-A group of one column, each group of the LASSO, skips the eigensolver:
-its orthonormal basis is the column scaled by its norm (Simon and
+makes the per-group solver update a closed-form shrinkage.  The
+standardized design is read one batch of consecutive groups at a time,
+the batch's distinct columns in one read, and each block is gathered
+from that read through the overlap expansion map: neither the expanded
+design nor, when the caller serves the reads from raw rows as
+:func:`netcov.pipeline.prepare` does, the standardized design is built
+whole.  A block is factored by an eigendecomposition of its smaller Gram
+matrix, ``B^T B`` or ``B B^T``, truncated at numerical rank; only a
+block whose dropped directions are not null directions of the block
+itself falls back to a thin SVD.  A group of one column, each group of
+the LASSO, skips the eigensolver, and a run of them is factored in one
+step: each orthonormal basis is the column scaled by its norm (Simon and
 Tibshirani, Stat. Sinica 2012), and it maps back by that one division.
 Rank-deficient groups get their penalty multiplier scaled by sqrt(rank)
 instead of sqrt(size).
@@ -54,6 +58,12 @@ RANK_TOL = 1e-10  # singular value kept iff > RANK_TOL * s_max of its group
 # kept singular-value ratio exceeds 1e-2, far above RANK_TOL, so the SVD
 # keeps those directions too.
 GRAM_TOL = 1e-4
+# expanded columns per read of the design in orthonormalize: wide enough
+# that the reads of the LASSO's or a split map's narrow groups come in a
+# few large pieces, and small next to an atlas-sized design
+BATCH_COLUMNS = 1024
+_ONE = np.ones((1, 1))  # the V of every one-column group, shared
+_ONE.flags.writeable = False
 
 
 def standardize(Z, y, family):
@@ -81,12 +91,9 @@ def standardize(Z, y, family):
     if N < 2:
         raise ValueError("standardization needs at least 2 training rows")
     means = Z.mean(axis=0)
-    # the 1/N standard deviation, as Z.std(axis=0) computes it, squaring
-    # one centered copy in place
-    T = Z - means
-    T *= T
-    sds = np.sqrt(T.sum(axis=0) / N)
-    del T
+    centered = Z - means
+    # the 1/N standard deviation, as Z.std(axis=0) computes it
+    sds = np.sqrt(np.square(centered).sum(axis=0) / N)
     # numerically constant columns: the tolerance absorbs the float dust a
     # constant column picks up from mean subtraction
     sds[sds <= 1e-10 * np.maximum(1.0, np.abs(means))] = 0.0
@@ -99,17 +106,23 @@ def standardize(Z, y, family):
         if stats["y_sd"] == 0.0:
             raise ValueError("response is constant on the training rows")
         y = (y - stats["y_mean"]) / stats["y_sd"]
-    return apply_standardization(means, sds, Z), y, stats
+    return _scale(sds, centered), y, stats
 
 
-def apply_standardization(means, sds, Z):
-    """``(Z - means) / sds`` by column; a column with sd 0 (constant on the
-    training rows) becomes identically zero."""
+def apply_standardization(means, sds, Z, out=None):
+    """``(Z - means) / sds`` by column, into ``out`` if given (which may be
+    ``Z``); a column with sd 0 (constant on the training rows) becomes
+    identically zero."""
+    return _scale(sds, np.subtract(Z, means, out=out))
+
+
+def _scale(sds, centered):
+    """Divide centered columns by their sds in place; zero those of sd 0."""
     constant = sds == 0.0
-    Z_std = Z - means
-    Z_std /= np.where(constant, 1.0, sds)
-    Z_std[:, constant] = 0.0
-    return Z_std
+    centered /= np.where(constant, 1.0, sds)
+    if constant.any():
+        centered[:, constant] = 0.0
+    return centered
 
 
 @dataclass(frozen=True)
@@ -220,22 +233,8 @@ def _factor_block(B, out):
     itself, ``|B x| <= RANK_TOL * s_max`` over them all, so the SVD would
     drop them too; where they are not, the block is factored by a thin SVD
     truncated at ``RANK_TOL``.  Either way the rank is the SVD's.
-
-    A block of one column skips ``eigh``: LAPACK returns a 1 x 1 matrix's
-    entry and the eigenvector 1.0 exactly, so the same Gram product, its
-    square root and the same product with V give the general route's bits.
-    A column whose Gram entry is not positive (all zero) has rank 0.
     """
     N, m = B.shape
-    if m == 1:
-        lam = (B.T @ B)[0]
-        if not lam[0] > 0:
-            return 0, np.empty((1, 0)), np.empty(0)
-        s, V = np.sqrt(lam), np.ones((1, 1))
-        # the product, not a copy of B: BLAS writes 1.0 * -0.0 as +0.0
-        np.dot(V, B.T, out=out[:1])
-        out[:1] /= s
-        return 1, V, s
     wide = m > N
     lam, E = np.linalg.eigh(B @ B.T if wide else B.T @ B)
     lam, E = lam[::-1], E[:, ::-1]
@@ -266,11 +265,37 @@ def _factor_block(B, out):
     return r, V, s
 
 
+def _factor_columns(B, out):
+    """Each column of B as a group of its own: one (rank, V, s) per column,
+    as :func:`_factor_block` returns for a block, the kept rows in ``out``.
+
+    A one-column block skips ``eigh``: LAPACK returns a 1 x 1 matrix's
+    entry and the eigenvector 1.0 exactly, so the general route reduces
+    to the Gram entry, its square root and the column over it.  ``np.dot``
+    of a contiguous column with itself rounds as the 1 x 1 product
+    ``B^T B`` does, and adding 0.0 writes -0.0 as +0.0, as the product
+    with V = 1.0 does.  An all-zero column has rank 0.
+    """
+    columns = np.ascontiguousarray(B.T)
+    lam = np.array([np.dot(c, c) for c in columns])
+    kept = lam > 0
+    s = np.sqrt(lam[kept])
+    rows = out[:s.size]
+    np.add(columns if kept.all() else columns[kept], 0.0, out=rows)
+    rows /= s[:, None]
+    sigma = iter(s[:, None])
+    return [(1, _ONE, next(sigma)) if k else (0, None, None)
+            for k in kept.tolist()]
+
+
 def orthonormalize(Z, emap, group_names=None):
     """Orthonormalize each group's column block of the standardized design.
 
-    ``Z`` holds the training rows with their original ``emap.p`` columns;
-    each group's block is gathered from it through
+    ``Z`` holds the training rows with their original ``emap.p`` columns:
+    an array, or any source with ``.shape`` that returns ``Z[:, cols]``
+    for ascending ``cols``.  Consecutive groups are read in batches of
+    about ``BATCH_COLUMNS`` expanded columns: one read of a batch's
+    distinct columns, from which each group's block is gathered through
     ``emap.expanded_to_original``, so overlapping groups share no copy.
 
     Returns
@@ -286,19 +311,43 @@ def orthonormalize(Z, emap, group_names=None):
         raise ValueError(
             f"design has {Z.shape[1]} columns, expected {emap.p}"
         )
-    UT = np.empty((emap.p_star, Z.shape[0]))
+    # U^T starts on a 64-byte boundary: malloc aligns to 16 bytes only, and
+    # a U^T 16 bytes past a 32-byte boundary slowed the sweep kernel's
+    # vector loads (about 7% on a default-cell path), so path times
+    # depended on where the heap put it
+    size = emap.p_star * Z.shape[0]
+    buf = np.empty(size + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    UT = buf[start:start + size].reshape(emap.p_star, Z.shape[0])
     kept, vs, sigmas, offsets = [], [], [], [0]
-    for gi, (s0, s1) in enumerate(pairwise(emap.offsets.tolist())):
-        block = Z[:, emap.expanded_to_original[s0:s1]]
-        r, V, s = _factor_block(block, UT[offsets[-1]:])
-        if r == 0:
-            name = group_names[gi] if group_names is not None else str(gi)
-            warnings.warn(f"dropping group {name!r}: column block has rank 0")
-            continue
-        kept.append(gi)
-        vs.append(V)
-        sigmas.append(s)
-        offsets.append(offsets[-1] + r)
+    starts = emap.offsets.tolist()
+    wide = np.diff(emap.offsets) > 1
+    batch = emap.offsets[:-1] // BATCH_COLUMNS
+    # a wide group is a block of its own; a run of one-column groups in one
+    # batch is one
+    cuts = np.flatnonzero(wide[1:] | wide[:-1] | (batch[1:] > batch[:-1])) + 1
+    read = None
+    for g0, g1 in pairwise([0, *cuts.tolist(), wide.size]):
+        if batch[g0] != read:
+            read = batch[g0]
+            b0, b1 = np.searchsorted(batch, [read, read + 1]).tolist()
+            columns, at = np.unique(
+                emap.expanded_to_original[starts[b0]:starts[b1]],
+                return_inverse=True)
+            read_block, base = Z[:, columns], starts[b0]
+        block = read_block[:, at[starts[g0] - base:starts[g1] - base]]
+        out = UT[offsets[-1]:]
+        factors = ([_factor_block(block, out)] if wide[g0]
+                   else _factor_columns(block, out))
+        for gi, (r, V, s) in enumerate(factors, start=g0):
+            if r == 0:
+                name = group_names[gi] if group_names is not None else str(gi)
+                warnings.warn(f"dropping group {name!r}: column block has rank 0")
+                continue
+            kept.append(gi)
+            vs.append(V)
+            sigmas.append(s)
+            offsets.append(offsets[-1] + r)
     if not kept:
         raise ValueError("all groups have rank 0; nothing to fit")
     offsets = np.array(offsets, dtype=np.int64)

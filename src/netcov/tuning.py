@@ -91,9 +91,9 @@ def _fold_assignment(y, folds, rng, family):
     return fold
 
 
-def _fold_deviance(job):
+def _fold_deviance(dataset, spec, fold):
     """One fold job: the held-out deviance along a path fit on ``train``."""
-    dataset, spec, train, held_out, grid = job
+    train, held_out, grid = fold
     prep = prepare(dataset, spec, train)
     pf = fit_path(prep.problem, prep.basis, prep.emap, lambdas=grid)
     return holdout_deviance(prep.model, dataset, held_out, pf.entries)
@@ -130,8 +130,8 @@ def cross_validate(dataset, spec, folds, *, seed, grid_size=GRID_SIZE,
                                   dataset.family)
 
     fold_dev = np.vstack(run_jobs(_fold_deviance, [
-        (dataset, spec, rows[assignment != f], rows[assignment == f], grid)
-        for f in range(folds)]))
+        (rows[assignment != f], rows[assignment == f], grid)
+        for f in range(folds)], shared=(dataset, spec)))
 
     mean_dev = fold_dev.mean(axis=0)
     se = fold_dev.std(axis=0, ddof=1) / np.sqrt(folds)

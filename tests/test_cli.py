@@ -1513,11 +1513,11 @@ class TestSweep:
         log = tmp_path / "pools"
 
         class Logged(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 with open(log, "a") as fh:
                     fh.write(f"{os.getpid()} {max_workers}\n")
                 fork = multiprocessing.get_context("fork")
-                super().__init__(max_workers, mp_context=fork)
+                super().__init__(max_workers, mp_context=fork, **kwargs)
 
         monkeypatch.setattr(jobs, "ProcessPoolExecutor", Logged)
         monkeypatch.setenv("NETCOV_THREADS", "2")
@@ -1551,8 +1551,9 @@ class TestSweep:
         started = []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                self.start = lambda: initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -1564,6 +1565,8 @@ class TestSweep:
                 with monkeypatch.context() as worker:
                     worker.setattr(jobs.multiprocessing, "parent_process",
                                    object)
+                    worker.setattr(jobs, "_shared", ())
+                    self.start()
                     return [fn(item) for item in items]
 
         monkeypatch.setattr(jobs, "ProcessPoolExecutor", Recorder)

@@ -40,7 +40,7 @@ def test_a_job_in_a_worker_runs_its_jobs_serially(monkeypatch):
 
 
 def test_one_job_or_one_worker_starts_no_pool(monkeypatch):
-    def no_pool(max_workers):
+    def no_pool(max_workers, **kwargs):
         raise AssertionError(f"a pool of {max_workers} was started")
 
     monkeypatch.setattr(jobs, "ProcessPoolExecutor", no_pool)

@@ -329,7 +329,6 @@ class TestWidthOneRoute:
 
     def test_default_cell_columns_match_the_eigh_route(self):
         from netcov.data import build_design
-        from netcov.preprocess import _factor_block
         from netcov.simulate import (PRESET_ACTIVE_GROUPS, ExperimentConfig,
                                      gen_design_synthetic)
 
@@ -341,18 +340,23 @@ class TestWidthOneRoute:
         assert Z.shape == (1000, 1275)
         # and a column holding -0.0, which the product writes as +0.0
         signed = np.where(Z[:, :1] > 1.0, -0.0, Z[:, :1])
-        got, ref = np.empty((1, Z.shape[0])), np.empty((1, Z.shape[0]))
-        for j in range(Z.shape[1] + 1):
-            B = Z[:, j:j + 1] if j < Z.shape[1] else signed
-            r, V, s = _factor_block(B, got)
-            V_ref, s_ref = self.eigh_route(B, ref)
-            assert r == 1
-            assert got.tobytes() == ref.tobytes()
-            assert s.tobytes() == s_ref.tobytes()
-            assert V.tobytes() == V_ref.tobytes()
-        # the last block is the signed column: its -0.0 entries read +0.0
+        Z = np.hstack([Z, signed])
+        p = Z.shape[1]
+        # the LASSO's map: one run of one-column groups, factored together
+        emap = ExpansionMap(expanded_to_original=np.arange(p),
+                            offsets=np.arange(p + 1), p=p)
+        U, basis, _ = orthonormalize(Z, emap)
+        assert basis.ranks.tolist() == [1] * p
+        ref = np.empty((1, Z.shape[0]))
+        for j in range(p):
+            V_ref, s_ref = self.eigh_route(np.ascontiguousarray(Z[:, j:j + 1]),
+                                           ref)
+            assert U[:, j].tobytes() == ref[0].tobytes()
+            assert basis.sigmas[j].tobytes() == s_ref.tobytes()
+            assert basis.vs[j].tobytes() == V_ref.tobytes()
+        # the last group is the signed column: its -0.0 entries read +0.0
         assert np.signbit(signed).any()
-        assert not np.signbit(got[0][signed[:, 0] == 0]).any()
+        assert not np.signbit(U[signed[:, 0] == 0, -1]).any()
 
     def test_constant_training_column_dropped_with_its_warning(self, rng):
         from netcov.pipeline import make_groups
@@ -371,6 +375,115 @@ class TestWidthOneRoute:
                               prep.emap)
         assert beta[2] == 0.0 and not np.signbit(beta[2])
         assert np.all(beta[np.arange(spec.p) != 2] != 0.0)
+
+
+def wide_dataset(rng, nodes, N, nuisance=None):
+    """A dataset of ``nodes`` nodes in 4 equal communities, d = 1, whose
+    training rows (all but rows 3 and 7) hold edge 5 constant."""
+    ds = make_dataset(rng, np.repeat([1, 2, 3, 4], nodes // 4).tolist(), N=N)
+    edges = ds.edges.copy()
+    train = np.setdiff1d(np.arange(N), [3, 7])
+    edges[train, 5] = 1.5
+    return replace(ds, edges=edges, nuisance=nuisance, train_rows=train)
+
+
+def array_chain(ds, spec):
+    """prepare's chain over the whole training design, built as one array."""
+    Z, y, nuisance_model = nuisance_corrected(ds, ds.train_rows)
+    Z, y, stats = standardize(Z, y, ds.family)
+    U, basis, mult = orthonormalize(Z, expand(spec), spec.names)
+    return U, basis, mult, y, stats, nuisance_model
+
+
+class TestStreamedPrepare:
+    """prepare reads the raw training rows by column chunk and by group
+    batch, never as one N x p design, and keeps the array chain's bits."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # 8,256 columns: two passes of the statistics
+        return wide_dataset(np.random.default_rng(31), nodes=128, N=30)
+
+    @pytest.mark.parametrize("scheme, split", [("nbg", None), ("ebg", None),
+                                               ("lasso", None), ("ebg", 8)])
+    def test_equals_the_array_chain(self, wide, scheme, split):
+        from netcov.pipeline import make_groups
+
+        assert wide.index.p > 2 * 4096
+        spec, _ = make_groups(wide, scheme, split_target=split, seed=(3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rank-0 drops
+            prep = prepare(wide, spec)
+            U, basis, mult, y, stats, _ = array_chain(wide, spec)
+        assert prep.problem.U.tobytes() == U.tobytes()
+        assert prep.basis.kept == basis.kept
+        assert prep.basis.offsets.tobytes() == basis.offsets.tobytes()
+        for got, ref in zip(prep.basis.vs + prep.basis.sigmas,
+                            basis.vs + basis.sigmas, strict=True):
+            assert got.tobytes() == ref.tobytes()
+        assert prep.problem.multipliers.tobytes() == mult.tobytes()
+        assert prep.problem.y.tobytes() == y.tobytes()
+        for name, value in stats.items():
+            got = getattr(prep.model, name)
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
+        assert prep.model.column_sds[5] == 0.0  # the training-constant edge
+
+    def test_nuisance_fit_within_rounding(self):
+        from netcov.pipeline import make_groups
+        from netcov.solver import fit_path, lambda_grid, lambda_max, objective
+
+        # a split map's narrow groups: their products M @ coefs[:, cols]
+        # can round apart from the whole design's
+        rng = np.random.default_rng(32)
+        nuisance = rng.standard_normal((60, 2))
+        nuisance = np.column_stack([nuisance, 2.0 * nuisance[:, 0]])
+        ds = wide_dataset(rng, nodes=128, N=60, nuisance=nuisance)
+        spec, _ = make_groups(ds, "ebg", split_target=8, seed=(3, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prep = prepare(ds, spec)
+        assert [str(w.message) for w in caught
+                if "rank-deficient" in str(w.message)] == [
+            "nuisance matrix is rank-deficient on the training rows; "
+            "using the least-norm solution"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            U, basis, mult, y, _, nuisance_model = array_chain(ds, spec)
+        assert prep.basis.kept == basis.kept
+        assert prep.basis.ranks.tolist() == basis.ranks.tolist()
+        assert (prep.model.nuisance_model.feature_coefs.tobytes()
+                == nuisance_model.feature_coefs.tobytes())
+        assert prep.model.nuisance_model.y_coefs.tobytes() == (
+            nuisance_model.y_coefs.tobytes())
+        grid = lambda_grid(lambda_max(prep.problem), grid_size=8)
+        array_problem = replace(prep.problem, U=U, y=y)
+        paths = [fit_path(problem, b, prep.emap, lambdas=grid) for problem, b
+                 in ((prep.problem, prep.basis), (array_problem, basis))]
+        for got, ref in zip(*(path.entries for path in paths), strict=True):
+            q_got = objective(replace(prep.problem, lam=got.lam), got.mu,
+                              got.beta_tilde)
+            q_ref = objective(replace(array_problem, lam=ref.lam), ref.mu,
+                              ref.beta_tilde)
+            assert abs(q_got - q_ref) <= 1e-10 * abs(q_ref)
+
+    def test_peak_below_one_design(self):
+        import tracemalloc
+        from netcov.pipeline import make_groups
+
+        # 51,360 columns, so one pass of the statistics is a small share
+        rng = np.random.default_rng(33)
+        ds = wide_dataset(rng, nodes=320, N=20,
+                          nuisance=rng.standard_normal((20, 2)))
+        spec, _ = make_groups(ds, "ebg")
+        design = ds.train_rows.size * ds.index.p * 8
+        tracemalloc.start()
+        try:
+            prep = prepare(ds, spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prep.problem.U.nbytes < held
+        assert peak - held < design
 
 
 class TestBackTransform:

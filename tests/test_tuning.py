@@ -306,6 +306,34 @@ class TestFoldJobs:
                                           getattr(results[1], name))
         assert results[0].index_one_se == results[1].index_one_se
 
+    def test_fold_payloads_leave_the_dataset_out(self, monkeypatch):
+        # the dataset reaches each worker once, with the pool's initializer;
+        # a job sent through the pool's pipe carries rows and the grid
+        import multiprocessing
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+        from netcov import jobs
+
+        sent = []
+
+        class Measured(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, **kwargs,
+                                 mp_context=multiprocessing.get_context("fork"))
+
+            def submit(self, fn, *args, **kwargs):
+                sent.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        rng = np.random.default_rng(4)
+        ds = make_dataset(rng, np.repeat([1, 2], 24).tolist(), N=600)
+        assert ds.edges.nbytes + ds.node_covs.nbytes >= 5e6
+        spec = ebg_groups(ds.communities, ds.index)
+        monkeypatch.setattr(jobs, "ProcessPoolExecutor", Measured)
+        monkeypatch.setenv("NETCOV_THREADS", "2")
+        cross_validate(ds, spec, folds=3, seed=1, grid_size=3)
+        assert len(sent) == 3 and max(sent) < 1e6
+
     def test_traced_fit_sees_every_fold_layer(self, tmp_path, monkeypatch):
         # the benchmark traces the fold job's prepare, fit_path and
         # holdout_deviance at their netcov.tuning names: a job bound to
